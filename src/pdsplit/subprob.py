@@ -7,9 +7,15 @@ Each non-linearized block update minimizes
 over the block's set (folded into ``h``'s prox).  The solve is closed form
 when ``C`` is a scaled identity (the augmented term merges into the prox)
 or when the block oracle solves augmented quadratics itself; otherwise an
-optional inner proximal-gradient loop is used.
+optional inner loop of accelerated proximal gradient is used.  The loop
+starts at ``center`` and returns ``T(z)``, one prox-gradient step from the
+extrapolated point ``z``, as soon as
+``||T(z) - z|| <= inner_tol * (1 + ||T(z)||)``.  When it reaches
+``inner_max_iters`` first it returns the last ``T(z)`` with a
+``RuntimeWarning`` naming the cap, the residual and the tolerance.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +65,36 @@ def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center,
 
 
 def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center, options):
-    """Proximal gradient on the smooth quadratic part, prox on the block."""
+    """Accelerated proximal gradient on the smooth quadratic part, prox on the block.
+
+    The smooth part is ``weight``-strongly convex with gradient Lipschitz
+    constant ``lip``, so constant momentum ``(1 - sqrt(q)) / (1 + sqrt(q))``
+    with ``q = weight / lip`` needs about ``sqrt(lip / weight)`` iterations
+    where plain proximal gradient needs ``lip / weight``.  ``C u`` is carried
+    between iterations, so each one costs one forward and one adjoint product.
+    """
     lip = sigma * C.norm_bound() ** 2 + weight
+    step = 1.0 / lip
+    root_q = np.sqrt(weight / lip)
+    momentum = (1.0 - root_q) / (1.0 + root_q)
+    shift = linear + sigma * C.adjoint(offset) - weight * center
     u = np.array(center, dtype=float)
+    Cu = C.apply(u)
+    z, Cz = u, Cu
+    u_next, residual = u, np.inf   # returned as is when the cap is 0
     for _ in range(options.inner_max_iters):
-        grad = linear + sigma * C.adjoint(C.apply(u) + offset) + weight * (u - center)
-        u_next = block.prox(u - grad / lip, 1.0 / lip)
-        if np.linalg.norm(u_next - u) <= options.inner_tol * (1.0 + np.linalg.norm(u_next)):
+        grad = sigma * C.adjoint(Cz) + weight * z + shift
+        u_next = block.prox(z - step * grad, step)
+        residual = np.linalg.norm(u_next - z)
+        if residual <= options.inner_tol * (1.0 + np.linalg.norm(u_next)):
             return u_next
-        u = u_next
-    return u
+        Cu_next = C.apply(u_next)
+        z = u_next + momentum * (u_next - u)
+        Cz = Cu_next + momentum * (Cu_next - Cu)
+        u, Cu = u_next, Cu_next
+    warnings.warn(
+        f"augmented-subproblem inner loop hit its cap of {options.inner_max_iters} "
+        f"iterations at residual {residual:.3e} (tolerance {options.inner_tol:.1e}, "
+        f"relative to 1 + ||u||)",
+        RuntimeWarning, stacklevel=2)
+    return u_next

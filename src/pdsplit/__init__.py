@@ -15,8 +15,7 @@ from .params import (BoundResult, ParamState, Scheme, StepSizeError,
                      StepSizeRule, advance, appendix_c_bound, solve_step_size,
                      theoretical_theta_bound)
 from .subprob import AugmentedSubproblemError, SolverOptions
-from .family1 import IterateStateF1
-from .family2 import IterateStateF2
+from .family1 import IterateState
 from .diagnostics import (BoundReport, IterationTrace, LyapunovInputs,
                           TraceRow, certify_bounds, lagrangian_gap, lyapunov,
                           r0, sparsity)

@@ -41,6 +41,25 @@ def _f_prox(problem):
     return problem.f_prox
 
 
+def _record_run(problem, state, max_iters, record_every, trace, step):
+    """Apply ``step`` ``max_iters`` times, recording the rows whose index is
+    a multiple of ``record_every`` and the last one."""
+    t_start = time.perf_counter()
+    for k in range(max_iters + 1):
+        if k % record_every == 0 or k == max_iters:
+            obj = problem.objective(state.x, state.y)
+            trace.append(TraceRow(
+                k=k, theta=1.0,
+                obj=float(obj) if np.isfinite(obj) else None,
+                feas=feasibility_residual(problem, state.x, state.y),
+                sparsity=sparsity(state.x),
+                seconds=time.perf_counter() - t_start))
+        if k == max_iters:
+            break
+        state = step(state)
+    return trace, state
+
+
 def step_ladmm(problem, state, sigma, tx, ty):
     """One linearized multiplier step with penalty ``sigma``.
 
@@ -67,9 +86,7 @@ def ladmm_run(problem, max_iters, sigma=1.0, x0=None, y0=None, lam0=None,
     The ``theta`` and ``alpha`` columns do not apply to this method; theta
     is recorded as 1 throughout so the CSV schema stays uniform.
     """
-    x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=float)
-    y = np.zeros(problem.dim_y) if y0 is None else np.asarray(y0, dtype=float)
-    lam = np.zeros(problem.dim_lam) if lam0 is None else np.asarray(lam0, dtype=float)
+    x, y, lam = problem.initial_point(x0, y0, lam0)
     state = BaselineState(x=x, y=y, lam=lam)
 
     tx = 1.0 / (sigma * problem.A.norm_bound() ** 2)
@@ -77,20 +94,8 @@ def ladmm_run(problem, max_iters, sigma=1.0, x0=None, y0=None, lam0=None,
 
     trace = IterationTrace(meta={"scheme": "ladmm", "sigma": sigma,
                                  "max_iters": max_iters})
-    t_start = time.perf_counter()
-    for k in range(max_iters + 1):
-        if k % record_every == 0 or k == max_iters:
-            obj = problem.objective(state.x, state.y)
-            trace.append(TraceRow(
-                k=k, theta=1.0,
-                obj=float(obj) if np.isfinite(obj) else None,
-                feas=feasibility_residual(problem, state.x, state.y),
-                sparsity=sparsity(state.x),
-                seconds=time.perf_counter() - t_start))
-        if k == max_iters:
-            break
-        state = step_ladmm(problem, state, sigma, tx, ty)
-    return trace, state
+    return _record_run(problem, state, max_iters, record_every, trace,
+                       lambda s: step_ladmm(problem, s, sigma, tx, ty))
 
 
 @dataclass
@@ -140,8 +145,7 @@ def step_pdhg(problem, state, tau, sigma):
 def pdhg_run(problem, max_iters, x0=None, lam0=None, record_every=1):
     """Run the primal-dual iteration with steps ``tau = sigma = 1/||A||``."""
     _check_pdhg_applicable(problem)
-    x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=float)
-    lam = np.zeros(problem.dim_lam) if lam0 is None else np.asarray(lam0, dtype=float)
+    x, _, lam = problem.initial_point(x0, None, lam0)
     y = problem.A.apply(x)
     state = PDHGState(x=x, x_bar=x.copy(), y=y, lam=lam,
                       x_sum=np.zeros_like(x), y_sum=np.zeros_like(y), count=0)
@@ -151,20 +155,8 @@ def pdhg_run(problem, max_iters, x0=None, lam0=None, record_every=1):
 
     trace = IterationTrace(meta={"scheme": "pdhg", "tau": tau, "sigma": sigma,
                                  "max_iters": max_iters})
-    t_start = time.perf_counter()
-    for k in range(max_iters + 1):
-        if k % record_every == 0 or k == max_iters:
-            obj = problem.objective(state.x, state.y)
-            trace.append(TraceRow(
-                k=k, theta=1.0,
-                obj=float(obj) if np.isfinite(obj) else None,
-                feas=feasibility_residual(problem, state.x, state.y),
-                sparsity=sparsity(state.x),
-                seconds=time.perf_counter() - t_start))
-        if k == max_iters:
-            break
-        state = step_pdhg(problem, state, tau, sigma)
-    return trace, state
+    return _record_run(problem, state, max_iters, record_every, trace,
+                       lambda s: step_pdhg(problem, s, tau, sigma))
 
 
 @dataclass

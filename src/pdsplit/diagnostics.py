@@ -40,14 +40,11 @@ class LyapunovInputs:
     saddle: object = None            # SaddlePoint or None
     f_star: float = None             # F(x*, y*)
     m_g: float = None                # Lipschitz constant of g, if known
-    lam_star_norm: float = None
 
     def resolved_lam_norm(self):
-        if self.lam_star_norm is not None:
-            return self.lam_star_norm
-        if self.saddle is not None:
-            return float(np.linalg.norm(self.saddle.lam))
-        return None
+        if self.saddle is None:
+            return None
+        return float(np.linalg.norm(self.saddle.lam))
 
 
 @dataclass
@@ -133,16 +130,20 @@ def lagrangian_gap(problem, x, y, lam, saddle):
             - lagrangian_value(problem, saddle.x, saddle.y, lam))
 
 
-def lyapunov(problem, state, ps, inputs):
+def lyapunov(problem, state, ps, inputs, gap=None):
     """Discrete merit: Lagrangian gap plus weighted distances to the saddle.
 
     ``E_k = gap + gamma/2 ||v - x*||^2 + beta/2 ||w - y*||^2
     + theta/2 ||lam - lam*||^2``
+
+    ``ps`` supplies ``theta``, ``gamma`` and ``beta``.  ``gap`` is the
+    Lagrangian gap of ``state``, computed here unless the caller has it.
     """
     saddle = inputs.saddle
     if saddle is None:
         return None
-    gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
+    if gap is None:
+        gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
     return (gap
             + 0.5 * ps.gamma * float(np.sum((state.v - saddle.x) ** 2))
             + 0.5 * ps.beta * float(np.sum((state.w - saddle.y) ** 2))

@@ -16,11 +16,10 @@ from . import family1, family2
 from .diagnostics import (IterationTrace, LyapunovInputs, TraceRow,
                           lagrangian_gap, lyapunov, r0, sparsity)
 from .oracles import feasibility_residual
-from .params import (FAMILY1_SCHEMES, ParamState, Scheme, StepSizeRule,
-                     advance, solve_step_size)
+from .params import ParamState, Scheme, StepSizeRule, advance, solve_step_size
 from .subprob import SolverOptions
 
-__all__ = ["RunBudget", "RunResult", "run", "step_function", "build_rule"]
+__all__ = ["RunBudget", "RunResult", "run", "build_rule"]
 
 _STEPS = {
     Scheme.F1_SEMI_B: family1.step_f1_semi_b,
@@ -30,10 +29,6 @@ _STEPS = {
     Scheme.F2_SEMI_A: family2.step_f2_semi_a,
     Scheme.F2_EXPLICIT: family2.step_f2_explicit,
 }
-
-
-def step_function(scheme):
-    return _STEPS[scheme]
 
 
 @dataclass
@@ -90,10 +85,7 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
         lyapunov_inputs.saddle = problem.saddle
     saddle = lyapunov_inputs.saddle
 
-    if scheme in FAMILY1_SCHEMES:
-        state = family1.IterateStateF1.cold_start(problem, x0, y0, lam0)
-    else:
-        state = family2.IterateStateF2.cold_start(problem, x0, y0, lam0)
+    state = family1.IterateState.cold_start(problem, x0, y0, lam0)
 
     ps = ParamState.initial(mu_f=problem.mu_f, mu_g=problem.mu_g,
                             gamma0=gamma0, beta0=beta0)
@@ -121,7 +113,7 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
         gap = ey = None
         if saddle is not None:
             gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
-            ey = lyapunov(problem, state, ps, lyapunov_inputs)
+            ey = lyapunov(problem, state, ps, lyapunov_inputs, gap=gap)
         row = TraceRow(k=k, theta=ps.theta, obj=obj, feas=feas, gap=gap,
                        lyap=ey, sparsity=sparsity(state.x),
                        seconds=time.perf_counter() - t_start)

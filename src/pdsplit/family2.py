@@ -1,5 +1,6 @@
-"""Second scheme family: gradient step on the smooth f-part, prox on the
-rest, and an averaging correction that keeps iterates inside the set.
+"""Second scheme family's f-block: gradient step on the smooth f-part, prox
+on the rest, and an averaging correction that keeps iterates inside the
+set.  The y-block and multiplier updates are the skeleton's in ``family1``.
 
 The f-block is ``f = f1 + f2`` with ``f1`` smooth.  The velocity update
 acts on ``v``; the correction
@@ -11,110 +12,50 @@ sandwiches it, with the auxiliary weights
     eta_f~ = gamma + mu_f a        v_tilde = (gamma v + mu_f a u) / eta_f~
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
+from .family1 import step
 from .subprob import solve_augmented_subproblem
 
-__all__ = ["IterateStateF2", "step_f2_semi_b", "step_f2_semi_a", "step_f2_explicit"]
+__all__ = ["step_f2_semi_b", "step_f2_semi_a", "step_f2_explicit"]
 
 
-@dataclass
-class IterateStateF2:
-    x: np.ndarray
-    v: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    lam: np.ndarray
-    u: np.ndarray = None   # last correction midpoint, for diagnostics
-
-    @staticmethod
-    def cold_start(problem, x0=None, y0=None, lam0=None):
-        x0 = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=float)
-        y0 = np.zeros(problem.dim_y) if y0 is None else np.asarray(y0, dtype=float)
-        lam0 = np.zeros(problem.dim_lam) if lam0 is None else np.asarray(lam0, dtype=float)
-        return IterateStateF2(x=x0, v=x0.copy(), y=y0, w=y0.copy(), lam=lam0, u=x0.copy())
-
-
-def _aux(problem, state, ps, alpha):
+def _aux(state, ps, alpha):
     u = (state.x + alpha * state.v) / (1.0 + alpha)
     eta_ft = ps.gamma + ps.mu_f * alpha
     v_tilde = (ps.gamma * state.v + ps.mu_f * alpha * u) / eta_ft
-    eta_g = (1.0 + alpha) * ps.beta + ps.mu_g * alpha
-    y_tilde = state.y + (alpha * ps.beta / eta_g) * (state.w - state.y)
-    return u, eta_ft, v_tilde, eta_g, y_tilde
+    return u, eta_ft, v_tilde
+
+
+def _f2_prox(problem, state, ps, alpha, lam_bar):
+    u, eta_ft, v_tilde = _aux(state, ps, alpha)
+    s = alpha / eta_ft
+    grad = problem.f_smooth.gradient(u) + problem.A.adjoint(lam_bar)
+    v_new = problem.f_prox.prox(v_tilde - s * grad, s)
+    return (state.x + alpha * v_new) / (1.0 + alpha), v_new, u
+
+
+def _f2_augmented(problem, state, ps, ps_next, alpha, options, Bw):
+    u, eta_ft, v_tilde = _aux(state, ps, alpha)
+    d = problem.f_smooth.gradient(u) + problem.A.adjoint(state.lam)
+    v_new = solve_augmented_subproblem(
+        problem.f_prox, d, problem.A, Bw - problem.b,
+        sigma=alpha / ps.theta, weight=eta_ft / alpha, center=v_tilde,
+        options=options, oracle=options.x_augmented_oracle,
+    )
+    return (state.x + alpha * v_new) / (1.0 + alpha), v_new, u
 
 
 def step_f2_semi_b(problem, state, ps, ps_next, alpha, options):
     """Augmented v-step against the stale ``w``, prox y-step against the
     fresh multiplier prediction."""
-    A, B, b = problem.A, problem.B, problem.b
-    th = ps.theta
-    u, eta_ft, v_tilde, eta_g, y_tilde = _aux(problem, state, ps, alpha)
-
-    d = problem.f_smooth.gradient(u) + A.adjoint(state.lam)
-    offset = B.apply(state.w) - b
-    v_new = solve_augmented_subproblem(
-        problem.f_prox, d, A, offset,
-        sigma=alpha / th, weight=eta_ft / alpha, center=v_tilde,
-        options=options, oracle=options.x_augmented_oracle,
-    )
-    x_new = (state.x + alpha * v_new) / (1.0 + alpha)
-
-    lam_bar = state.lam + (alpha / th) * (A.apply(v_new) + B.apply(state.w) - b)
-    tau = alpha ** 2 / eta_g
-    y_new = problem.g.prox(y_tilde - tau * B.adjoint(lam_bar), tau)
-    w_new = y_new + (y_new - state.y) / alpha
-
-    lam_new = state.lam + (alpha / th) * (A.apply(v_new) + B.apply(w_new) - b)
-    return IterateStateF2(x=x_new, v=v_new, y=y_new, w=w_new, lam=lam_new, u=u)
+    return step("x", _f2_augmented, problem, state, ps, ps_next, alpha, options)
 
 
 def step_f2_semi_a(problem, state, ps, ps_next, alpha, options):
     """Augmented y-step with penalty ``1/theta_{k+1}``, prox v-step."""
-    A, B, b = problem.A, problem.B, problem.b
-    th = ps.theta
-    u, eta_ft, v_tilde, eta_g, y_tilde = _aux(problem, state, ps, alpha)
-
-    residual = A.apply(state.x) + B.apply(state.y) - b
-    lam_hat = state.lam - residual / th + (alpha / th) * A.apply(state.v - state.x)
-
-    offset = A.apply(state.x) - b
-    y_new = solve_augmented_subproblem(
-        problem.g, B.adjoint(lam_hat), B, offset,
-        sigma=1.0 / ps_next.theta, weight=eta_g / alpha ** 2, center=y_tilde,
-        options=options, oracle=options.y_augmented_oracle,
-    )
-    w_new = y_new + (y_new - state.y) / alpha
-
-    lam_bar = state.lam + (alpha / th) * (A.apply(state.v) + B.apply(w_new) - b)
-    s = alpha / eta_ft
-    grad = problem.f_smooth.gradient(u) + A.adjoint(lam_bar)
-    v_new = problem.f_prox.prox(v_tilde - s * grad, s)
-    x_new = (state.x + alpha * v_new) / (1.0 + alpha)
-
-    lam_new = state.lam + (alpha / th) * (A.apply(v_new) + B.apply(w_new) - b)
-    return IterateStateF2(x=x_new, v=v_new, y=y_new, w=w_new, lam=lam_new, u=u)
+    return step("y", _f2_prox, problem, state, ps, ps_next, alpha, options)
 
 
 def step_f2_explicit(problem, state, ps, ps_next, alpha, options):
     """Fully prox/gradient-explicit; the v- and y-updates are order
     independent."""
-    A, B, b = problem.A, problem.B, problem.b
-    th = ps.theta
-    u, eta_ft, v_tilde, eta_g, y_tilde = _aux(problem, state, ps, alpha)
-
-    lam_bar = state.lam + (alpha / th) * (A.apply(state.v) + B.apply(state.w) - b)
-
-    s = alpha / eta_ft
-    grad = problem.f_smooth.gradient(u) + A.adjoint(lam_bar)
-    v_new = problem.f_prox.prox(v_tilde - s * grad, s)
-    x_new = (state.x + alpha * v_new) / (1.0 + alpha)
-
-    tau = alpha ** 2 / eta_g
-    y_new = problem.g.prox(y_tilde - tau * B.adjoint(lam_bar), tau)
-    w_new = y_new + (y_new - state.y) / alpha
-
-    lam_new = state.lam + (alpha / th) * (A.apply(v_new) + B.apply(w_new) - b)
-    return IterateStateF2(x=x_new, v=v_new, y=y_new, w=w_new, lam=lam_new, u=u)
+    return step(None, _f2_prox, problem, state, ps, ps_next, alpha, options)

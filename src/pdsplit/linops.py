@@ -50,10 +50,6 @@ class LinearOperator:
     def to_dense(self):
         raise NotImplementedError
 
-    @property
-    def cached_norm(self):
-        return self._norm
-
     def set_norm(self, value):
         """Set-once norm cache."""
         if self._norm is None:

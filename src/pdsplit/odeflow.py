@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import lagrangian_gap
+from .diagnostics import LyapunovInputs, lyapunov
 from .oracles import feasibility_residual
+from .params import ParamState
 
 __all__ = [
     "SmoothSystemState",
@@ -104,13 +105,10 @@ def rhs(problem, state):
 
 
 def initial_state(problem, x0=None, y0=None, lam0=None, gamma0=None, beta0=None):
-    """Phase point at t=0 with v=x, w=y and the default parameter triple."""
-    x0 = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=float)
-    y0 = np.zeros(problem.dim_y) if y0 is None else np.asarray(y0, dtype=float)
-    lam0 = np.zeros(problem.dim_lam) if lam0 is None else np.asarray(lam0, dtype=float)
-    g0 = gamma0 if gamma0 is not None else (problem.mu_f if problem.mu_f > 0 else 1.0)
-    b0 = beta0 if beta0 is not None else (problem.mu_g if problem.mu_g > 0 else 1.0)
-    return SmoothSystemState(t=0.0, theta=1.0, gamma=g0, beta=b0,
+    """Phase point at t=0 with v=x, w=y and the schemes' initial parameters."""
+    x0, y0, lam0 = problem.initial_point(x0, y0, lam0)
+    ps = ParamState.initial(mu_f=problem.mu_f, mu_g=problem.mu_g, gamma0=gamma0, beta0=beta0)
+    return SmoothSystemState(t=0.0, theta=ps.theta, gamma=ps.gamma, beta=ps.beta,
                              x=x0, y=y0, v=x0.copy(), w=y0.copy(), lam=lam0)
 
 
@@ -148,12 +146,9 @@ def integrate(problem, initial, T, h=1e-3):
 
 
 def lyapunov_continuous(problem, state, saddle):
-    """Continuous merit ``E(t)``: Lagrangian gap plus weighted distances."""
-    gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
-    return (gap
-            + 0.5 * state.gamma * float(np.sum((state.v - saddle.x) ** 2))
-            + 0.5 * state.beta * float(np.sum((state.w - saddle.y) ** 2))
-            + 0.5 * state.theta * float(np.sum((state.lam - saddle.lam) ** 2)))
+    """Continuous merit ``E(t)``: the discrete merit at the phase point,
+    whose own ``theta``, ``gamma`` and ``beta`` weigh the distances."""
+    return lyapunov(problem, state, state, LyapunovInputs(saddle=saddle))
 
 
 def closed_form_parameters(t, mu_f, mu_g, gamma0, beta0):

@@ -121,8 +121,6 @@ class SeparableProblem:
         self.A, self.B, self.b = A, B, b
         self.mu_f = default_mu_f if mu_f is None else float(mu_f)
         self.mu_g = g.strong_convexity if mu_g is None else float(mu_g)
-        if self.mu_f > 0 and self.f_smooth is None and isinstance(f, tuple):
-            raise ValueError("mu_f > 0 requires the smooth part of the f-block")
 
         if saddle is not None:
             if saddle.x.size != A.shape[1] or saddle.y.size != B.shape[1] or saddle.lam.size != b.size:
@@ -143,6 +141,21 @@ class SeparableProblem:
     @property
     def dim_lam(self):
         return self.b.size
+
+    def initial_point(self, x0=None, y0=None, lam0=None):
+        """Start ``(x0, y0, lam0)`` as float vectors, zeros where omitted.
+
+        Raises ``ValueError`` naming the block whose length does not match
+        the problem, instead of letting a wrong shape broadcast.
+        """
+        point = []
+        for name, z, dim in (("x0", x0, self.dim_x), ("y0", y0, self.dim_y),
+                             ("lam0", lam0, self.dim_lam)):
+            z = np.zeros(dim) if z is None else np.asarray(z, dtype=float)
+            if z.shape != (dim,):
+                raise ValueError(f"{name} has shape {z.shape}; the problem needs ({dim},)")
+            point.append(z)
+        return tuple(point)
 
     def f_value(self, x):
         val = self.f_prox.value(x)

@@ -40,10 +40,6 @@ class Scheme(enum.Enum):
         return 1 if self.value.startswith("f1") else 2
 
 
-FAMILY1_SCHEMES = (Scheme.F1_SEMI_B, Scheme.F1_SEMI_A, Scheme.F1_EXPLICIT)
-FAMILY2_SCHEMES = (Scheme.F2_SEMI_B, Scheme.F2_SEMI_A, Scheme.F2_EXPLICIT)
-
-
 class StepSizeError(ValueError):
     pass
 
@@ -146,11 +142,6 @@ class BoundResult:
     note: str = ""
 
 
-def _min_branch(linear, quadratic):
-    """min of a 1/k branch and a 1/k^2 branch, ignoring infinities."""
-    return min(linear, quadratic)
-
-
 def theoretical_theta_bound(scheme, k, norm_A=0.0, norm_B=0.0,
                             mu_f=0.0, mu_g=0.0, lipschitz_f=0.0,
                             gamma0=1.0, beta0=1.0):
@@ -181,12 +172,12 @@ def theoretical_theta_bound(scheme, k, norm_A=0.0, norm_B=0.0,
     def a_side_f1():
         lin = norm_A / (math.sqrt(gamma0) * kk)
         quad = norm_A ** 2 / (mu_f * kk ** 2) if mu_f > 0 else math.inf
-        return _min_branch(lin, quad)
+        return min(lin, quad)
 
     def b_side():
         lin = norm_B / (math.sqrt(beta0) * kk)
         quad = norm_B ** 2 / (mu_g * kk ** 2) if mu_g > 0 else math.inf
-        return _min_branch(lin, quad)
+        return min(lin, quad)
 
     def f_side_f2():
         smooth = lipschitz_f / (gamma0 * kk ** 2)

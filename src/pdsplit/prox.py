@@ -104,9 +104,6 @@ class L1Norm(ProxOracle):
             return np.asarray(z, dtype=float)
         return prox_l1(z, tau * self.lam)
 
-    def lipschitz_bound(self, n):
-        return self.lam * np.sqrt(n)
-
 
 class ShiftedL1(ProxOracle):
     """``lam * ||y - shift||_1``."""
@@ -122,10 +119,6 @@ class ShiftedL1(ProxOracle):
         if self.lam == 0.0:
             return np.asarray(z, dtype=float)
         return prox_shifted_l1(z, self.shift, tau * self.lam)
-
-    def lipschitz_bound(self, n):
-        # ||.||_1 is sqrt(n)-Lipschitz in the Euclidean norm
-        return self.lam * np.sqrt(n)
 
 
 class SquaredL2(ProxOracle):
@@ -181,9 +174,6 @@ class HingeSum(ProxOracle):
 
     def prox(self, z, tau):
         return prox_hinge_sum(z, self.labels, self.weight, tau)
-
-    def lipschitz_bound(self, n):
-        return self.weight * np.sqrt(n)
 
 
 class BoxIndicator(ProxOracle):

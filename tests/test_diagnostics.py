@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from pdsplit import IterateState
 from pdsplit.diagnostics import (CSV_COLUMNS, BoundReport, IterationTrace,
                                  LyapunovInputs, TraceRow, certify_bounds,
                                  lagrangian_gap, lyapunov, r0, sparsity)
 from pdsplit.driver import run
-from pdsplit.family1 import IterateStateF1
 from pdsplit.oracles import lagrangian_value
 from pdsplit.params import ParamState, Scheme
 
@@ -20,11 +20,11 @@ from helpers import quadratic_instance
 def test_lyapunov_recomputation():
     prob, _ = quadratic_instance(51)
     rng = np.random.default_rng(1)
-    st = IterateStateF1(x=rng.standard_normal(prob.dim_x),
-                        v=rng.standard_normal(prob.dim_x),
-                        y=rng.standard_normal(prob.dim_y),
-                        w=rng.standard_normal(prob.dim_y),
-                        lam=rng.standard_normal(prob.dim_lam))
+    st = IterateState(x=rng.standard_normal(prob.dim_x),
+                      v=rng.standard_normal(prob.dim_x),
+                      y=rng.standard_normal(prob.dim_y),
+                      w=rng.standard_normal(prob.dim_y),
+                      lam=rng.standard_normal(prob.dim_lam))
     ps = ParamState(theta=0.6, gamma=1.4, beta=0.8)
     inputs = LyapunovInputs(saddle=prob.saddle)
     sd = prob.saddle
@@ -39,7 +39,7 @@ def test_lyapunov_recomputation():
 def test_lyapunov_zero_at_saddle():
     prob, _ = quadratic_instance(52)
     sd = prob.saddle
-    st = IterateStateF1(x=sd.x, v=sd.x, y=sd.y, w=sd.y, lam=sd.lam)
+    st = IterateState(x=sd.x, v=sd.x, y=sd.y, w=sd.y, lam=sd.lam)
     ps = ParamState.initial()
     val = lyapunov(prob, st, ps, LyapunovInputs(saddle=sd))
     assert abs(val) <= 1e-10
@@ -58,7 +58,7 @@ def test_gap_nonnegative_at_random_points():
 def test_r0_formula_recomputation():
     # sqrt(2 E0) plus multiplier distance plus the initial residual
     prob, _ = quadratic_instance(54)
-    st = IterateStateF1.cold_start(prob)
+    st = IterateState.cold_start(prob)
     ps = ParamState.initial()
     inputs = LyapunovInputs(saddle=prob.saddle)
     e0 = lyapunov(prob, st, ps, inputs)
@@ -70,7 +70,7 @@ def test_r0_formula_recomputation():
 
 def test_r0_none_without_saddle():
     prob, _ = quadratic_instance(55)
-    st = IterateStateF1.cold_start(prob)
+    st = IterateState.cold_start(prob)
     assert r0(prob, st, ParamState.initial(), LyapunovInputs()) is None
 
 

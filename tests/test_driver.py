@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from pdsplit.baselines import ladmm_run, pdhg_run
+from pdsplit.bench import generate_lad
 from pdsplit.driver import RunBudget, build_rule, run
 from pdsplit.params import Scheme
 
@@ -71,3 +73,20 @@ def test_gap_columns_empty_without_saddle():
     res = run(prob, Scheme.F1_SEMI_B, 5)
     assert all(r.gap is None and r.lyap is None for r in res.trace.rows)
     assert "r0" not in res.trace.meta
+
+
+START_ENTRY_POINTS = {
+    "f1-semiA": lambda prob: run(prob, Scheme.F1_SEMI_A, 20, y0=[0.5]),
+    "f1-explicit": lambda prob: run(prob, Scheme.F1_EXPLICIT, 20, y0=[0.5]),
+    "ladmm": lambda prob: ladmm_run(prob, 20, y0=[0.5]),
+    "pdhg": lambda prob: pdhg_run(prob, 20, lam0=[0.5]),
+}
+
+
+@pytest.mark.parametrize("entry", list(START_ENTRY_POINTS))
+def test_start_of_wrong_length_is_rejected(entry):
+    # a one-entry start used to broadcast and run from another point
+    prob = generate_lad(20, 60, 0).prox_form
+    block = "lam0" if entry == "pdhg" else "y0"
+    with pytest.raises(ValueError, match=f"{block} has shape"):
+        START_ENTRY_POINTS[entry](prob)

@@ -9,9 +9,9 @@ vector implementation to the displayed update order.
 import numpy as np
 import pytest
 
+from pdsplit import IterateState
 from pdsplit.driver import run
-from pdsplit.family1 import (IterateStateF1, step_f1_explicit, step_f1_semi_a,
-                             step_f1_semi_b)
+from pdsplit.family1 import step_f1_explicit, step_f1_semi_a, step_f1_semi_b
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
@@ -37,9 +37,9 @@ def one_dim_problem():
 
 
 def scalar_state():
-    return IterateStateF1(x=np.array([0.4]), v=np.array([-0.2]),
-                          y=np.array([0.7]), w=np.array([1.1]),
-                          lam=np.array([-0.6]))
+    return IterateState(x=np.array([0.4]), v=np.array([-0.2]),
+                        y=np.array([0.7]), w=np.array([1.1]),
+                        lam=np.array([-0.6]))
 
 
 def params_pair(alpha=0.35, theta=0.8, gamma=1.2, beta=0.9, mu_f=0.25, mu_g=0.15):
@@ -133,8 +133,8 @@ def test_explicit_matches_scalar_transcription():
 def test_saddle_is_fixed_point(step):
     prob, _ = quadratic_instance(5)
     sd = prob.saddle
-    st = IterateStateF1(x=sd.x.copy(), v=sd.x.copy(), y=sd.y.copy(),
-                        w=sd.y.copy(), lam=sd.lam.copy())
+    st = IterateState(x=sd.x.copy(), v=sd.x.copy(), y=sd.y.copy(),
+                      w=sd.y.copy(), lam=sd.lam.copy())
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
     out = step(prob, st, ps, advance(ps, 0.2), 0.2, OPTS)
     for got, want in [(out.x, sd.x), (out.v, sd.x), (out.y, sd.y),
@@ -145,7 +145,7 @@ def test_saddle_is_fixed_point(step):
 @pytest.mark.parametrize("step", [step_f1_semi_b, step_f1_semi_a, step_f1_explicit])
 def test_update_identities(step):
     prob, _ = quadratic_instance(6, mu_f=0.0, mu_g=0.5)
-    st = IterateStateF1.cold_start(prob, x0=np.ones(prob.dim_x))
+    st = IterateState.cold_start(prob, x0=np.ones(prob.dim_x))
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
     alpha = 0.13
     out = step(prob, st, ps, advance(ps, alpha), alpha, OPTS)
@@ -162,8 +162,8 @@ def test_explicit_blocks_are_independent():
     prob1, _ = quadratic_instance(7)
     prob2 = SeparableProblem(prob1.f_prox, L1Norm(3.0), prob1.A, prob1.B,
                              prob1.b, mu_f=prob1.mu_f, mu_g=0.0)
-    st = IterateStateF1.cold_start(prob1, x0=np.ones(prob1.dim_x),
-                                   y0=-np.ones(prob1.dim_y))
+    st = IterateState.cold_start(prob1, x0=np.ones(prob1.dim_x),
+                                 y0=-np.ones(prob1.dim_y))
     ps = ParamState.initial(mu_f=prob1.mu_f, mu_g=prob1.mu_g)
     out1 = step_f1_explicit(prob1, st, ps, advance(ps, 0.21), 0.21, OPTS)
     ps2 = ParamState(theta=ps.theta, gamma=ps.gamma, beta=ps.beta,
@@ -185,7 +185,7 @@ def test_contraction_spot_check(mu_f, mu_g):
 
 def test_cold_start_defaults():
     prob, _ = quadratic_instance(12)
-    st = IterateStateF1.cold_start(prob)
+    st = IterateState.cold_start(prob)
     assert np.all(st.x == 0) and np.all(st.v == 0) and np.all(st.lam == 0)
-    st = IterateStateF1.cold_start(prob, x0=np.ones(prob.dim_x))
+    st = IterateState.cold_start(prob, x0=np.ones(prob.dim_x))
     assert np.allclose(st.v, st.x)

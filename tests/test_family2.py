@@ -4,9 +4,9 @@ identities, set feasibility, and a contraction spot check."""
 import numpy as np
 import pytest
 
+from pdsplit import IterateState
 from pdsplit.driver import run
-from pdsplit.family2 import (IterateStateF2, step_f2_explicit, step_f2_semi_a,
-                             step_f2_semi_b)
+from pdsplit.family2 import step_f2_explicit, step_f2_semi_a, step_f2_semi_b
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import QuadraticSmooth, SaddlePoint, SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
@@ -34,9 +34,9 @@ def one_dim_problem():
 
 
 def scalar_state():
-    return IterateStateF2(x=np.array([0.3]), v=np.array([-0.5]),
-                          y=np.array([0.8]), w=np.array([0.2]),
-                          lam=np.array([0.7]))
+    return IterateState(x=np.array([0.3]), v=np.array([-0.5]),
+                        y=np.array([0.8]), w=np.array([0.2]),
+                        lam=np.array([0.7]))
 
 
 def params_pair(alpha, mu_f=0.2, mu_g=0.1):
@@ -136,8 +136,8 @@ def test_explicit_matches_scalar_transcription():
 def test_saddle_is_fixed_point(step):
     _, prob = quadratic_instance(21)
     sd = prob.saddle
-    st = IterateStateF2(x=sd.x.copy(), v=sd.x.copy(), y=sd.y.copy(),
-                        w=sd.y.copy(), lam=sd.lam.copy())
+    st = IterateState(x=sd.x.copy(), v=sd.x.copy(), y=sd.y.copy(),
+                      w=sd.y.copy(), lam=sd.lam.copy())
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
     out = step(prob, st, ps, advance(ps, 0.25), 0.25, OPTS)
     for got, want in [(out.x, sd.x), (out.v, sd.x), (out.y, sd.y),
@@ -148,7 +148,7 @@ def test_saddle_is_fixed_point(step):
 @pytest.mark.parametrize("step", [step_f2_semi_b, step_f2_semi_a, step_f2_explicit])
 def test_correction_identities(step):
     _, prob = quadratic_instance(22, mu_f=0.0, mu_g=1.0)
-    st = IterateStateF2.cold_start(prob, x0=np.ones(prob.dim_x))
+    st = IterateState.cold_start(prob, x0=np.ones(prob.dim_x))
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
     alpha = 0.16
     out = step(prob, st, ps, advance(ps, alpha), alpha, OPTS)
@@ -216,7 +216,7 @@ def test_finite_difference_gradient_changes_step_little(step):
         (_FiniteDifferenceSmooth(prob.f_smooth.P, prob.f_smooth.p), prob.f_prox),
         prob.g, prob.A, prob.B, prob.b,
         mu_f=prob.mu_f, mu_g=prob.mu_g, saddle=prob.saddle)
-    st = IterateStateF2.cold_start(prob, x0=np.ones(prob.dim_x))
+    st = IterateState.cold_start(prob, x0=np.ones(prob.dim_x))
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
     out = step(prob, st, ps, advance(ps, 0.2), 0.2, OPTS)
     out_fd = step(fd_prob, st, ps, advance(ps, 0.2), 0.2, OPTS)

@@ -14,7 +14,7 @@ from .prox import (BoxIndicator, ElasticNet, HingeSum, L1Norm, QuadraticProx,
 from .params import (BoundResult, ParamState, Scheme, StepSizeError,
                      StepSizeRule, advance, appendix_c_bound, solve_step_size,
                      theoretical_theta_bound)
-from .subprob import AugmentedSubproblemError, SolverOptions
+from .subprob import SolverOptions
 from .family1 import IterateState
 from .diagnostics import (BoundReport, IterationTrace, LyapunovInputs,
                           TraceRow, certify_bounds, lagrangian_gap, lyapunov,

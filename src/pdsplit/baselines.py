@@ -79,9 +79,9 @@ def step_ladmm(problem, state, sigma, tx, ty):
     return BaselineState(x=x_new, y=y_new, lam=lam_new)
 
 
-def ladmm_run(problem, max_iters, sigma=1.0, x0=None, y0=None, lam0=None,
-              record_every=1):
-    """Run the linearized multiplier method and collect a standard trace.
+def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1):
+    """Run the linearized multiplier method with penalty 1 and collect a
+    standard trace.
 
     The ``theta`` and ``alpha`` columns do not apply to this method; theta
     is recorded as 1 throughout so the CSV schema stays uniform.
@@ -89,13 +89,13 @@ def ladmm_run(problem, max_iters, sigma=1.0, x0=None, y0=None, lam0=None,
     x, y, lam = problem.initial_point(x0, y0, lam0)
     state = BaselineState(x=x, y=y, lam=lam)
 
-    tx = 1.0 / (sigma * problem.A.norm_bound() ** 2)
-    ty = 1.0 / (sigma * problem.B.norm_bound() ** 2)
+    tx = 1.0 / problem.A.norm_bound() ** 2
+    ty = 1.0 / problem.B.norm_bound() ** 2
 
-    trace = IterationTrace(meta={"scheme": "ladmm", "sigma": sigma,
+    trace = IterationTrace(meta={"scheme": "ladmm", "sigma": 1.0,
                                  "max_iters": max_iters})
     return _record_run(problem, state, max_iters, record_every, trace,
-                       lambda s: step_ladmm(problem, s, sigma, tx, ty))
+                       lambda s: step_ladmm(problem, s, 1.0, tx, ty))
 
 
 @dataclass
@@ -169,7 +169,7 @@ class OptimumEstimate:
     y: np.ndarray
 
 
-def approximate_optimum(problem, iters=20000, sigma=1.0):
+def approximate_optimum(problem, iters=20000):
     """Estimate the optimal value with a long multiplier-method run.
 
     The uncertainty is the objective movement over the last half of the
@@ -179,7 +179,7 @@ def approximate_optimum(problem, iters=20000, sigma=1.0):
     uncertainty.
     """
     check = max(iters // 2, 1)
-    trace, state = ladmm_run(problem, iters, sigma=sigma, record_every=check)
+    trace, state = ladmm_run(problem, iters, record_every=check)
     objs = [r.obj for r in trace.rows if r.obj is not None]
     if iters == 0 or len(objs) < 2:
         val = objs[-1] if objs else np.inf

@@ -187,8 +187,9 @@ def generate_svm(m, n, seed, elastic=False, flip_fraction=0.1):
                                "m": m, "n": n, "seed": seed})
 
 
-def generate_quadratic(m, n, seed, mu_f=1.0, mu_g=1.0):
-    """Strongly convex quadratic blocks with a planted saddle point.
+def generate_quadratic(m, n, seed):
+    """Strongly convex quadratic blocks (modulus at least 1) with a planted
+    saddle point.
 
     The linear terms and the right-hand side are chosen so a drawn triple
     satisfies the first-order optimality system exactly, which provides an
@@ -197,12 +198,12 @@ def generate_quadratic(m, n, seed, mu_f=1.0, mu_g=1.0):
     rng = np.random.default_rng(seed)
     ny = n
 
-    def spd(dim, mu):
+    def spd(dim):
         M = rng.standard_normal((dim, dim))
-        return M.T @ M / dim + mu * np.eye(dim)
+        return M.T @ M / dim + np.eye(dim)
 
-    P = spd(n, mu_f)
-    Q = spd(ny, mu_g)
+    P = spd(n)
+    Q = spd(ny)
     A = rng.standard_normal((m, n))
     Bm = rng.standard_normal((m, ny))
 
@@ -279,7 +280,7 @@ def _run_method(bundle, tag, iters):
     problem = bundle.prox_form if scheme.family == 1 else bundle.split_form
     if problem is None:
         raise ValueError(f"instance has no oracle layout for {tag}")
-    options = SolverOptions(inner_enabled=True)
+    options = SolverOptions()
     # without strong convexity the decay constant is (||A|| + sqrt(g0))/sqrt(g0);
     # matching g0 to the operator norm keeps it moderate (same for the B side)
     gamma0 = None if problem.mu_f > 0 else max(problem.A.norm(), 1.0)

@@ -41,11 +41,6 @@ class LyapunovInputs:
     f_star: float = None             # F(x*, y*)
     m_g: float = None                # Lipschitz constant of g, if known
 
-    def resolved_lam_norm(self):
-        if self.saddle is None:
-            return None
-        return float(np.linalg.norm(self.saddle.lam))
-
 
 @dataclass
 class TraceRow:
@@ -130,16 +125,16 @@ def lagrangian_gap(problem, x, y, lam, saddle):
             - lagrangian_value(problem, saddle.x, saddle.y, lam))
 
 
-def lyapunov(problem, state, ps, inputs, gap=None):
+def lyapunov(problem, state, ps, saddle, gap=None):
     """Discrete merit: Lagrangian gap plus weighted distances to the saddle.
 
     ``E_k = gap + gamma/2 ||v - x*||^2 + beta/2 ||w - y*||^2
     + theta/2 ||lam - lam*||^2``
 
-    ``ps`` supplies ``theta``, ``gamma`` and ``beta``.  ``gap`` is the
-    Lagrangian gap of ``state``, computed here unless the caller has it.
+    ``ps`` supplies ``theta``, ``gamma`` and ``beta``; ``saddle`` is the
+    reference point, None when unknown.  ``gap`` is the Lagrangian gap of
+    ``state``, computed here unless the caller has it.
     """
-    saddle = inputs.saddle
     if saddle is None:
         return None
     if gap is None:
@@ -150,12 +145,11 @@ def lyapunov(problem, state, ps, inputs, gap=None):
             + 0.5 * ps.theta * float(np.sum((state.lam - saddle.lam) ** 2)))
 
 
-def r0(problem, state, ps, inputs):
-    """``sqrt(2 E_0) + ||lam_0 - lam*|| + ||A x_0 + B y_0 - b||`` at k=0."""
-    saddle = inputs.saddle
+def r0(problem, state, saddle, e0):
+    """``sqrt(2 E_0) + ||lam_0 - lam*|| + ||A x_0 + B y_0 - b||`` at k=0,
+    from the merit ``e0`` of ``state``."""
     if saddle is None:
         return None
-    e0 = lyapunov(problem, state, ps, inputs)
     e0 = max(e0, 0.0)
     return (math.sqrt(2.0 * e0)
             + float(np.linalg.norm(state.lam - saddle.lam))
@@ -202,7 +196,7 @@ def certify_bounds(trace, inputs, composite_column=None, p_star=None):
     if r0_val is None:
         return BoundReport(applicable=False)
 
-    lam_norm = inputs.resolved_lam_norm()
+    lam_norm = float(np.linalg.norm(inputs.saddle.lam))
     report = BoundReport(applicable=True, e0=e0, r0=r0_val)
 
     def track(name, k, violation):
@@ -222,7 +216,7 @@ def certify_bounds(trace, inputs, composite_column=None, p_star=None):
         if row.gap is not None:
             bound = th * e0
             track("gap", row.k, _rel_excess(row.gap, bound))
-        if row.obj is not None and inputs.f_star is not None and lam_norm is not None:
+        if row.obj is not None and inputs.f_star is not None:
             bound = th * (e0 + lam_norm * r0_val)
             track("objective", row.k, _rel_excess(abs(row.obj - inputs.f_star), bound))
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import family1, family2
-from .diagnostics import (IterationTrace, LyapunovInputs, TraceRow,
-                          lagrangian_gap, lyapunov, r0, sparsity)
+from .diagnostics import (IterationTrace, TraceRow, lagrangian_gap, lyapunov,
+                          r0, sparsity)
 from .oracles import feasibility_residual
 from .params import ParamState, Scheme, StepSizeRule, advance, solve_step_size
 from .subprob import SolverOptions
@@ -59,12 +59,15 @@ def build_rule(problem, scheme):
 
 
 def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
-        options=None, gamma0=None, beta0=None, lyapunov_inputs=None,
-        f_star=None, iterate_callback=None):
+        options=None, gamma0=None, beta0=None, f_star=None,
+        iterate_callback=None):
     """Run one scheme on one problem and return its trace.
 
-    The Lyapunov and gap columns are only populated when a reference
-    saddle point is available (``lyapunov_inputs`` or ``problem.saddle``).
+    The Lyapunov and gap columns, and ``E0``/``R0`` in the trace header,
+    are only populated when ``problem.saddle`` is known; ``E0`` is row 0's
+    merit.  ``f_star`` is the reference value the objective target of
+    ``budget`` is measured against.  ``options`` sets the stopping rule of
+    the augmented-subproblem inner loop (default :class:`SolverOptions`).
     ``iterate_callback(k, state)`` is invoked at every recorded index for
     callers that need the full iterate, which the trace does not keep.
     """
@@ -79,12 +82,7 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
                          "fold the smooth part into the prox oracle or use "
                          "a gradient-based scheme")
 
-    if lyapunov_inputs is None:
-        lyapunov_inputs = LyapunovInputs(saddle=problem.saddle, f_star=f_star)
-    elif lyapunov_inputs.saddle is None:
-        lyapunov_inputs.saddle = problem.saddle
-    saddle = lyapunov_inputs.saddle
-
+    saddle = problem.saddle
     state = family1.IterateState.cold_start(problem, x0, y0, lam0)
 
     ps = ParamState.initial(mu_f=problem.mu_f, mu_g=problem.mu_g,
@@ -99,11 +97,6 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
         "gamma0": ps.gamma0, "beta0": ps.beta0,
         "max_iters": budget.max_iters,
     })
-    e0 = lyapunov(problem, state, ps, lyapunov_inputs)
-    r0_val = r0(problem, state, ps, lyapunov_inputs)
-    if e0 is not None:
-        trace.meta["e0"] = e0
-        trace.meta["r0"] = r0_val
 
     t_start = time.perf_counter()
     for k in range(budget.max_iters + 1):
@@ -113,11 +106,14 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
         gap = ey = None
         if saddle is not None:
             gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
-            ey = lyapunov(problem, state, ps, lyapunov_inputs, gap=gap)
+            ey = lyapunov(problem, state, ps, saddle, gap=gap)
         row = TraceRow(k=k, theta=ps.theta, obj=obj, feas=feas, gap=gap,
                        lyap=ey, sparsity=sparsity(state.x),
                        seconds=time.perf_counter() - t_start)
         trace.append(row)
+        if k == 0 and ey is not None:
+            trace.meta["e0"] = ey
+            trace.meta["r0"] = r0(problem, state, saddle, ey)
         if iterate_callback is not None:
             iterate_callback(k, state)
 
@@ -125,8 +121,8 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
         if budget.target_feasibility is not None and feas <= budget.target_feasibility:
             done = True
         if (budget.target_obj_residual is not None and obj is not None
-                and lyapunov_inputs.f_star is not None
-                and abs(obj - lyapunov_inputs.f_star) <= budget.target_obj_residual):
+                and f_star is not None
+                and abs(obj - f_star) <= budget.target_obj_residual):
             done = True
         if done:
             break

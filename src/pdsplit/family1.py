@@ -60,16 +60,16 @@ def _augmented_step(problem, state, ps, ps_next, alpha, options, side, eta, cent
     A, B, b = problem.A, problem.B, problem.b
     Ax, By = A.apply(state.x), B.apply(state.y)
     if side == "x":
-        block, C, oracle = problem.f_prox, A, options.x_augmented_oracle
+        block, C = problem.f_prox, A
         offset, drift = By - b, B.apply(state.w - state.y)
     else:
-        block, C, oracle = problem.g, B, options.y_augmented_oracle
+        block, C = problem.g, B
         offset, drift = Ax - b, A.apply(state.v - state.x)
     lam_hat = state.lam - (Ax + By - b) / ps.theta + (alpha / ps.theta) * drift
     return solve_augmented_subproblem(
         block, C.adjoint(lam_hat), C, offset,
         sigma=1.0 / ps_next.theta, weight=eta / alpha ** 2, center=center,
-        options=options, oracle=oracle,
+        options=options,
     )
 
 

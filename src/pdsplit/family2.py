@@ -39,7 +39,7 @@ def _f2_augmented(problem, state, ps, ps_next, alpha, options, Bw):
     v_new = solve_augmented_subproblem(
         problem.f_prox, d, problem.A, Bw - problem.b,
         sigma=alpha / ps.theta, weight=eta_ft / alpha, center=v_tilde,
-        options=options, oracle=options.x_augmented_oracle,
+        options=options,
     )
     return (state.x + alpha * v_new) / (1.0 + alpha), v_new, u
 

@@ -56,10 +56,10 @@ class LinearOperator:
             self._norm = float(value)
         return self._norm
 
-    def norm(self, tol=1e-8, max_iters=5000):
+    def norm(self):
         """Spectral norm (largest singular value), estimated on first use."""
         if self._norm is None:
-            self.set_norm(estimate_operator_norm(self, tol=tol, max_iters=max_iters))
+            self.set_norm(estimate_operator_norm(self))
         return self._norm
 
     def norm_bound(self):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import LyapunovInputs, lyapunov
+from .diagnostics import lyapunov
 from .oracles import feasibility_residual
 from .params import ParamState
 
@@ -148,7 +148,7 @@ def integrate(problem, initial, T, h=1e-3):
 def lyapunov_continuous(problem, state, saddle):
     """Continuous merit ``E(t)``: the discrete merit at the phase point,
     whose own ``theta``, ``gamma`` and ``beta`` weigh the distances."""
-    return lyapunov(problem, state, state, LyapunovInputs(saddle=saddle))
+    return lyapunov(problem, state, state, saddle)
 
 
 def closed_form_parameters(t, mu_f, mu_g, gamma0, beta0):

@@ -42,8 +42,9 @@ class ProxOracle:
         + weight/2 ||u-center||^2`` when a closed form exists.
 
         Returns None when this oracle has no closed form for a general
-        coupling operator ``C``; the solver then falls back to the
-        scaled-identity merge or an inner loop.
+        coupling operator ``C``; the solver then falls back to its inner
+        loop.  A scaled-identity ``C`` never reaches this method: the
+        solver merges it into the prox first.
         """
         return None
 
@@ -125,7 +126,7 @@ class SeparableProblem:
         if saddle is not None:
             if saddle.x.size != A.shape[1] or saddle.y.size != B.shape[1] or saddle.lam.size != b.size:
                 raise ValueError("saddle point dimensions do not match the problem")
-            feas = feasibility_residual_arrays(A, B, b, saddle.x, saddle.y)
+            feas = feasibility_residual(self, saddle.x, saddle.y)
             if feas > 1e-8 * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"supplied saddle point is infeasible: residual {feas:.3e}")
         self.saddle = saddle
@@ -174,13 +175,9 @@ class SeparableProblem:
         return self.f_smooth is not None
 
 
-def feasibility_residual_arrays(A, B, b, x, y):
-    return float(np.linalg.norm(A.apply(x) + B.apply(y) - b))
-
-
 def feasibility_residual(problem, x, y):
     """Euclidean norm of the constraint residual ``A x + B y - b``."""
-    return feasibility_residual_arrays(problem.A, problem.B, problem.b, x, y)
+    return float(np.linalg.norm(problem.A.apply(x) + problem.B.apply(y) - problem.b))
 
 
 def lagrangian_value(problem, x, y, lam):

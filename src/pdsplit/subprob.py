@@ -7,8 +7,8 @@ Each non-linearized block update minimizes
 over the block's set (folded into ``h``'s prox).  The solve is closed form
 when ``C`` is a scaled identity (the augmented term merges into the prox)
 or when the block oracle solves augmented quadratics itself; otherwise an
-optional inner loop of accelerated proximal gradient is used.  The loop
-starts at ``center`` and returns ``T(z)``, one prox-gradient step from the
+inner loop of accelerated proximal gradient is used.  The loop starts at
+``center`` and returns ``T(z)``, one prox-gradient step from the
 extrapolated point ``z``, as soon as
 ``||T(z) - z|| <= inner_tol * (1 + ||T(z)||)``.  When it reaches
 ``inner_max_iters`` first it returns the last ``T(z)`` with a
@@ -22,29 +22,20 @@ import numpy as np
 
 from .linops import ScaledIdentity
 
-__all__ = ["SolverOptions", "AugmentedSubproblemError", "solve_augmented_subproblem"]
-
-
-class AugmentedSubproblemError(RuntimeError):
-    pass
+__all__ = ["SolverOptions", "solve_augmented_subproblem"]
 
 
 @dataclass
 class SolverOptions:
-    """Solver policy knobs; all schemes share them."""
+    """Stopping rule of the augmented-subproblem inner loop; all schemes
+    share it."""
 
-    inner_enabled: bool = False
     inner_tol: float = 1e-10
     inner_max_iters: int = 500
-    x_augmented_oracle: object = None   # callable override for the x/v block
-    y_augmented_oracle: object = None   # callable override for the y block
 
 
-def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center,
-                               options, oracle=None):
-    if oracle is not None:
-        return oracle(linear, C, offset, sigma, weight, center)
-
+def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center, options):
+    """Scaled-identity merge, else the oracle's closed form, else the inner loop."""
     if isinstance(C, ScaledIdentity):
         c = C.scale
         rho = sigma * c * c + weight
@@ -54,14 +45,7 @@ def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center,
     closed = block.solve_augmented(linear, C, offset, sigma, weight, center)
     if closed is not None:
         return closed
-
-    if options.inner_enabled:
-        return _inner_prox_gradient(block, linear, C, offset, sigma, weight, center, options)
-
-    raise AugmentedSubproblemError(
-        "no closed form for this block with a general coupling operator; "
-        "supply an augmented-subproblem oracle or enable the inner loop"
-    )
+    return _inner_prox_gradient(block, linear, C, offset, sigma, weight, center, options)
 
 
 def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center, options):

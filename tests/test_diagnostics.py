@@ -26,14 +26,13 @@ def test_lyapunov_recomputation():
                       w=rng.standard_normal(prob.dim_y),
                       lam=rng.standard_normal(prob.dim_lam))
     ps = ParamState(theta=0.6, gamma=1.4, beta=0.8)
-    inputs = LyapunovInputs(saddle=prob.saddle)
     sd = prob.saddle
     expect = (lagrangian_value(prob, st.x, st.y, sd.lam)
               - lagrangian_value(prob, sd.x, sd.y, st.lam)
               + 0.7 * np.sum((st.v - sd.x) ** 2)
               + 0.4 * np.sum((st.w - sd.y) ** 2)
               + 0.3 * np.sum((st.lam - sd.lam) ** 2))
-    assert lyapunov(prob, st, ps, inputs) == pytest.approx(expect, rel=1e-12)
+    assert lyapunov(prob, st, ps, sd) == pytest.approx(expect, rel=1e-12)
 
 
 def test_lyapunov_zero_at_saddle():
@@ -41,7 +40,7 @@ def test_lyapunov_zero_at_saddle():
     sd = prob.saddle
     st = IterateState(x=sd.x, v=sd.x, y=sd.y, w=sd.y, lam=sd.lam)
     ps = ParamState.initial()
-    val = lyapunov(prob, st, ps, LyapunovInputs(saddle=sd))
+    val = lyapunov(prob, st, ps, sd)
     assert abs(val) <= 1e-10
 
 
@@ -60,18 +59,17 @@ def test_r0_formula_recomputation():
     prob, _ = quadratic_instance(54)
     st = IterateState.cold_start(prob)
     ps = ParamState.initial()
-    inputs = LyapunovInputs(saddle=prob.saddle)
-    e0 = lyapunov(prob, st, ps, inputs)
+    e0 = lyapunov(prob, st, ps, prob.saddle)
     expect = (math.sqrt(2 * max(e0, 0.0))
               + np.linalg.norm(prob.saddle.lam)
               + np.linalg.norm(prob.b))
-    assert r0(prob, st, ps, inputs) == pytest.approx(expect, rel=1e-12)
+    assert r0(prob, st, prob.saddle, e0) == pytest.approx(expect, rel=1e-12)
 
 
 def test_r0_none_without_saddle():
     prob, _ = quadratic_instance(55)
     st = IterateState.cold_start(prob)
-    assert r0(prob, st, ParamState.initial(), LyapunovInputs()) is None
+    assert r0(prob, st, None, None) is None
 
 
 def run_trace(seed=56):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from pdsplit import diagnostics
 from pdsplit.baselines import ladmm_run, pdhg_run
-from pdsplit.bench import generate_lad
+from pdsplit.bench import generate_lad, generate_quadratic
 from pdsplit.driver import RunBudget, build_rule, run
 from pdsplit.params import Scheme
 
@@ -28,6 +29,23 @@ def test_meta_records_initial_constants():
     assert meta["e0"] == pytest.approx(res.trace.rows[0].lyap)
     assert meta["r0"] > 0
     assert meta["iterations"] == 10
+
+
+@pytest.mark.parametrize("iters, calls", [(0, 2), (10, 22)])
+def test_merit_costs_one_gap_per_row(monkeypatch, iters, calls):
+    # E0 and R0 come from row 0's merit instead of evaluating it again
+    count = 0
+    value = diagnostics.lagrangian_value
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return value(*args)
+
+    monkeypatch.setattr(diagnostics, "lagrangian_value", counted)
+    res = run(generate_quadratic(8, 8, seed=0).prox_form, Scheme.F1_SEMI_A, iters)
+    assert count == calls
+    assert res.trace.meta["e0"] == res.trace.rows[0].lyap
 
 
 def test_target_feasibility_stops_early():

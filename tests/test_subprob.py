@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from pdsplit import bench
-from pdsplit.bench import RunConfig, generate_problem
+from pdsplit.bench import RunConfig, generate_lad, generate_problem
+from pdsplit.driver import run
 from pdsplit.linops import DenseOperator, ScaledIdentity
+from pdsplit.params import Scheme
 from pdsplit.prox import L1Norm
 from pdsplit.subprob import SolverOptions, solve_augmented_subproblem
 
@@ -48,7 +50,7 @@ class CountingL1(L1Norm):
 def test_inner_loop_matches_scaled_identity_closed_form(c):
     n = 12
     linear, offset, center, _ = _instance(1, n=n, m=n)
-    options = SolverOptions(inner_enabled=True)
+    options = SolverOptions()
     args = dict(linear=linear, offset=offset, sigma=1.3, weight=0.4, center=center,
                 options=options)
     iterative = solve_augmented_subproblem(L1Norm(0.7), C=DenseOperator(c * np.eye(n)), **args)
@@ -63,7 +65,7 @@ def test_inner_iteration_costs_one_forward_and_one_adjoint_product():
     C.products = 0
     block = CountingL1(0.5)
     solve_augmented_subproblem(block, linear, C, offset, sigma=1.0, weight=0.5,
-                               center=center, options=SolverOptions(inner_enabled=True))
+                               center=center, options=SolverOptions())
     assert 1 < block.calls < SolverOptions().inner_max_iters
     # one hoisted adjoint, the forward product at the centre, and one of
     # each per iteration except the forward after the accepted one
@@ -72,10 +74,17 @@ def test_inner_iteration_costs_one_forward_and_one_adjoint_product():
 
 def test_inner_loop_cap_hit_warns():
     linear, offset, center, M = _instance(4)
-    options = SolverOptions(inner_enabled=True, inner_max_iters=1)
+    options = SolverOptions(inner_max_iters=1)
     with pytest.warns(RuntimeWarning, match=r"cap of 1 iterations at residual .*tolerance 1\.0e-10"):
         solve_augmented_subproblem(L1Norm(0.5), linear, DenseOperator(M), offset,
                                    sigma=1.0, weight=0.5, center=center, options=options)
+
+
+def test_inner_loop_is_the_default_fallback():
+    # the l1 x-block has no closed form against a dense A
+    res = run(generate_lad(20, 60, 0).prox_form, Scheme.F1_SEMI_B, 5)
+    assert len(res.trace.rows) == 6
+    assert all(np.isfinite(r.obj) for r in res.trace.rows)
 
 
 def _lad_run(tag, inner_tol=None, inner_max_iters=None):

@@ -7,8 +7,8 @@ from .linops import (DenseOperator, DiagonalOperator, LinearOperator,
                      OperatorNormError, ScaledIdentity, estimate_operator_norm,
                      negated_identity)
 from .oracles import (ProxOracle, QuadraticSmooth, SaddlePoint,
-                      SeparableProblem, SmoothOracle, feasibility_residual,
-                      lagrangian_value)
+                      SeparableProblem, SmoothOracle, SquaredNormSmooth,
+                      feasibility_residual, lagrangian_value)
 from .prox import (BoxIndicator, ElasticNet, HingeSum, L1Norm, QuadraticProx,
                    ShiftedL1, SquaredL2, ZeroFun)
 from .params import (BoundResult, ParamState, Scheme, StepSizeError,

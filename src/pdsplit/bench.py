@@ -33,7 +33,7 @@ import numpy as np
 from . import baselines, driver
 from .diagnostics import sparsity
 from .linops import DenseOperator, ScaledIdentity, negated_identity
-from .oracles import QuadraticSmooth, SaddlePoint, SeparableProblem
+from .oracles import QuadraticSmooth, SaddlePoint, SeparableProblem, SquaredNormSmooth
 from .params import Scheme
 from .prox import ElasticNet, L1Norm, QuadraticProx, ShiftedL1, HingeSum, ZeroFun
 from .subprob import SolverOptions
@@ -129,15 +129,9 @@ def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01)
     B = negated_identity(m)
     rhs = np.zeros(m)
 
-    if case == 2:
-        f_prox = ElasticNet(lam_l1, mu)
-        smooth = QuadraticSmooth(mu * np.eye(n))
-    else:
-        f_prox = L1Norm(lam_l1)
-        smooth = QuadraticSmooth(np.zeros((n, n)))
-
+    f_prox = ElasticNet(lam_l1, mu) if case == 2 else L1Norm(lam_l1)
     prox_form = SeparableProblem(f_prox, g, A_op, B, rhs)
-    split_form = SeparableProblem((smooth, L1Norm(lam_l1)), g, A_op, B, rhs)
+    split_form = SeparableProblem((SquaredNormSmooth(mu), L1Norm(lam_l1)), g, A_op, B, rhs)
     split_form.A.set_norm(prox_form.A.norm())
     return ProblemBundle(prox_form=prox_form, split_form=split_form,
                          ground_truth=x_sharp, composite=True,
@@ -168,18 +162,10 @@ def generate_svm(m, n, seed, elastic=False, flip_fraction=0.1):
     B = negated_identity(m)
     g = HingeSum(labels, 1.0 / m)
 
-    if elastic:
-        lam_l1, mu = 0.5, 0.05
-        f_prox = ElasticNet(lam_l1, mu)
-        smooth = QuadraticSmooth(mu * np.eye(n))
-        split_f = (smooth, L1Norm(lam_l1))
-    else:
-        lam_l1 = 0.2
-        f_prox = L1Norm(lam_l1)
-        split_f = (QuadraticSmooth(np.zeros((n, n))), L1Norm(lam_l1))
-
+    lam_l1, mu = (0.5, 0.05) if elastic else (0.2, 0.0)
+    f_prox = ElasticNet(lam_l1, mu) if elastic else L1Norm(lam_l1)
     prox_form = SeparableProblem(f_prox, g, A_op, B, bias)
-    split_form = SeparableProblem(split_f, g, A_op, B, bias)
+    split_form = SeparableProblem((SquaredNormSmooth(mu), L1Norm(lam_l1)), g, A_op, B, bias)
     split_form.A.set_norm(prox_form.A.norm())
     return ProblemBundle(prox_form=prox_form, split_form=split_form,
                          ground_truth=x_true, composite=False,

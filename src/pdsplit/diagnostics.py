@@ -120,9 +120,10 @@ class IterationTrace:
 
 
 def lagrangian_gap(problem, x, y, lam, saddle):
-    """``L(x, y, lam*) - L(x*, y*, lam)``; nonnegative at a true saddle."""
-    return (lagrangian_value(problem, x, y, saddle.lam)
-            - lagrangian_value(problem, saddle.x, saddle.y, lam))
+    """``L(x, y, lam*) - L(x*, y*, lam)``; nonnegative at a true saddle.
+    ``L(x*, y*, lam)`` pairs ``lam`` with the problem's kept saddle residual."""
+    f_saddle, residual = problem.saddle_terms(saddle)
+    return lagrangian_value(problem, x, y, saddle.lam) - (f_saddle + float(lam @ residual))
 
 
 def lyapunov(problem, state, ps, saddle, gap=None):

@@ -14,6 +14,7 @@ __all__ = [
     "ProxOracle",
     "SmoothOracle",
     "QuadraticSmooth",
+    "SquaredNormSmooth",
     "SaddlePoint",
     "SeparableProblem",
     "lagrangian_value",
@@ -83,6 +84,23 @@ class QuadraticSmooth(SmoothOracle):
         return self.P @ z + self.p
 
 
+class SquaredNormSmooth(SmoothOracle):
+    """``(mu/2) ||x||^2``: the quadratic of ``P = mu I`` without the n-by-n
+    matrix, giving the same values and gradients as ``QuadraticSmooth(mu * I)``."""
+
+    def __init__(self, mu):
+        if mu < 0:
+            raise ValueError("mu must be nonnegative")
+        super().__init__(lipschitz=mu, strong_convexity=mu)
+        self.mu = float(mu)
+
+    def value(self, z):
+        return 0.5 * z @ (self.mu * z)
+
+    def gradient(self, z):
+        return self.mu * z
+
+
 class SaddlePoint:
     """Reference saddle point ``(x*, y*, lambda*)`` of the Lagrangian."""
 
@@ -130,6 +148,7 @@ class SeparableProblem:
             if feas > 1e-8 * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"supplied saddle point is infeasible: residual {feas:.3e}")
         self.saddle = saddle
+        self._saddle_terms = None   # (saddle, F(x*, y*), A x* + B y* - b)
 
     @property
     def dim_x(self):
@@ -173,6 +192,14 @@ class SeparableProblem:
 
     def has_smooth_f(self):
         return self.f_smooth is not None
+
+    def saddle_terms(self, saddle):
+        """``F(x*, y*)`` and ``A x* + B y* - b`` at ``saddle``, kept from the
+        first call for that (unmodified) saddle point."""
+        if self._saddle_terms is None or self._saddle_terms[0] is not saddle:
+            residual = self.A.apply(saddle.x) + self.B.apply(saddle.y) - self.b
+            self._saddle_terms = (saddle, self.objective(saddle.x, saddle.y), residual)
+        return self._saddle_terms[1:]
 
 
 def feasibility_residual(problem, x, y):

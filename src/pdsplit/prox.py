@@ -5,6 +5,8 @@ formulas; the classes wrap them behind the :class:`~pdsplit.oracles.ProxOracle`
 interface consumed by the solvers.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .oracles import ProxOracle
@@ -82,10 +84,8 @@ class ZeroFun(ProxOracle):
         return np.zeros_like(np.asarray(z, dtype=float))
 
     def solve_augmented(self, linear, C, offset, sigma, weight, center):
-        Cd = C.to_dense()
-        H = sigma * (Cd.T @ Cd) + weight * np.eye(Cd.shape[1])
         rhs = weight * center - linear - sigma * C.adjoint(offset)
-        return np.linalg.solve(H, rhs)
+        return _solve_augmented_normal(None, weight, C.to_dense(), sigma, rhs)
 
 
 class L1Norm(ProxOracle):
@@ -193,9 +193,10 @@ class BoxIndicator(ProxOracle):
 
 
 class QuadraticProx(ProxOracle):
-    """``(1/2) x^T P x + p^T x`` with PSD ``P``, prox by a dense solve.
+    """``(1/2) x^T P x + p^T x`` with PSD ``P``, prox in the eigenbasis of ``P``.
 
-    Also solves augmented subproblems in closed form, which is what lets the
+    ``eigh(P)`` is computed on first use and kept, as is ``C V`` for the last
+    (immutable) operator ``C``.  The closed-form augmented solve lets the
     Gauss-Seidel schemes run with a general coupling operator on this block.
     """
 
@@ -206,19 +207,43 @@ class QuadraticProx(ProxOracle):
         eigs = np.linalg.eigvalsh(self.P)
         self.strong_convexity = float(max(eigs[0], 0.0))
         self.lipschitz = float(eigs[-1])
+        self._coupled = None    # (C, C V) for the last operator C
+
+    @cached_property
+    def _eigh(self):
+        return np.linalg.eigh(self.P)
 
     def value(self, z):
         return 0.5 * float(z @ (self.P @ z)) + float(self.p @ z)
 
     def prox(self, z, tau):
-        n = self.P.shape[0]
-        return np.linalg.solve(np.eye(n) + tau * self.P, z - tau * self.p)
+        e, V = self._eigh
+        return V @ ((V.T @ (z - tau * self.p)) / (1.0 + tau * e))
 
     def gradient(self, z):
         return self.P @ z + self.p
 
     def solve_augmented(self, linear, C, offset, sigma, weight, center):
-        Cd = C.to_dense()
-        H = self.P + sigma * (Cd.T @ Cd) + weight * np.eye(Cd.shape[1])
+        e, V = self._eigh
+        if self._coupled is None or self._coupled[0] is not C:
+            self._coupled = (C, C.to_dense() @ V)
         rhs = weight * center - self.p - linear - sigma * C.adjoint(offset)
-        return np.linalg.solve(H, rhs)
+        return _solve_augmented_normal(V, e + weight, self._coupled[1], sigma, rhs)
+
+
+def _solve_augmented_normal(V, d, CV, sigma, rhs):
+    """Solve ``(V diag(d) V^T + sigma C^T C) u = rhs`` from ``G = C V``, ``V``
+    orthogonal (None for I), ``d > 0``: ``u = V s`` with ``(diag(d) + sigma
+    G^T G) s = V^T rhs``, through the m-by-m Woodbury capacitance system
+    ``I / sigma + G diag(1/d) G^T`` when ``G`` has fewer rows m than columns."""
+    t = rhs if V is None else V.T @ rhs
+    if CV.shape[0] < CV.shape[1]:
+        Gd = CV / d
+        K = Gd @ CV.T
+        K[np.diag_indices_from(K)] += 1.0 / sigma
+        s = (t - CV.T @ np.linalg.solve(K, Gd @ t)) / d
+    else:
+        H = sigma * (CV.T @ CV)
+        H[np.diag_indices_from(H)] += d
+        s = np.linalg.solve(H, t)
+    return s if V is None else V @ s

@@ -2,14 +2,17 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pdsplit.bench import (METHOD_TAGS, RunConfig, checkpoint_indices,
-                           generate_lad, generate_problem, generate_quadratic,
-                           generate_svm, main, run_benchmark)
+from pdsplit.bench import (METHOD_TAGS, RunConfig, _run_method,
+                           checkpoint_indices, generate_lad, generate_problem,
+                           generate_quadratic, generate_svm, main,
+                           run_benchmark)
 from pdsplit.linops import ScaledIdentity
+from pdsplit.oracles import QuadraticSmooth, SeparableProblem
 from pdsplit.prox import ElasticNet, HingeSum, L1Norm, ShiftedL1
 
 
@@ -196,3 +199,36 @@ def test_generate_problem_dispatch():
         cfg = RunConfig(problem=kind, m=10, n=30, iters=1)
         bundle = generate_problem(cfg)
         assert bundle.prox_form.A.shape == (10, 30)
+
+
+@pytest.mark.parametrize("kind, mu", [("lad-case1", 0.0), ("lad-case2", 0.1),
+                                      ("svm-l1", 0.0), ("svm-elastic", 0.05)])
+def test_squared_norm_smooth_traces_match_dense_form(kind, mu):
+    bundle = generate_problem(RunConfig(problem=kind, m=20, n=60, seed=0))
+    split = bundle.split_form
+    dense = QuadraticSmooth(mu * np.eye(split.dim_x))
+    assert split.f_smooth.lipschitz == dense.lipschitz
+    assert split.f_smooth.strong_convexity == dense.strong_convexity
+    if kind.startswith("lad"):
+        assert dense.lipschitz == dense.strong_convexity == mu
+    dense_form = SeparableProblem((dense, split.f_prox), split.g, split.A, split.B, split.b)
+    for tag in ("f2-semiA", "f2-explicit"):
+        csv = []
+        for form in (split, dense_form):
+            bundle.split_form = form
+            trace, _ = _run_method(bundle, tag, 100)
+            for row in trace.rows:
+                row.seconds = None
+            csv.append(trace.to_csv_string())
+        assert csv[0] == csv[1], tag
+
+
+def test_lad_generator_allocates_no_dense_square():
+    # one n-by-n float array at n = 1000 is 8 MB
+    tracemalloc.start()
+    try:
+        generate_lad(100, 1000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

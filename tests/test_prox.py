@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from pdsplit.linops import DenseOperator
 from pdsplit.prox import (BoxIndicator, ElasticNet, HingeSum, L1Norm,
                           QuadraticProx, ShiftedL1, SquaredL2, ZeroFun,
                           prox_elastic_net, prox_hinge_sum, prox_l1,
@@ -173,3 +174,64 @@ def test_strong_convexity_declarations():
     assert ElasticNet(1.0, 0.3).strong_convexity == pytest.approx(0.3)
     assert SquaredL2(0.9).strong_convexity == pytest.approx(0.9)
     assert L1Norm(1.0).strong_convexity == 0.0
+
+
+def _psd(rng, n, rank=None):
+    M = rng.standard_normal((rank or n, n))
+    return M.T @ M / n
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n, rank", [(1, None), (8, None), (8, 7), (200, None), (200, 199)])
+def test_eigenbasis_prox_matches_dense_solve(n, rank):
+    # rank < n: a PSD P with a zero eigenvalue
+    rng = np.random.default_rng(n + (rank or 0))
+    P, p = _psd(rng, n, rank), rng.standard_normal(n)
+    q = QuadraticProx(P, p)
+    for tau in (1e-3, 0.7, 50.0):
+        z = rng.standard_normal(n)
+        want = np.linalg.solve(np.eye(n) + tau * q.P, z - tau * p)
+        assert _rel_err(q.prox(z, tau), want) <= 1e-12
+
+
+def _augmented_reference(P, p, linear, C, offset, sigma, weight, center):
+    H = P + sigma * C.T @ C + weight * np.eye(C.shape[1])
+    return np.linalg.solve(H, weight * center - p - linear - sigma * C.T @ offset)
+
+
+def _augmented_case(rng, m, n):
+    return dict(linear=rng.standard_normal(n), C=DenseOperator(rng.standard_normal((m, n))),
+                offset=rng.standard_normal(m), weight=0.1 + rng.random(),
+                center=rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("m", [5, 12, 30])
+@pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+def test_solve_augmented_matches_normal_equations(m, sigma):
+    # m < n takes the capacitance system, m >= n the eigenbasis system
+    n = 12
+    rng = np.random.default_rng(m)
+    P, p = _psd(rng, n, n - 1), rng.standard_normal(n)
+    for oracle, P_ref, p_ref in ((QuadraticProx(P, p), P, p),
+                                 (ZeroFun(), np.zeros((n, n)), np.zeros(n))):
+        case = _augmented_case(rng, m, n)
+        got = oracle.solve_augmented(sigma=sigma, **case)
+        dense = dict(case, C=case["C"].matrix)
+        want = _augmented_reference(P_ref, p_ref, sigma=sigma, **dense)
+        assert _rel_err(got, want) <= 1e-10, type(oracle).__name__
+
+
+def test_solve_augmented_never_reuses_another_operators_factor():
+    rng = np.random.default_rng(7)
+    n = 10
+    P, p = _psd(rng, n), rng.standard_normal(n)
+    q = QuadraticProx(P, p)
+    cases = [_augmented_case(rng, 4, n), _augmented_case(rng, 4, n), _augmented_case(rng, 15, n)]
+    for i in range(9):
+        case = cases[i % 3]
+        got = q.solve_augmented(sigma=2.0, **case)
+        want = _augmented_reference(P, p, sigma=2.0, **dict(case, C=case["C"].matrix))
+        assert _rel_err(got, want) <= 1e-10

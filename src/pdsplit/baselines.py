@@ -6,17 +6,18 @@ These are unaccelerated; their role is to provide trustworthy (if slow)
 iterates against which the accelerated schemes are benchmarked.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import IterationTrace, TraceRow, sparsity
+from .driver import check_f_block, iterate
+from .family1 import IterateState
 from .linops import ScaledIdentity
-from .oracles import feasibility_residual
+# not used here: perfbench/tracer.py wraps these two names in this module
+from .diagnostics import sparsity  # noqa: F401
+from .oracles import feasibility_residual  # noqa: F401
 
 __all__ = [
-    "BaselineState",
     "ladmm_run",
     "step_ladmm",
     "PDHGState",
@@ -27,75 +28,44 @@ __all__ = [
 ]
 
 
-@dataclass
-class BaselineState:
-    x: np.ndarray
-    y: np.ndarray
-    lam: np.ndarray
-
-
-def _f_prox(problem):
-    if problem.has_smooth_f():
-        raise ValueError("baselines need a pure prox f-block; fold the smooth "
-                         "part into a quadratic prox oracle")
-    return problem.f_prox
-
-
-def _record_run(problem, state, max_iters, record_every, trace, step):
-    """Apply ``step`` ``max_iters`` times, recording the rows whose index is
-    a multiple of ``record_every`` and the last one."""
-    t_start = time.perf_counter()
-    for k in range(max_iters + 1):
-        if k % record_every == 0 or k == max_iters:
-            obj = problem.objective(state.x, state.y)
-            trace.append(TraceRow(
-                k=k, theta=1.0,
-                obj=float(obj) if np.isfinite(obj) else None,
-                feas=feasibility_residual(problem, state.x, state.y),
-                sparsity=sparsity(state.x),
-                seconds=time.perf_counter() - t_start))
-        if k == max_iters:
-            break
-        state = step(state)
-    return trace, state
-
-
 def step_ladmm(problem, state, sigma, tx, ty):
     """One linearized multiplier step with penalty ``sigma``.
 
     Both primal blocks are prox steps on the linearized augmented
     Lagrangian (Gauss-Seidel order: x first, then y against the new x).
+    The velocities of the returned state are its points: ``v = x``,
+    ``w = y``.
     """
     A, B, b = problem.A, problem.B, problem.b
-    f = _f_prox(problem)
+    By = B.apply(state.y)
 
-    res = A.apply(state.x) + B.apply(state.y) - b + state.lam / sigma
-    x_new = f.prox(state.x - tx * sigma * A.adjoint(res), tx)
+    res = A.apply(state.x) + By - b + state.lam / sigma
+    x_new = problem.f_prox.prox(state.x - tx * sigma * A.adjoint(res), tx)
 
-    res = A.apply(x_new) + B.apply(state.y) - b + state.lam / sigma
+    Ax_new = A.apply(x_new)
+    res = Ax_new + By - b + state.lam / sigma
     y_new = problem.g.prox(state.y - ty * sigma * B.adjoint(res), ty)
 
-    lam_new = state.lam + sigma * (A.apply(x_new) + B.apply(y_new) - b)
-    return BaselineState(x=x_new, y=y_new, lam=lam_new)
+    lam_new = state.lam + sigma * (Ax_new + B.apply(y_new) - b)
+    return IterateState(x=x_new, v=x_new, y=y_new, w=y_new, lam=lam_new)
 
 
 def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1):
     """Run the linearized multiplier method with penalty 1 and collect a
     standard trace.
 
+    ``max_iters`` is an iteration count or a :class:`~pdsplit.driver.RunBudget`.
     The ``theta`` and ``alpha`` columns do not apply to this method; theta
     is recorded as 1 throughout so the CSV schema stays uniform.
     """
-    x, y, lam = problem.initial_point(x0, y0, lam0)
-    state = BaselineState(x=x, y=y, lam=lam)
-
+    check_f_block(problem, "ladmm", smooth=False)
+    state = IterateState.cold_start(problem, x0, y0, lam0)
     tx = 1.0 / problem.A.norm_bound() ** 2
     ty = 1.0 / problem.B.norm_bound() ** 2
-
-    trace = IterationTrace(meta={"scheme": "ladmm", "sigma": 1.0,
-                                 "max_iters": max_iters})
-    return _record_run(problem, state, max_iters, record_every, trace,
-                       lambda s: step_ladmm(problem, s, 1.0, tx, ty))
+    result = iterate(problem, state, max_iters, {"scheme": "ladmm", "sigma": 1.0},
+                     lambda s: step_ladmm(problem, s, 1.0, tx, ty),
+                     record_every=record_every)
+    return result.trace, result.state
 
 
 @dataclass
@@ -129,34 +99,30 @@ def step_pdhg(problem, state, tau, sigma):
     exposes the primal point ``y = prox_{g/sigma}(z/sigma)``.
     """
     A = problem.A
-    f = _f_prox(problem)
-
     z = state.lam + sigma * A.apply(state.x_bar)
     y_new = problem.g.prox(z / sigma, 1.0 / sigma)
     lam_new = z - sigma * y_new
 
-    x_new = f.prox(state.x - tau * A.adjoint(lam_new), tau)
+    x_new = problem.f_prox.prox(state.x - tau * A.adjoint(lam_new), tau)
     x_bar = 2.0 * x_new - state.x
     return PDHGState(x=x_new, x_bar=x_bar, y=y_new, lam=lam_new,
                      x_sum=state.x_sum + x_new, y_sum=state.y_sum + y_new,
                      count=state.count + 1)
 
 
-def pdhg_run(problem, max_iters, x0=None, lam0=None, record_every=1):
-    """Run the primal-dual iteration with steps ``tau = sigma = 1/||A||``."""
+def pdhg_run(problem, max_iters, x0=None, lam0=None):
+    """Run the primal-dual iteration with steps ``tau = sigma = 1/||A||``;
+    ``max_iters`` is an iteration count or a :class:`~pdsplit.driver.RunBudget`."""
     _check_pdhg_applicable(problem)
+    check_f_block(problem, "pdhg", smooth=False)
     x, _, lam = problem.initial_point(x0, None, lam0)
     y = problem.A.apply(x)
     state = PDHGState(x=x, x_bar=x.copy(), y=y, lam=lam,
                       x_sum=np.zeros_like(x), y_sum=np.zeros_like(y), count=0)
-
-    nA = problem.A.norm_bound()
-    tau = sigma = 1.0 / nA
-
-    trace = IterationTrace(meta={"scheme": "pdhg", "tau": tau, "sigma": sigma,
-                                 "max_iters": max_iters})
-    return _record_run(problem, state, max_iters, record_every, trace,
-                       lambda s: step_pdhg(problem, s, tau, sigma))
+    tau = sigma = 1.0 / problem.A.norm_bound()
+    result = iterate(problem, state, max_iters, {"scheme": "pdhg", "tau": tau, "sigma": sigma},
+                     lambda s: step_pdhg(problem, s, tau, sigma))
+    return result.trace, result.state
 
 
 @dataclass

@@ -36,7 +36,6 @@ from .linops import DenseOperator, ScaledIdentity, negated_identity
 from .oracles import QuadraticSmooth, SaddlePoint, SeparableProblem, SquaredNormSmooth
 from .params import Scheme
 from .prox import ElasticNet, L1Norm, QuadraticProx, ShiftedL1, HingeSum, ZeroFun
-from .subprob import SolverOptions
 
 __all__ = [
     "RunConfig",
@@ -92,12 +91,12 @@ class ProblemBundle:
 
     ``prox_form`` folds the whole f-block into a single prox oracle (the
     implicit schemes and baselines); ``split_form`` exposes the smooth
-    part separately (the gradient-based schemes).  Either may be None if
-    that layout does not apply.
+    part separately (the gradient-based schemes).  Every generator builds
+    both.
     """
 
     prox_form: SeparableProblem
-    split_form: SeparableProblem = None
+    split_form: SeparableProblem
     ground_truth: np.ndarray = None
     composite: bool = False      # True when P(x) = f(x) + g(Ax) is meaningful
     f_star: float = None         # exact optimum when a KKT oracle exists
@@ -257,22 +256,16 @@ def _composite_value(bundle, x):
 def _run_method(bundle, tag, iters):
     """Dispatch one method tag; returns (trace, final x)."""
     if tag in BASELINE_TAGS:
-        if tag == "ladmm":
-            trace, state = baselines.ladmm_run(bundle.prox_form, iters)
-        else:
-            trace, state = baselines.pdhg_run(bundle.prox_form, iters)
+        run_baseline = baselines.ladmm_run if tag == "ladmm" else baselines.pdhg_run
+        trace, state = run_baseline(bundle.prox_form, iters)
         return trace, state.x
     scheme = Scheme(tag)
     problem = bundle.prox_form if scheme.family == 1 else bundle.split_form
-    if problem is None:
-        raise ValueError(f"instance has no oracle layout for {tag}")
-    options = SolverOptions()
     # without strong convexity the decay constant is (||A|| + sqrt(g0))/sqrt(g0);
     # matching g0 to the operator norm keeps it moderate (same for the B side)
     gamma0 = None if problem.mu_f > 0 else max(problem.A.norm(), 1.0)
     beta0 = None if problem.mu_g > 0 else max(problem.B.norm(), 1.0)
-    result = driver.run(problem, scheme, iters, options=options,
-                        gamma0=gamma0, beta0=beta0)
+    result = driver.run(problem, scheme, iters, gamma0=gamma0, beta0=beta0)
     return result.trace, result.state.x
 
 

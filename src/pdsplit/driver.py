@@ -1,12 +1,20 @@
-"""Run loop shared by all schemes: step-size solve, parameter advance,
-iteration step, trace recording.
+"""The run loop of all eight methods: the six schemes and the two baselines.
+
+:func:`iterate` records the trace rows, checks the stop targets, calls the
+iterate callback and raises ``FloatingPointError`` on a non-finite iterate.
+A scheme also has a parameter schedule: before each step the loop solves
+the step size and advances ``(theta, gamma, beta)``.
 
 The trace records, for every index ``k``, the parameters *before* the step
 (so ``theta_k`` is the product of ``1/(1+alpha_i)`` over ``i < k``) together
 with the step size ``alpha_k`` that was used to leave index ``k``.  The last
-row has no ``alpha``.
+row has no ``alpha``.  A baseline has no schedule: its rows have theta = 1
+and empty ``alpha``, ``gap`` and ``lyap``, even when a saddle is known.
+``record_every`` keeps only the rows whose index is a multiple of it, and
+the last; only the reference-optimum estimate sets it.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -19,7 +27,7 @@ from .oracles import feasibility_residual
 from .params import ParamState, Scheme, StepSizeRule, advance, solve_step_size
 from .subprob import SolverOptions
 
-__all__ = ["RunBudget", "RunResult", "run", "build_rule"]
+__all__ = ["RunBudget", "RunResult", "run", "iterate", "build_rule", "check_f_block"]
 
 _STEPS = {
     Scheme.F1_SEMI_B: family1.step_f1_semi_b,
@@ -44,7 +52,7 @@ class RunBudget:
 class RunResult:
     trace: IterationTrace
     state: object
-    params: ParamState
+    params: ParamState      # None for a method without a parameter schedule
 
 
 def build_rule(problem, scheme):
@@ -56,6 +64,14 @@ def build_rule(problem, scheme):
         norm_B=problem.B.norm_bound(),
         lipschitz_f=lip,
     )
+
+
+def check_f_block(problem, method, smooth):
+    """Raise ``ValueError`` unless the f-block is split (``smooth``) or prox-only."""
+    if problem.has_smooth_f() != smooth:
+        raise ValueError(f"{method} needs a smooth f-part; the problem has none" if smooth
+                         else f"{method} treats f through its prox only; fold the smooth "
+                         "part into the prox oracle or use a gradient-based scheme")
 
 
 def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
@@ -71,67 +87,82 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
     ``iterate_callback(k, state)`` is invoked at every recorded index for
     callers that need the full iterate, which the trace does not keep.
     """
-    if isinstance(budget, int):
-        budget = RunBudget(max_iters=budget)
-    options = options or SolverOptions()
-
-    if scheme.family == 2 and not problem.has_smooth_f():
-        raise ValueError(f"{scheme.value} needs a smooth f-part; the problem has none")
-    if scheme.family == 1 and problem.has_smooth_f():
-        raise ValueError(f"{scheme.value} treats f through its prox only; "
-                         "fold the smooth part into the prox oracle or use "
-                         "a gradient-based scheme")
-
-    saddle = problem.saddle
+    check_f_block(problem, scheme.value, smooth=scheme.family == 2)
     state = family1.IterateState.cold_start(problem, x0, y0, lam0)
-
     ps = ParamState.initial(mu_f=problem.mu_f, mu_g=problem.mu_g,
                             gamma0=gamma0, beta0=beta0)
-    rule = build_rule(problem, scheme)
+    options = options or SolverOptions()
     step = _STEPS[scheme]
-
-    trace = IterationTrace(meta={
+    meta = {
         "scheme": scheme.value,
         "dim_x": problem.dim_x, "dim_y": problem.dim_y, "dim_lam": problem.dim_lam,
         "mu_f": ps.mu_f, "mu_g": ps.mu_g,
         "gamma0": ps.gamma0, "beta0": ps.beta0,
-        "max_iters": budget.max_iters,
-    })
+    }
+    return iterate(problem, state, budget, meta,
+                   lambda s, ps, ps_next, alpha: step(problem, s, ps, ps_next, alpha, options),
+                   ps=ps, rule=build_rule(problem, scheme), f_star=f_star,
+                   iterate_callback=iterate_callback)
+
+
+def iterate(problem, state, budget, meta, step, ps=None, rule=None,
+            f_star=None, iterate_callback=None, record_every=1):
+    """Step ``state`` through ``budget`` (a count or a :class:`RunBudget`).
+
+    ``meta`` starts the trace header and names the method under
+    ``"scheme"``.  With a parameter schedule (``ps`` and its ``rule``)
+    the step is ``step(state, ps, ps_next, alpha)``, else ``step(state)``.
+    """
+    if isinstance(budget, int):
+        budget = RunBudget(max_iters=budget)
+    if budget.target_obj_residual is not None and f_star is None:
+        raise ValueError("an objective target needs f_star, the value it is measured against")
+    assert ps is None or record_every == 1, "record_every applies only without a schedule"
+    saddle = problem.saddle if ps is not None else None
+    trace = IterationTrace(meta=dict(meta, max_iters=budget.max_iters))
 
     t_start = time.perf_counter()
     for k in range(budget.max_iters + 1):
-        feas = feasibility_residual(problem, state.x, state.y)
-        obj = problem.objective(state.x, state.y)
-        obj = float(obj) if np.isfinite(obj) else None
-        gap = ey = None
-        if saddle is not None:
-            gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
-            ey = lyapunov(problem, state, ps, saddle, gap=gap)
-        row = TraceRow(k=k, theta=ps.theta, obj=obj, feas=feas, gap=gap,
-                       lyap=ey, sparsity=sparsity(state.x),
-                       seconds=time.perf_counter() - t_start)
-        trace.append(row)
-        if k == 0 and ey is not None:
-            trace.meta["e0"] = ey
-            trace.meta["r0"] = r0(problem, state, saddle, ey)
-        if iterate_callback is not None:
-            iterate_callback(k, state)
+        if k % record_every == 0 or k == budget.max_iters:
+            _check_finite(trace.meta["scheme"], k, state)
+            feas = feasibility_residual(problem, state.x, state.y)
+            obj = problem.objective(state.x, state.y)
+            obj = float(obj) if math.isfinite(obj) else None
+            gap = ey = None
+            if saddle is not None:
+                gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
+                ey = lyapunov(problem, state, ps, saddle, gap=gap)
+            row = TraceRow(k=k, theta=1.0 if ps is None else ps.theta, obj=obj,
+                           feas=feas, gap=gap, lyap=ey, sparsity=sparsity(state.x),
+                           seconds=time.perf_counter() - t_start)
+            trace.append(row)
+            if k == 0 and ey is not None:
+                trace.meta["e0"] = ey
+                trace.meta["r0"] = r0(problem, state, saddle, ey)
+            if iterate_callback is not None:
+                iterate_callback(k, state)
+            if (k == budget.max_iters
+                    or (budget.target_feasibility is not None and feas <= budget.target_feasibility)
+                    or (budget.target_obj_residual is not None and obj is not None
+                        and abs(obj - f_star) <= budget.target_obj_residual)):
+                break
 
-        done = k == budget.max_iters
-        if budget.target_feasibility is not None and feas <= budget.target_feasibility:
-            done = True
-        if (budget.target_obj_residual is not None and obj is not None
-                and f_star is not None
-                and abs(obj - f_star) <= budget.target_obj_residual):
-            done = True
-        if done:
-            break
-
+        if ps is None:
+            state = step(state)
+            continue
         alpha = solve_step_size(ps, rule)
         row.alpha = alpha
         ps_next = advance(ps, alpha)
-        state = step(problem, state, ps, ps_next, alpha, options)
+        state = step(state, ps, ps_next, alpha)
         ps = ps_next
 
     trace.meta["iterations"] = trace.rows[-1].k
     return RunResult(trace=trace, state=state, params=ps)
+
+
+def _check_finite(method, k, state):
+    """Raise FloatingPointError naming a non-finite block; a finite sum of squares rules one out."""
+    if not math.isfinite(state.x.dot(state.x) + state.y.dot(state.y) + state.lam.dot(state.lam)):
+        for block in ("x", "y", "lam"):
+            if not np.isfinite(getattr(state, block)).all():
+                raise FloatingPointError(f"{method}: non-finite {block} at iteration {k}")

@@ -4,8 +4,9 @@ known optimum, and the optimum estimator."""
 import numpy as np
 import pytest
 
-from pdsplit.baselines import (BaselineState, PDHGState, approximate_optimum,
-                               ladmm_run, pdhg_run, step_ladmm, step_pdhg)
+from pdsplit.baselines import (PDHGState, approximate_optimum, ladmm_run,
+                               pdhg_run, step_ladmm, step_pdhg)
+from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.oracles import SeparableProblem, feasibility_residual
 from pdsplit.prox import L1Norm, QuadraticProx, ZeroFun
@@ -23,7 +24,7 @@ def test_ladmm_matches_scalar_transcription():
         np.array([b]))
     x, y, lam = 0.6, -0.3, 0.9
     sigma, tx, ty = 1.3, 0.21, 0.33
-    st = BaselineState(x=np.array([x]), y=np.array([y]), lam=np.array([lam]))
+    st = IterateState.cold_start(prob, [x], [y], [lam])
 
     res = a * x + c * y - b + lam / sigma
     zx = x - tx * sigma * a * res
@@ -37,12 +38,13 @@ def test_ladmm_matches_scalar_transcription():
     assert abs(out.x[0] - x_new) <= 1e-12
     assert abs(out.y[0] - y_new) <= 1e-12
     assert abs(out.lam[0] - lam_new) <= 1e-12
+    assert out.v is out.x and out.w is out.y
 
 
 def test_ladmm_saddle_is_fixed_point():
     prob, _ = quadratic_instance(31)
     sd = prob.saddle
-    st = BaselineState(x=sd.x.copy(), y=sd.y.copy(), lam=sd.lam.copy())
+    st = IterateState.cold_start(prob, sd.x.copy(), sd.y.copy(), sd.lam.copy())
     tx = 1.0 / prob.A.norm_bound() ** 2
     ty = 1.0 / prob.B.norm_bound() ** 2
     out = step_ladmm(prob, st, 1.0, tx, ty)
@@ -148,3 +150,6 @@ def test_trace_theta_column_is_one():
     prob, _ = quadratic_instance(39)
     trace, _ = ladmm_run(prob, 5)
     assert all(r.theta == 1.0 for r in trace.rows)
+    # no parameter schedule: no step size, gap or merit, though a saddle is known
+    assert prob.saddle is not None
+    assert all(r.alpha is None and r.gap is None and r.lyap is None for r in trace.rows)

@@ -1,4 +1,5 @@
-"""Run loop behavior: budgets, early exits, and trace bookkeeping."""
+"""Run loop behavior: budgets, early exits, trace bookkeeping, and loud
+failures, for the schemes and the baselines alike."""
 
 import numpy as np
 import pytest
@@ -109,3 +110,39 @@ def test_start_of_wrong_length_is_rejected(entry):
     block = "lam0" if entry == "pdhg" else "y0"
     with pytest.raises(ValueError, match=f"{block} has shape"):
         START_ENTRY_POINTS[entry](prob)
+
+
+def test_baseline_target_feasibility_stops_early():
+    prob, _ = quadratic_instance(83)
+    trace, _ = ladmm_run(prob, RunBudget(max_iters=5000, target_feasibility=1e-3))
+    assert trace.rows[-1].feas <= 1e-3
+    assert trace.rows[-1].k < 5000
+
+
+def test_objective_target_without_f_star_raises():
+    prob, _ = quadratic_instance(84)
+    with pytest.raises(ValueError, match="f_star"):
+        ladmm_run(prob, RunBudget(max_iters=3000, target_obj_residual=1e-2))
+
+
+NAN_ENTRY_POINTS = {
+    "f1-semiA": lambda prob: run(prob, Scheme.F1_SEMI_A, 10),
+    "ladmm": lambda prob: ladmm_run(prob, 10),
+}
+
+
+@pytest.mark.parametrize("method", list(NAN_ENTRY_POINTS))
+def test_non_finite_iterate_raises(method):
+    # the x-block prox runs once per step; its third call makes x_3
+    prob, _ = quadratic_instance(88)
+    prox, calls = prob.f_prox.prox, 0
+
+    def nan_from_third_call(z, tau):
+        nonlocal calls
+        calls += 1
+        out = prox(z, tau)
+        return np.full_like(out, np.nan) if calls >= 3 else out
+
+    prob.f_prox.prox = nan_from_third_call
+    with pytest.raises(FloatingPointError, match=f"^{method}: non-finite x at iteration 3$"):
+        NAN_ENTRY_POINTS[method](prob)

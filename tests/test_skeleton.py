@@ -1,22 +1,23 @@
 """The shared step skeleton: operator products per step for all six
-schemes.  Each product a step needs is computed once and reused."""
+schemes and the two baselines.  Each product a step needs is computed
+once and reused."""
 
 import numpy as np
 import pytest
 
+from pdsplit.baselines import ladmm_run, pdhg_run, step_ladmm, step_pdhg
 from pdsplit.driver import _STEPS, run
-from pdsplit.linops import DenseOperator
+from pdsplit.linops import DenseOperator, ScaledIdentity
 from pdsplit.oracles import SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
+from pdsplit.prox import QuadraticProx
 from pdsplit.subprob import SolverOptions
 
 from helpers import quadratic_instance
 
 
-class CountingOperator(DenseOperator):
-    def __init__(self, matrix):
-        super().__init__(matrix)
-        self.fwd = self.adj = 0
+class Counting:
+    fwd = adj = 0
 
     def apply(self, v):
         self.fwd += 1
@@ -25,6 +26,14 @@ class CountingOperator(DenseOperator):
     def adjoint(self, w):
         self.adj += 1
         return super().adjoint(w)
+
+
+class CountingOperator(Counting, DenseOperator):
+    pass
+
+
+class CountingIdentity(Counting, ScaledIdentity):
+    pass
 
 
 # (forward, adjoint) products per step.  The adjoints include the one the
@@ -51,3 +60,26 @@ def test_products_per_step(scheme):
     A.fwd = A.adj = B.fwd = B.adj = 0
     _STEPS[scheme](prob, state, ps, advance(ps, 0.2), 0.2, SolverOptions())
     assert (A.fwd + B.fwd, A.adj + B.adj) == PRODUCTS[scheme]
+
+
+def test_ladmm_products_per_step():
+    # A x, B y, A x+ and B y+ forward; one adjoint per block
+    base, _ = quadratic_instance(31)
+    A, B = CountingOperator(base.A.matrix), CountingOperator(base.B.matrix)
+    prob = SeparableProblem(base.f_prox, base.g, A, B, base.b)
+    state = ladmm_run(prob, 0, x0=np.ones(prob.dim_x))[1]
+    A.fwd = A.adj = B.fwd = B.adj = 0
+    step_ladmm(prob, state, 1.0, 0.1, 0.1)
+    assert (A.fwd + B.fwd, A.adj + B.adj) == (4, 2)
+
+
+def test_pdhg_products_per_step():
+    # A x_bar forward and A^T lam+ adjoint; B = -I enters only through the prox
+    base, _ = quadratic_instance(31)
+    A, B = CountingOperator(base.A.matrix), CountingIdentity(-1.0, base.dim_lam)
+    prob = SeparableProblem(base.f_prox, QuadraticProx(np.eye(base.dim_lam)), A, B,
+                            np.zeros(base.dim_lam))
+    state = pdhg_run(prob, 0, x0=np.ones(prob.dim_x))[1]
+    A.fwd = A.adj = B.fwd = B.adj = 0
+    step_pdhg(prob, state, 0.1, 0.1)
+    assert (A.fwd + B.fwd, A.adj + B.adj) == (1, 1)

@@ -7,7 +7,7 @@ import functools
 import numpy as np
 import pytest
 
-from pdsplit import bench
+from pdsplit import bench, driver
 from pdsplit.bench import RunConfig, generate_lad, generate_problem
 from pdsplit.driver import run
 from pdsplit.linops import DenseOperator, ScaledIdentity
@@ -107,7 +107,7 @@ def _lad_run(tag, inner_tol=None, inner_max_iters=None):
     block.prox = counted
     with pytest.MonkeyPatch.context() as mp:
         if inner_tol is not None:
-            mp.setattr(bench, "SolverOptions", functools.partial(
+            mp.setattr(driver, "SolverOptions", functools.partial(
                 SolverOptions, inner_tol=inner_tol, inner_max_iters=inner_max_iters))
         trace, _ = bench._run_method(bundle, tag, 200)
     solves = len(trace.rows) - 1   # one augmented x-solve per step

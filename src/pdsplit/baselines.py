@@ -25,7 +25,12 @@ __all__ = [
     "step_pdhg",
     "approximate_optimum",
     "OptimumEstimate",
+    "NotApplicableError",
 ]
+
+
+class NotApplicableError(ValueError):
+    """The method does not apply to the problem's structure."""
 
 
 def step_ladmm(problem, state, sigma, tx, ty):
@@ -85,10 +90,10 @@ class PDHGState:
 def _check_pdhg_applicable(problem):
     B = problem.B
     if not (isinstance(B, ScaledIdentity) and B.scale == -1.0):
-        raise ValueError("this primal-dual iteration applies to composite "
-                         "problems with B = -I only")
+        raise NotApplicableError("this primal-dual iteration applies to composite "
+                                 "problems with B = -I only")
     if np.any(problem.b != 0.0):
-        raise ValueError("this primal-dual iteration needs a zero right-hand side")
+        raise NotApplicableError("this primal-dual iteration needs a zero right-hand side")
 
 
 def step_pdhg(problem, state, tau, sigma):

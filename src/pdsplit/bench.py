@@ -33,9 +33,9 @@ import numpy as np
 from . import baselines, driver
 from .diagnostics import sparsity
 from .linops import DenseOperator, ScaledIdentity, negated_identity
-from .oracles import QuadraticSmooth, SaddlePoint, SeparableProblem, SquaredNormSmooth
+from .oracles import SaddlePoint, SeparableProblem
 from .params import Scheme
-from .prox import ElasticNet, L1Norm, QuadraticProx, ShiftedL1, HingeSum, ZeroFun
+from .prox import ElasticNet, L1Norm, QuadraticProx, ShiftedL1, HingeSum, SquaredL2, ZeroFun
 
 __all__ = [
     "RunConfig",
@@ -130,8 +130,8 @@ def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01)
 
     f_prox = ElasticNet(lam_l1, mu) if case == 2 else L1Norm(lam_l1)
     prox_form = SeparableProblem(f_prox, g, A_op, B, rhs)
-    split_form = SeparableProblem((SquaredNormSmooth(mu), L1Norm(lam_l1)), g, A_op, B, rhs)
-    split_form.A.set_norm(prox_form.A.norm())
+    split_form = SeparableProblem((SquaredL2(mu), L1Norm(lam_l1)), g, A_op, B, rhs)
+    A_op.norm()   # shared by both forms; estimated here so generation pays for it
     return ProblemBundle(prox_form=prox_form, split_form=split_form,
                          ground_truth=x_sharp, composite=True,
                          meta={"kind": f"lad-case{case}", "m": m, "n": n,
@@ -164,8 +164,8 @@ def generate_svm(m, n, seed, elastic=False, flip_fraction=0.1):
     lam_l1, mu = (0.5, 0.05) if elastic else (0.2, 0.0)
     f_prox = ElasticNet(lam_l1, mu) if elastic else L1Norm(lam_l1)
     prox_form = SeparableProblem(f_prox, g, A_op, B, bias)
-    split_form = SeparableProblem((SquaredNormSmooth(mu), L1Norm(lam_l1)), g, A_op, B, bias)
-    split_form.A.set_norm(prox_form.A.norm())
+    split_form = SeparableProblem((SquaredL2(mu), L1Norm(lam_l1)), g, A_op, B, bias)
+    A_op.norm()   # shared by both forms; estimated here so generation pays for it
     return ProblemBundle(prox_form=prox_form, split_form=split_form,
                          ground_truth=x_true, composite=False,
                          meta={"kind": "svm-elastic" if elastic else "svm-l1",
@@ -200,15 +200,13 @@ def generate_quadratic(m, n, seed):
     rhs = A @ x_star + Bm @ y_star
 
     saddle = SaddlePoint(x_star, y_star, lam_star)
-    f_prox = QuadraticProx(P, p)
+    f = QuadraticProx(P, p)
     g = QuadraticProx(Q, q)
-    prox_form = SeparableProblem(f_prox, g, DenseOperator(A), DenseOperator(Bm),
-                                 rhs, saddle=saddle)
-    split_form = SeparableProblem((QuadraticSmooth(P, p), ZeroFun()), g,
-                                  DenseOperator(A), DenseOperator(Bm), rhs,
-                                  saddle=saddle)
-    split_form.A.set_norm(prox_form.A.norm())
-    split_form.B.set_norm(prox_form.B.norm())
+    A_op, B_op = DenseOperator(A), DenseOperator(Bm)
+    prox_form = SeparableProblem(f, g, A_op, B_op, rhs, saddle=saddle)
+    split_form = SeparableProblem((f, ZeroFun()), g, A_op, B_op, rhs, saddle=saddle)
+    A_op.norm()   # shared by both forms; estimated here so generation pays for them
+    B_op.norm()
     f_star = prox_form.objective(x_star, y_star)
     return ProblemBundle(prox_form=prox_form, split_form=split_form,
                          ground_truth=x_star, composite=False, f_star=f_star,
@@ -283,7 +281,8 @@ def run_benchmark(config):
     """Generate the instance, run every requested method, write outputs.
 
     Returns the summary dict (also written as ``summary.json``).  A method
-    failure is recorded in the summary without aborting the others.
+    failure is recorded in the summary without aborting the others, and a
+    method that does not apply to the instance is recorded as skipped.
     """
     config.validate()
     bundle = generate_problem(config)
@@ -314,6 +313,9 @@ def run_benchmark(config):
         entry = {}
         try:
             trace, x_final = _run_method(bundle, tag, config.iters)
+        except baselines.NotApplicableError as exc:
+            summary["methods"][tag] = {"skipped": str(exc)}
+            continue
         except Exception as exc:  # noqa: BLE001 - recorded per method
             summary["methods"][tag] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
@@ -403,9 +405,11 @@ def main(argv=None):
 
     config = _config_from_sources(args)
     summary = run_benchmark(config)
-    n_ok = sum(1 for v in summary["methods"].values() if "error" not in v)
-    n_err = len(summary["methods"]) - n_ok
-    print(f"wrote {config.out}/summary.json ({n_ok} methods ok, {n_err} failed)")
+    entries = summary["methods"].values()
+    n_err = sum("error" in v for v in entries)
+    n_skip = sum("skipped" in v for v in entries)
+    print(f"wrote {config.out}/summary.json ({len(entries) - n_err - n_skip} methods ok, "
+          f"{n_skip} skipped, {n_err} failed)")
     return 0 if n_err == 0 else 1
 
 

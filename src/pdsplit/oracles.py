@@ -13,8 +13,6 @@ from .linops import LinearOperator
 __all__ = [
     "ProxOracle",
     "SmoothOracle",
-    "QuadraticSmooth",
-    "SquaredNormSmooth",
     "SaddlePoint",
     "SeparableProblem",
     "lagrangian_value",
@@ -66,41 +64,6 @@ class SmoothOracle:
         raise NotImplementedError
 
 
-class QuadraticSmooth(SmoothOracle):
-    """``(1/2) x^T P x + p^T x`` with SPD (or PSD) ``P``."""
-
-    def __init__(self, P, p=None):
-        P = np.asarray(P, dtype=float)
-        p = np.zeros(P.shape[0]) if p is None else np.asarray(p, dtype=float)
-        eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
-        super().__init__(lipschitz=float(eigs[-1]), strong_convexity=float(max(eigs[0], 0.0)))
-        self.P = P
-        self.p = p
-
-    def value(self, z):
-        return 0.5 * z @ (self.P @ z) + self.p @ z
-
-    def gradient(self, z):
-        return self.P @ z + self.p
-
-
-class SquaredNormSmooth(SmoothOracle):
-    """``(mu/2) ||x||^2``: the quadratic of ``P = mu I`` without the n-by-n
-    matrix, giving the same values and gradients as ``QuadraticSmooth(mu * I)``."""
-
-    def __init__(self, mu):
-        if mu < 0:
-            raise ValueError("mu must be nonnegative")
-        super().__init__(lipschitz=mu, strong_convexity=mu)
-        self.mu = float(mu)
-
-    def value(self, z):
-        return 0.5 * z @ (self.mu * z)
-
-    def gradient(self, z):
-        return self.mu * z
-
-
 class SaddlePoint:
     """Reference saddle point ``(x*, y*, lambda*)`` of the Lagrangian."""
 
@@ -126,19 +89,14 @@ class SeparableProblem:
         if A.shape[0] != B.shape[0] or A.shape[0] != b.size:
             raise ValueError("A, B and b must map into the same space")
 
-        if isinstance(f, tuple):
-            f_smooth, f_prox = f
-            if not isinstance(f_smooth, SmoothOracle):
-                raise TypeError("the smooth part of the f-block must be a SmoothOracle")
-            self.f_smooth, self.f_prox = f_smooth, f_prox
-            default_mu_f = f_smooth.strong_convexity
-        else:
-            self.f_smooth, self.f_prox = None, f
-            default_mu_f = f.strong_convexity
+        self.f_smooth, self.f_prox = f if isinstance(f, tuple) else (None, f)
+        if self.f_smooth is not None and not isinstance(self.f_smooth, SmoothOracle):
+            raise TypeError("the smooth part of the f-block must be a SmoothOracle")
 
         self.g = g
         self.A, self.B, self.b = A, B, b
-        self.mu_f = default_mu_f if mu_f is None else float(mu_f)
+        f_moduli = self.f_prox if self.f_smooth is None else self.f_smooth
+        self.mu_f = f_moduli.strong_convexity if mu_f is None else float(mu_f)
         self.mu_g = g.strong_convexity if mu_g is None else float(mu_g)
 
         if saddle is not None:

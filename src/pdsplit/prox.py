@@ -1,21 +1,17 @@
 """Builtin proximal oracles: l1, elastic net, hinge sums, boxes, quadratics.
 
-Every prox here is closed form.  The module-level functions carry the bare
-formulas; the classes wrap them behind the :class:`~pdsplit.oracles.ProxOracle`
-interface consumed by the solvers.
+Every prox here is closed form, written in the ``prox`` method of its class.
+``QuadraticProx`` and ``SquaredL2`` are smooth oracles too, so either can be
+the smooth part of a split f-block.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .oracles import ProxOracle
+from .oracles import ProxOracle, SmoothOracle
 
 __all__ = [
-    "prox_l1",
-    "prox_shifted_l1",
-    "prox_elastic_net",
-    "prox_hinge_sum",
     "ZeroFun",
     "L1Norm",
     "ShiftedL1",
@@ -27,48 +23,13 @@ __all__ = [
 ]
 
 
-def prox_l1(z, t):
-    """Soft thresholding: componentwise ``sign(z) * max(|z| - t, 0)``."""
-    if t <= 0:
+def _soft_threshold(z, tau, lam):
+    """Prox of ``tau * lam * ||.||_1``: ``sign(z) * max(|z| - tau lam, 0)``."""
+    if lam == 0.0:
+        return np.asarray(z, dtype=float)
+    if tau * lam <= 0:
         raise ValueError("threshold must be positive")
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-
-
-def prox_shifted_l1(z, shift, t):
-    """Prox of ``||. - shift||_1`` scaled by ``t``: shift + soft-threshold."""
-    z = np.asarray(z, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-    if z.shape != shift.shape:
-        raise ValueError("shift and point must have matching shapes")
-    return shift + prox_l1(z - shift, t)
-
-
-def prox_elastic_net(z, lam, mu, tau):
-    """Prox of ``tau * (lam ||.||_1 + mu/2 ||.||^2)``.
-
-    Soft-threshold by ``tau*lam`` then shrink by ``1/(1 + tau*mu)``.
-    """
-    if lam < 0 or mu < 0 or tau <= 0:
-        raise ValueError("lam, mu must be nonnegative and tau positive")
-    u = np.sign(z) * np.maximum(np.abs(z) - tau * lam, 0.0)
-    return u / (1.0 + tau * mu)
-
-
-def prox_hinge_sum(z, labels, weight, tau):
-    """Prox of ``tau * weight * sum_j max(0, 1 - c_j z_j)`` with ``c_j = +-1``.
-
-    Per coordinate (with ``t = tau * weight`` and ``s = c_j z_j``): the point
-    is unchanged when ``s >= 1``, shifted by ``t c_j`` when ``s < 1 - t``,
-    and clamped onto the kink ``c_j z_j = 1`` in between.
-    """
-    z = np.asarray(z, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if not np.all(np.abs(labels) == 1.0):
-        raise ValueError("labels must be +-1")
-    t = tau * weight
-    s = labels * z
-    u = np.where(s >= 1.0, s, np.where(s < 1.0 - t, s + t, 1.0))
-    return labels * u
+    return np.sign(z) * np.maximum(np.abs(z) - tau * lam, 0.0)
 
 
 class ZeroFun(ProxOracle):
@@ -79,9 +40,6 @@ class ZeroFun(ProxOracle):
 
     def prox(self, z, tau):
         return np.asarray(z, dtype=float)
-
-    def gradient(self, z):
-        return np.zeros_like(np.asarray(z, dtype=float))
 
     def solve_augmented(self, linear, C, offset, sigma, weight, center):
         rhs = weight * center - linear - sigma * C.adjoint(offset)
@@ -100,9 +58,7 @@ class L1Norm(ProxOracle):
         return self.lam * float(np.sum(np.abs(z)))
 
     def prox(self, z, tau):
-        if self.lam == 0.0:
-            return np.asarray(z, dtype=float)
-        return prox_l1(z, tau * self.lam)
+        return _soft_threshold(z, tau, self.lam)
 
 
 class ShiftedL1(ProxOracle):
@@ -116,22 +72,26 @@ class ShiftedL1(ProxOracle):
         return self.lam * float(np.sum(np.abs(z - self.shift)))
 
     def prox(self, z, tau):
-        if self.lam == 0.0:
-            return np.asarray(z, dtype=float)
-        return prox_shifted_l1(z, self.shift, tau * self.lam)
+        z = np.asarray(z, dtype=float)
+        if z.shape != self.shift.shape:
+            raise ValueError("shift and point must have matching shapes")
+        return self.shift + _soft_threshold(z - self.shift, tau, self.lam)
 
 
-class SquaredL2(ProxOracle):
-    """``mu/2 * ||x||^2``."""
+class SquaredL2(ProxOracle, SmoothOracle):
+    """``mu/2 * ||x||^2``: the quadratic of ``P = mu I`` without the n-by-n
+    matrix, with the values and gradients of ``QuadraticProx(mu * I)``."""
 
     def __init__(self, mu):
         if mu < 0:
             raise ValueError("mu must be nonnegative")
-        self.mu = float(mu)
-        self.strong_convexity = float(mu)
+        self.mu = self.lipschitz = self.strong_convexity = float(mu)
 
     def value(self, z):
-        return 0.5 * self.mu * float(z @ z)
+        return 0.5 * z @ (self.mu * z)
+
+    def gradient(self, z):
+        return self.mu * z
 
     def prox(self, z, tau):
         return np.asarray(z, dtype=float) / (1.0 + tau * self.mu)
@@ -151,7 +111,10 @@ class ElasticNet(ProxOracle):
         return self.lam * float(np.sum(np.abs(z))) + 0.5 * self.mu * float(z @ z)
 
     def prox(self, z, tau):
-        return prox_elastic_net(z, self.lam, self.mu, tau)
+        """Soft-threshold by ``tau * lam``, then shrink by ``1 / (1 + tau * mu)``."""
+        if tau <= 0:
+            raise ValueError("tau must be positive")
+        return _soft_threshold(z, tau, self.lam) / (1.0 + tau * self.mu)
 
 
 class HingeSum(ProxOracle):
@@ -173,7 +136,12 @@ class HingeSum(ProxOracle):
         return self.weight * float(np.sum(np.maximum(0.0, 1.0 - self.labels * z)))
 
     def prox(self, z, tau):
-        return prox_hinge_sum(z, self.labels, self.weight, tau)
+        """Per coordinate, with ``t = tau * weight`` and ``s = c_j z_j``: the
+        point is unchanged when ``s >= 1``, shifted by ``t c_j`` when
+        ``s < 1 - t``, and clamped onto the kink ``c_j z_j = 1`` in between."""
+        t = tau * self.weight
+        s = self.labels * np.asarray(z, dtype=float)
+        return self.labels * np.where(s >= 1.0, s, np.where(s < 1.0 - t, s + t, 1.0))
 
 
 class BoxIndicator(ProxOracle):
@@ -192,12 +160,13 @@ class BoxIndicator(ProxOracle):
         return np.clip(z, self.lo, self.hi)
 
 
-class QuadraticProx(ProxOracle):
+class QuadraticProx(ProxOracle, SmoothOracle):
     """``(1/2) x^T P x + p^T x`` with PSD ``P``, prox in the eigenbasis of ``P``.
 
     ``eigh(P)`` is computed on first use and kept, as is ``C V`` for the last
     (immutable) operator ``C``.  The closed-form augmented solve lets the
     Gauss-Seidel schemes run with a general coupling operator on this block.
+    The moduli bypass ``SmoothOracle``'s check: an indefinite ``P`` is accepted.
     """
 
     def __init__(self, P, p=None):

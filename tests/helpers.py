@@ -4,7 +4,7 @@ planted saddle points, in both oracle layouts."""
 import numpy as np
 
 from pdsplit.linops import DenseOperator
-from pdsplit.oracles import QuadraticSmooth, SaddlePoint, SeparableProblem
+from pdsplit.oracles import SaddlePoint, SeparableProblem
 from pdsplit.prox import QuadraticProx, ZeroFun
 
 
@@ -22,7 +22,8 @@ def quadratic_instance(seed, mu_f=1.0, mu_g=1.0, n=8, ny=8, m=8):
     The strong-convexity moduli of the blocks equal ``mu_f`` / ``mu_g``
     exactly (smallest eigenvalue shifted), so a zero modulus produces a
     genuinely non-strongly-convex block.  Returns ``(prox_form,
-    split_form)`` sharing the same data and saddle.
+    split_form)`` sharing the same data and saddle; the split form's smooth
+    part is the prox form's f oracle.
     """
     rng = np.random.default_rng(seed)
     P = spd_matrix(rng, n, mu_f)
@@ -43,7 +44,7 @@ def quadratic_instance(seed, mu_f=1.0, mu_g=1.0, n=8, ny=8, m=8):
         DenseOperator(A), DenseOperator(Bm), rhs,
         mu_f=mu_f, mu_g=mu_g, saddle=saddle)
     split_form = SeparableProblem(
-        (QuadraticSmooth(P, p), ZeroFun()), QuadraticProx(Q, q),
+        (prox_form.f_prox, ZeroFun()), QuadraticProx(Q, q),
         DenseOperator(A), DenseOperator(Bm), rhs,
         mu_f=mu_f, mu_g=mu_g, saddle=saddle)
     return prox_form, split_form

@@ -7,13 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pdsplit import baselines, linops
 from pdsplit.bench import (METHOD_TAGS, RunConfig, _run_method,
                            checkpoint_indices, generate_lad, generate_problem,
                            generate_quadratic, generate_svm, main,
                            run_benchmark)
 from pdsplit.linops import ScaledIdentity
-from pdsplit.oracles import QuadraticSmooth, SeparableProblem
-from pdsplit.prox import ElasticNet, HingeSum, L1Norm, ShiftedL1
+from pdsplit.oracles import SeparableProblem
+from pdsplit.prox import ElasticNet, HingeSum, L1Norm, QuadraticProx, ShiftedL1, SquaredL2
 
 
 def test_lad_shapes_and_sparsity():
@@ -91,6 +92,25 @@ def test_quadratic_planted_optimum():
     assert bundle.f_star == pytest.approx(prob.objective(sd.x, sd.y))
 
 
+def test_generators_share_oracles_and_operators(monkeypatch):
+    calls = []
+    estimate = linops.estimate_operator_norm
+    monkeypatch.setattr(linops, "estimate_operator_norm",
+                        lambda op: calls.append(op) or estimate(op))
+    quad = generate_quadratic(6, 6, seed=10)
+    prox, split = quad.prox_form, quad.split_form
+    assert split.f_smooth is prox.f_prox and isinstance(prox.f_prox, QuadraticProx)
+    assert split.A is prox.A and split.B is prox.B and split.g is prox.g
+    # the norms are estimated during generation, once per shared operator
+    assert calls == [prox.A, prox.B]
+    for generate in (generate_lad, generate_svm):
+        bundle = generate(10, 30, seed=0)
+        assert isinstance(bundle.split_form.f_smooth, SquaredL2)
+        assert bundle.split_form.A is bundle.prox_form.A
+        assert calls[-1] is bundle.prox_form.A
+    assert len(calls) == 4
+
+
 def test_checkpoint_indices():
     assert checkpoint_indices(0) == [0]
     assert checkpoint_indices(7) == [0, 1, 2, 5, 7]
@@ -135,14 +155,32 @@ def test_quadratic_fstar_uncertainty_tiny(tmp_path):
     assert summary["fstar_uncertainty"] <= 1e-6
 
 
-def test_method_failure_recorded_without_aborting(tmp_path):
-    # the dual-prox baseline needs B = -I and b = 0; the quadratic
-    # instance violates that, so it fails while the other method completes
+def test_method_failure_recorded_without_aborting(tmp_path, monkeypatch):
+    # the quadratic instance has an exact optimum, so no reference run
+    # needs the multiplier step that fails here
+    def fail(*args):
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(baselines, "step_ladmm", fail)
     cfg = RunConfig(problem="quadratic-synthetic", m=5, n=5, iters=10,
-                    methods=("pdhg", "ladmm"), out=str(tmp_path / "f"))
+                    methods=("ladmm", "f1-semiA"), out=str(tmp_path / "f"))
     summary = run_benchmark(cfg)
-    assert "error" in summary["methods"]["pdhg"]
-    assert "error" not in summary["methods"]["ladmm"]
+    assert summary["methods"]["ladmm"] == {"error": "RuntimeError: step failed"}
+    assert "error" not in summary["methods"]["f1-semiA"]
+    assert (tmp_path / "f" / "trace_f1-semiA.csv").exists()
+
+
+def test_cli_records_inapplicable_method_as_skipped(tmp_path, capsys):
+    # pdhg needs B = -I and b = 0; the svm instance has a nonzero b
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"problem": "svm-l1", "m": 10, "n": 30, "iters": 5}))
+    out = tmp_path / "svm"
+    code = main(["--config", str(cfg_file), "--method", "pdhg", "--out", str(out)])
+    assert code == 0
+    assert "0 methods ok, 1 skipped, 0 failed" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["methods"]["pdhg"]) == {"skipped"}
+    assert not (out / "trace_pdhg.csv").exists()
 
 
 def test_relative_columns_start_at_one(tmp_path):
@@ -206,7 +244,7 @@ def test_generate_problem_dispatch():
 def test_squared_norm_smooth_traces_match_dense_form(kind, mu):
     bundle = generate_problem(RunConfig(problem=kind, m=20, n=60, seed=0))
     split = bundle.split_form
-    dense = QuadraticSmooth(mu * np.eye(split.dim_x))
+    dense = QuadraticProx(mu * np.eye(split.dim_x))
     assert split.f_smooth.lipschitz == dense.lipschitz
     assert split.f_smooth.strong_convexity == dense.strong_convexity
     if kind.startswith("lad"):

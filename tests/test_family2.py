@@ -8,7 +8,7 @@ from pdsplit import IterateState
 from pdsplit.driver import run
 from pdsplit.family2 import step_f2_explicit, step_f2_semi_a, step_f2_semi_b
 from pdsplit.linops import DenseOperator
-from pdsplit.oracles import QuadraticSmooth, SaddlePoint, SeparableProblem
+from pdsplit.oracles import SaddlePoint, SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
 from pdsplit.prox import BoxIndicator, QuadraticProx
 from pdsplit.subprob import SolverOptions
@@ -25,7 +25,7 @@ def one_dim_problem():
     pg, qg = 1.3, 0.4
     a, c, b = 1.4, -1.1, -0.3
     prob = SeparableProblem(
-        (QuadraticSmooth(np.array([[pf1]]), np.array([qf1])),
+        (QuadraticProx(np.array([[pf1]]), np.array([qf1])),
          QuadraticProx(np.array([[pf2]]), np.array([qf2]))),
         QuadraticProx(np.array([[pg]]), np.array([qg])),
         DenseOperator(np.array([[a]])), DenseOperator(np.array([[c]])),
@@ -170,7 +170,7 @@ def test_iterates_stay_in_constraint_set():
     A = rng.standard_normal((m, n))
     Bm = rng.standard_normal((m, m))
     prob = SeparableProblem(
-        (QuadraticSmooth(P, rng.standard_normal(n)), BoxIndicator(-np.ones(n), np.ones(n))),
+        (QuadraticProx(P, rng.standard_normal(n)), BoxIndicator(-np.ones(n), np.ones(n))),
         QuadraticProx(np.eye(m)), DenseOperator(A), DenseOperator(Bm),
         rng.standard_normal(m))
     res = run(prob, Scheme.F2_EXPLICIT, 50, x0=np.zeros(n))
@@ -196,7 +196,7 @@ def test_family_mismatch_rejected():
     with pytest.raises(ValueError):
         run(split_form, Scheme.F1_SEMI_A, 5)
 
-class _FiniteDifferenceSmooth(QuadraticSmooth):
+class _FiniteDifferenceSmooth(QuadraticProx):
     """Same values as the wrapped quadratic, gradient by central differences."""
 
     def gradient(self, z):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from pdsplit.linops import DenseOperator, negated_identity
-from pdsplit.oracles import (QuadraticSmooth, SaddlePoint, SeparableProblem,
-                             SmoothOracle, feasibility_residual,
-                             lagrangian_value)
-from pdsplit.prox import BoxIndicator, L1Norm, SquaredL2, ZeroFun
+from pdsplit.oracles import (SaddlePoint, SeparableProblem, SmoothOracle,
+                             feasibility_residual, lagrangian_value)
+from pdsplit.prox import BoxIndicator, L1Norm, QuadraticProx, SquaredL2, ZeroFun
 
 from helpers import quadratic_instance
 
@@ -65,10 +64,39 @@ def test_lagrangian_infinite_outside_set():
 
 def test_split_f_block_sums_values():
     P = np.array([[2.0]])
-    prob = SeparableProblem((QuadraticSmooth(P), L1Norm(3.0)), ZeroFun(),
+    prob = SeparableProblem((QuadraticProx(P), L1Norm(3.0)), ZeroFun(),
                             DenseOperator(np.eye(1)), negated_identity(1), np.zeros(1))
     assert prob.f_value(np.array([2.0])) == pytest.approx(0.5 * 2 * 4 + 6.0)
     assert prob.has_smooth_f()
+
+
+def test_squared_l2_serves_as_smooth_part():
+    prob = SeparableProblem((SquaredL2(0.5), L1Norm(1.0)), ZeroFun(),
+                            DenseOperator(np.eye(3)), negated_identity(3), np.zeros(3))
+    z = np.array([1.0, -2.0, 4.0])
+    assert np.array_equal(prob.f_smooth.gradient(z), 0.5 * z)
+    assert prob.f_smooth.lipschitz == prob.f_smooth.strong_convexity == 0.5
+    assert prob.mu_f == 0.5
+    assert prob.f_value(z) == pytest.approx(0.25 * 21.0 + 7.0)
+
+
+def test_quadratic_prox_serves_as_smooth_part():
+    P = np.array([[3.0, 1.0], [1.0, 3.0]])     # eigenvalues 2 and 4
+    p = np.array([0.5, -1.0])
+    prob = SeparableProblem((QuadraticProx(P, p), ZeroFun()), ZeroFun(),
+                            DenseOperator(np.eye(2)), negated_identity(2), np.zeros(2))
+    z = np.array([1.0, 2.0])
+    assert np.allclose(prob.f_smooth.gradient(z), P @ z + p, atol=1e-15)
+    assert prob.f_smooth.lipschitz == pytest.approx(4.0, rel=1e-14)
+    assert prob.f_smooth.strong_convexity == pytest.approx(2.0, rel=1e-14)
+    assert prob.mu_f == prob.f_smooth.strong_convexity
+
+
+def test_non_smooth_oracle_rejected_as_smooth_part():
+    for part in (ZeroFun(), L1Norm(1.0)):
+        with pytest.raises(TypeError):
+            SeparableProblem((part, ZeroFun()), ZeroFun(), DenseOperator(np.eye(1)),
+                             negated_identity(1), np.zeros(1))
 
 
 def test_moduli_default_from_oracles():
@@ -101,7 +129,7 @@ def test_smooth_gradient_matches_central_differences():
     rng = np.random.default_rng(31)
     n = 6
     M = rng.standard_normal((n, n))
-    f = QuadraticSmooth(M.T @ M / n, rng.standard_normal(n))
+    f = QuadraticProx(M.T @ M / n, rng.standard_normal(n))
     h = 1e-6
     for _ in range(5):
         z = rng.standard_normal(n)

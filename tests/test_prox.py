@@ -12,9 +12,7 @@ from scipy.optimize import minimize_scalar
 
 from pdsplit.linops import DenseOperator
 from pdsplit.prox import (BoxIndicator, ElasticNet, HingeSum, L1Norm,
-                          QuadraticProx, ShiftedL1, SquaredL2, ZeroFun,
-                          prox_elastic_net, prox_hinge_sum, prox_l1,
-                          prox_shifted_l1)
+                          QuadraticProx, ShiftedL1, SquaredL2, ZeroFun)
 
 
 def golden_prox_1d(h, z, tau, bracket=20.0):
@@ -109,7 +107,7 @@ def test_moreau_identity():
         z = rng.standard_normal(4) * 2.0
         tau = 0.2 + rng.random()
         lam = 0.8
-        p = prox_l1(z, tau * lam)
+        p = L1Norm(lam).prox(z, tau)
         # conjugate of lam||.||_1 is the indicator of the lam-box
         dual = np.clip(z / tau, -lam, lam)
         assert np.allclose(p + tau * dual, z, atol=1e-12)
@@ -117,17 +115,17 @@ def test_moreau_identity():
 
 def test_soft_threshold_values():
     z = np.array([3.0, -0.5, 0.0, -2.0])
-    assert np.allclose(prox_l1(z, 1.0), [2.0, 0.0, 0.0, -1.0])
+    assert np.allclose(L1Norm(1.0).prox(z, 1.0), [2.0, 0.0, 0.0, -1.0])
 
 
 def test_shifted_l1_fixed_point_at_shift():
     shift = np.array([1.0, -2.0])
-    assert np.allclose(prox_shifted_l1(shift.copy(), shift, 0.7), shift)
+    assert np.allclose(ShiftedL1(shift).prox(shift.copy(), 0.7), shift)
 
 
 def test_elastic_net_order_threshold_then_shrink():
     z = np.array([2.0])
-    out = prox_elastic_net(z, lam=1.0, mu=1.0, tau=1.0)
+    out = ElasticNet(lam=1.0, mu=1.0).prox(z, tau=1.0)
     # threshold 2 -> 1, then shrink by 1/(1+1) -> 0.5
     assert out[0] == pytest.approx(0.5)
 
@@ -135,9 +133,20 @@ def test_elastic_net_order_threshold_then_shrink():
 def test_hinge_prox_three_regions():
     labels = np.array([1.0, 1.0, 1.0])
     z = np.array([2.0, -1.0, 0.9])
-    out = prox_hinge_sum(z, labels, weight=1.0, tau=0.5)
+    out = HingeSum(labels, weight=1.0).prox(z, tau=0.5)
     # s >= 1: unchanged; s < 1 - t: shift by t; in between: clamp to 1
     assert np.allclose(out, [2.0, -0.5, 1.0])
+
+
+def test_prox_calls_check_step_and_shape():
+    z = np.array([1.5, -0.2])
+    for oracle in (L1Norm(1.0), ShiftedL1(np.zeros(2)), ElasticNet(1.0, 0.5)):
+        with pytest.raises(ValueError):
+            oracle.prox(z, 0.0)
+    with pytest.raises(ValueError):
+        ShiftedL1(np.zeros(3)).prox(z, 1.0)
+    # no l1 weight: the elastic net is a pure shrink
+    assert np.allclose(ElasticNet(0.0, 1.0).prox(z, 1.0), z / 2.0)
 
 
 def test_hinge_rejects_bad_labels():

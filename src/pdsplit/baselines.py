@@ -137,7 +137,6 @@ class OptimumEstimate:
     value: float
     uncertainty: float
     x: np.ndarray
-    y: np.ndarray
 
 
 def approximate_optimum(problem, iters=20000):
@@ -154,9 +153,9 @@ def approximate_optimum(problem, iters=20000):
     objs = [r.obj for r in trace.rows if r.obj is not None]
     if iters == 0 or len(objs) < 2:
         val = objs[-1] if objs else np.inf
-        return OptimumEstimate(value=val, uncertainty=np.inf, x=state.x, y=state.y)
+        return OptimumEstimate(value=val, uncertainty=np.inf, x=state.x)
     final = objs[-1]
     drift = abs(objs[-1] - objs[-2])
     feas = trace.rows[-1].feas
     unc = drift + feas * (1.0 + float(np.linalg.norm(state.lam)))
-    return OptimumEstimate(value=final, uncertainty=unc, x=state.x, y=state.y)
+    return OptimumEstimate(value=final, uncertainty=unc, x=state.x)

@@ -26,13 +26,13 @@ byte-identical files.
 import argparse
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import baselines, driver
 from .diagnostics import sparsity
-from .linops import DenseOperator, ScaledIdentity, negated_identity
+from .linops import DenseOperator, negated_identity
 from .oracles import SaddlePoint, SeparableProblem
 from .params import Scheme
 from .prox import ElasticNet, L1Norm, QuadraticProx, ShiftedL1, HingeSum, SquaredL2, ZeroFun
@@ -50,8 +50,13 @@ __all__ = [
     "METHOD_TAGS",
 ]
 
-PROBLEM_KINDS = ("lad-case1", "lad-case2", "svm-l1", "svm-elastic",
-                 "quadratic-synthetic")
+PROBLEM_KINDS = {
+    "lad-case1": lambda c: generate_lad(c.m, c.n, c.seed, 1, c.sparsity_fraction, c.noise_variance),
+    "lad-case2": lambda c: generate_lad(c.m, c.n, c.seed, 2, c.sparsity_fraction, c.noise_variance),
+    "svm-l1": lambda c: generate_svm(c.m, c.n, c.seed, False, c.flip_fraction),
+    "svm-elastic": lambda c: generate_svm(c.m, c.n, c.seed, True, c.flip_fraction),
+    "quadratic-synthetic": lambda c: generate_quadratic(c.m, c.n, c.seed),
+}
 SCHEME_TAGS = tuple(s.value for s in Scheme)
 BASELINE_TAGS = ("ladmm", "pdhg")
 METHOD_TAGS = SCHEME_TAGS + BASELINE_TAGS
@@ -75,14 +80,18 @@ class RunConfig:
     def validate(self):
         if self.problem not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.problem!r}; "
-                             f"choose from {PROBLEM_KINDS}")
+                             f"choose from {tuple(PROBLEM_KINDS)}")
         for tag in self.methods:
             if tag not in METHOD_TAGS:
                 raise ValueError(f"unknown method {tag!r}; choose from {METHOD_TAGS}")
-        if self.iters < 0:
-            raise ValueError("iters must be nonnegative")
         if not (0.0 < self.sparsity_fraction <= 1.0):
-            raise ValueError("sparsity fraction must lie in (0, 1]")
+            raise ValueError("sparsity_fraction must lie in (0, 1]")
+        for name, lo, hi in (("iters", 0, np.inf), ("seed", 0, np.inf), ("m", 1, np.inf),
+                             ("n", 1, np.inf), ("noise_variance", 0, np.inf),
+                             ("flip_fraction", 0, 1)):
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
 
 
 @dataclass
@@ -100,7 +109,18 @@ class ProblemBundle:
     ground_truth: np.ndarray = None
     composite: bool = False      # True when P(x) = f(x) + g(Ax) is meaningful
     f_star: float = None         # exact optimum when a KKT oracle exists
-    meta: dict = field(default_factory=dict)
+
+
+def _l1_bundle(A, g, rhs, lam_l1, mu, ground_truth, composite):
+    """Both forms of ``f = lam_l1 ||x||_1 + mu/2 ||x||^2`` and ``g`` under
+    ``A x - y = rhs``; the split form takes ``mu/2 ||x||^2`` as the smooth part."""
+    A_op, B = DenseOperator(A), negated_identity(A.shape[0])
+    f_prox = ElasticNet(lam_l1, mu) if mu > 0 else L1Norm(lam_l1)
+    prox_form = SeparableProblem(f_prox, g, A_op, B, rhs)
+    split_form = SeparableProblem((SquaredL2(mu), L1Norm(lam_l1)), g, A_op, B, rhs)
+    A_op.norm()   # shared by both forms; estimated here so generation pays for it
+    return ProblemBundle(prox_form=prox_form, split_form=split_form,
+                         ground_truth=ground_truth, composite=composite)
 
 
 def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01):
@@ -120,22 +140,8 @@ def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01)
     x_sharp[support] = rng.standard_normal(nnz)
     e = np.sqrt(noise_variance) * rng.standard_normal(m) if noise_variance > 0 else np.zeros(m)
     d = A @ x_sharp + e
-
-    lam_l1 = 2.0
     mu = 0.1 if case == 2 else 0.0
-    A_op = DenseOperator(A)
-    g = ShiftedL1(d)
-    B = negated_identity(m)
-    rhs = np.zeros(m)
-
-    f_prox = ElasticNet(lam_l1, mu) if case == 2 else L1Norm(lam_l1)
-    prox_form = SeparableProblem(f_prox, g, A_op, B, rhs)
-    split_form = SeparableProblem((SquaredL2(mu), L1Norm(lam_l1)), g, A_op, B, rhs)
-    A_op.norm()   # shared by both forms; estimated here so generation pays for it
-    return ProblemBundle(prox_form=prox_form, split_form=split_form,
-                         ground_truth=x_sharp, composite=True,
-                         meta={"kind": f"lad-case{case}", "m": m, "n": n,
-                               "seed": seed, "nnz": nnz})
+    return _l1_bundle(A, ShiftedL1(d), np.zeros(m), 2.0, mu, x_sharp, composite=True)
 
 
 def generate_svm(m, n, seed, elastic=False, flip_fraction=0.1):
@@ -156,20 +162,8 @@ def generate_svm(m, n, seed, elastic=False, flip_fraction=0.1):
     if n_flip > 0:
         flip = rng.choice(m, size=n_flip, replace=False)
         labels[flip] *= -1.0
-
-    A_op = DenseOperator(W)
-    B = negated_identity(m)
-    g = HingeSum(labels, 1.0 / m)
-
     lam_l1, mu = (0.5, 0.05) if elastic else (0.2, 0.0)
-    f_prox = ElasticNet(lam_l1, mu) if elastic else L1Norm(lam_l1)
-    prox_form = SeparableProblem(f_prox, g, A_op, B, bias)
-    split_form = SeparableProblem((SquaredL2(mu), L1Norm(lam_l1)), g, A_op, B, bias)
-    A_op.norm()   # shared by both forms; estimated here so generation pays for it
-    return ProblemBundle(prox_form=prox_form, split_form=split_form,
-                         ground_truth=x_true, composite=False,
-                         meta={"kind": "svm-elastic" if elastic else "svm-l1",
-                               "m": m, "n": n, "seed": seed})
+    return _l1_bundle(W, HingeSum(labels, 1.0 / m), bias, lam_l1, mu, x_true, composite=False)
 
 
 def generate_quadratic(m, n, seed):
@@ -209,29 +203,12 @@ def generate_quadratic(m, n, seed):
     B_op.norm()
     f_star = prox_form.objective(x_star, y_star)
     return ProblemBundle(prox_form=prox_form, split_form=split_form,
-                         ground_truth=x_star, composite=False, f_star=f_star,
-                         meta={"kind": "quadratic-synthetic", "m": m, "n": n,
-                               "seed": seed})
+                         ground_truth=x_star, composite=False, f_star=f_star)
 
 
 def generate_problem(config):
     config.validate()
-    kind = config.problem
-    if kind == "lad-case1":
-        return generate_lad(config.m, config.n, config.seed, case=1,
-                            sparsity_fraction=config.sparsity_fraction,
-                            noise_variance=config.noise_variance)
-    if kind == "lad-case2":
-        return generate_lad(config.m, config.n, config.seed, case=2,
-                            sparsity_fraction=config.sparsity_fraction,
-                            noise_variance=config.noise_variance)
-    if kind == "svm-l1":
-        return generate_svm(config.m, config.n, config.seed, elastic=False,
-                            flip_fraction=config.flip_fraction)
-    if kind == "svm-elastic":
-        return generate_svm(config.m, config.n, config.seed, elastic=True,
-                            flip_fraction=config.flip_fraction)
-    return generate_quadratic(config.m, config.n, config.seed)
+    return PROBLEM_KINDS[config.problem](config)
 
 
 def checkpoint_indices(iters):
@@ -294,11 +271,10 @@ def run_benchmark(config):
         est = baselines.approximate_optimum(bundle.prox_form, iters=ref_iters)
         f_star, f_star_unc = est.value, est.uncertainty
 
-    if bundle.composite:
-        x_ref = (est.x if bundle.f_star is None else bundle.ground_truth)
-        p_star = _composite_value(bundle, x_ref)
-    else:
-        p_star = None
+    p_star = None
+    if bundle.composite:   # no composite instance has an exact optimum
+        p_star = _composite_value(bundle, est.x)
+        p0 = _composite_value(bundle, np.zeros(bundle.prox_form.dim_x))
 
     os.makedirs(config.out, exist_ok=True)
     ks = checkpoint_indices(config.iters)
@@ -329,26 +305,16 @@ def run_benchmark(config):
         except OSError as exc:
             raise OSError(f"failed writing trace file {path}: {exc}") from exc
 
-        by_k = {r.k: r for r in trace.rows}
-        obj = [by_k[k].obj if k in by_k else None for k in ks]
-        feas = [by_k[k].feas if k in by_k else None for k in ks]
-        obj_rel = _relative_series(obj, f_star=f_star)
-        feas_rel = _relative_series(feas)
-
-        checkpoints = []
-        for i, k in enumerate(ks):
-            if k not in by_k:
-                continue
-            cp = {"k": k, "obj": obj[i], "feas": feas[i],
-                  "obj_rel": obj_rel[i], "feas_rel": feas_rel[i]}
-            checkpoints.append(cp)
+        rows = [trace.rows[k] for k in ks]
+        obj_rel = _relative_series([r.obj for r in rows], f_star=f_star)
+        feas_rel = _relative_series([r.feas for r in rows])
+        checkpoints = [{"k": r.k, "obj": r.obj, "feas": r.feas, "obj_rel": o, "feas_rel": fr}
+                       for r, o, fr in zip(rows, obj_rel, feas_rel)]
         if p_star is not None:
             # composite objective needs the x iterate, which the trace does
             # not keep; report it at the final iterate only
             p_final = _composite_value(bundle, x_final)
-            p0 = _composite_value(bundle, np.zeros(bundle.prox_form.dim_x))
-            denom = abs(p0 - p_star) or 1.0
-            entry["composite_rel_final"] = (p_final - p_star) / denom
+            entry["composite_rel_final"] = (p_final - p_star) / (abs(p0 - p_star) or 1.0)
             entry["composite_final"] = p_final
             entry["composite_star"] = p_star
         entry["checkpoints"] = checkpoints

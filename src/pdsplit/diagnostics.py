@@ -8,9 +8,7 @@ Missing values (no reference saddle point) serialize as empty fields.
 """
 
 import csv
-import hashlib
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -67,10 +65,6 @@ class IterationTrace:
 
     def column(self, name):
         return [getattr(r, name) for r in self.rows]
-
-    def config_hash(self):
-        blob = json.dumps(self.meta, sort_keys=True, default=str).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
     def to_csv(self, path_or_buf):
         if hasattr(path_or_buf, "write"):
@@ -238,15 +232,8 @@ def _rel_excess(value, bound):
     return excess / (1.0 + abs(bound))
 
 
-def sparsity(x, threshold=None):
-    """Number of entries with ``|x_i| > threshold``.
-
-    Default threshold is ``1e-6 * ||x||_inf``.
-    """
+def sparsity(x):
+    """Number of entries with ``|x_i| > 1e-6 * ||x||_inf``."""
     x = np.asarray(x)
-    if threshold is None:
-        mx = float(np.max(np.abs(x))) if x.size else 0.0
-        threshold = 1e-6 * mx
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    return int(np.count_nonzero(np.abs(x) > threshold))
+    mx = float(np.max(np.abs(x))) if x.size else 0.0
+    return int(np.count_nonzero(np.abs(x) > 1e-6 * mx))

@@ -25,7 +25,6 @@ from .diagnostics import (IterationTrace, TraceRow, lagrangian_gap, lyapunov,
                           r0, sparsity)
 from .oracles import feasibility_residual
 from .params import ParamState, Scheme, StepSizeRule, advance, solve_step_size
-from .subprob import SolverOptions
 
 __all__ = ["RunBudget", "RunResult", "run", "iterate", "build_rule", "check_f_block"]
 
@@ -75,15 +74,14 @@ def check_f_block(problem, method, smooth):
 
 
 def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
-        options=None, gamma0=None, beta0=None, f_star=None,
-        iterate_callback=None):
+        gamma0=None, beta0=None, f_star=None, iterate_callback=None):
     """Run one scheme on one problem and return its trace.
 
     The Lyapunov and gap columns, and ``E0``/``R0`` in the trace header,
     are only populated when ``problem.saddle`` is known; ``E0`` is row 0's
     merit.  ``f_star`` is the reference value the objective target of
-    ``budget`` is measured against.  ``options`` sets the stopping rule of
-    the augmented-subproblem inner loop (default :class:`SolverOptions`).
+    ``budget`` is measured against.  The augmented-subproblem inner loop
+    stops by the fixed rule in :data:`pdsplit.subprob.OPTIONS`.
     ``iterate_callback(k, state)`` is invoked at every recorded index for
     callers that need the full iterate, which the trace does not keep.
     """
@@ -91,7 +89,6 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
     state = family1.IterateState.cold_start(problem, x0, y0, lam0)
     ps = ParamState.initial(mu_f=problem.mu_f, mu_g=problem.mu_g,
                             gamma0=gamma0, beta0=beta0)
-    options = options or SolverOptions()
     step = _STEPS[scheme]
     meta = {
         "scheme": scheme.value,
@@ -100,7 +97,7 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
         "gamma0": ps.gamma0, "beta0": ps.beta0,
     }
     return iterate(problem, state, budget, meta,
-                   lambda s, ps, ps_next, alpha: step(problem, s, ps, ps_next, alpha, options),
+                   lambda s, ps, ps_next, alpha: step(problem, s, ps, ps_next, alpha),
                    ps=ps, rule=build_rule(problem, scheme), f_star=f_star,
                    iterate_callback=iterate_callback)
 

@@ -54,7 +54,7 @@ def _weights(point, velocity, coeff, mu, alpha):
     return eta, point + (alpha * coeff / eta) * (velocity - point)
 
 
-def _augmented_step(problem, state, ps, ps_next, alpha, options, side, eta, center):
+def _augmented_step(problem, state, ps, ps_next, alpha, side, eta, center):
     """Augmented step of block ``side`` (``"x"`` or ``"y"``) with penalty
     ``1/theta_{k+1}`` and weight ``eta / a^2``, linearized at ``lam_hat``."""
     A, B, b = problem.A, problem.B, problem.b
@@ -69,15 +69,14 @@ def _augmented_step(problem, state, ps, ps_next, alpha, options, side, eta, cent
     return solve_augmented_subproblem(
         block, C.adjoint(lam_hat), C, offset,
         sigma=1.0 / ps_next.theta, weight=eta / alpha ** 2, center=center,
-        options=options,
     )
 
 
-def step(implicit, f_update, problem, state, ps, ps_next, alpha, options):
+def step(implicit, f_update, problem, state, ps, ps_next, alpha):
     """One step of the scheme whose implicit side is ``implicit`` (``"x"``,
     ``"y"`` or None).  ``f_update`` is the family's f-block update, returning
     ``(x+, v+, u)``: its augmented form ``(problem, state, ps, ps_next,
-    alpha, options, Bw)`` when ``implicit == "x"``, else its prox form
+    alpha, Bw)`` when ``implicit == "x"``, else its prox form
     ``(problem, state, ps, alpha, lam_bar)``."""
     A, B, b = problem.A, problem.B, problem.b
     c = alpha / ps.theta
@@ -87,10 +86,10 @@ def step(implicit, f_update, problem, state, ps, ps_next, alpha, options):
     Av = A.apply(state.v) if implicit != "x" else None
     Bw = B.apply(state.w) if implicit != "y" else None
     if implicit == "x":
-        x_new, v_new, u = f_update(problem, state, ps, ps_next, alpha, options, Bw)
+        x_new, v_new, u = f_update(problem, state, ps, ps_next, alpha, Bw)
         Av = A.apply(v_new)
     elif implicit == "y":
-        y_new = _augmented_step(problem, state, ps, ps_next, alpha, options, "y", eta_g, y_tilde)
+        y_new = _augmented_step(problem, state, ps, ps_next, alpha, "y", eta_g, y_tilde)
         w_new = y_new + (y_new - state.y) / alpha
         Bw = B.apply(w_new)
     lam_bar = state.lam + c * (Av + Bw - b)
@@ -115,23 +114,23 @@ def _f1_prox(problem, state, ps, alpha, lam_bar):
     return x_new, x_new + (x_new - state.x) / alpha, None
 
 
-def _f1_augmented(problem, state, ps, ps_next, alpha, options, Bw):
+def _f1_augmented(problem, state, ps, ps_next, alpha, Bw):
     eta_f, x_tilde = _weights(state.x, state.v, ps.gamma, ps.mu_f, alpha)
-    x_new = _augmented_step(problem, state, ps, ps_next, alpha, options, "x", eta_f, x_tilde)
+    x_new = _augmented_step(problem, state, ps, ps_next, alpha, "x", eta_f, x_tilde)
     return x_new, x_new + (x_new - state.x) / alpha, None
 
 
-def step_f1_semi_b(problem, state, ps, ps_next, alpha, options):
+def step_f1_semi_b(problem, state, ps, ps_next, alpha):
     """Augmented x-step with penalty ``1/theta_{k+1}``, prox y-step."""
-    return step("x", _f1_augmented, problem, state, ps, ps_next, alpha, options)
+    return step("x", _f1_augmented, problem, state, ps, ps_next, alpha)
 
 
-def step_f1_semi_a(problem, state, ps, ps_next, alpha, options):
+def step_f1_semi_a(problem, state, ps, ps_next, alpha):
     """Augmented y-step, prox x-step; mirror of :func:`step_f1_semi_b`."""
-    return step("y", _f1_prox, problem, state, ps, ps_next, alpha, options)
+    return step("y", _f1_prox, problem, state, ps, ps_next, alpha)
 
 
-def step_f1_explicit(problem, state, ps, ps_next, alpha, options):
+def step_f1_explicit(problem, state, ps, ps_next, alpha):
     """Parallel linearized step: both blocks prox against the same
     multiplier prediction, no data dependence between them."""
-    return step(None, _f1_prox, problem, state, ps, ps_next, alpha, options)
+    return step(None, _f1_prox, problem, state, ps, ps_next, alpha)

@@ -33,29 +33,28 @@ def _f2_prox(problem, state, ps, alpha, lam_bar):
     return (state.x + alpha * v_new) / (1.0 + alpha), v_new, u
 
 
-def _f2_augmented(problem, state, ps, ps_next, alpha, options, Bw):
+def _f2_augmented(problem, state, ps, ps_next, alpha, Bw):
     u, eta_ft, v_tilde = _aux(state, ps, alpha)
     d = problem.f_smooth.gradient(u) + problem.A.adjoint(state.lam)
     v_new = solve_augmented_subproblem(
         problem.f_prox, d, problem.A, Bw - problem.b,
         sigma=alpha / ps.theta, weight=eta_ft / alpha, center=v_tilde,
-        options=options,
     )
     return (state.x + alpha * v_new) / (1.0 + alpha), v_new, u
 
 
-def step_f2_semi_b(problem, state, ps, ps_next, alpha, options):
+def step_f2_semi_b(problem, state, ps, ps_next, alpha):
     """Augmented v-step against the stale ``w``, prox y-step against the
     fresh multiplier prediction."""
-    return step("x", _f2_augmented, problem, state, ps, ps_next, alpha, options)
+    return step("x", _f2_augmented, problem, state, ps, ps_next, alpha)
 
 
-def step_f2_semi_a(problem, state, ps, ps_next, alpha, options):
+def step_f2_semi_a(problem, state, ps, ps_next, alpha):
     """Augmented y-step with penalty ``1/theta_{k+1}``, prox v-step."""
-    return step("y", _f2_prox, problem, state, ps, ps_next, alpha, options)
+    return step("y", _f2_prox, problem, state, ps, ps_next, alpha)
 
 
-def step_f2_explicit(problem, state, ps, ps_next, alpha, options):
+def step_f2_explicit(problem, state, ps, ps_next, alpha):
     """Fully prox/gradient-explicit; the v- and y-updates are order
     independent."""
-    return step(None, _f2_prox, problem, state, ps, ps_next, alpha, options)
+    return step(None, _f2_prox, problem, state, ps, ps_next, alpha)

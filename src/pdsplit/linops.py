@@ -1,7 +1,7 @@
 """Linear operators with adjoints and cached spectral norm estimates.
 
 All operators are dense, double precision, and immutable after construction
-except for the set-once norm cache.
+except for the norm cache, which :meth:`LinearOperator.norm` fills once.
 """
 
 import numpy as np
@@ -50,24 +50,15 @@ class LinearOperator:
     def to_dense(self):
         raise NotImplementedError
 
-    def set_norm(self, value):
-        """Set-once norm cache."""
-        if self._norm is None:
-            self._norm = float(value)
-        return self._norm
-
     def norm(self):
         """Spectral norm (largest singular value), estimated on first use."""
         if self._norm is None:
-            self.set_norm(estimate_operator_norm(self))
+            self._norm = float(estimate_operator_norm(self))
         return self._norm
 
     def norm_bound(self):
         """Safely inflated norm for use in step-size conditions."""
         return self.norm() * NORM_SAFETY
-
-    def __matmul__(self, v):
-        return self.apply(v)
 
 
 class DenseOperator(LinearOperator):
@@ -137,8 +128,8 @@ def estimate_operator_norm(op, tol=1e-8, max_iters=5000):
 
     Runs power iteration on ``A^T A`` from a deterministic seeded start and
     stops once the relative change between successive estimates drops below
-    ``tol``.  The result is cached on the operator.  A zero operator returns
-    0 exactly.
+    ``tol``.  A zero operator returns 0 exactly.  :meth:`LinearOperator.norm`
+    calls this once per operator and caches the result.
 
     Raises
     ------
@@ -161,12 +152,10 @@ def estimate_operator_norm(op, tol=1e-8, max_iters=5000):
         z = op.adjoint(op.apply(q))
         nz = np.linalg.norm(z)
         if nz == 0.0:
-            op.set_norm(0.0)
             return 0.0
         new_estimate = np.sqrt(nz)  # ||A^T A q|| -> sigma_max^2 for unit q
         q = z / nz
         if estimate > 0.0 and abs(new_estimate - estimate) < tol * estimate:
-            op.set_norm(new_estimate)
             return new_estimate
         estimate = new_estimate
 

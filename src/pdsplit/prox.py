@@ -65,6 +65,8 @@ class ShiftedL1(ProxOracle):
     """``lam * ||y - shift||_1``."""
 
     def __init__(self, shift, lam=1.0):
+        if lam < 0:
+            raise ValueError("lam must be nonnegative")
         self.shift = np.asarray(shift, dtype=float)
         self.lam = float(lam)
 
@@ -129,6 +131,8 @@ class HingeSum(ProxOracle):
         labels = np.asarray(labels, dtype=float)
         if not np.all(np.abs(labels) == 1.0):
             raise ValueError("labels must be +-1")
+        if weight < 0:
+            raise ValueError("weight must be nonnegative")
         self.labels = labels
         self.weight = float(weight)
 
@@ -150,6 +154,8 @@ class BoxIndicator(ProxOracle):
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
+        if np.any(self.lo > self.hi):
+            raise ValueError("the box is empty: lo must not exceed hi")
 
     def value(self, z):
         if np.all(z >= self.lo - 1e-12) and np.all(z <= self.hi + 1e-12):
@@ -209,10 +215,10 @@ def _solve_augmented_normal(V, d, CV, sigma, rhs):
     if CV.shape[0] < CV.shape[1]:
         Gd = CV / d
         K = Gd @ CV.T
-        K[np.diag_indices_from(K)] += 1.0 / sigma
+        K.flat[::K.shape[0] + 1] += 1.0 / sigma
         s = (t - CV.T @ np.linalg.solve(K, Gd @ t)) / d
     else:
         H = sigma * (CV.T @ CV)
-        H[np.diag_indices_from(H)] += d
+        H.flat[::H.shape[0] + 1] += d
         s = np.linalg.solve(H, t)
     return s if V is None else V @ s

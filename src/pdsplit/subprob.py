@@ -12,7 +12,8 @@ inner loop of accelerated proximal gradient is used.  The loop starts at
 extrapolated point ``z``, as soon as
 ``||T(z) - z|| <= inner_tol * (1 + ||T(z)||)``.  When it reaches
 ``inner_max_iters`` first it returns the last ``T(z)`` with a
-``RuntimeWarning`` naming the cap, the residual and the tolerance.
+``RuntimeWarning`` naming the cap, the residual and the tolerance.  Both
+limits are fixed for all schemes, recorded in :data:`OPTIONS`.
 """
 
 import warnings
@@ -22,19 +23,21 @@ import numpy as np
 
 from .linops import ScaledIdentity
 
-__all__ = ["SolverOptions", "solve_augmented_subproblem"]
+__all__ = ["SolverOptions", "OPTIONS", "solve_augmented_subproblem"]
 
 
 @dataclass
 class SolverOptions:
-    """Stopping rule of the augmented-subproblem inner loop; all schemes
-    share it."""
+    """Stopping rule of the augmented-subproblem inner loop."""
 
     inner_tol: float = 1e-10
     inner_max_iters: int = 500
 
 
-def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center, options):
+OPTIONS = SolverOptions()   # the one rule every scheme's inner loop reads
+
+
+def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center):
     """Scaled-identity merge, else the oracle's closed form, else the inner loop."""
     if isinstance(C, ScaledIdentity):
         c = C.scale
@@ -45,10 +48,10 @@ def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center, 
     closed = block.solve_augmented(linear, C, offset, sigma, weight, center)
     if closed is not None:
         return closed
-    return _inner_prox_gradient(block, linear, C, offset, sigma, weight, center, options)
+    return _inner_prox_gradient(block, linear, C, offset, sigma, weight, center)
 
 
-def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center, options):
+def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center):
     """Accelerated proximal gradient on the smooth quadratic part, prox on the block.
 
     The smooth part is ``weight``-strongly convex with gradient Lipschitz
@@ -66,19 +69,19 @@ def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center, option
     Cu = C.apply(u)
     z, Cz = u, Cu
     u_next, residual = u, np.inf   # returned as is when the cap is 0
-    for _ in range(options.inner_max_iters):
+    for _ in range(OPTIONS.inner_max_iters):
         grad = sigma * C.adjoint(Cz) + weight * z + shift
         u_next = block.prox(z - step * grad, step)
         residual = np.linalg.norm(u_next - z)
-        if residual <= options.inner_tol * (1.0 + np.linalg.norm(u_next)):
+        if residual <= OPTIONS.inner_tol * (1.0 + np.linalg.norm(u_next)):
             return u_next
         Cu_next = C.apply(u_next)
         z = u_next + momentum * (u_next - u)
         Cz = Cu_next + momentum * (Cu_next - Cu)
         u, Cu = u_next, Cu_next
     warnings.warn(
-        f"augmented-subproblem inner loop hit its cap of {options.inner_max_iters} "
-        f"iterations at residual {residual:.3e} (tolerance {options.inner_tol:.1e}, "
+        f"augmented-subproblem inner loop hit its cap of {OPTIONS.inner_max_iters} "
+        f"iterations at residual {residual:.3e} (tolerance {OPTIONS.inner_tol:.1e}, "
         f"relative to 1 + ||u||)",
         RuntimeWarning, stacklevel=2)
     return u_next

@@ -125,6 +125,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(methods=("nope",)).validate()
     assert "f1-semiA" in METHOD_TAGS and "ladmm" in METHOD_TAGS
+    # the ends of each range are accepted
+    for edge in ({"noise_variance": 0.0}, {"flip_fraction": 0.0}, {"flip_fraction": 1.0},
+                 {"m": 1, "n": 1}, {"iters": 0}, {"seed": 0}):
+        RunConfig(**edge).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_variance", -0.01), ("flip_fraction", -0.1), ("flip_fraction", 1.5),
+    ("m", 0), ("n", 0), ("iters", -1), ("seed", -1),
+])
+def test_config_validation_names_out_of_range_field(field, value):
+    cfg = RunConfig(**{"problem": "svm-l1", "m": 5, "n": 8, field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must lie in .*got {value!r}$"):
+        cfg.validate()
 
 
 def test_budget_zero_summary(tmp_path):

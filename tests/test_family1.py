@@ -16,11 +16,8 @@ from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
 from pdsplit.prox import L1Norm, QuadraticProx
-from pdsplit.subprob import SolverOptions
 
 from helpers import MU_REGIMES, quadratic_instance
-
-OPTS = SolverOptions()
 
 
 def one_dim_problem():
@@ -73,7 +70,7 @@ def test_semi_b_matches_scalar_transcription():
     w_new = y_new + (y_new - y) / al
     lam_new = lam + (al / th) * (a * v_new + c * w_new - b)
 
-    out = step_f1_semi_b(prob, st, ps, ps_next, al, OPTS)
+    out = step_f1_semi_b(prob, st, ps, ps_next, al)
     for got, want in [(out.x, x_new), (out.v, v_new), (out.y, y_new),
                       (out.w, w_new), (out.lam, lam_new)]:
         assert abs(got[0] - want) <= 1e-12
@@ -99,7 +96,7 @@ def test_semi_a_matches_scalar_transcription():
     v_new = x_new + (x_new - x) / al
     lam_new = lam + (al / th) * (a * v_new + c * w_new - b)
 
-    out = step_f1_semi_a(prob, st, ps, ps_next, al, OPTS)
+    out = step_f1_semi_a(prob, st, ps, ps_next, al)
     for got, want in [(out.x, x_new), (out.v, v_new), (out.y, y_new),
                       (out.w, w_new), (out.lam, lam_new)]:
         assert abs(got[0] - want) <= 1e-12
@@ -123,7 +120,7 @@ def test_explicit_matches_scalar_transcription():
     w_new = y_new + (y_new - y) / al
     lam_new = lam + (al / th) * (a * v_new + c * w_new - b)
 
-    out = step_f1_explicit(prob, st, ps, ps_next, al, OPTS)
+    out = step_f1_explicit(prob, st, ps, ps_next, al)
     for got, want in [(out.x, x_new), (out.v, v_new), (out.y, y_new),
                       (out.w, w_new), (out.lam, lam_new)]:
         assert abs(got[0] - want) <= 1e-12
@@ -136,7 +133,7 @@ def test_saddle_is_fixed_point(step):
     st = IterateState(x=sd.x.copy(), v=sd.x.copy(), y=sd.y.copy(),
                       w=sd.y.copy(), lam=sd.lam.copy())
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
-    out = step(prob, st, ps, advance(ps, 0.2), 0.2, OPTS)
+    out = step(prob, st, ps, advance(ps, 0.2), 0.2)
     for got, want in [(out.x, sd.x), (out.v, sd.x), (out.y, sd.y),
                       (out.w, sd.y), (out.lam, sd.lam)]:
         assert np.allclose(got, want, atol=1e-9)
@@ -148,7 +145,7 @@ def test_update_identities(step):
     st = IterateState.cold_start(prob, x0=np.ones(prob.dim_x))
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
     alpha = 0.13
-    out = step(prob, st, ps, advance(ps, alpha), alpha, OPTS)
+    out = step(prob, st, ps, advance(ps, alpha), alpha)
     # extrapolation identities
     assert np.allclose(out.v, out.x + (out.x - st.x) / alpha, atol=1e-12)
     assert np.allclose(out.w, out.y + (out.y - st.y) / alpha, atol=1e-12)
@@ -165,10 +162,10 @@ def test_explicit_blocks_are_independent():
     st = IterateState.cold_start(prob1, x0=np.ones(prob1.dim_x),
                                  y0=-np.ones(prob1.dim_y))
     ps = ParamState.initial(mu_f=prob1.mu_f, mu_g=prob1.mu_g)
-    out1 = step_f1_explicit(prob1, st, ps, advance(ps, 0.21), 0.21, OPTS)
+    out1 = step_f1_explicit(prob1, st, ps, advance(ps, 0.21), 0.21)
     ps2 = ParamState(theta=ps.theta, gamma=ps.gamma, beta=ps.beta,
                      mu_f=ps.mu_f, mu_g=ps.mu_g)
-    out2 = step_f1_explicit(prob2, st, ps2, advance(ps2, 0.21), 0.21, OPTS)
+    out2 = step_f1_explicit(prob2, st, ps2, advance(ps2, 0.21), 0.21)
     assert np.array_equal(out1.x, out2.x)
 
 

@@ -11,11 +11,8 @@ from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SaddlePoint, SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
 from pdsplit.prox import BoxIndicator, QuadraticProx
-from pdsplit.subprob import SolverOptions
 
 from helpers import MU_REGIMES, quadratic_instance
-
-OPTS = SolverOptions()
 
 
 def one_dim_problem():
@@ -81,7 +78,7 @@ def test_semi_b_matches_scalar_transcription():
     w_new = y_new + (y_new - y) / al
     lam_new = lam + (al / th) * (a * v_new + c * w_new - b)
 
-    out = step_f2_semi_b(prob, st, ps, ps_next, al, OPTS)
+    out = step_f2_semi_b(prob, st, ps, ps_next, al)
     check(out, [x_new, v_new, y_new, w_new, lam_new])
     assert abs(out.u[0] - u) <= 1e-12
 
@@ -106,7 +103,7 @@ def test_semi_a_matches_scalar_transcription():
     x_new = (x + al * v_new) / (1 + al)
     lam_new = lam + (al / th) * (a * v_new + c * w_new - b)
 
-    out = step_f2_semi_a(prob, st, ps, ps_next, al, OPTS)
+    out = step_f2_semi_a(prob, st, ps, ps_next, al)
     check(out, [x_new, v_new, y_new, w_new, lam_new])
 
 
@@ -128,7 +125,7 @@ def test_explicit_matches_scalar_transcription():
     w_new = y_new + (y_new - y) / al
     lam_new = lam + (al / th) * (a * v_new + c * w_new - b)
 
-    out = step_f2_explicit(prob, st, ps, ps_next, al, OPTS)
+    out = step_f2_explicit(prob, st, ps, ps_next, al)
     check(out, [x_new, v_new, y_new, w_new, lam_new])
 
 
@@ -139,7 +136,7 @@ def test_saddle_is_fixed_point(step):
     st = IterateState(x=sd.x.copy(), v=sd.x.copy(), y=sd.y.copy(),
                       w=sd.y.copy(), lam=sd.lam.copy())
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
-    out = step(prob, st, ps, advance(ps, 0.25), 0.25, OPTS)
+    out = step(prob, st, ps, advance(ps, 0.25), 0.25)
     for got, want in [(out.x, sd.x), (out.v, sd.x), (out.y, sd.y),
                       (out.w, sd.y), (out.lam, sd.lam)]:
         assert np.allclose(got, want, atol=1e-9)
@@ -151,7 +148,7 @@ def test_correction_identities(step):
     st = IterateState.cold_start(prob, x0=np.ones(prob.dim_x))
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
     alpha = 0.16
-    out = step(prob, st, ps, advance(ps, alpha), alpha, OPTS)
+    out = step(prob, st, ps, advance(ps, alpha), alpha)
     # averaging correction and its midpoint
     assert np.allclose(out.x, (st.x + alpha * out.v) / (1 + alpha), atol=1e-12)
     assert np.allclose(out.u, (st.x + alpha * st.v) / (1 + alpha), atol=1e-12)
@@ -218,8 +215,8 @@ def test_finite_difference_gradient_changes_step_little(step):
         mu_f=prob.mu_f, mu_g=prob.mu_g, saddle=prob.saddle)
     st = IterateState.cold_start(prob, x0=np.ones(prob.dim_x))
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
-    out = step(prob, st, ps, advance(ps, 0.2), 0.2, OPTS)
-    out_fd = step(fd_prob, st, ps, advance(ps, 0.2), 0.2, OPTS)
+    out = step(prob, st, ps, advance(ps, 0.2), 0.2)
+    out_fd = step(fd_prob, st, ps, advance(ps, 0.2), 0.2)
     for a, b in [(out.x, out_fd.x), (out.v, out_fd.v), (out.y, out_fd.y),
                  (out.w, out_fd.w), (out.lam, out_fd.lam)]:
         assert np.linalg.norm(a - b) <= 1e-5 * max(1.0, np.linalg.norm(a))

@@ -8,6 +8,7 @@ with a completely different convergence mechanism.
 import numpy as np
 import pytest
 
+from pdsplit import linops
 from pdsplit.linops import (DenseOperator, DiagonalOperator, OperatorNormError,
                             ScaledIdentity, estimate_operator_norm,
                             negated_identity, NORM_SAFETY)
@@ -98,11 +99,16 @@ def test_norm_bound_inflates():
     assert op.norm_bound() >= op.norm()
 
 
-def test_norm_cache_is_set_once():
+def test_norm_cache_is_set_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linops, "estimate_operator_norm", lambda op: calls.append(op) or 5.0)
     op = DenseOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    op.set_norm(5.0)
-    op.set_norm(7.0)
-    assert op.norm() == 5.0
+    assert op.norm() == 5.0 and op.norm() == 5.0
+    assert calls == [op]
+    # a direct estimate (the unpatched function) leaves the operator's cache alone
+    fresh = DenseOperator(np.array([[3.0]]))
+    assert estimate_operator_norm(fresh) == pytest.approx(3.0)
+    assert fresh._norm is None
 
 
 def test_nonconvergence_raises_with_last_estimate():
@@ -111,8 +117,3 @@ def test_nonconvergence_raises_with_last_estimate():
     with pytest.raises(OperatorNormError) as exc:
         estimate_operator_norm(op, tol=1e-12, max_iters=1)
     assert exc.value.last_estimate > 0.8
-
-
-def test_matmul_operator_applies():
-    op = DiagonalOperator(np.array([2.0, 3.0]))
-    assert np.allclose(op @ np.array([1.0, 1.0]), [2.0, 3.0])

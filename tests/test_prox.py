@@ -154,6 +154,25 @@ def test_hinge_rejects_bad_labels():
         HingeSum(np.array([1.0, 0.5]), 1.0)
 
 
+def test_hinge_rejects_negative_weight():
+    # a negative weight makes the hinge concave; its "prox" is not one
+    with pytest.raises(ValueError, match="weight"):
+        HingeSum(np.array([1.0, -1.0]), -0.5)
+    assert HingeSum(np.array([1.0, -1.0]), 0.0).value(np.zeros(2)) == 0.0
+
+
+def test_box_rejects_empty_box():
+    with pytest.raises(ValueError, match="empty"):
+        BoxIndicator(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    # a degenerate box is a point, and not empty
+    assert np.array_equal(BoxIndicator(1.0, 1.0).prox(np.array([3.0]), 1.0), [1.0])
+
+
+def test_shifted_l1_rejects_negative_lam():
+    with pytest.raises(ValueError, match="lam must be nonnegative"):
+        ShiftedL1(np.zeros(2), -1.0)
+
+
 def test_quadratic_prox_optimality():
     rng = np.random.default_rng(46)
     M = rng.standard_normal((5, 5))

@@ -11,7 +11,6 @@ from pdsplit.linops import DenseOperator, ScaledIdentity
 from pdsplit.oracles import SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
 from pdsplit.prox import QuadraticProx
-from pdsplit.subprob import SolverOptions
 
 from helpers import quadratic_instance
 
@@ -58,7 +57,7 @@ def test_products_per_step(scheme):
     state = run(prob, scheme, 0, x0=np.ones(prob.dim_x)).state
     ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
     A.fwd = A.adj = B.fwd = B.adj = 0
-    _STEPS[scheme](prob, state, ps, advance(ps, 0.2), 0.2, SolverOptions())
+    _STEPS[scheme](prob, state, ps, advance(ps, 0.2), 0.2)
     assert (A.fwd + B.fwd, A.adj + B.adj) == PRODUCTS[scheme]
 
 

@@ -2,18 +2,16 @@
 form, its cost per iteration, the cap warning, and its effect on the
 LAD benchmark runs."""
 
-import functools
-
 import numpy as np
 import pytest
 
-from pdsplit import bench, driver
+from pdsplit import bench, subprob
 from pdsplit.bench import RunConfig, generate_lad, generate_problem
 from pdsplit.driver import run
 from pdsplit.linops import DenseOperator, ScaledIdentity
 from pdsplit.params import Scheme
 from pdsplit.prox import L1Norm
-from pdsplit.subprob import SolverOptions, solve_augmented_subproblem
+from pdsplit.subprob import solve_augmented_subproblem
 
 
 def _instance(seed, n=12, m=7):
@@ -50,9 +48,7 @@ class CountingL1(L1Norm):
 def test_inner_loop_matches_scaled_identity_closed_form(c):
     n = 12
     linear, offset, center, _ = _instance(1, n=n, m=n)
-    options = SolverOptions()
-    args = dict(linear=linear, offset=offset, sigma=1.3, weight=0.4, center=center,
-                options=options)
+    args = dict(linear=linear, offset=offset, sigma=1.3, weight=0.4, center=center)
     iterative = solve_augmented_subproblem(L1Norm(0.7), C=DenseOperator(c * np.eye(n)), **args)
     closed = solve_augmented_subproblem(L1Norm(0.7), C=ScaledIdentity(c, n), **args)
     assert np.max(np.abs(iterative - closed)) <= 1e-8
@@ -65,19 +61,19 @@ def test_inner_iteration_costs_one_forward_and_one_adjoint_product():
     C.products = 0
     block = CountingL1(0.5)
     solve_augmented_subproblem(block, linear, C, offset, sigma=1.0, weight=0.5,
-                               center=center, options=SolverOptions())
-    assert 1 < block.calls < SolverOptions().inner_max_iters
+                               center=center)
+    assert 1 < block.calls < subprob.OPTIONS.inner_max_iters
     # one hoisted adjoint, the forward product at the centre, and one of
     # each per iteration except the forward after the accepted one
     assert C.products == 2 * block.calls + 1
 
 
-def test_inner_loop_cap_hit_warns():
+def test_inner_loop_cap_hit_warns(monkeypatch):
     linear, offset, center, M = _instance(4)
-    options = SolverOptions(inner_max_iters=1)
+    monkeypatch.setattr(subprob.OPTIONS, "inner_max_iters", 1)
     with pytest.warns(RuntimeWarning, match=r"cap of 1 iterations at residual .*tolerance 1\.0e-10"):
         solve_augmented_subproblem(L1Norm(0.5), linear, DenseOperator(M), offset,
-                                   sigma=1.0, weight=0.5, center=center, options=options)
+                                   sigma=1.0, weight=0.5, center=center)
 
 
 def test_inner_loop_is_the_default_fallback():
@@ -107,8 +103,8 @@ def _lad_run(tag, inner_tol=None, inner_max_iters=None):
     block.prox = counted
     with pytest.MonkeyPatch.context() as mp:
         if inner_tol is not None:
-            mp.setattr(driver, "SolverOptions", functools.partial(
-                SolverOptions, inner_tol=inner_tol, inner_max_iters=inner_max_iters))
+            mp.setattr(subprob.OPTIONS, "inner_tol", inner_tol)
+            mp.setattr(subprob.OPTIONS, "inner_max_iters", inner_max_iters)
         trace, _ = bench._run_method(bundle, tag, 200)
     solves = len(trace.rows) - 1   # one augmented x-solve per step
     return trace, calls / solves

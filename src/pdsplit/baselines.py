@@ -3,7 +3,8 @@ approximating optimal values: linearized method of multipliers and a
 primal-dual hybrid gradient iteration.
 
 These are unaccelerated; their role is to provide trustworthy (if slow)
-iterates against which the accelerated schemes are benchmarked.
+iterates against which the accelerated schemes are benchmarked.  Both
+step on the schemes' ``IterateState`` and, like them, keep no ergodic average.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from .oracles import feasibility_residual  # noqa: F401
 __all__ = [
     "ladmm_run",
     "step_ladmm",
-    "PDHGState",
     "pdhg_run",
     "step_pdhg",
     "approximate_optimum",
@@ -73,57 +73,35 @@ def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1):
     return result.trace, result.state
 
 
-@dataclass
-class PDHGState:
-    x: np.ndarray
-    x_bar: np.ndarray
-    y: np.ndarray
-    lam: np.ndarray
-    x_sum: np.ndarray
-    y_sum: np.ndarray
-    count: int
+def step_pdhg(problem, state, tau, sigma):
+    """One primal-dual hybrid gradient step for ``min f(x) + g(Ax)``.
 
-    def ergodic(self):
-        return self.x_sum / self.count, self.y_sum / self.count
+    The dual prox is evaluated through the identity
+    ``prox_{sigma g*}(z) = z - sigma prox_{g/sigma}(z/sigma)``, which also
+    exposes the primal point ``y = prox_{g/sigma}(z/sigma)``.  ``v`` is the
+    extrapolation ``2 x+ - x``, the schemes' velocity at ``alpha = 1``.
+    """
+    A = problem.A
+    z = state.lam + sigma * A.apply(state.v)
+    y_new = problem.g.prox(z / sigma, 1.0 / sigma)
+    lam_new = z - sigma * y_new
+
+    x_new = problem.f_prox.prox(state.x - tau * A.adjoint(lam_new), tau)
+    return IterateState(x=x_new, v=2.0 * x_new - state.x, y=y_new, w=y_new, lam=lam_new)
 
 
-def _check_pdhg_applicable(problem):
+def pdhg_run(problem, max_iters, x0=None, lam0=None):
+    """Run the primal-dual iteration with steps ``tau = sigma = 1/||A||``;
+    ``max_iters`` is an iteration count or a :class:`~pdsplit.driver.RunBudget`.
+    The start is the cold start with ``y0 = 0``, which the step never reads."""
     B = problem.B
     if not (isinstance(B, ScaledIdentity) and B.scale == -1.0):
         raise NotApplicableError("this primal-dual iteration applies to composite "
                                  "problems with B = -I only")
     if np.any(problem.b != 0.0):
         raise NotApplicableError("this primal-dual iteration needs a zero right-hand side")
-
-
-def step_pdhg(problem, state, tau, sigma):
-    """One primal-dual hybrid gradient step for ``min f(x) + g(Ax)``.
-
-    The dual prox is evaluated through the identity
-    ``prox_{sigma g*}(z) = z - sigma prox_{g/sigma}(z/sigma)``, which also
-    exposes the primal point ``y = prox_{g/sigma}(z/sigma)``.
-    """
-    A = problem.A
-    z = state.lam + sigma * A.apply(state.x_bar)
-    y_new = problem.g.prox(z / sigma, 1.0 / sigma)
-    lam_new = z - sigma * y_new
-
-    x_new = problem.f_prox.prox(state.x - tau * A.adjoint(lam_new), tau)
-    x_bar = 2.0 * x_new - state.x
-    return PDHGState(x=x_new, x_bar=x_bar, y=y_new, lam=lam_new,
-                     x_sum=state.x_sum + x_new, y_sum=state.y_sum + y_new,
-                     count=state.count + 1)
-
-
-def pdhg_run(problem, max_iters, x0=None, lam0=None):
-    """Run the primal-dual iteration with steps ``tau = sigma = 1/||A||``;
-    ``max_iters`` is an iteration count or a :class:`~pdsplit.driver.RunBudget`."""
-    _check_pdhg_applicable(problem)
     check_f_block(problem, "pdhg", smooth=False)
-    x, _, lam = problem.initial_point(x0, None, lam0)
-    y = problem.A.apply(x)
-    state = PDHGState(x=x, x_bar=x.copy(), y=y, lam=lam,
-                      x_sum=np.zeros_like(x), y_sum=np.zeros_like(y), count=0)
+    state = IterateState.cold_start(problem, x0, None, lam0)
     tau = sigma = 1.0 / problem.A.norm_bound()
     result = iterate(problem, state, max_iters, {"scheme": "pdhg", "tau": tau, "sigma": sigma},
                      lambda s: step_pdhg(problem, s, tau, sigma))

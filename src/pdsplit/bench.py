@@ -25,6 +25,7 @@ byte-identical files.
 
 import argparse
 import json
+import numbers
 import os
 from dataclasses import dataclass, asdict
 
@@ -86,6 +87,10 @@ class RunConfig:
                 raise ValueError(f"unknown method {tag!r}; choose from {METHOD_TAGS}")
         if not (0.0 < self.sparsity_fraction <= 1.0):
             raise ValueError("sparsity_fraction must lie in (0, 1]")
+        for name in ("iters", "seed", "m", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, lo, hi in (("iters", 0, np.inf), ("seed", 0, np.inf), ("m", 1, np.inf),
                              ("n", 1, np.inf), ("noise_variance", 0, np.inf),
                              ("flip_fraction", 0, 1)):

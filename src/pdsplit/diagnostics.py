@@ -93,25 +93,6 @@ class IterationTrace:
         self._write(buf)
         return buf.getvalue()
 
-    @staticmethod
-    def from_csv(path):
-        trace = IterationTrace()
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                trace.append(TraceRow(
-                    k=int(rec["k"]),
-                    theta=float(rec["theta"]),
-                    alpha=float(rec["alpha"]) if rec["alpha"] else None,
-                    obj=float(rec["obj"]) if rec["obj"] else None,
-                    feas=float(rec["feas"]) if rec["feas"] else None,
-                    gap=float(rec["gap"]) if rec["gap"] else None,
-                    lyap=float(rec["lyap"]) if rec["lyap"] else None,
-                    sparsity=int(rec["sparsity"]) if rec["sparsity"] else None,
-                    seconds=float(rec["seconds"]) if rec["seconds"] else None,
-                ))
-        return trace
-
 
 def lagrangian_gap(problem, x, y, lam, saddle):
     """``L(x, y, lam*) - L(x*, y*, lam)``; nonnegative at a true saddle.

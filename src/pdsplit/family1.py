@@ -31,15 +31,14 @@ __all__ = ["IterateState", "step", "step_f1_semi_b", "step_f1_semi_a", "step_f1_
 
 @dataclass
 class IterateState:
-    """Iterates of every scheme; ``u`` is the second family's last
-    correction midpoint, kept for diagnostics."""
+    """Iterates of all eight methods: the points ``x``, ``y``, their
+    velocities ``v``, ``w`` and the multiplier ``lam``."""
 
     x: np.ndarray
     v: np.ndarray
     y: np.ndarray
     w: np.ndarray
     lam: np.ndarray
-    u: np.ndarray = None
 
     @staticmethod
     def cold_start(problem, x0=None, y0=None, lam0=None):
@@ -75,7 +74,7 @@ def _augmented_step(problem, state, ps, ps_next, alpha, side, eta, center):
 def step(implicit, f_update, problem, state, ps, ps_next, alpha):
     """One step of the scheme whose implicit side is ``implicit`` (``"x"``,
     ``"y"`` or None).  ``f_update`` is the family's f-block update, returning
-    ``(x+, v+, u)``: its augmented form ``(problem, state, ps, ps_next,
+    ``(x+, v+)``: its augmented form ``(problem, state, ps, ps_next,
     alpha, Bw)`` when ``implicit == "x"``, else its prox form
     ``(problem, state, ps, alpha, lam_bar)``."""
     A, B, b = problem.A, problem.B, problem.b
@@ -86,7 +85,7 @@ def step(implicit, f_update, problem, state, ps, ps_next, alpha):
     Av = A.apply(state.v) if implicit != "x" else None
     Bw = B.apply(state.w) if implicit != "y" else None
     if implicit == "x":
-        x_new, v_new, u = f_update(problem, state, ps, ps_next, alpha, Bw)
+        x_new, v_new = f_update(problem, state, ps, ps_next, alpha, Bw)
         Av = A.apply(v_new)
     elif implicit == "y":
         y_new = _augmented_step(problem, state, ps, ps_next, alpha, "y", eta_g, y_tilde)
@@ -95,7 +94,7 @@ def step(implicit, f_update, problem, state, ps, ps_next, alpha):
     lam_bar = state.lam + c * (Av + Bw - b)
 
     if implicit != "x":
-        x_new, v_new, u = f_update(problem, state, ps, alpha, lam_bar)
+        x_new, v_new = f_update(problem, state, ps, alpha, lam_bar)
         Av = A.apply(v_new)
     if implicit != "y":
         tau = alpha ** 2 / eta_g
@@ -104,20 +103,20 @@ def step(implicit, f_update, problem, state, ps, ps_next, alpha):
         Bw = B.apply(w_new)
 
     lam_new = state.lam + c * (Av + Bw - b)
-    return IterateState(x=x_new, v=v_new, y=y_new, w=w_new, lam=lam_new, u=u)
+    return IterateState(x=x_new, v=v_new, y=y_new, w=w_new, lam=lam_new)
 
 
 def _f1_prox(problem, state, ps, alpha, lam_bar):
     eta_f, x_tilde = _weights(state.x, state.v, ps.gamma, ps.mu_f, alpha)
     s = alpha ** 2 / eta_f
     x_new = problem.f_prox.prox(x_tilde - s * problem.A.adjoint(lam_bar), s)
-    return x_new, x_new + (x_new - state.x) / alpha, None
+    return x_new, x_new + (x_new - state.x) / alpha
 
 
 def _f1_augmented(problem, state, ps, ps_next, alpha, Bw):
     eta_f, x_tilde = _weights(state.x, state.v, ps.gamma, ps.mu_f, alpha)
     x_new = _augmented_step(problem, state, ps, ps_next, alpha, "x", eta_f, x_tilde)
-    return x_new, x_new + (x_new - state.x) / alpha, None
+    return x_new, x_new + (x_new - state.x) / alpha
 
 
 def step_f1_semi_b(problem, state, ps, ps_next, alpha):

@@ -30,7 +30,7 @@ def _f2_prox(problem, state, ps, alpha, lam_bar):
     s = alpha / eta_ft
     grad = problem.f_smooth.gradient(u) + problem.A.adjoint(lam_bar)
     v_new = problem.f_prox.prox(v_tilde - s * grad, s)
-    return (state.x + alpha * v_new) / (1.0 + alpha), v_new, u
+    return (state.x + alpha * v_new) / (1.0 + alpha), v_new
 
 
 def _f2_augmented(problem, state, ps, ps_next, alpha, Bw):
@@ -40,7 +40,7 @@ def _f2_augmented(problem, state, ps, ps_next, alpha, Bw):
         problem.f_prox, d, problem.A, Bw - problem.b,
         sigma=alpha / ps.theta, weight=eta_ft / alpha, center=v_tilde,
     )
-    return (state.x + alpha * v_new) / (1.0 + alpha), v_new, u
+    return (state.x + alpha * v_new) / (1.0 + alpha), v_new
 
 
 def step_f2_semi_b(problem, state, ps, ps_next, alpha):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import lyapunov
+from .family1 import IterateState
 from .oracles import feasibility_residual
 from .params import ParamState
 
@@ -105,11 +106,11 @@ def rhs(problem, state):
 
 
 def initial_state(problem, x0=None, y0=None, lam0=None, gamma0=None, beta0=None):
-    """Phase point at t=0 with v=x, w=y and the schemes' initial parameters."""
-    x0, y0, lam0 = problem.initial_point(x0, y0, lam0)
+    """Phase point at t=0: the schemes' cold start and initial parameters."""
+    st = IterateState.cold_start(problem, x0, y0, lam0)
     ps = ParamState.initial(mu_f=problem.mu_f, mu_g=problem.mu_g, gamma0=gamma0, beta0=beta0)
     return SmoothSystemState(t=0.0, theta=ps.theta, gamma=ps.gamma, beta=ps.beta,
-                             x=x0, y=y0, v=x0.copy(), w=y0.copy(), lam=lam0)
+                             x=st.x, y=st.y, v=st.v, w=st.w, lam=st.lam)
 
 
 def integrate(problem, initial, T, h=1e-3):

@@ -12,7 +12,7 @@ holds with equality at the current parameters.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "Scheme",
@@ -123,12 +123,12 @@ def advance(ps, alpha):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     d = 1.0 + alpha
-    return replace(
-        ps,
+    return ParamState(
         theta=ps.theta / d,
         gamma=(ps.gamma + ps.mu_f * alpha) / d,
         beta=(ps.beta + ps.mu_g * alpha) / d,
         k=ps.k + 1,
+        mu_f=ps.mu_f, mu_g=ps.mu_g, gamma0=ps.gamma0, beta0=ps.beta0,
     )
 
 

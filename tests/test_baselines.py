@@ -4,8 +4,8 @@ known optimum, and the optimum estimator."""
 import numpy as np
 import pytest
 
-from pdsplit.baselines import (PDHGState, approximate_optimum, ladmm_run,
-                               pdhg_run, step_ladmm, step_pdhg)
+from pdsplit.baselines import (approximate_optimum, ladmm_run, pdhg_run,
+                               step_ladmm, step_pdhg)
 from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.oracles import SeparableProblem, feasibility_residual
@@ -85,9 +85,10 @@ def test_pdhg_matches_scalar_transcription():
         DenseOperator(np.array([[a]])), negated_identity(1), np.zeros(1))
     x, xb, lam = 0.4, 0.5, -0.7
     tau = sigma = 0.45
-    st = PDHGState(x=np.array([x]), x_bar=np.array([xb]), y=np.zeros(1),
-                   lam=np.array([lam]), x_sum=np.zeros(1), y_sum=np.zeros(1),
-                   count=0)
+    # v is the extrapolation x_bar and w = y; the step never reads y
+    y = 0.8
+    st = IterateState(x=np.array([x]), v=np.array([xb]), y=np.array([y]),
+                      w=np.array([y]), lam=np.array([lam]))
     z = lam + sigma * a * xb
     y_new = (z / sigma - (1 / sigma) * qg) / (1.0 + (1 / sigma) * pg)
     lam_new = z - sigma * y_new
@@ -98,7 +99,8 @@ def test_pdhg_matches_scalar_transcription():
     assert abs(out.y[0] - y_new) <= 1e-12
     assert abs(out.lam[0] - lam_new) <= 1e-12
     assert abs(out.x[0] - x_new) <= 1e-12
-    assert abs(out.x_bar[0] - (2 * x_new - x)) <= 1e-12
+    assert abs(out.v[0] - (2 * x_new - x)) <= 1e-12
+    assert out.w is out.y
 
 
 def test_pdhg_reduces_objective_and_residual():
@@ -106,22 +108,6 @@ def test_pdhg_reduces_objective_and_residual():
     trace, state = pdhg_run(prob, 3000)
     assert trace.rows[-1].feas <= 1e-6
     assert trace.rows[-1].obj <= trace.rows[0].obj
-
-
-def test_pdhg_ergodic_average_satisfies_jensen():
-    prob = composite_problem(35)
-    _, state = pdhg_run(prob, 200)
-    x_bar, y_bar = state.ergodic()
-    assert state.count == 200
-    # objective at the average is at most the running average of objectives
-    _, replay = pdhg_run(prob, 0)
-    total = 0.0
-    st = replay
-    tau = sigma = 1.0 / prob.A.norm_bound()
-    for _ in range(200):
-        st = step_pdhg(prob, st, tau, sigma)
-        total += prob.objective(st.x, st.y)
-    assert prob.objective(x_bar, y_bar) <= total / 200 + 1e-10
 
 
 def test_approximate_optimum_matches_kkt_oracle():

@@ -141,6 +141,15 @@ def test_config_validation_names_out_of_range_field(field, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 2.5), ("seed", 1.5), ("m", True), ("iters", 2.5),
+])
+def test_config_validation_names_non_integer_field(field, value):
+    cfg = RunConfig(**{"problem": "svm-l1", "m": 5, "n": 8, field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+        cfg.validate()
+
+
 def test_budget_zero_summary(tmp_path):
     cfg = RunConfig(problem="quadratic-synthetic", m=5, n=5, iters=0,
                     methods=("f1-semiA",), out=str(tmp_path / "o"))

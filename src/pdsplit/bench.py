@@ -85,12 +85,12 @@ class RunConfig:
         for tag in self.methods:
             if tag not in METHOD_TAGS:
                 raise ValueError(f"unknown method {tag!r}; choose from {METHOD_TAGS}")
+        for name in ("iters", "seed", "m", "n", "sparsity_fraction", "noise_variance", "flip_fraction"):
+            value, integer = getattr(self, name), name in ("iters", "seed", "m", "n")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+                raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'}, got {value!r}")
         if not (0.0 < self.sparsity_fraction <= 1.0):
             raise ValueError("sparsity_fraction must lie in (0, 1]")
-        for name in ("iters", "seed", "m", "n"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, lo, hi in (("iters", 0, np.inf), ("seed", 0, np.inf), ("m", 1, np.inf),
                              ("n", 1, np.inf), ("noise_variance", 0, np.inf),
                              ("flip_fraction", 0, 1)):

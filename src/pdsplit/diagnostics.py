@@ -26,6 +26,7 @@ __all__ = [
     "certify_bounds",
     "BoundReport",
     "sparsity",
+    "write_csv",
 ]
 
 CSV_COLUMNS = ("k", "theta", "alpha", "obj", "feas", "gap", "lyap", "sparsity", "seconds")
@@ -67,31 +68,27 @@ class IterationTrace:
         return [getattr(r, name) for r in self.rows]
 
     def to_csv(self, path_or_buf):
-        if hasattr(path_or_buf, "write"):
-            self._write(path_or_buf)
-        else:
-            with open(path_or_buf, "w", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh):
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            out = []
-            for c in CSV_COLUMNS:
-                v = getattr(r, c)
-                if v is None:
-                    out.append("")
-                elif c in ("k", "sparsity"):
-                    out.append(v)
-                else:
-                    out.append(repr(float(v)))
-            writer.writerow(out)
+        write_csv(path_or_buf, CSV_COLUMNS,
+                  ([getattr(r, c) for c in CSV_COLUMNS] for r in self.rows))
 
     def to_csv_string(self):
         buf = io.StringIO()
-        self._write(buf)
+        self.to_csv(buf)
         return buf.getvalue()
+
+
+def write_csv(path_or_buf, columns, rows):
+    """Write ``columns`` and then ``rows`` (values in column order) to a path or a
+    buffer: None as an empty field, ``k`` and ``sparsity`` as they are, any
+    other value as ``repr(float(v))``, so the same numbers give the same bytes."""
+    if not hasattr(path_or_buf, "write"):
+        with open(path_or_buf, "w", newline="") as fh:
+            return write_csv(fh, columns, rows)
+    writer = csv.writer(path_or_buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["" if v is None else v if c in ("k", "sparsity") else repr(float(v))
+                         for c, v in zip(columns, row)])
 
 
 def lagrangian_gap(problem, x, y, lam, saddle):

@@ -17,6 +17,7 @@ the last; only the reference-optimum estimate sets it.
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,14 +29,8 @@ from .params import ParamState, Scheme, StepSizeRule, advance, solve_step_size
 
 __all__ = ["RunBudget", "RunResult", "run", "iterate", "build_rule", "check_f_block"]
 
-_STEPS = {
-    Scheme.F1_SEMI_B: family1.step_f1_semi_b,
-    Scheme.F1_SEMI_A: family1.step_f1_semi_a,
-    Scheme.F1_EXPLICIT: family1.step_f1_explicit,
-    Scheme.F2_SEMI_B: family2.step_f2_semi_b,
-    Scheme.F2_SEMI_A: family2.step_f2_semi_a,
-    Scheme.F2_EXPLICIT: family2.step_f2_explicit,
-}
+_STEPS = {s: partial(family1.step, s.implicit, (family1, family2)[s.family - 1].F_BLOCK)
+          for s in Scheme}
 
 
 @dataclass

@@ -14,10 +14,11 @@ then ``w+ = y+ + (y+ - y) / a``.  The prediction ``lam_bar`` and the update
 are one map, ``lam + c (A v + B w - b)``: the prediction sees the fresh
 velocity on the implicit side only, the update both fresh velocities.
 
-Each family supplies its f-block update in a prox form (against
-``lam_bar``) and an augmented form.  The first family's f-block mirrors
-the y-block, with ``eta_f = (1 + a) gamma + mu_f a``, ``x_tilde``, ``A``
-and ``lam_hat = lam - (A x + B y - b) / theta + c B(w - y)``.
+Each family module supplies its f-block as one pair ``F_BLOCK``: a prox
+form (against ``lam_bar``) and an augmented form; ``driver._STEPS`` binds
+:func:`step` to each scheme's ``implicit`` side and family pair.  The first
+family's f-block mirrors the y-block, with ``eta_f = (1 + a) gamma + mu_f a``,
+``x_tilde``, ``A`` and ``lam_hat = lam - (A x + B y - b) / theta + c B(w - y)``.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 
 from .subprob import solve_augmented_subproblem
 
-__all__ = ["IterateState", "step", "step_f1_semi_b", "step_f1_semi_a", "step_f1_explicit"]
+__all__ = ["IterateState", "step", "F_BLOCK"]
 
 
 @dataclass
@@ -71,12 +72,13 @@ def _augmented_step(problem, state, ps, ps_next, alpha, side, eta, center):
     )
 
 
-def step(implicit, f_update, problem, state, ps, ps_next, alpha):
+def step(implicit, f_block, problem, state, ps, ps_next, alpha):
     """One step of the scheme whose implicit side is ``implicit`` (``"x"``,
-    ``"y"`` or None).  ``f_update`` is the family's f-block update, returning
-    ``(x+, v+)``: its augmented form ``(problem, state, ps, ps_next,
-    alpha, Bw)`` when ``implicit == "x"``, else its prox form
-    ``(problem, state, ps, alpha, lam_bar)``."""
+    ``"y"`` or None).  ``f_block`` is the family's f-block pair, each form
+    returning ``(x+, v+)``: the prox form ``(problem, state, ps, alpha,
+    lam_bar)`` and the augmented form ``(problem, state, ps, ps_next,
+    alpha, Bw)``, which only ``implicit == "x"`` takes."""
+    f_prox, f_augmented = f_block
     A, B, b = problem.A, problem.B, problem.b
     c = alpha / ps.theta
     eta_g, y_tilde = _weights(state.y, state.w, ps.beta, ps.mu_g, alpha)
@@ -85,7 +87,7 @@ def step(implicit, f_update, problem, state, ps, ps_next, alpha):
     Av = A.apply(state.v) if implicit != "x" else None
     Bw = B.apply(state.w) if implicit != "y" else None
     if implicit == "x":
-        x_new, v_new = f_update(problem, state, ps, ps_next, alpha, Bw)
+        x_new, v_new = f_augmented(problem, state, ps, ps_next, alpha, Bw)
         Av = A.apply(v_new)
     elif implicit == "y":
         y_new = _augmented_step(problem, state, ps, ps_next, alpha, "y", eta_g, y_tilde)
@@ -94,7 +96,7 @@ def step(implicit, f_update, problem, state, ps, ps_next, alpha):
     lam_bar = state.lam + c * (Av + Bw - b)
 
     if implicit != "x":
-        x_new, v_new = f_update(problem, state, ps, alpha, lam_bar)
+        x_new, v_new = f_prox(problem, state, ps, alpha, lam_bar)
         Av = A.apply(v_new)
     if implicit != "y":
         tau = alpha ** 2 / eta_g
@@ -119,17 +121,4 @@ def _f1_augmented(problem, state, ps, ps_next, alpha, Bw):
     return x_new, x_new + (x_new - state.x) / alpha
 
 
-def step_f1_semi_b(problem, state, ps, ps_next, alpha):
-    """Augmented x-step with penalty ``1/theta_{k+1}``, prox y-step."""
-    return step("x", _f1_augmented, problem, state, ps, ps_next, alpha)
-
-
-def step_f1_semi_a(problem, state, ps, ps_next, alpha):
-    """Augmented y-step, prox x-step; mirror of :func:`step_f1_semi_b`."""
-    return step("y", _f1_prox, problem, state, ps, ps_next, alpha)
-
-
-def step_f1_explicit(problem, state, ps, ps_next, alpha):
-    """Parallel linearized step: both blocks prox against the same
-    multiplier prediction, no data dependence between them."""
-    return step(None, _f1_prox, problem, state, ps, ps_next, alpha)
+F_BLOCK = (_f1_prox, _f1_augmented)

@@ -1,6 +1,6 @@
-"""Second scheme family's f-block: gradient step on the smooth f-part, prox
-on the rest, and an averaging correction that keeps iterates inside the
-set.  The y-block and multiplier updates are the skeleton's in ``family1``.
+"""Second scheme family's f-block pair ``F_BLOCK``: gradient step on the smooth
+f-part, prox on the rest, and an averaging correction that keeps iterates inside
+the set.  The y-block and multiplier updates are those of ``family1.step``.
 
 The f-block is ``f = f1 + f2`` with ``f1`` smooth.  The velocity update
 acts on ``v``; the correction
@@ -12,10 +12,9 @@ sandwiches it, with the auxiliary weights
     eta_f~ = gamma + mu_f a        v_tilde = (gamma v + mu_f a u) / eta_f~
 """
 
-from .family1 import step
 from .subprob import solve_augmented_subproblem
 
-__all__ = ["step_f2_semi_b", "step_f2_semi_a", "step_f2_explicit"]
+__all__ = ["F_BLOCK"]
 
 
 def _aux(state, ps, alpha):
@@ -43,18 +42,4 @@ def _f2_augmented(problem, state, ps, ps_next, alpha, Bw):
     return (state.x + alpha * v_new) / (1.0 + alpha), v_new
 
 
-def step_f2_semi_b(problem, state, ps, ps_next, alpha):
-    """Augmented v-step against the stale ``w``, prox y-step against the
-    fresh multiplier prediction."""
-    return step("x", _f2_augmented, problem, state, ps, ps_next, alpha)
-
-
-def step_f2_semi_a(problem, state, ps, ps_next, alpha):
-    """Augmented y-step with penalty ``1/theta_{k+1}``, prox v-step."""
-    return step("y", _f2_prox, problem, state, ps, ps_next, alpha)
-
-
-def step_f2_explicit(problem, state, ps, ps_next, alpha):
-    """Fully prox/gradient-explicit; the v- and y-updates are order
-    independent."""
-    return step(None, _f2_prox, problem, state, ps, ps_next, alpha)
+F_BLOCK = (_f2_prox, _f2_augmented)

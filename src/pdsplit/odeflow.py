@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import lyapunov
+from .diagnostics import lyapunov, write_csv
 from .family1 import IterateState
 from .oracles import feasibility_residual
 from .params import ParamState
@@ -162,32 +162,14 @@ def closed_form_parameters(t, mu_f, mu_g, gamma0, beta0):
 
 
 def trajectory_to_csv(problem, trajectory, path_or_buf, saddle=None, f_star=None):
-    """Write ``t,E,feas,obj_gap,theta,gamma,beta`` rows for a trajectory.
+    """Write ``t,E,feas,obj_gap,theta,gamma,beta`` rows with the trace's ``write_csv``.
 
     ``E`` needs a saddle point and ``obj_gap`` a reference value; either
     column is left empty when its reference is missing.
     """
-    import csv
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for st in trajectory:
-            e_val = lyapunov_continuous(problem, st, saddle) if saddle is not None else ""
-            if f_star is not None:
-                obj_gap = abs(problem.objective(st.x, st.y) - f_star)
-            else:
-                obj_gap = ""
-            writer.writerow([repr(float(st.t)), _fmt(e_val), _fmt(feasibility_residual(problem, st.x, st.y)),
-                             _fmt(obj_gap), repr(float(st.theta)),
-                             repr(float(st.gamma)), repr(float(st.beta))])
-
-    if hasattr(path_or_buf, "write"):
-        write(path_or_buf)
-    else:
-        with open(path_or_buf, "w", newline="") as fh:
-            write(fh)
-
-
-def _fmt(v):
-    return "" if v == "" else repr(float(v))
+    write_csv(path_or_buf, TRAJECTORY_COLUMNS, (
+        (st.t, lyapunov_continuous(problem, st, saddle) if saddle is not None else None,
+         feasibility_residual(problem, st.x, st.y),
+         abs(problem.objective(st.x, st.y) - f_star) if f_star is not None else None,
+         st.theta, st.gamma, st.beta)
+        for st in trajectory))

@@ -28,6 +28,9 @@ __all__ = [
 
 
 class Scheme(enum.Enum):
+    """The six schemes: ``family`` picks the f-block discretisation (1 or 2),
+    ``implicit`` the block of the augmented step (``"x"``, ``"y"`` or None)."""
+
     F1_SEMI_B = "f1-semiB"     # augmented x-step, B-norm condition
     F1_SEMI_A = "f1-semiA"     # augmented y-step, A-norm condition
     F1_EXPLICIT = "f1-explicit"
@@ -38,6 +41,10 @@ class Scheme(enum.Enum):
     @property
     def family(self):
         return 1 if self.value.startswith("f1") else 2
+
+    @property
+    def implicit(self):
+        return {"semiB": "x", "semiA": "y"}.get(self.value[3:])
 
 
 class StepSizeError(ValueError):

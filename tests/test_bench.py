@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -147,6 +148,14 @@ def test_config_validation_names_out_of_range_field(field, value):
 def test_config_validation_names_non_integer_field(field, value):
     cfg = RunConfig(**{"problem": "svm-l1", "m": 5, "n": 8, field: value})
     with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("value", ["0.1", True, None])
+@pytest.mark.parametrize("field", ["sparsity_fraction", "noise_variance", "flip_fraction"])
+def test_config_validation_names_non_real_field(field, value):
+    cfg = RunConfig(**{"problem": "svm-l1", "m": 5, "n": 8, field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be a real number, got {re.escape(repr(value))}$"):
         cfg.validate()
 
 

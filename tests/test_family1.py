@@ -10,14 +10,18 @@ import numpy as np
 import pytest
 
 from pdsplit import IterateState
-from pdsplit.driver import run
-from pdsplit.family1 import step_f1_explicit, step_f1_semi_a, step_f1_semi_b
+from pdsplit.driver import _STEPS, run
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
 from pdsplit.prox import L1Norm, QuadraticProx
 
 from helpers import MU_REGIMES, quadratic_instance
+
+step_f1_semi_b, step_f1_semi_a, step_f1_explicit = (
+    _STEPS[Scheme.F1_SEMI_B], _STEPS[Scheme.F1_SEMI_A], _STEPS[Scheme.F1_EXPLICIT])
+# a bound step map has no __name__ for pytest to take its id from
+STEP_IDS = ["step_f1_semi_b", "step_f1_semi_a", "step_f1_explicit"]
 
 
 def one_dim_problem():
@@ -126,7 +130,8 @@ def test_explicit_matches_scalar_transcription():
         assert abs(got[0] - want) <= 1e-12
 
 
-@pytest.mark.parametrize("step", [step_f1_semi_b, step_f1_semi_a, step_f1_explicit])
+@pytest.mark.parametrize("step", [step_f1_semi_b, step_f1_semi_a, step_f1_explicit],
+                         ids=STEP_IDS)
 def test_saddle_is_fixed_point(step):
     prob, _ = quadratic_instance(5)
     sd = prob.saddle
@@ -139,7 +144,8 @@ def test_saddle_is_fixed_point(step):
         assert np.allclose(got, want, atol=1e-9)
 
 
-@pytest.mark.parametrize("step", [step_f1_semi_b, step_f1_semi_a, step_f1_explicit])
+@pytest.mark.parametrize("step", [step_f1_semi_b, step_f1_semi_a, step_f1_explicit],
+                         ids=STEP_IDS)
 def test_update_identities(step):
     prob, _ = quadratic_instance(6, mu_f=0.0, mu_g=0.5)
     st = IterateState.cold_start(prob, x0=np.ones(prob.dim_x))

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from pdsplit import IterateState
-from pdsplit.driver import run
-from pdsplit.family2 import step_f2_explicit, step_f2_semi_a, step_f2_semi_b
+from pdsplit.driver import _STEPS, run
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SaddlePoint, SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
 from pdsplit.prox import BoxIndicator, QuadraticProx
 
 from helpers import MU_REGIMES, quadratic_instance
+
+step_f2_semi_b, step_f2_semi_a, step_f2_explicit = (
+    _STEPS[Scheme.F2_SEMI_B], _STEPS[Scheme.F2_SEMI_A], _STEPS[Scheme.F2_EXPLICIT])
+# a bound step map has no __name__ for pytest to take its id from
+STEP_IDS = ["step_f2_semi_b", "step_f2_semi_a", "step_f2_explicit"]
 
 
 def one_dim_problem():
@@ -128,7 +132,8 @@ def test_explicit_matches_scalar_transcription():
     check(out, [x_new, v_new, y_new, w_new, lam_new])
 
 
-@pytest.mark.parametrize("step", [step_f2_semi_b, step_f2_semi_a, step_f2_explicit])
+@pytest.mark.parametrize("step", [step_f2_semi_b, step_f2_semi_a, step_f2_explicit],
+                         ids=STEP_IDS)
 def test_saddle_is_fixed_point(step):
     _, prob = quadratic_instance(21)
     sd = prob.saddle
@@ -141,7 +146,8 @@ def test_saddle_is_fixed_point(step):
         assert np.allclose(got, want, atol=1e-9)
 
 
-@pytest.mark.parametrize("step", [step_f2_semi_b, step_f2_semi_a, step_f2_explicit])
+@pytest.mark.parametrize("step", [step_f2_semi_b, step_f2_semi_a, step_f2_explicit],
+                         ids=STEP_IDS)
 def test_correction_identities(step):
     _, prob = quadratic_instance(22, mu_f=0.0, mu_g=1.0)
     st = IterateState.cold_start(prob, x0=np.ones(prob.dim_x))
@@ -204,7 +210,8 @@ class _FiniteDifferenceSmooth(QuadraticProx):
         return out
 
 
-@pytest.mark.parametrize("step", [step_f2_semi_b, step_f2_semi_a, step_f2_explicit])
+@pytest.mark.parametrize("step", [step_f2_semi_b, step_f2_semi_a, step_f2_explicit],
+                         ids=STEP_IDS)
 def test_finite_difference_gradient_changes_step_little(step):
     _, prob = quadratic_instance(26)
     fd_prob = SeparableProblem(

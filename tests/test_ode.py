@@ -156,21 +156,32 @@ def test_integrate_validates_arguments():
         integrate(prob, initial_state(prob), T=-1.0, h=0.1)
 
 
-def test_trajectory_csv(tmp_path):
+@pytest.mark.parametrize("with_f_star", [True, False], ids=["f_star", "no-f_star"])
+@pytest.mark.parametrize("with_saddle", [True, False], ids=["saddle", "no-saddle"])
+def test_trajectory_csv(tmp_path, with_saddle, with_f_star):
     prob, _ = quadratic_instance(69)
     traj = integrate(prob, initial_state(prob), T=0.1, h=0.05)
     path = tmp_path / "traj.csv"
     f_star = prob.objective(prob.saddle.x, prob.saddle.y)
-    trajectory_to_csv(prob, traj, str(path), saddle=prob.saddle, f_star=f_star)
+    trajectory_to_csv(prob, traj, str(path), saddle=prob.saddle if with_saddle else None,
+                      f_star=f_star if with_f_star else None)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,E,feas,obj_gap,theta,gamma,beta"
     assert len(lines) == 1 + len(traj)
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[4]) == 1.0
-    # E column recomputes
-    assert float(first[1]) == pytest.approx(
-        lyapunov_continuous(prob, traj[0], prob.saddle))
+    for line, st in zip(lines[1:], traj):
+        fields = line.split(",")
+        assert (fields[1] == "") is not with_saddle
+        assert (fields[3] == "") is not with_f_star
+        # every written number reads back to the same float
+        assert all(repr(float(v)) == v for v in fields if v)
+        assert [float(fields[i]) for i in (0, 4, 5, 6)] == [st.t, st.theta, st.gamma, st.beta]
+    if with_saddle:
+        # E column recomputes
+        assert float(first[1]) == pytest.approx(
+            lyapunov_continuous(prob, traj[0], prob.saddle))
 
 
 def test_state_pack_unpack_round_trip():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pdsplit import driver
 from pdsplit.params import (ParamState, Scheme, StepSizeError, StepSizeRule,
                             advance, appendix_c_bound, solve_step_size,
                             theoretical_theta_bound)
@@ -246,7 +247,14 @@ def test_c1_sequence_property():
                 theta = theta / (1.0 + sigma * theta ** nu)
 
 
-def test_scheme_family_tags():
-    assert Scheme.F1_SEMI_B.family == 1
-    assert Scheme.F2_EXPLICIT.family == 2
-    assert Scheme("f1-semiA") is Scheme.F1_SEMI_A
+SCHEME_TAGS = {
+    Scheme.F1_SEMI_B: (1, "x"), Scheme.F1_SEMI_A: (1, "y"), Scheme.F1_EXPLICIT: (1, None),
+    Scheme.F2_SEMI_B: (2, "x"), Scheme.F2_SEMI_A: (2, "y"), Scheme.F2_EXPLICIT: (2, None),
+}
+
+
+@pytest.mark.parametrize("scheme", list(SCHEME_TAGS), ids=lambda s: s.value)
+def test_scheme_family_tags(scheme):
+    assert (scheme.family, scheme.implicit) == SCHEME_TAGS[scheme]
+    assert Scheme(scheme.value) is scheme
+    assert set(driver._STEPS) == set(Scheme)

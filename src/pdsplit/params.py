@@ -1,4 +1,4 @@
-"""Parameter recursion, step-size conditions, and theoretical decay bounds.
+"""Parameter recursion, the step-size condition, and theoretical decay bounds.
 
 The scaling triple ``(theta, gamma, beta)`` follows the implicit recursion
 
@@ -6,8 +6,12 @@ The scaling triple ``(theta, gamma, beta)`` follows the implicit recursion
     gamma+ = (gamma + mu_f a) / (1 + a)
     beta+  = (beta  + mu_g a) / (1 + a)
 
-and every scheme fixes its step size ``a`` so that its contraction condition
-holds with equality at the current parameters.
+and every scheme fixes its step size ``a`` so that one contraction condition
+
+    a^2 (c_A beta ||A||^2 + c_B gamma ||B||^2 + c_L L_f beta theta) = gamma beta theta
+
+holds at the current parameters; the scheme supplies only its coefficients
+``(c_A, c_B, c_L)``.
 """
 
 import enum
@@ -29,7 +33,10 @@ __all__ = [
 
 class Scheme(enum.Enum):
     """The six schemes: ``family`` picks the f-block discretisation (1 or 2),
-    ``implicit`` the block of the augmented step (``"x"``, ``"y"`` or None)."""
+    ``implicit`` the block of the augmented step (``"x"``, ``"y"`` or None),
+    and ``coefficients`` is ``(c_A, c_B, c_L)`` of the step-size condition:
+    an implicit block's own operator leaves the condition, an explicit
+    scheme pays twice for both, and Family 2 adds the smooth part's ``L_f``."""
 
     F1_SEMI_B = "f1-semiB"     # augmented x-step, B-norm condition
     F1_SEMI_A = "f1-semiA"     # augmented y-step, A-norm condition
@@ -38,13 +45,11 @@ class Scheme(enum.Enum):
     F2_SEMI_A = "f2-semiA"
     F2_EXPLICIT = "f2-explicit"
 
-    @property
-    def family(self):
-        return 1 if self.value.startswith("f1") else 2
-
-    @property
-    def implicit(self):
-        return {"semiB": "x", "semiA": "y"}.get(self.value[3:])
+    def __init__(self, tag):
+        self.family = 1 if tag.startswith("f1") else 2
+        self.implicit = {"semiB": "x", "semiA": "y"}.get(tag[3:])
+        c_A, c_B = {"x": (0.0, 1.0), "y": (1.0, 0.0), None: (2.0, 2.0)}[self.implicit]
+        self.coefficients = (c_A, c_B, self.family - 1.0)
 
 
 class StepSizeError(ValueError):
@@ -70,8 +75,8 @@ class ParamState:
         ``beta0``), else 1; user-overridable."""
         g0 = gamma0 if gamma0 is not None else (mu_f if mu_f > 0 else 1.0)
         b0 = beta0 if beta0 is not None else (mu_g if mu_g > 0 else 1.0)
-        if g0 <= 0 or b0 <= 0:
-            raise ValueError("gamma0 and beta0 must be positive")
+        if not (g0 > 0 and b0 > 0):
+            raise ValueError(f"gamma0 and beta0 must be positive, got {g0!r} and {b0!r}")
         return ParamState(theta=1.0, gamma=g0, beta=b0, k=0,
                           mu_f=float(mu_f), mu_g=float(mu_g),
                           gamma0=float(g0), beta0=float(b0))
@@ -87,48 +92,32 @@ class StepSizeRule:
     lipschitz_f: float = 0.0
 
 
-def solve_step_size(ps, rule):
-    """Closed-form positive ``alpha_k`` satisfying the scheme's condition
-    with equality at the index-``k`` parameters."""
-    th, ga, be = ps.theta, ps.gamma, ps.beta
-    nA, nB, Lf = rule.norm_A, rule.norm_B, rule.lipschitz_f
-    s = rule.scheme
+def _terms(coefficients):
+    """The bracket's nonzero terms, as text."""
+    return " + ".join(t if c == 1 else f"{c:g} {t}" for c, t in
+                      zip(coefficients, ("beta ||A||^2", "gamma ||B||^2", "L_f beta theta")) if c)
 
-    if s is Scheme.F1_SEMI_B:
-        if nB <= 0:
-            raise StepSizeError("||B|| = 0: use the A-sided or explicit scheme instead")
-        return math.sqrt(th * be) / nB
-    if s is Scheme.F1_SEMI_A:
-        if nA <= 0:
-            raise StepSizeError("||A|| = 0: use the B-sided or explicit scheme instead")
-        return math.sqrt(th * ga) / nA
-    if s is Scheme.F1_EXPLICIT:
-        denom = 2.0 * (be * nA ** 2 + ga * nB ** 2)
-        if denom <= 0:
-            raise StepSizeError("||A|| = ||B|| = 0: the explicit condition degenerates")
-        return math.sqrt(ga * be * th / denom)
-    if s is Scheme.F2_SEMI_B:
-        denom = Lf * be * th + ga * nB ** 2
-        if denom <= 0:
-            raise StepSizeError("L_f and ||B|| both vanish: condition degenerates")
-        return math.sqrt(ga * be * th / denom)
-    if s is Scheme.F2_SEMI_A:
-        denom = Lf * th + nA ** 2
-        if denom <= 0:
-            raise StepSizeError("L_f and ||A|| both vanish: condition degenerates")
-        return math.sqrt(ga * th / denom)
-    if s is Scheme.F2_EXPLICIT:
-        denom = Lf * be * th + 2.0 * be * nA ** 2 + 2.0 * ga * nB ** 2
-        if denom <= 0:
-            raise StepSizeError("all condition coefficients vanish")
-        return math.sqrt(ga * be * th / denom)
-    raise ValueError(f"unknown scheme {s}")
+
+def solve_step_size(ps, rule):
+    """Closed-form positive ``alpha_k`` meeting the step-size condition with
+    equality at the index-``k`` parameters, with ``rule.scheme``'s
+    coefficients; ``StepSizeError`` when the condition's bracket is not
+    positive (every term it uses vanishes, or one is NaN)."""
+    th, ga, be = ps.theta, ps.gamma, ps.beta
+    c_A, c_B, c_L = rule.scheme.coefficients
+    denom = c_L * rule.lipschitz_f * be * th + c_A * be * rule.norm_A ** 2 + c_B * ga * rule.norm_B ** 2
+    if not denom > 0:
+        raise StepSizeError(
+            f"{rule.scheme.value}: no positive step size, the condition's bracket "
+            f"{_terms(rule.scheme.coefficients)} is {denom!r} at ||A|| = {rule.norm_A!r}, "
+            f"||B|| = {rule.norm_B!r}, L_f = {rule.lipschitz_f!r}")
+    return math.sqrt(ga * be * th / denom)
 
 
 def advance(ps, alpha):
     """One implicit step of the parameter recursion."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
     d = 1.0 + alpha
     return ParamState(
         theta=ps.theta / d,
@@ -155,77 +144,55 @@ def theoretical_theta_bound(scheme, k, norm_A=0.0, norm_B=0.0,
     """Evaluate the scheme's published decay bound on ``theta_k``.
 
     For the semi-implicit Family-1 schemes the bound is an explicit formula
-    (certified with constant 1); for the others it is a shape bound whose
-    generic constant is left at 1, to be fitted by the caller's comparison.
+    (certified with constant 1).  For the others it is a shape bound whose
+    generic constant is left at 1, to be fitted by the caller's comparison;
+    it needs ``alpha_0 <= 1``, i.e. ``gamma0 beta0`` at most the step-size
+    condition's bracket at ``theta = 1``, and sums the rate terms of the
+    blocks whose coefficients are nonzero.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return BoundResult(1.0, True)
     kk = float(k)
+    c_A, c_B, c_L = scheme.coefficients
 
-    if scheme is Scheme.F1_SEMI_B:
-        Q = norm_B + math.sqrt(beta0)
-        first = Q / (Q + math.sqrt(beta0) * kk)
-        second = 4.0 * Q ** 2 / (2.0 * Q + math.sqrt(mu_g) * kk) ** 2
+    if scheme.family == 1 and scheme.implicit:
+        # the semiB formula in (||B||, beta0, mu_g); semiA mirrors it in (||A||, gamma0, mu_f)
+        norm, start, mu = (norm_B, beta0, mu_g) if c_B else (norm_A, gamma0, mu_f)
+        Q = norm + math.sqrt(start)
+        first = Q / (Q + math.sqrt(start) * kk)
+        second = 4.0 * Q ** 2 / (2.0 * Q + math.sqrt(mu) * kk) ** 2
         return BoundResult(min(first, second), True)
 
-    if scheme is Scheme.F1_SEMI_A:
-        Q = norm_A + math.sqrt(gamma0)
-        first = Q / (Q + math.sqrt(gamma0) * kk)
-        second = 4.0 * Q ** 2 / (2.0 * Q + math.sqrt(mu_f) * kk) ** 2
-        return BoundResult(min(first, second), True)
+    try:
+        alpha0 = solve_step_size(ParamState(1.0, gamma0, beta0), StepSizeRule(scheme, norm_A, norm_B, lipschitz_f))
+    except StepSizeError:
+        alpha0 = math.inf
+    if not alpha0 <= 1:
+        return BoundResult(math.nan, False, f"requires alpha_0 <= 1: gamma0 beta0 <= {_terms(scheme.coefficients)} "
+                                            "at theta = 1, gamma = gamma0, beta = beta0")
 
-    def a_side_f1():
-        lin = norm_A / (math.sqrt(gamma0) * kk)
-        quad = norm_A ** 2 / (mu_f * kk ** 2) if mu_f > 0 else math.inf
+    def side(norm, start, mu):
+        """An operator's rate: min over the convex and strongly convex regimes."""
+        lin = norm / (math.sqrt(start) * kk)
+        quad = norm ** 2 / (mu * kk ** 2) if mu > 0 else math.inf
         return min(lin, quad)
 
-    def b_side():
-        lin = norm_B / (math.sqrt(beta0) * kk)
-        quad = norm_B ** 2 / (mu_g * kk ** 2) if mu_g > 0 else math.inf
-        return min(lin, quad)
-
-    def f_side_f2():
-        smooth = lipschitz_f / (gamma0 * kk ** 2)
-        if mu_f > 0 and lipschitz_f > 0:
-            expo = math.exp(-(kk / 4.0) * math.sqrt(mu_f / lipschitz_f))
-        else:
-            expo = math.inf if lipschitz_f > 0 else 0.0
-        return min(smooth, expo)
-
-    def a_side_f2():
-        # min over the two hypothesis regimes of the Family-2 A-sided rate
-        conv = norm_A / (math.sqrt(gamma0) * kk) + lipschitz_f / (gamma0 * kk ** 2)
-        if mu_f > 0:
-            sc = norm_A ** 2 / (mu_f * kk ** 2)
-            sc += math.exp(-(kk / 4.0) * math.sqrt(mu_f / lipschitz_f)) if lipschitz_f > 0 else 0.0
-        else:
-            sc = math.inf
-        return min(conv, sc)
-
-    if scheme is Scheme.F1_EXPLICIT:
-        if gamma0 * beta0 > 2.0 * beta0 * norm_A ** 2 + 2.0 * gamma0 * norm_B ** 2:
-            return BoundResult(math.nan, False, "requires gamma0*beta0 <= 2*beta0*||A||^2 + 2*gamma0*||B||^2")
-        return BoundResult(a_side_f1() + b_side(), True)
-
-    if scheme is Scheme.F2_SEMI_B:
-        if gamma0 * beta0 > lipschitz_f * beta0 + gamma0 * norm_B ** 2:
-            return BoundResult(math.nan, False, "requires gamma0*beta0 <= L_f*beta0 + gamma0*||B||^2")
-        return BoundResult(b_side() + f_side_f2(), True)
-
-    if scheme is Scheme.F2_SEMI_A:
-        if gamma0 > lipschitz_f + norm_A ** 2:
-            return BoundResult(math.nan, False, "requires gamma0 <= L_f + ||A||^2")
-        return BoundResult(a_side_f2(), True)
-
-    if scheme is Scheme.F2_EXPLICIT:
-        if gamma0 * beta0 > lipschitz_f * beta0 + 2.0 * beta0 * norm_A ** 2 + 2.0 * gamma0 * norm_B ** 2:
-            return BoundResult(math.nan, False,
-                               "requires gamma0*beta0 <= L_f*beta0 + 2*beta0*||A||^2 + 2*gamma0*||B||^2")
-        return BoundResult(b_side() + a_side_f2(), True)
-
-    raise ValueError(f"unknown scheme {scheme}")
+    value = side(norm_B, beta0, mu_g) if c_B else 0.0
+    if not c_L:
+        return BoundResult(value + side(norm_A, gamma0, mu_f), True)
+    # Family 2: the f-side rate, which the A-side adds to each of its two regimes
+    smooth = lipschitz_f / (gamma0 * kk ** 2)
+    if lipschitz_f > 0:
+        expo = math.exp(-(kk / 4.0) * math.sqrt(mu_f / lipschitz_f)) if mu_f > 0 else math.inf
+    else:
+        expo = 0.0
+    if not c_A:
+        return BoundResult(value + min(smooth, expo), True)
+    conv = norm_A / (math.sqrt(gamma0) * kk) + smooth
+    sc = norm_A ** 2 / (mu_f * kk ** 2) + expo if mu_f > 0 else math.inf
+    return BoundResult(value + min(conv, sc), True)
 
 
 def appendix_c_bound(case, k, sigma=1.0, tau=1.0, nu=1.0, P=0.0, Q=0.0, R=0.0):

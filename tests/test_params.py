@@ -34,6 +34,8 @@ def test_initial_defaults_follow_moduli():
 def test_initial_rejects_nonpositive():
     with pytest.raises(ValueError):
         ParamState.initial(gamma0=0.0)
+    with pytest.raises(ValueError):
+        ParamState.initial(beta0=math.nan)
 
 
 def test_recursion_residuals():
@@ -122,6 +124,19 @@ def test_step_size_degenerate_raises():
 def test_advance_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         advance(ParamState.initial(), 0.0)
+    with pytest.raises(ValueError):
+        advance(ParamState.initial(), math.nan)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_step_size_nan_in_a_used_quantity_raises(scheme):
+    # a NaN norm or L_f the condition uses must not turn into a NaN step
+    values = dict(norm_A=2.0, norm_B=1.5, lipschitz_f=3.0)
+    for c, name in zip(SCHEME_TAGS[scheme][2], ("norm_A", "norm_B", "lipschitz_f")):
+        if c:
+            rule = StepSizeRule(scheme, **{**values, name: math.nan})
+            with pytest.raises(StepSizeError):
+                solve_step_size(ParamState.initial(), rule)
 
 
 def test_semi_b_bound_arithmetic_instances():
@@ -248,13 +263,38 @@ def test_c1_sequence_property():
 
 
 SCHEME_TAGS = {
-    Scheme.F1_SEMI_B: (1, "x"), Scheme.F1_SEMI_A: (1, "y"), Scheme.F1_EXPLICIT: (1, None),
-    Scheme.F2_SEMI_B: (2, "x"), Scheme.F2_SEMI_A: (2, "y"), Scheme.F2_EXPLICIT: (2, None),
+    Scheme.F1_SEMI_B: (1, "x", (0, 1, 0)), Scheme.F1_SEMI_A: (1, "y", (1, 0, 0)),
+    Scheme.F1_EXPLICIT: (1, None, (2, 2, 0)), Scheme.F2_SEMI_B: (2, "x", (0, 1, 1)),
+    Scheme.F2_SEMI_A: (2, "y", (1, 0, 1)), Scheme.F2_EXPLICIT: (2, None, (2, 2, 1)),
 }
+CONDITION_TERMS = ("beta ||A||^2", "gamma ||B||^2", "L_f beta theta")
 
 
 @pytest.mark.parametrize("scheme", list(SCHEME_TAGS), ids=lambda s: s.value)
 def test_scheme_family_tags(scheme):
-    assert (scheme.family, scheme.implicit) == SCHEME_TAGS[scheme]
+    assert (scheme.family, scheme.implicit, scheme.coefficients) == SCHEME_TAGS[scheme]
     assert Scheme(scheme.value) is scheme
     assert set(driver._STEPS) == set(Scheme)
+    # with every norm and L_f zero, the error names the scheme and its terms
+    with pytest.raises(StepSizeError) as info:
+        solve_step_size(ParamState.initial(), StepSizeRule(scheme))
+    message = str(info.value)
+    assert scheme.value in message
+    for c, term in zip(scheme.coefficients, CONDITION_TERMS):
+        assert (term in message) == bool(c), (term, message)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.F1_EXPLICIT, Scheme.F2_SEMI_B, Scheme.F2_SEMI_A,
+                                    Scheme.F2_EXPLICIT], ids=lambda s: s.value)
+def test_shape_bound_hypothesis_is_a_unit_first_step(scheme):
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for _ in range(1000):
+        norm_A, norm_B, lip, g0, b0 = (float(v) for v in np.exp(rng.normal(0.0, 1.0, 5)))
+        rule = StepSizeRule(scheme, norm_A=norm_A, norm_B=norm_B, lipschitz_f=lip)
+        bound = theoretical_theta_bound(scheme, int(rng.integers(1, 1000)), norm_A=norm_A,
+                                        norm_B=norm_B, lipschitz_f=lip, gamma0=g0, beta0=b0)
+        unit = solve_step_size(ParamState.initial(gamma0=g0, beta0=b0), rule) <= 1
+        assert bound.applicable == unit
+        outcomes.add(unit)
+    assert outcomes == {True, False}

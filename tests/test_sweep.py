@@ -1,0 +1,59 @@
+"""The sweep script's comparison of two output directories of trace CSVs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
+HEADER = "k,theta,alpha,obj,feas,gap,lyap,sparsity,seconds\n"
+
+
+def _sweep():
+    spec = importlib.util.spec_from_file_location("sweep", SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write(root, name, rows):
+    path = root / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(HEADER + "".join(row + "\n" for row in rows))
+
+
+def test_compare_reports_identity_and_largest_differences(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    same = ["0,1.0,,10.0,2.0,,,5,", "1,0.5,0.5,8.0,1.0,,,4,"]
+    for root in (parent, change):
+        _write(root, "lad-case1-seed0/trace_ladmm.csv", same)
+    _write(parent, "lad-case1-seed0/trace_f1-semiA.csv",
+           ["0,1.0,,10.0,2.0,4.0,8.0,5,", "1,0.5,0.25,8.0,1.0,2.0,4.0,4,"])
+    _write(change, "lad-case1-seed0/trace_f1-semiA.csv",
+           ["0,1.0,,10.0,2.0,4.0,8.0,5,", "1,0.5000005,0.25,8.01,1.002,2.0,4.0,6,"])
+    _write(parent, "svm-l1-seed1/trace_f1-semiB.csv", same)
+    _write(change, "svm-l1-seed1/trace_f1-semiB.csv", same[:1])
+
+    result = _sweep().compare(parent, change)
+
+    assert (result["identical"], result["total"]) == (1, 2 + 1)
+    cols = result["columns"]
+    assert cols["theta"][0] == pytest.approx(1e-6)          # relative to 0.5
+    assert cols["theta"][1] == "lad-case1-seed0/trace_f1-semiA.csv k=1"
+    assert cols["obj"][0] == pytest.approx(0.01 / 10.0)     # relative to row 0
+    assert cols["feas"][0] == pytest.approx(0.002 / 2.0)
+    assert cols["sparsity"][0] == 2.0
+    assert cols["alpha"][0] == cols["gap"][0] == cols["lyap"][0] == 0.0
+    assert result["mismatched"] == ["svm-l1-seed1/trace_f1-semiB.csv: rows differ in k (2 vs 1 rows)"]
+
+
+def test_compare_flags_missing_csv_and_empty_field(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, "quadratic-synthetic-seed0/trace_pdhg.csv", ["0,1.0,,1.0,1.0,,,0,"])
+    _write(parent, "quadratic-synthetic-seed0/trace_f2-semiA.csv", ["0,1.0,,1.0,1.0,0.5,,0,"])
+    _write(change, "quadratic-synthetic-seed0/trace_f2-semiA.csv", ["0,1.0,,1.0,1.0,,,0,"])
+
+    result = _sweep().compare(parent, change)
+
+    assert result["columns"]["gap"][0] == float("inf")
+    assert result["mismatched"] == [f"quadratic-synthetic-seed0/trace_pdhg.csv: missing in {change}"]

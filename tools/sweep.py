@@ -1,0 +1,127 @@
+"""Run the fixed benchmark sweep and compare its trace CSVs with another run's.
+
+The sweep runs ``pdsplit.bench.run_benchmark`` on every problem kind
+(lad-case1, lad-case2, svm-l1, svm-elastic, quadratic-synthetic) for seeds
+0 and 1 at m = 30, n = 80, 300 iterations and all eight methods.  That gives
+74 trace CSVs (``pdhg`` applies only to the two LAD instances).  Each run
+goes to ``OUT/<problem>-seed<s>/``, and ``OUT/sha256sums.txt`` lists the
+digest of every CSV in ``sha256sum`` format.
+
+    PYTHONPATH=src python3 tools/sweep.py OUT
+    PYTHONPATH=src python3 tools/sweep.py OUT --against PARENT_OUT
+
+The pdsplit that runs is the one on ``PYTHONPATH``, so a parent commit's
+output comes from the same script with that commit's ``src`` on the path.
+With ``--against``, the script prints how many CSVs are byte-identical to
+``PARENT_OUT``'s and, per column, the largest difference: relative for
+``theta``, ``alpha``, ``gap`` and ``lyap``; relative to the parent's row-0
+value for ``obj`` and ``feas``; absolute for ``sparsity``.  It exits 1 when
+a CSV is missing on one side or the two differ in their rows' ``k``.
+"""
+
+import argparse
+import csv
+import hashlib
+import sys
+from pathlib import Path
+
+PROBLEMS = ("lad-case1", "lad-case2", "svm-l1", "svm-elastic", "quadratic-synthetic")
+SEEDS = (0, 1)
+RELATIVE = ("theta", "alpha", "gap", "lyap")
+ROW0_RELATIVE = ("obj", "feas")
+EXACT = ("sparsity",)
+
+
+def run_sweep(out):
+    """Run the sweep into ``out`` and write ``sha256sums.txt``; return the CSV paths."""
+    import pdsplit
+    from pdsplit.bench import METHOD_TAGS, RunConfig, run_benchmark
+
+    print(f"pdsplit from {Path(pdsplit.__file__).parent}")
+    out = Path(out)
+    for problem in PROBLEMS:
+        for seed in SEEDS:
+            run_benchmark(RunConfig(problem=problem, m=30, n=80, seed=seed, methods=METHOD_TAGS,
+                                    iters=300, out=str(out / f"{problem}-seed{seed}")))
+    paths = sorted(out.glob("*/trace_*.csv"))
+    with open(out / "sha256sums.txt", "w") as fh:
+        for path in paths:
+            fh.write(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}\n")
+    print(f"{len(paths)} trace CSVs in {out}")
+    return paths
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _difference(parent, change, scale):
+    """``|change - parent| / scale``; 0 when both fields are empty, inf when only one is."""
+    if parent == "" or change == "":
+        return 0.0 if parent == change else float("inf")
+    p, c = float(parent), float(change)
+    if p == c:
+        return 0.0
+    return abs(c - p) / scale if scale else abs(c - p)
+
+
+def compare(parent_dir, change_dir):
+    """Compare the trace CSVs of two sweep outputs.
+
+    Returns a dict: ``identical`` and ``total`` CSV counts, ``columns``
+    mapping each compared column to ``(largest difference, where)``, and
+    ``mismatched``, the CSVs missing on one side or differing in ``k``.
+    """
+    parent_dir, change_dir = Path(parent_dir), Path(change_dir)
+    names = sorted({p.relative_to(d) for d in (parent_dir, change_dir) for p in d.glob("*/trace_*.csv")})
+    columns = {c: (0.0, "") for c in RELATIVE + ROW0_RELATIVE + EXACT}
+    identical, mismatched = 0, []
+    for name in names:
+        p_path, c_path = parent_dir / name, change_dir / name
+        if not (p_path.exists() and c_path.exists()):
+            mismatched.append(f"{name}: missing in {parent_dir if c_path.exists() else change_dir}")
+            continue
+        if p_path.read_bytes() == c_path.read_bytes():
+            identical += 1
+            continue
+        p_rows, c_rows = _read(p_path), _read(c_path)
+        if [r["k"] for r in p_rows] != [r["k"] for r in c_rows]:
+            mismatched.append(f"{name}: rows differ in k ({len(p_rows)} vs {len(c_rows)} rows)")
+            continue
+        for col in columns:
+            row0 = abs(float(p_rows[0][col])) if col in ROW0_RELATIVE and p_rows[0][col] else 0.0
+            for p, c in zip(p_rows, c_rows):
+                scale = abs(float(p[col])) if col in RELATIVE and p[col] else row0
+                diff = _difference(p[col], c[col], scale)
+                if diff > columns[col][0]:
+                    columns[col] = (diff, f"{name} k={p['k']}")
+    return {"identical": identical, "total": len(names), "columns": columns, "mismatched": mismatched}
+
+
+def report(result):
+    """Print ``compare``'s result as a table."""
+    print(f"byte-identical: {result['identical']} of {result['total']} CSVs")
+    print(f"{'column':<10}{'largest difference':<20}{'relative to':<14}where")
+    for col, (diff, where) in result["columns"].items():
+        scale = "own value" if col in RELATIVE else "row 0" if col in ROW0_RELATIVE else "(absolute)"
+        print(f"{col:<10}{diff:<20.2e}{scale:<14}{where}")
+    for line in result["mismatched"]:
+        print(f"MISMATCH {line}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="directory for this run's CSVs")
+    parser.add_argument("--against", help="a parent run's output directory to compare with")
+    args = parser.parse_args(argv)
+    run_sweep(args.out)
+    if args.against:
+        result = compare(args.against, args.out)
+        report(result)
+        return 1 if result["mismatched"] else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

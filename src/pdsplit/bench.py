@@ -266,7 +266,6 @@ def run_benchmark(config):
     failure is recorded in the summary without aborting the others, and a
     method that does not apply to the instance is recorded as skipped.
     """
-    config.validate()
     bundle = generate_problem(config)
 
     if bundle.f_star is not None:

@@ -123,8 +123,7 @@ def r0(problem, state, saddle, e0):
     from the merit ``e0`` of ``state``."""
     if saddle is None:
         return None
-    e0 = max(e0, 0.0)
-    return (math.sqrt(2.0 * e0)
+    return (math.sqrt(2.0 * max(e0, 0.0))
             + float(np.linalg.norm(state.lam - saddle.lam))
             + feasibility_residual(problem, state.x, state.y))
 
@@ -153,7 +152,8 @@ def certify_bounds(trace, inputs, composite_column=None, p_star=None):
       composite: 0 <= P - P* <= theta * (E0 + (||lam*|| + M_g) R0)
 
     Violations are reported (relative, with additive-plus-relative slack
-    absorbed by the caller), never thrown.
+    absorbed by the caller), never thrown.  A ``composite_column`` whose
+    length is not the trace's raises ``ValueError``.
     """
     if inputs.saddle is None or not trace.rows:
         return BoundReport(applicable=False)
@@ -169,37 +169,33 @@ def certify_bounds(trace, inputs, composite_column=None, p_star=None):
     if r0_val is None:
         return BoundReport(applicable=False)
 
-    lam_norm = float(np.linalg.norm(inputs.saddle.lam))
-    report = BoundReport(applicable=True, e0=e0, r0=r0_val)
-
-    def track(name, k, violation):
-        cur = report.max_violation.get(name, 0.0)
-        if violation > cur:
-            report.max_violation[name] = violation
-        if violation > 0.0:
-            report.flagged_rows.setdefault(name, []).append(k)
-        else:
-            report.max_violation.setdefault(name, 0.0)
-
+    lam_norm, f_star = float(np.linalg.norm(inputs.saddle.lam)), inputs.f_star
+    table = {}   # bound name -> [(k, relative excess)] over the rows it applies to
     for row in trace.rows:
         th = row.theta
-        if row.feas is not None:
-            bound = th * r0_val
-            track("feasibility", row.k, _rel_excess(row.feas, bound))
-        if row.gap is not None:
-            bound = th * e0
-            track("gap", row.k, _rel_excess(row.gap, bound))
-        if row.obj is not None and inputs.f_star is not None:
-            bound = th * (e0 + lam_norm * r0_val)
-            track("objective", row.k, _rel_excess(abs(row.obj - inputs.f_star), bound))
+        obj_err = None if row.obj is None or f_star is None else abs(row.obj - f_star)
+        for name, value, bound in (("feasibility", row.feas, th * r0_val),
+                                   ("gap", row.gap, th * e0),
+                                   ("objective", obj_err, th * (e0 + lam_norm * r0_val))):
+            if value is not None:
+                table.setdefault(name, []).append((row.k, _rel_excess(value, bound)))
 
     if composite_column is not None and p_star is not None and inputs.m_g is not None:
-        for row, pval in zip(trace.rows, composite_column):
-            bound = row.theta * (e0 + (lam_norm + inputs.m_g) * r0_val)
-            track("composite", row.k, _rel_excess(pval - p_star, bound))
-            track("composite-nonneg", row.k, max(-(pval - p_star), 0.0) / (1.0 + abs(p_star)))
+        if len(composite_column) != len(trace.rows):
+            raise ValueError(f"composite_column has {len(composite_column)} entries; "
+                             f"the trace has {len(trace.rows)} rows")
+        rows = list(zip(trace.rows, composite_column))
+        table["composite"] = [
+            (row.k, _rel_excess(p - p_star, row.theta * (e0 + (lam_norm + inputs.m_g) * r0_val)))
+            for row, p in rows]
+        table["composite-nonneg"] = [(row.k, max(-(p - p_star), 0.0) / (1.0 + abs(p_star)))
+                                     for row, p in rows]
 
-    return report
+    flagged = {name: [(k, v) for k, v in excess if v > 0.0] for name, excess in table.items()}
+    return BoundReport(applicable=True, e0=e0, r0=r0_val,
+                       max_violation={n: max([v for _, v in f], default=0.0)
+                                      for n, f in flagged.items()},
+                       flagged_rows={n: [k for k, _ in f] for n, f in flagged.items() if f})
 
 
 def _rel_excess(value, bound):

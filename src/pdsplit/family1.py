@@ -43,8 +43,17 @@ class IterateState:
 
     @staticmethod
     def cold_start(problem, x0=None, y0=None, lam0=None):
-        """Defaults: zero primals and multiplier, v0 = x0, w0 = y0."""
-        x0, y0, lam0 = problem.initial_point(x0, y0, lam0)
+        """Start with v0 = x0 and w0 = y0, as float vectors, zeros where
+        omitted.  Raises ``ValueError`` naming the block whose length does
+        not match the problem, instead of letting a wrong shape broadcast."""
+        point = []
+        for name, z, dim in (("x0", x0, problem.dim_x), ("y0", y0, problem.dim_y),
+                             ("lam0", lam0, problem.dim_lam)):
+            z = np.zeros(dim) if z is None else np.asarray(z, dtype=float)
+            if z.shape != (dim,):
+                raise ValueError(f"{name} has shape {z.shape}; the problem needs ({dim},)")
+            point.append(z)
+        x0, y0, lam0 = point
         return IterateState(x=x0, v=x0.copy(), y=y0, w=y0.copy(), lam=lam0)
 
 

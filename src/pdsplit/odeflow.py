@@ -22,6 +22,7 @@ from .diagnostics import lyapunov, write_csv
 from .family1 import IterateState
 from .oracles import feasibility_residual
 from .params import ParamState
+from .prox import ZeroFun
 
 __all__ = [
     "SmoothSystemState",
@@ -47,18 +48,14 @@ class OdeBlowUpError(RuntimeError):
 
 
 @dataclass
-class SmoothSystemState:
-    """Full phase point: time, rescaling triple, primal/velocity/multiplier."""
+class SmoothSystemState(IterateState):
+    """Full phase point: the schemes' five blocks plus time and the
+    rescaling triple."""
 
     t: float
     theta: float
     gamma: float
     beta: float
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    lam: np.ndarray
 
     def pack(self):
         return np.concatenate(([self.theta, self.gamma, self.beta],
@@ -66,27 +63,26 @@ class SmoothSystemState:
 
     @staticmethod
     def unpack(t, z, nx, ny, m):
-        i = 3
-        x = z[i:i + nx]; i += nx
-        y = z[i:i + ny]; i += ny
-        v = z[i:i + nx]; i += nx
-        w = z[i:i + ny]; i += ny
-        lam = z[i:i + m]
-        return SmoothSystemState(t=t, theta=z[0], gamma=z[1], beta=z[2],
-                                 x=x, y=y, v=v, w=w, lam=lam)
+        i, j, k, n = 3 + nx, 3 + nx + ny, 3 + 2 * nx + ny, 3 + 2 * (nx + ny)
+        return SmoothSystemState(x=z[3:i], y=z[i:j], v=z[j:k], w=z[k:n], lam=z[n:n + m],
+                                 t=t, theta=z[0], gamma=z[1], beta=z[2])
 
 
 def _gradients(problem):
+    if problem.has_smooth_f() and not isinstance(problem.f_prox, ZeroFun):
+        raise ValueError("the continuous flow takes f through its gradient alone; the f-block's "
+                         f"prox part {type(problem.f_prox).__name__} must be a ZeroFun")
     f = problem.f_smooth if problem.has_smooth_f() else problem.f_prox
-    gf = getattr(f, "gradient", None)
-    gg = getattr(problem.g, "gradient", None)
+    gf, gg = (getattr(oracle, "gradient", None) for oracle in (f, problem.g))
     if gf is None or gg is None:
         raise ValueError("the continuous flow needs gradient oracles on both blocks")
     return gf, gg
 
 
 def rhs(problem, state):
-    """Time derivative of the packed state at ``state``."""
+    """Time derivative of the packed state at ``state``.  A split f-block
+    whose prox part is not a ``ZeroFun`` raises ``ValueError``: the flow
+    would drop that part of f."""
     if state.theta <= 0 or state.gamma <= 0 or state.beta <= 0:
         raise ValueError("theta, gamma, beta must stay positive")
     grad_f, grad_g = _gradients(problem)
@@ -109,8 +105,7 @@ def initial_state(problem, x0=None, y0=None, lam0=None, gamma0=None, beta0=None)
     """Phase point at t=0: the schemes' cold start and initial parameters."""
     st = IterateState.cold_start(problem, x0, y0, lam0)
     ps = ParamState.initial(mu_f=problem.mu_f, mu_g=problem.mu_g, gamma0=gamma0, beta0=beta0)
-    return SmoothSystemState(t=0.0, theta=ps.theta, gamma=ps.gamma, beta=ps.beta,
-                             x=st.x, y=st.y, v=st.v, w=st.w, lam=st.lam)
+    return SmoothSystemState(**vars(st), t=0.0, theta=ps.theta, gamma=ps.gamma, beta=ps.beta)
 
 
 def integrate(problem, initial, T, h=1e-3):

@@ -120,21 +120,6 @@ class SeparableProblem:
     def dim_lam(self):
         return self.b.size
 
-    def initial_point(self, x0=None, y0=None, lam0=None):
-        """Start ``(x0, y0, lam0)`` as float vectors, zeros where omitted.
-
-        Raises ``ValueError`` naming the block whose length does not match
-        the problem, instead of letting a wrong shape broadcast.
-        """
-        point = []
-        for name, z, dim in (("x0", x0, self.dim_x), ("y0", y0, self.dim_y),
-                             ("lam0", lam0, self.dim_lam)):
-            z = np.zeros(dim) if z is None else np.asarray(z, dtype=float)
-            if z.shape != (dim,):
-                raise ValueError(f"{name} has shape {z.shape}; the problem needs ({dim},)")
-            point.append(z)
-        return tuple(point)
-
     def f_value(self, x):
         val = self.f_prox.value(x)
         if self.f_smooth is not None:

@@ -248,6 +248,24 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert summary["config"]["iters"] == 25        # file value kept
 
 
+def test_cli_config_methods_as_list(tmp_path):
+    cfg_file = tmp_path / "list.json"
+    cfg_file.write_text(json.dumps({"problem": "lad-case1", "m": 10, "n": 30, "iters": 5,
+                                    "methods": ["ladmm", "f1-semiB"]}))
+    out = tmp_path / "list"
+    assert main(["--config", str(cfg_file), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["methods"] == ["ladmm", "f1-semiB"]
+    assert set(summary["methods"]) == {"ladmm", "f1-semiB"}
+
+
+def test_run_benchmark_rejects_invalid_config_before_writing(tmp_path):
+    out = tmp_path / "never"
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        run_benchmark(RunConfig(m=5, n=8, methods=("nope",), out=str(out)))
+    assert not out.exists()
+
+
 def test_cli_flag_overrides_methods(tmp_path):
     out = tmp_path / "m"
     code = main(["--method", "ladmm", "--iters", "5",

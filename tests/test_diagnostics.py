@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pdsplit import IterateState
+from pdsplit.baselines import ladmm_run
 from pdsplit.diagnostics import (CSV_COLUMNS, BoundReport, IterationTrace,
                                  LyapunovInputs, TraceRow, certify_bounds,
                                  lagrangian_gap, lyapunov, r0, sparsity)
@@ -105,6 +106,17 @@ def test_certify_bounds_inapplicable_without_saddle():
     assert not report.applicable
 
 
+def test_certify_bounds_inapplicable_without_row0_merit_or_r0():
+    prob, trace = run_trace()
+    inputs = LyapunovInputs(saddle=prob.saddle)
+    # the baselines record no merit, so row 0 has no lyap
+    ladmm_trace, _ = ladmm_run(prob, 20)
+    assert ladmm_trace.rows[0].lyap is None
+    assert certify_bounds(ladmm_trace, inputs) == BoundReport(applicable=False)
+    del trace.meta["r0"]
+    assert certify_bounds(trace, inputs) == BoundReport(applicable=False)
+
+
 def test_certify_bounds_composite_column():
     prob, trace = run_trace()
     inputs = LyapunovInputs(saddle=prob.saddle,
@@ -114,6 +126,14 @@ def test_certify_bounds_composite_column():
     composite = [row.obj for row in trace.rows]
     report = certify_bounds(trace, inputs, composite_column=composite, p_star=p_star)
     assert "composite" in report.max_violation
+
+
+def test_certify_bounds_rejects_a_composite_column_of_another_length():
+    prob, trace = run_trace()
+    inputs = LyapunovInputs(saddle=prob.saddle, m_g=1.0)
+    with pytest.raises(ValueError, match=rf"^composite_column has 1 entries; "
+                                         rf"the trace has {len(trace.rows)} rows$"):
+        certify_bounds(trace, inputs, composite_column=[trace.rows[0].obj], p_star=0.0)
 
 
 def test_sparsity_counts():
@@ -153,3 +173,4 @@ def test_trace_column_access():
     thetas = trace.column("theta")
     assert thetas[0] == 1.0
     assert all(b < a for a, b in zip(thetas, thetas[1:]))
+

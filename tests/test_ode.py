@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from pdsplit import IterateState
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.odeflow import (OdeBlowUpError, SmoothSystemState,
                              closed_form_parameters, initial_state, integrate,
                              lyapunov_continuous, rhs, trajectory_to_csv)
 from pdsplit.oracles import SeparableProblem, feasibility_residual
-from pdsplit.prox import L1Norm, QuadraticProx
+from pdsplit.prox import L1Norm, QuadraticProx, SquaredL2, ZeroFun
 
 from helpers import MU_REGIMES, ode_quadratic_instance, quadratic_instance
 
@@ -84,6 +85,24 @@ def test_rhs_rejects_nonsmooth_blocks():
                             np.zeros(2))
     with pytest.raises(ValueError, match="gradient"):
         rhs(prob, initial_state(prob))
+
+
+def test_rhs_rejects_a_split_f_block_with_a_prox_part():
+    # the flow integrates f through the smooth part's gradient; 5||x||_1 would be dropped
+    prob = SeparableProblem((SquaredL2(1.0), L1Norm(5.0)), QuadraticProx(np.eye(2)),
+                            DenseOperator(np.eye(2)), negated_identity(2), np.zeros(2))
+    with pytest.raises(ValueError, match="prox part L1Norm must be a ZeroFun"):
+        rhs(prob, initial_state(prob))
+    with pytest.raises(ValueError, match="L1Norm"):
+        integrate(prob, initial_state(prob), T=0.01, h=0.005)
+
+
+def test_split_f_block_with_a_zero_prox_part_flows_like_the_prox_form():
+    prox_form, split_form = quadratic_instance(71)
+    assert isinstance(split_form.f_prox, ZeroFun)
+    ends = [integrate(p, initial_state(p), T=0.05, h=0.01)[-1].pack()
+            for p in (prox_form, split_form)]
+    assert np.array_equal(ends[0], ends[1])
 
 
 @pytest.mark.parametrize("mu_f,mu_g", MU_REGIMES)
@@ -182,6 +201,14 @@ def test_trajectory_csv(tmp_path, with_saddle, with_f_star):
         # E column recomputes
         assert float(first[1]) == pytest.approx(
             lyapunov_continuous(prob, traj[0], prob.saddle))
+
+
+def test_phase_point_is_an_iterate_state():
+    prob, _ = quadratic_instance(72)
+    init = initial_state(prob, y0=np.ones(prob.dim_y))
+    assert isinstance(init, IterateState)
+    assert np.array_equal(init.w, init.y) and init.w is not init.y
+    assert (init.t, init.theta) == (0.0, 1.0)
 
 
 def test_state_pack_unpack_round_trip():

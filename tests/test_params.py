@@ -167,6 +167,28 @@ def test_shape_bounds_check_hypotheses():
     assert res.applicable and res.value > 0
 
 
+def test_shape_bound_inapplicable_when_the_bracket_vanishes():
+    # ||A|| = ||B|| = 0 leaves f1-explicit no step size, hence no alpha_0 <= 1
+    res = theoretical_theta_bound(Scheme.F1_EXPLICIT, 5, norm_A=0.0, norm_B=0.0)
+    assert not res.applicable and math.isnan(res.value)
+    assert "alpha_0 <= 1" in res.note
+
+
+@pytest.mark.parametrize("mu_f", [0.0, 0.5])
+def test_family2_bound_without_lipschitz_term_is_the_a_side_rate(mu_f):
+    # L_f = 0 drops the f-side rate: f2-semiA keeps the A-side rate alone,
+    # and f2-explicit the f1-explicit bound
+    k, norm_A, gamma0 = 9, 2.5, 0.8
+    a_side = min(norm_A / (math.sqrt(gamma0) * k),
+                 norm_A ** 2 / (mu_f * k ** 2) if mu_f > 0 else math.inf)
+    res = theoretical_theta_bound(Scheme.F2_SEMI_A, k, norm_A=norm_A, mu_f=mu_f, gamma0=gamma0)
+    assert res.applicable and res.value == pytest.approx(a_side, rel=1e-15)
+    kwargs = dict(norm_A=norm_A, norm_B=1.5, mu_f=mu_f, mu_g=0.3, gamma0=gamma0)
+    explicit = theoretical_theta_bound(Scheme.F1_EXPLICIT, k, **kwargs)
+    res = theoretical_theta_bound(Scheme.F2_EXPLICIT, k, lipschitz_f=0.0, **kwargs)
+    assert res.applicable and explicit.applicable and res.value == explicit.value
+
+
 def test_theta_sequences_respect_equality_grade_bounds():
     # semi-implicit runs must sit below the published formula with C = 1
     for scheme, kwargs, bound_kwargs in [

@@ -1,6 +1,7 @@
 """The sweep script's comparison of two output directories of trace CSVs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,28 @@ def test_compare_flags_missing_csv_and_empty_field(tmp_path):
 
     assert result["columns"]["gap"][0] == float("inf")
     assert result["mismatched"] == [f"quadratic-synthetic-seed0/trace_pdhg.csv: missing in {change}"]
+
+
+def _write_summary(root, name, fstar):
+    path = root / name / "summary.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    summary = {"config": {"out": str(path.parent), "seed": 0}, "fstar": fstar, "methods": {}}
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+
+def test_compare_counts_summaries_identical_apart_from_out(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        _write_summary(root, "lad-case1-seed0", 1.5)
+    _write_summary(parent, "svm-l1-seed0", 2.0)
+    _write_summary(change, "svm-l1-seed0", 2.0000000000000004)
+    _write_summary(parent, "svm-l1-seed1", 3.0)
+
+    sweep = _sweep()
+    result = sweep.compare(parent, change)
+    sweep.report(result)
+
+    assert "summary.json without config.out, byte-identical: 1 of 3" in capsys.readouterr().out
+    assert (result["summaries_identical"], result["summaries_total"]) == (1, 3)
+    assert result["mismatched"] == [f"svm-l1-seed1/summary.json: missing in {change}"]
+    assert (result["identical"], result["total"]) == (0, 0)

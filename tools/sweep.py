@@ -15,13 +15,16 @@ output comes from the same script with that commit's ``src`` on the path.
 With ``--against``, the script prints how many CSVs are byte-identical to
 ``PARENT_OUT``'s and, per column, the largest difference: relative for
 ``theta``, ``alpha``, ``gap`` and ``lyap``; relative to the parent's row-0
-value for ``obj`` and ``feas``; absolute for ``sparsity``.  It exits 1 when
-a CSV is missing on one side or the two differ in their rows' ``k``.
+value for ``obj`` and ``feas``; absolute for ``sparsity``.  It also prints
+how many ``summary.json`` files are byte-identical once ``config.out``, the
+one field that names the output directory, is removed.  It exits 1 when a
+CSV or a summary is missing on one side or two CSVs differ in their rows' ``k``.
 """
 
 import argparse
 import csv
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -66,22 +69,45 @@ def _difference(parent, change, scale):
     return abs(c - p) / scale if scale else abs(c - p)
 
 
-def compare(parent_dir, change_dir):
-    """Compare the trace CSVs of two sweep outputs.
+def _summary_bytes(path):
+    """``summary.json`` as ``run_benchmark`` writes it, without ``config.out``."""
+    summary = json.loads(path.read_text())
+    summary["config"].pop("out", None)
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
-    Returns a dict: ``identical`` and ``total`` CSV counts, ``columns``
-    mapping each compared column to ``(largest difference, where)``, and
-    ``mismatched``, the CSVs missing on one side or differing in ``k``.
-    """
-    parent_dir, change_dir = Path(parent_dir), Path(change_dir)
-    names = sorted({p.relative_to(d) for d in (parent_dir, change_dir) for p in d.glob("*/trace_*.csv")})
-    columns = {c: (0.0, "") for c in RELATIVE + ROW0_RELATIVE + EXACT}
-    identical, mismatched = 0, []
+
+def _pairs(parent_dir, change_dir, pattern, mismatched):
+    """The number of paths matching ``pattern`` under either directory, and
+    ``(name, parent path, change path)`` for those under both; a path
+    missing on one side goes to ``mismatched``."""
+    names = sorted({p.relative_to(d) for d in (parent_dir, change_dir) for p in d.glob(pattern)})
+    pairs = []
     for name in names:
         p_path, c_path = parent_dir / name, change_dir / name
-        if not (p_path.exists() and c_path.exists()):
+        if p_path.exists() and c_path.exists():
+            pairs.append((name, p_path, c_path))
+        else:
             mismatched.append(f"{name}: missing in {parent_dir if c_path.exists() else change_dir}")
-            continue
+    return len(names), pairs
+
+
+def compare(parent_dir, change_dir):
+    """Compare the trace CSVs and summaries of two sweep outputs.
+
+    Returns a dict: ``identical`` and ``total`` CSV counts, ``columns``
+    mapping each compared column to ``(largest difference, where)``,
+    ``summaries_identical`` and ``summaries_total`` counts of the
+    ``summary.json`` files, compared without ``config.out``, and
+    ``mismatched``, the files missing on one side and the CSVs differing in ``k``.
+    """
+    parent_dir, change_dir = Path(parent_dir), Path(change_dir)
+    columns = {c: (0.0, "") for c in RELATIVE + ROW0_RELATIVE + EXACT}
+    mismatched = []
+    summaries_total, summaries = _pairs(parent_dir, change_dir, "*/summary.json", mismatched)
+    summaries_identical = sum(_summary_bytes(p) == _summary_bytes(c) for _, p, c in summaries)
+    total, traces = _pairs(parent_dir, change_dir, "*/trace_*.csv", mismatched)
+    identical = 0
+    for name, p_path, c_path in traces:
         if p_path.read_bytes() == c_path.read_bytes():
             identical += 1
             continue
@@ -96,7 +122,9 @@ def compare(parent_dir, change_dir):
                 diff = _difference(p[col], c[col], scale)
                 if diff > columns[col][0]:
                     columns[col] = (diff, f"{name} k={p['k']}")
-    return {"identical": identical, "total": len(names), "columns": columns, "mismatched": mismatched}
+    return {"identical": identical, "total": total, "columns": columns,
+            "summaries_identical": summaries_identical, "summaries_total": summaries_total,
+            "mismatched": mismatched}
 
 
 def report(result):
@@ -106,6 +134,8 @@ def report(result):
     for col, (diff, where) in result["columns"].items():
         scale = "own value" if col in RELATIVE else "row 0" if col in ROW0_RELATIVE else "(absolute)"
         print(f"{col:<10}{diff:<20.2e}{scale:<14}{where}")
+    print(f"summary.json without config.out, byte-identical: "
+          f"{result['summaries_identical']} of {result['summaries_total']}")
     for line in result["mismatched"]:
         print(f"MISMATCH {line}")
 

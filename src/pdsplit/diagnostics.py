@@ -199,10 +199,13 @@ def certify_bounds(trace, inputs, composite_column=None, p_star=None):
 
 
 def _rel_excess(value, bound):
-    """Relative amount by which ``value`` exceeds ``bound`` (0 if it holds)."""
+    """Relative amount by which ``value`` exceeds ``bound``: 0 if it holds,
+    inf if either is NaN."""
     excess = value - bound
     if excess <= 0.0:
         return 0.0
+    if math.isnan(excess):
+        return math.inf
     return excess / (1.0 + abs(bound))
 
 

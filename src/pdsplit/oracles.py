@@ -41,8 +41,8 @@ class ProxOracle:
         + weight/2 ||u-center||^2`` when a closed form exists.
 
         Returns None when this oracle has no closed form for a general
-        coupling operator ``C``; the solver then falls back to its inner
-        loop.  A scaled-identity ``C`` never reaches this method: the
+        coupling operator ``C``, or when its own solve declines this one;
+        the solver then falls back to its inner loop.  A scaled-identity ``C`` never reaches this method: the
         solver merges it into the prox first.
         """
         return None

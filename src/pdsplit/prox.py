@@ -2,7 +2,10 @@
 
 Every prox here is closed form, written in the ``prox`` method of its class.
 ``QuadraticProx`` and ``SquaredL2`` are smooth oracles too, so either can be
-the smooth part of a split f-block.
+the smooth part of a split f-block.  ``ZeroFun`` and ``QuadraticProx`` solve
+the augmented subproblem in closed form, and ``L1Norm`` and ``ElasticNet`` by
+active-set Newton, which declines when its answer fails the inner loop's
+stopping test.
 """
 
 from functools import cached_property
@@ -10,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .oracles import ProxOracle, SmoothOracle
+from .subprob import prox_gradient_step
 
 __all__ = [
     "ZeroFun",
@@ -21,6 +25,8 @@ __all__ = [
     "BoxIndicator",
     "QuadraticProx",
 ]
+
+_NEWTON_STEPS = 25   # active-set Newton steps before the answer is tested
 
 
 def _soft_threshold(z, tau, lam):
@@ -59,6 +65,9 @@ class L1Norm(ProxOracle):
 
     def prox(self, z, tau):
         return _soft_threshold(z, tau, self.lam)
+
+    def solve_augmented(self, linear, C, offset, sigma, weight, center):
+        return _l1_newton(self, 0.0, linear, C, offset, sigma, weight, center)
 
 
 class ShiftedL1(ProxOracle):
@@ -117,6 +126,9 @@ class ElasticNet(ProxOracle):
         if tau <= 0:
             raise ValueError("tau must be positive")
         return _soft_threshold(z, tau, self.lam) / (1.0 + tau * self.mu)
+
+    def solve_augmented(self, linear, C, offset, sigma, weight, center):
+        return _l1_newton(self, self.mu, linear, C, offset, sigma, weight, center)
 
 
 class HingeSum(ProxOracle):
@@ -204,6 +216,37 @@ class QuadraticProx(ProxOracle, SmoothOracle):
             self._coupled = (C, C.to_dense() @ V)
         rhs = weight * center - self.p - linear - sigma * C.adjoint(offset)
         return _solve_augmented_normal(V, e + weight, self._coupled[1], sigma, rhs)
+
+
+def _l1_newton(block, mu, linear, C, offset, sigma, weight, center):
+    """Active-set (semismooth) Newton on the augmented subproblem of
+    ``block.lam ||u||_1 + mu/2 ||u||^2`` (Li, Sun & Toh, SIAM J. Optim. 2018).
+
+    With ``d = weight + mu``, the smooth part ``q`` (the subproblem without
+    the l1 term) and ``g0 = grad q(0)``, the minimiser is the fixed point of
+    ``u = soft(z, lam / d)``, ``z = u - grad q(u) / d = -(g0 + sigma C^T C u) / d``.
+    From ``center``, each step takes the signed active set
+    ``s = sign(z) [|z| > lam / d]`` of the current ``u`` and solves
+    ``(d I + sigma C_S^T C_S) u_S = -(g0_S + lam s_S)``, with ``u = 0`` off
+    ``S``; once ``s`` repeats, ``u`` is that fixed point.  After that, or
+    after ``_NEWTON_STEPS`` steps, ``u`` must pass the inner loop's stopping
+    test at the inner loop's step; otherwise this returns None and the
+    solver falls back to the inner loop.
+    """
+    M, d, lam = C.to_dense(), weight + mu, block.lam
+    shift = linear + sigma * C.adjoint(offset) - weight * center   # g0
+    u, signs = np.array(center, dtype=float), None
+    for _ in range(_NEWTON_STEPS):
+        z = -(sigma * (M.T @ (M @ u)) + shift) / d
+        active = np.where(np.abs(z) > lam / d, np.sign(z), 0.0)
+        if signs is not None and np.array_equal(active, signs):
+            break
+        signs, S = active, np.flatnonzero(active)
+        u = np.zeros_like(u)
+        u[S] = _solve_augmented_normal(None, d, M[:, S], sigma, -(shift[S] + lam * signs[S]))
+    step = 1.0 / (sigma * C.norm_bound() ** 2 + weight)
+    _, _, accepted = prox_gradient_step(block, u, C.apply(u), C, sigma, weight, shift, step)
+    return u if accepted else None
 
 
 def _solve_augmented_normal(V, d, CV, sigma, rhs):

@@ -6,12 +6,14 @@ Each non-linearized block update minimizes
 
 over the block's set (folded into ``h``'s prox).  The solve is closed form
 when ``C`` is a scaled identity (the augmented term merges into the prox)
-or when the block oracle solves augmented quadratics itself; otherwise an
-inner loop of accelerated proximal gradient is used.  The loop starts at
-``center`` and returns ``T(z)``, one prox-gradient step from the
-extrapolated point ``z``, as soon as
-``||T(z) - z|| <= inner_tol * (1 + ||T(z)||)``.  When it reaches
-``inner_max_iters`` first it returns the last ``T(z)`` with a
+or when the block oracle solves the subproblem itself (``QuadraticProx``,
+``ZeroFun``, and ``L1Norm`` and ``ElasticNet`` by active-set Newton, which
+may decline); otherwise an inner loop of accelerated proximal gradient is
+used.  The loop starts at ``center`` and returns ``T(z)``, one
+prox-gradient step from the extrapolated point ``z``, as soon as
+``||T(z) - z|| <= inner_tol * (1 + ||T(z)||)``: the test of
+:func:`prox_gradient_step`, which a Newton answer must pass too.  When it
+reaches ``inner_max_iters`` first it returns the last ``T(z)`` with a
 ``RuntimeWarning`` naming the cap, the residual and the tolerance.  Both
 limits are fixed for all schemes, recorded in :data:`OPTIONS`.
 """
@@ -51,6 +53,17 @@ def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center):
     return _inner_prox_gradient(block, linear, C, offset, sigma, weight, center)
 
 
+def prox_gradient_step(block, z, Cz, C, sigma, weight, shift, step):
+    """``T(z)``, the residual ``||T(z) - z||`` and whether it passes the stopping
+    test ``residual <= inner_tol * (1 + ||T(z)||)``.  ``T`` is one prox-gradient
+    step on the smooth part, whose gradient is ``sigma C^T C z + weight z + shift``;
+    ``Cz = C z``."""
+    grad = sigma * C.adjoint(Cz) + weight * z + shift
+    u_next = block.prox(z - step * grad, step)
+    residual = np.linalg.norm(u_next - z)
+    return u_next, residual, residual <= OPTIONS.inner_tol * (1.0 + np.linalg.norm(u_next))
+
+
 def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center):
     """Accelerated proximal gradient on the smooth quadratic part, prox on the block.
 
@@ -70,10 +83,9 @@ def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center):
     z, Cz = u, Cu
     u_next, residual = u, np.inf   # returned as is when the cap is 0
     for _ in range(OPTIONS.inner_max_iters):
-        grad = sigma * C.adjoint(Cz) + weight * z + shift
-        u_next = block.prox(z - step * grad, step)
-        residual = np.linalg.norm(u_next - z)
-        if residual <= OPTIONS.inner_tol * (1.0 + np.linalg.norm(u_next)):
+        u_next, residual, accepted = prox_gradient_step(block, z, Cz, C, sigma, weight,
+                                                        shift, step)
+        if accepted:
             return u_next
         Cu_next = C.apply(u_next)
         z = u_next + momentum * (u_next - u)

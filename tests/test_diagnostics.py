@@ -100,6 +100,21 @@ def test_certify_bounds_flags_corruption():
     assert 40 in report.flagged_rows.get("feasibility", [])
 
 
+def test_certify_bounds_flags_nan_rows():
+    prob, _ = quadratic_instance(56)
+    trace = run(prob, Scheme.F1_SEMI_A, 50).trace
+    inputs = LyapunovInputs(saddle=prob.saddle,
+                            f_star=prob.objective(prob.saddle.x, prob.saddle.y))
+    assert certify_bounds(trace, inputs).clean(slack=1e-8)
+    trace.rows[10].feas = math.nan
+    trace.rows[11].gap = math.nan
+    report = certify_bounds(trace, inputs)
+    assert not report.clean(slack=1e-8)
+    assert report.max_violation["feasibility"] == report.max_violation["gap"] == math.inf
+    assert report.flagged_rows["feasibility"] == [10]
+    assert report.flagged_rows["gap"] == [11]
+
+
 def test_certify_bounds_inapplicable_without_saddle():
     _, trace = run_trace()
     report = certify_bounds(trace, LyapunovInputs())

@@ -1,16 +1,18 @@
-"""The augmented-subproblem solver's inner loop: agreement with the closed
-form, its cost per iteration, the cap warning, and its effect on the
-LAD benchmark runs."""
+"""The augmented-subproblem solver: the inner loop's agreement with the
+closed form, its cost per iteration and its cap warning; the l1 and
+elastic-net Newton solve against the inner loop, and its fallback; and
+their effect on the LAD benchmark runs."""
 
 import numpy as np
 import pytest
 
-from pdsplit import bench, subprob
+from pdsplit import bench, prox, subprob
 from pdsplit.bench import RunConfig, generate_lad, generate_problem
 from pdsplit.driver import run
 from pdsplit.linops import DenseOperator, ScaledIdentity
+from pdsplit.oracles import SeparableProblem
 from pdsplit.params import Scheme
-from pdsplit.prox import L1Norm
+from pdsplit.prox import ElasticNet, L1Norm
 from pdsplit.subprob import solve_augmented_subproblem
 
 
@@ -35,6 +37,9 @@ class CountingOperator(DenseOperator):
 
 
 class CountingL1(L1Norm):
+    """``L1Norm`` that counts its prox calls and has no closed form, so every
+    solve against a dense ``C`` runs the inner loop."""
+
     def __init__(self, lam):
         super().__init__(lam)
         self.calls = 0
@@ -43,15 +48,19 @@ class CountingL1(L1Norm):
         self.calls += 1
         return super().prox(z, tau)
 
+    def solve_augmented(self, linear, C, offset, sigma, weight, center):
+        return None
+
 
 @pytest.mark.parametrize("c", [0.5, 2.0, -1.5])
 def test_inner_loop_matches_scaled_identity_closed_form(c):
     n = 12
     linear, offset, center, _ = _instance(1, n=n, m=n)
     args = dict(linear=linear, offset=offset, sigma=1.3, weight=0.4, center=center)
-    iterative = solve_augmented_subproblem(L1Norm(0.7), C=DenseOperator(c * np.eye(n)), **args)
     closed = solve_augmented_subproblem(L1Norm(0.7), C=ScaledIdentity(c, n), **args)
-    assert np.max(np.abs(iterative - closed)) <= 1e-8
+    for block in (CountingL1(0.7), L1Norm(0.7)):   # the inner loop, then Newton
+        iterative = solve_augmented_subproblem(block, C=DenseOperator(c * np.eye(n)), **args)
+        assert np.max(np.abs(iterative - closed)) <= 1e-8
 
 
 def test_inner_iteration_costs_one_forward_and_one_adjoint_product():
@@ -72,13 +81,15 @@ def test_inner_loop_cap_hit_warns(monkeypatch):
     linear, offset, center, M = _instance(4)
     monkeypatch.setattr(subprob.OPTIONS, "inner_max_iters", 1)
     with pytest.warns(RuntimeWarning, match=r"cap of 1 iterations at residual .*tolerance 1\.0e-10"):
-        solve_augmented_subproblem(L1Norm(0.5), linear, DenseOperator(M), offset,
+        solve_augmented_subproblem(CountingL1(0.5), linear, DenseOperator(M), offset,
                                    sigma=1.0, weight=0.5, center=center)
 
 
 def test_inner_loop_is_the_default_fallback():
-    # the l1 x-block has no closed form against a dense A
-    res = run(generate_lad(20, 60, 0).prox_form, Scheme.F1_SEMI_B, 5)
+    # an l1 x-block with no closed form against the dense A
+    lad = generate_lad(20, 60, 0).prox_form
+    problem = SeparableProblem(CountingL1(lad.f_prox.lam), lad.g, lad.A, lad.B, lad.b)
+    res = run(problem, Scheme.F1_SEMI_B, 5)
     assert len(res.trace.rows) == 6
     assert all(np.isfinite(r.obj) for r in res.trace.rows)
 
@@ -86,44 +97,105 @@ def test_inner_loop_is_the_default_fallback():
 def _lad_run(tag, inner_tol=None, inner_max_iters=None):
     """lad-case1 50x200, seed 0, 200 iterations through the CLI dispatch.
 
-    Returns the trace and the mean number of inner prox calls per
-    subproblem solve (the x-block's prox runs only inside the solve).
+    Returns the trace, the mean number of x-block prox calls per
+    subproblem solve (the x-block's prox runs only inside the solve) and
+    the number of solves that ran the inner loop.  Given the inner loop's
+    limits, the run turns the x-block's own solve off, so that every solve
+    runs the inner loop at those limits.
     """
     bundle = generate_problem(RunConfig(problem="lad-case1", m=50, n=200, seed=0))
     problem = bundle.prox_form if tag.startswith("f1") else bundle.split_form
     block = problem.f_prox
-    calls = 0
-    prox = block.prox
+    calls = inner_calls = 0
+    block_prox, inner = block.prox, subprob._inner_prox_gradient
 
     def counted(z, tau):
         nonlocal calls
         calls += 1
-        return prox(z, tau)
+        return block_prox(z, tau)
+
+    def counted_inner(*args):
+        nonlocal inner_calls
+        inner_calls += 1
+        return inner(*args)
 
     block.prox = counted
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subprob, "_inner_prox_gradient", counted_inner)
         if inner_tol is not None:
+            mp.setattr(block, "solve_augmented", lambda *args: None)
             mp.setattr(subprob.OPTIONS, "inner_tol", inner_tol)
             mp.setattr(subprob.OPTIONS, "inner_max_iters", inner_max_iters)
         trace, _ = bench._run_method(bundle, tag, 200)
     solves = len(trace.rows) - 1   # one augmented x-solve per step
-    return trace, calls / solves
+    return trace, calls / solves, inner_calls
 
 
 @pytest.fixture(scope="module", params=["f1-semiB", "f2-semiB"])
 def lad_runs(request):
     return (*_lad_run(request.param),
-            _lad_run(request.param, inner_tol=1e-13, inner_max_iters=5000)[0])
+            *_lad_run(request.param, inner_tol=1e-13, inner_max_iters=5000)[::2])
 
 
 def test_lad_inner_iterations_per_solve(lad_runs):
-    _, mean_calls, _ = lad_runs
+    _, mean_calls, *_ = lad_runs
     assert mean_calls <= 100
 
 
+def test_lad_newton_solves_skip_the_inner_loop(lad_runs):
+    _, _, inner_calls, _, reference_inner_calls = lad_runs
+    assert inner_calls == 0
+    assert reference_inner_calls == 200   # the reference is the inner loop's
+
+
 def test_lad_trace_matches_tight_inner_reference(lad_runs):
-    trace, _, reference = lad_runs
+    trace, _, _, reference, _ = lad_runs
     assert len(trace.rows) == len(reference.rows)
     worst = max(abs(r.obj - ref.obj) / abs(ref.obj)
                 for r, ref in zip(trace.rows, reference.rows))
     assert worst <= 1e-5
+
+
+def _newton_and_reference(block, m, n, sigma, seed=5):
+    """The block's own solve, the inner loop's at 1e-13 / 5000 iterations,
+    and that answer's a priori error bound: a residual r leaves a subgradient
+    error of at most 2 lip r, so the answer is within 2 (lip / weight) r."""
+    linear, offset, center, M = _instance(seed, n=n, m=m)
+    C, weight = DenseOperator(M), 0.5
+    args = (linear, C, offset, sigma, weight, center)
+    newton = block.solve_augmented(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subprob.OPTIONS, "inner_tol", 1e-13)
+        mp.setattr(subprob.OPTIONS, "inner_max_iters", 5000)
+        reference = subprob._inner_prox_gradient(block, *args)
+    lip = sigma * C.norm_bound() ** 2 + weight
+    return newton, reference, 2.0 * lip / weight * 1e-13 * (1.0 + np.linalg.norm(reference))
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("m, n", [(7, 12), (12, 7)])   # capacitance and normal solve
+@pytest.mark.parametrize("block", [L1Norm(0.7), ElasticNet(0.7, 0.3), L1Norm(0.0),
+                                   ElasticNet(0.0, 0.3)], ids=["l1", "enet", "l1-lam0", "enet-lam0"])
+def test_newton_solve_matches_tight_inner_loop(block, m, n, sigma):
+    newton, reference, reference_error = _newton_and_reference(block, m, n, sigma)
+    assert newton is not None
+    # the reference's own error bound is at most 3e-11 relative up to
+    # sigma = 1, and 2e-8 at sigma = 1e3
+    assert np.linalg.norm(newton - reference) <= (1e-9 * np.linalg.norm(reference)
+                                                  + reference_error)
+
+
+@pytest.mark.parametrize("block", [L1Norm(1e4), ElasticNet(1e4, 0.3)], ids=["l1", "enet"])
+def test_newton_solve_with_an_empty_active_set_is_zero(block):
+    newton, reference, _ = _newton_and_reference(block, 7, 12, 1.0)
+    assert np.array_equal(newton, np.zeros(12))
+    assert np.array_equal(reference, np.zeros(12))
+
+
+def test_declined_newton_solve_falls_back_to_the_inner_loop(monkeypatch):
+    linear, offset, center, M = _instance(6)
+    args = (linear, DenseOperator(M), offset, 1.0, 0.5, center)
+    monkeypatch.setattr(prox, "_NEWTON_STEPS", 1)   # stops before its active set settles
+    assert L1Norm(0.5).solve_augmented(*args) is None
+    inner = subprob._inner_prox_gradient(L1Norm(0.5), *args)
+    assert np.array_equal(solve_augmented_subproblem(L1Norm(0.5), *args), inner)

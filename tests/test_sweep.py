@@ -23,7 +23,7 @@ def _write(root, name, rows):
     path.write_text(HEADER + "".join(row + "\n" for row in rows))
 
 
-def test_compare_reports_identity_and_largest_differences(tmp_path):
+def test_compare_reports_identity_and_largest_differences(tmp_path, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     same = ["0,1.0,,10.0,2.0,,,5,", "1,0.5,0.5,8.0,1.0,,,4,"]
     for root in (parent, change):
@@ -35,9 +35,15 @@ def test_compare_reports_identity_and_largest_differences(tmp_path):
     _write(parent, "svm-l1-seed1/trace_f1-semiB.csv", same)
     _write(change, "svm-l1-seed1/trace_f1-semiB.csv", same[:1])
 
-    result = _sweep().compare(parent, change)
+    sweep = _sweep()
+    result = sweep.compare(parent, change)
+    sweep.report(result)
 
     assert (result["identical"], result["total"]) == (1, 2 + 1)
+    differing = ["lad-case1-seed0/trace_f1-semiA.csv", "svm-l1-seed1/trace_f1-semiB.csv"]
+    assert result["differing"] == differing
+    out = capsys.readouterr().out
+    assert "".join(f"differs: {name}\n" for name in differing) in out
     cols = result["columns"]
     assert cols["theta"][0] == pytest.approx(1e-6)          # relative to 0.5
     assert cols["theta"][1] == "lad-case1-seed0/trace_f1-semiA.csv k=1"
@@ -57,6 +63,7 @@ def test_compare_flags_missing_csv_and_empty_field(tmp_path):
     result = _sweep().compare(parent, change)
 
     assert result["columns"]["gap"][0] == float("inf")
+    assert result["differing"] == ["quadratic-synthetic-seed0/trace_f2-semiA.csv"]
     assert result["mismatched"] == [f"quadratic-synthetic-seed0/trace_pdhg.csv: missing in {change}"]
 
 
@@ -82,4 +89,4 @@ def test_compare_counts_summaries_identical_apart_from_out(tmp_path, capsys):
     assert "summary.json without config.out, byte-identical: 1 of 3" in capsys.readouterr().out
     assert (result["summaries_identical"], result["summaries_total"]) == (1, 3)
     assert result["mismatched"] == [f"svm-l1-seed1/summary.json: missing in {change}"]
-    assert (result["identical"], result["total"]) == (0, 0)
+    assert (result["identical"], result["total"], result["differing"]) == (0, 0, [])

@@ -13,7 +13,8 @@ digest of every CSV in ``sha256sum`` format.
 The pdsplit that runs is the one on ``PYTHONPATH``, so a parent commit's
 output comes from the same script with that commit's ``src`` on the path.
 With ``--against``, the script prints how many CSVs are byte-identical to
-``PARENT_OUT``'s and, per column, the largest difference: relative for
+``PARENT_OUT``'s, names each one that is not, and gives, per column, the
+largest difference: relative for
 ``theta``, ``alpha``, ``gap`` and ``lyap``; relative to the parent's row-0
 value for ``obj`` and ``feas``; absolute for ``sparsity``.  It also prints
 how many ``summary.json`` files are byte-identical once ``config.out``, the
@@ -94,7 +95,8 @@ def _pairs(parent_dir, change_dir, pattern, mismatched):
 def compare(parent_dir, change_dir):
     """Compare the trace CSVs and summaries of two sweep outputs.
 
-    Returns a dict: ``identical`` and ``total`` CSV counts, ``columns``
+    Returns a dict: ``identical`` and ``total`` CSV counts, ``differing``,
+    the names of the CSVs on both sides that are not byte-identical, ``columns``
     mapping each compared column to ``(largest difference, where)``,
     ``summaries_identical`` and ``summaries_total`` counts of the
     ``summary.json`` files, compared without ``config.out``, and
@@ -106,11 +108,12 @@ def compare(parent_dir, change_dir):
     summaries_total, summaries = _pairs(parent_dir, change_dir, "*/summary.json", mismatched)
     summaries_identical = sum(_summary_bytes(p) == _summary_bytes(c) for _, p, c in summaries)
     total, traces = _pairs(parent_dir, change_dir, "*/trace_*.csv", mismatched)
-    identical = 0
+    identical, differing = 0, []
     for name, p_path, c_path in traces:
         if p_path.read_bytes() == c_path.read_bytes():
             identical += 1
             continue
+        differing.append(str(name))
         p_rows, c_rows = _read(p_path), _read(c_path)
         if [r["k"] for r in p_rows] != [r["k"] for r in c_rows]:
             mismatched.append(f"{name}: rows differ in k ({len(p_rows)} vs {len(c_rows)} rows)")
@@ -122,7 +125,7 @@ def compare(parent_dir, change_dir):
                 diff = _difference(p[col], c[col], scale)
                 if diff > columns[col][0]:
                     columns[col] = (diff, f"{name} k={p['k']}")
-    return {"identical": identical, "total": total, "columns": columns,
+    return {"identical": identical, "total": total, "differing": differing, "columns": columns,
             "summaries_identical": summaries_identical, "summaries_total": summaries_total,
             "mismatched": mismatched}
 
@@ -130,6 +133,8 @@ def compare(parent_dir, change_dir):
 def report(result):
     """Print ``compare``'s result as a table."""
     print(f"byte-identical: {result['identical']} of {result['total']} CSVs")
+    for name in result["differing"]:
+        print(f"differs: {name}")
     print(f"{'column':<10}{'largest difference':<20}{'relative to':<14}where")
     for col, (diff, where) in result["columns"].items():
         scale = "own value" if col in RELATIVE else "row 0" if col in ROW0_RELATIVE else "(absolute)"

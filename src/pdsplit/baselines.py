@@ -39,20 +39,22 @@ def step_ladmm(problem, state, sigma, tx, ty):
     Both primal blocks are prox steps on the linearized augmented
     Lagrangian (Gauss-Seidel order: x first, then y against the new x).
     The velocities of the returned state are its points: ``v = x``,
-    ``w = y``.
+    ``w = y``; it keeps ``A x+`` and ``B y+``, which the next step and the
+    trace row reuse.
     """
     A, B, b = problem.A, problem.B, problem.b
-    By = B.apply(state.y)
+    Ax, By = state.products(problem)
 
-    res = A.apply(state.x) + By - b + state.lam / sigma
+    res = Ax + By - b + state.lam / sigma
     x_new = problem.f_prox.prox(state.x - tx * sigma * A.adjoint(res), tx)
 
     Ax_new = A.apply(x_new)
     res = Ax_new + By - b + state.lam / sigma
     y_new = problem.g.prox(state.y - ty * sigma * B.adjoint(res), ty)
 
-    lam_new = state.lam + sigma * (Ax_new + B.apply(y_new) - b)
-    return IterateState(x=x_new, v=x_new, y=y_new, w=y_new, lam=lam_new)
+    By_new = B.apply(y_new)
+    lam_new = state.lam + sigma * (Ax_new + By_new - b)
+    return IterateState(x=x_new, v=x_new, y=y_new, w=y_new, lam=lam_new, Ax=Ax_new, By=By_new)
 
 
 def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1):

@@ -91,11 +91,13 @@ def write_csv(path_or_buf, columns, rows):
                          for c, v in zip(columns, row)])
 
 
-def lagrangian_gap(problem, x, y, lam, saddle):
+def lagrangian_gap(problem, x, y, lam, saddle, objective=None, residual=None):
     """``L(x, y, lam*) - L(x*, y*, lam)``; nonnegative at a true saddle.
-    ``L(x*, y*, lam)`` pairs ``lam`` with the problem's kept saddle residual."""
-    f_saddle, residual = problem.saddle_terms(saddle)
-    return lagrangian_value(problem, x, y, saddle.lam) - (f_saddle + float(lam @ residual))
+    ``L(x*, y*, lam)`` pairs ``lam`` with the problem's kept saddle residual;
+    ``objective`` and ``residual`` go to :func:`lagrangian_value`."""
+    f_saddle, saddle_residual = problem.saddle_terms(saddle)
+    return (lagrangian_value(problem, x, y, saddle.lam, objective, residual)
+            - (f_saddle + float(lam @ saddle_residual)))
 
 
 def lyapunov(problem, state, ps, saddle, gap=None):
@@ -120,12 +122,12 @@ def lyapunov(problem, state, ps, saddle, gap=None):
 
 def r0(problem, state, saddle, e0):
     """``sqrt(2 E_0) + ||lam_0 - lam*|| + ||A x_0 + B y_0 - b||`` at k=0,
-    from the merit ``e0`` of ``state``."""
+    from the merit ``e0`` of ``state`` and the products the state keeps."""
     if saddle is None:
         return None
     return (math.sqrt(2.0 * max(e0, 0.0))
             + float(np.linalg.norm(state.lam - saddle.lam))
-            + feasibility_residual(problem, state.x, state.y))
+            + feasibility_residual(problem, state.x, state.y, state))
 
 
 @dataclass

@@ -117,12 +117,15 @@ def iterate(problem, state, budget, meta, step, ps=None, rule=None,
     for k in range(budget.max_iters + 1):
         if k % record_every == 0 or k == budget.max_iters:
             _check_finite(trace.meta["scheme"], k, state)
-            feas = feasibility_residual(problem, state.x, state.y)
-            obj = problem.objective(state.x, state.y)
-            obj = float(obj) if math.isfinite(obj) else None
+            # A x, B y and F(x, y) once per row; the gap, r0 and the step reuse them
+            feas = feasibility_residual(problem, state.x, state.y, state)
+            objective = problem.objective(state.x, state.y)
+            obj = float(objective) if math.isfinite(objective) else None
             gap = ey = None
             if saddle is not None:
-                gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
+                Ax, By = state.products(problem)
+                gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle,
+                                     objective, Ax + By - problem.b)
                 ey = lyapunov(problem, state, ps, saddle, gap=gap)
             row = TraceRow(k=k, theta=1.0 if ps is None else ps.theta, obj=obj,
                            feas=feas, gap=gap, lyap=ey, sparsity=sparsity(state.x),

@@ -21,7 +21,7 @@ family's f-block mirrors the y-block, with ``eta_f = (1 + a) gamma + mu_f a``,
 ``x_tilde``, ``A`` and ``lam_hat = lam - (A x + B y - b) / theta + c B(w - y)``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,13 +33,23 @@ __all__ = ["IterateState", "step", "F_BLOCK"]
 @dataclass
 class IterateState:
     """Iterates of all eight methods: the points ``x``, ``y``, their
-    velocities ``v``, ``w`` and the multiplier ``lam``."""
+    velocities ``v``, ``w`` and the multiplier ``lam``; also the products
+    ``A x`` and ``B y`` once they are known (see :meth:`products`)."""
 
     x: np.ndarray
     v: np.ndarray
     y: np.ndarray
     w: np.ndarray
     lam: np.ndarray
+    Ax: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+    By: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+
+    def products(self, problem):
+        """``A x`` and ``B y``: as the ladmm step that made this state left
+        them, else computed on first use (for a scheme, by the trace row) and kept."""
+        if self.Ax is None:
+            self.Ax, self.By = problem.A.apply(self.x), problem.B.apply(self.y)
+        return self.Ax, self.By
 
     @staticmethod
     def cold_start(problem, x0=None, y0=None, lam0=None):
@@ -67,7 +77,7 @@ def _augmented_step(problem, state, ps, ps_next, alpha, side, eta, center):
     """Augmented step of block ``side`` (``"x"`` or ``"y"``) with penalty
     ``1/theta_{k+1}`` and weight ``eta / a^2``, linearized at ``lam_hat``."""
     A, B, b = problem.A, problem.B, problem.b
-    Ax, By = A.apply(state.x), B.apply(state.y)
+    Ax, By = state.products(problem)
     if side == "x":
         block, C = problem.f_prox, A
         offset, drift = By - b, B.apply(state.w - state.y)

@@ -145,19 +145,24 @@ class SeparableProblem:
         return self._saddle_terms[1:]
 
 
-def feasibility_residual(problem, x, y):
-    """Euclidean norm of the constraint residual ``A x + B y - b``."""
-    return float(np.linalg.norm(problem.A.apply(x) + problem.B.apply(y) - problem.b))
+def feasibility_residual(problem, x, y, state=None):
+    """Euclidean norm of the constraint residual ``A x + B y - b``.  With
+    ``state``, the iterate state whose points are ``x`` and ``y``, it takes
+    ``A x`` and ``B y`` from the state, which keeps them."""
+    Ax, By = (problem.A.apply(x), problem.B.apply(y)) if state is None else state.products(problem)
+    return float(np.linalg.norm(Ax + By - problem.b))
 
 
-def lagrangian_value(problem, x, y, lam):
+def lagrangian_value(problem, x, y, lam, objective=None, residual=None):
     """``f(x) + g(y) + <lam, A x + B y - b>``, extended real.
 
     Returns ``inf`` when ``x`` or ``y`` violates its constraint set (the
-    indicator lives inside the block values).
+    indicator lives inside the block values).  A caller that has ``F(x, y)``
+    or ``A x + B y - b`` passes it as ``objective`` or ``residual``.
     """
-    base = problem.objective(x, y)
+    base = problem.objective(x, y) if objective is None else objective
     if not np.isfinite(base):
         return base
-    pairing = float(lam @ (problem.A.apply(x) + problem.B.apply(y) - problem.b))
-    return base + pairing
+    if residual is None:
+        residual = problem.A.apply(x) + problem.B.apply(y) - problem.b
+    return base + float(lam @ residual)

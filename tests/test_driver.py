@@ -8,6 +8,7 @@ from pdsplit import diagnostics
 from pdsplit.baselines import ladmm_run, pdhg_run
 from pdsplit.bench import generate_lad, generate_quadratic
 from pdsplit.driver import RunBudget, build_rule, run
+from pdsplit.oracles import SeparableProblem
 from pdsplit.params import Scheme
 
 from helpers import quadratic_instance
@@ -48,6 +49,24 @@ def test_merit_costs_one_gap_per_row(monkeypatch, iters, calls):
     res = run(generate_quadratic(8, 8, seed=0).prox_form, Scheme.F1_SEMI_A, iters)
     assert count == calls
     assert res.trace.meta["e0"] == res.trace.rows[0].lyap
+
+
+def test_objective_once_per_row(monkeypatch):
+    # the row's F(x, y) serves the obj column and the gap; the saddle side
+    # of the gap is evaluated once per problem
+    count = 0
+    objective = SeparableProblem.objective
+
+    def counted(self, x, y):
+        nonlocal count
+        count += 1
+        return objective(self, x, y)
+
+    prob = generate_quadratic(8, 8, seed=0).prox_form
+    monkeypatch.setattr(SeparableProblem, "objective", counted)
+    res = run(prob, Scheme.F1_SEMI_A, 10)
+    assert len(res.trace.rows) == 11
+    assert count == 12
 
 
 def test_target_feasibility_stops_early():

@@ -4,8 +4,7 @@ baselines, a continuous-time flow integrator, and benchmark tooling.
 """
 
 from .linops import (DenseOperator, DiagonalOperator, LinearOperator,
-                     OperatorNormError, ScaledIdentity, estimate_operator_norm,
-                     negated_identity)
+                     ScaledIdentity, estimate_operator_norm, negated_identity)
 from .oracles import (ProxOracle, SaddlePoint, SeparableProblem, SmoothOracle,
                       feasibility_residual, lagrangian_value)
 from .prox import (BoxIndicator, ElasticNet, HingeSum, L1Norm, QuadraticProx,

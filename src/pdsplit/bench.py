@@ -24,9 +24,11 @@ byte-identical files.
 """
 
 import argparse
+import contextlib
 import json
 import numbers
 import os
+import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -37,6 +39,7 @@ from .linops import DenseOperator, negated_identity
 from .oracles import SaddlePoint, SeparableProblem
 from .params import Scheme
 from .prox import ElasticNet, L1Norm, QuadraticProx, ShiftedL1, HingeSum, SquaredL2, ZeroFun
+from .subprob import InnerLoopCapWarning
 
 __all__ = [
     "RunConfig",
@@ -249,6 +252,24 @@ def _run_method(bundle, tag, iters):
     return result.trace, result.state.x
 
 
+@contextlib.contextmanager
+def _counting_cap_hits(entry):
+    """Put the number of inner-loop cap warnings raised inside the block, and
+    the largest residual among them (None without one), into ``entry``;
+    every warning is then passed on to the caller's filters."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield
+    finally:
+        residuals = [w.message.residual for w in caught
+                     if issubclass(w.category, InnerLoopCapWarning)]
+        entry["inner_cap_hits"] = len(residuals)
+        entry["inner_cap_worst_residual"] = max(residuals, default=None)
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+
+
 def _relative_series(values, f_star=None):
     """Self-normalized series: each entry divided by the k=0 magnitude."""
     if f_star is not None:
@@ -292,7 +313,8 @@ def run_benchmark(config):
     for tag in config.methods:
         entry = {}
         try:
-            trace, x_final = _run_method(bundle, tag, config.iters)
+            with _counting_cap_hits(entry):
+                trace, x_final = _run_method(bundle, tag, config.iters)
         except baselines.NotApplicableError as exc:
             summary["methods"][tag] = {"skipped": str(exc)}
             continue

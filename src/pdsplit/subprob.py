@@ -13,9 +13,10 @@ used.  The loop starts at ``center`` and returns ``T(z)``, one
 prox-gradient step from the extrapolated point ``z``, as soon as
 ``||T(z) - z|| <= inner_tol * (1 + ||T(z)||)``: the test of
 :func:`prox_gradient_step`, which a Newton answer must pass too.  When it
-reaches ``inner_max_iters`` first it returns the last ``T(z)`` with a
-``RuntimeWarning`` naming the cap, the residual and the tolerance.  Both
-limits are fixed for all schemes, recorded in :data:`OPTIONS`.
+reaches ``inner_max_iters`` first it returns the last ``T(z)`` with an
+:class:`InnerLoopCapWarning` naming the cap, the residual and the
+tolerance.  Both limits are fixed for all schemes, recorded in
+:data:`OPTIONS`.
 """
 
 import warnings
@@ -25,7 +26,7 @@ import numpy as np
 
 from .linops import ScaledIdentity
 
-__all__ = ["SolverOptions", "OPTIONS", "solve_augmented_subproblem"]
+__all__ = ["SolverOptions", "OPTIONS", "InnerLoopCapWarning", "solve_augmented_subproblem"]
 
 
 @dataclass
@@ -37,6 +38,14 @@ class SolverOptions:
 
 
 OPTIONS = SolverOptions()   # the one rule every scheme's inner loop reads
+
+
+class InnerLoopCapWarning(RuntimeWarning):
+    """The inner loop stopped at its cap; ``residual`` is its last residual."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
 
 
 def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center):
@@ -91,9 +100,8 @@ def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center):
         z = u_next + momentum * (u_next - u)
         Cz = Cu_next + momentum * (Cu_next - Cu)
         u, Cu = u_next, Cu_next
-    warnings.warn(
+    warnings.warn(InnerLoopCapWarning(
         f"augmented-subproblem inner loop hit its cap of {OPTIONS.inner_max_iters} "
         f"iterations at residual {residual:.3e} (tolerance {OPTIONS.inner_tol:.1e}, "
-        f"relative to 1 + ||u||)",
-        RuntimeWarning, stacklevel=2)
+        f"relative to 1 + ||u||)", float(residual)), stacklevel=2)
     return u_next

@@ -16,6 +16,7 @@ from pdsplit.bench import (METHOD_TAGS, RunConfig, _run_method,
 from pdsplit.linops import ScaledIdentity
 from pdsplit.oracles import SeparableProblem
 from pdsplit.prox import ElasticNet, HingeSum, L1Norm, QuadraticProx, ShiftedL1, SquaredL2
+from pdsplit.subprob import InnerLoopCapWarning
 
 
 def test_lad_shapes_and_sparsity():
@@ -199,7 +200,27 @@ def test_method_failure_recorded_without_aborting(tmp_path, monkeypatch):
     summary = run_benchmark(cfg)
     assert summary["methods"]["ladmm"] == {"error": "RuntimeError: step failed"}
     assert "error" not in summary["methods"]["f1-semiA"]
+    assert summary["methods"]["f1-semiA"]["inner_cap_hits"] == 0
+    assert summary["methods"]["f1-semiA"]["inner_cap_worst_residual"] is None
     assert (tmp_path / "f" / "trace_f1-semiA.csv").exists()
+
+
+def test_summary_records_inner_loop_cap_hits(tmp_path):
+    # svm-elastic's B-sided steps exhaust the inner loop a few times; each
+    # hit is counted in its method's entry and its warning still arrives
+    hits, worst = 0, []
+    with pytest.warns(InnerLoopCapWarning) as caught:
+        for seed in (0, 1):
+            out = tmp_path / f"s{seed}"
+            run_benchmark(RunConfig(problem="svm-elastic", m=30, n=80, seed=seed, iters=300,
+                                    methods=("f1-semiB", "f2-semiB"), out=str(out)))
+            for entry in json.loads((out / "summary.json").read_text())["methods"].values():
+                hits += entry["inner_cap_hits"]
+                if entry["inner_cap_hits"]:
+                    worst.append(entry["inner_cap_worst_residual"])
+    assert hits == len(caught) == 5
+    assert max(worst) == max(w.message.residual for w in caught)
+    assert 1e-10 < max(worst) < 1e-8
 
 
 def test_cli_records_inapplicable_method_as_skipped(tmp_path, capsys):

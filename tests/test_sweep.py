@@ -67,10 +67,11 @@ def test_compare_flags_missing_csv_and_empty_field(tmp_path):
     assert result["mismatched"] == [f"quadratic-synthetic-seed0/trace_pdhg.csv: missing in {change}"]
 
 
-def _write_summary(root, name, fstar):
+def _write_summary(root, name, fstar, uncertainty=0.0):
     path = root / name / "summary.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    summary = {"config": {"out": str(path.parent), "seed": 0}, "fstar": fstar, "methods": {}}
+    summary = {"config": {"out": str(path.parent), "seed": 0}, "fstar": fstar,
+               "fstar_uncertainty": uncertainty, "methods": {}}
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
@@ -90,3 +91,27 @@ def test_compare_counts_summaries_identical_apart_from_out(tmp_path, capsys):
     assert (result["summaries_identical"], result["summaries_total"]) == (1, 3)
     assert result["mismatched"] == [f"svm-l1-seed1/summary.json: missing in {change}"]
     assert (result["identical"], result["total"], result["differing"]) == (0, 0, [])
+
+
+def test_compare_reports_largest_fstar_differences(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write_summary(parent, "lad-case1-seed0", 2.0, 1e-6)
+    _write_summary(change, "lad-case1-seed0", 2.000002, 1e-6)
+    _write_summary(parent, "svm-l1-seed1", -4.0, 2e-6)
+    _write_summary(change, "svm-l1-seed1", -4.000002, 3e-6)
+    _write_summary(parent, "quadratic-synthetic-seed0", 1.0)
+    _write_summary(change, "quadratic-synthetic-seed0", 1.0)
+
+    sweep = _sweep()
+    result = sweep.compare(parent, change)
+    sweep.report(result)
+
+    fields = result["summary_fields"]
+    assert fields["fstar"][0] == pytest.approx(1e-6)        # relative to 2.0
+    assert fields["fstar"][1] == "lad-case1-seed0/summary.json"
+    assert fields["fstar_uncertainty"][0] == pytest.approx(0.5)
+    assert fields["fstar_uncertainty"][1] == "svm-l1-seed1/summary.json"
+    out = capsys.readouterr().out
+    assert "fstar               1.00e-06  own value     lad-case1-seed0/summary.json\n" in out
+    assert "fstar_uncertainty   5.00e-01  own value     svm-l1-seed1/summary.json\n" in out
+    assert result["summaries_identical"] == 1 and result["mismatched"] == []

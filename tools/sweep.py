@@ -18,8 +18,12 @@ largest difference: relative for
 ``theta``, ``alpha``, ``gap`` and ``lyap``; relative to the parent's row-0
 value for ``obj`` and ``feas``; absolute for ``sparsity``.  It also prints
 how many ``summary.json`` files are byte-identical once ``config.out``, the
-one field that names the output directory, is removed.  It exits 1 when a
-CSV or a summary is missing on one side or two CSVs differ in their rows' ``k``.
+one field that names the output directory, is removed, and the largest
+relative difference of their reference optimum ``fstar`` and its
+``fstar_uncertainty``.  On the LAD and SVM instances that reference is a
+ladmm run with steps ``1/||A||^2``, so it moves with the operator norm.  It
+exits 1 when a CSV or a summary is missing on one side or two CSVs differ
+in their rows' ``k``.
 """
 
 import argparse
@@ -34,6 +38,7 @@ SEEDS = (0, 1)
 RELATIVE = ("theta", "alpha", "gap", "lyap")
 ROW0_RELATIVE = ("obj", "feas")
 EXACT = ("sparsity",)
+SUMMARY_FIELDS = ("fstar", "fstar_uncertainty")
 
 
 def run_sweep(out):
@@ -70,11 +75,11 @@ def _difference(parent, change, scale):
     return abs(c - p) / scale if scale else abs(c - p)
 
 
-def _summary_bytes(path):
-    """``summary.json`` as ``run_benchmark`` writes it, without ``config.out``."""
+def _summary(path):
+    """``summary.json`` without ``config.out``, and its bytes as ``run_benchmark`` writes it."""
     summary = json.loads(path.read_text())
     summary["config"].pop("out", None)
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return summary, json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def _pairs(parent_dir, change_dir, pattern, mismatched):
@@ -100,13 +105,24 @@ def compare(parent_dir, change_dir):
     mapping each compared column to ``(largest difference, where)``,
     ``summaries_identical`` and ``summaries_total`` counts of the
     ``summary.json`` files, compared without ``config.out``, and
+    ``summary_fields`` mapping ``fstar`` and ``fstar_uncertainty`` to their
+    ``(largest relative difference, where)`` over those summaries, and
     ``mismatched``, the files missing on one side and the CSVs differing in ``k``.
     """
     parent_dir, change_dir = Path(parent_dir), Path(change_dir)
     columns = {c: (0.0, "") for c in RELATIVE + ROW0_RELATIVE + EXACT}
+    summary_fields = {f: (0.0, "") for f in SUMMARY_FIELDS}
     mismatched = []
     summaries_total, summaries = _pairs(parent_dir, change_dir, "*/summary.json", mismatched)
-    summaries_identical = sum(_summary_bytes(p) == _summary_bytes(c) for _, p, c in summaries)
+    summaries_identical = 0
+    for name, p_path, c_path in summaries:
+        (p_summary, p_bytes), (c_summary, c_bytes) = _summary(p_path), _summary(c_path)
+        summaries_identical += p_bytes == c_bytes
+        for field in SUMMARY_FIELDS:
+            p, c = p_summary[field], c_summary[field]
+            diff = _difference(p, c, abs(p))
+            if diff > summary_fields[field][0]:
+                summary_fields[field] = (diff, str(name))
     total, traces = _pairs(parent_dir, change_dir, "*/trace_*.csv", mismatched)
     identical, differing = 0, []
     for name, p_path, c_path in traces:
@@ -127,7 +143,7 @@ def compare(parent_dir, change_dir):
                     columns[col] = (diff, f"{name} k={p['k']}")
     return {"identical": identical, "total": total, "differing": differing, "columns": columns,
             "summaries_identical": summaries_identical, "summaries_total": summaries_total,
-            "mismatched": mismatched}
+            "summary_fields": summary_fields, "mismatched": mismatched}
 
 
 def report(result):
@@ -141,6 +157,8 @@ def report(result):
         print(f"{col:<10}{diff:<20.2e}{scale:<14}{where}")
     print(f"summary.json without config.out, byte-identical: "
           f"{result['summaries_identical']} of {result['summaries_total']}")
+    for field, (diff, where) in result["summary_fields"].items():
+        print(f"{field:<20}{diff:<10.2e}{'own value':<14}{where}")
     for line in result["mismatched"]:
         print(f"MISMATCH {line}")
 

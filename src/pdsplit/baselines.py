@@ -82,14 +82,23 @@ def step_pdhg(problem, state, tau, sigma):
     ``prox_{sigma g*}(z) = z - sigma prox_{g/sigma}(z/sigma)``, which also
     exposes the primal point ``y = prox_{g/sigma}(z/sigma)``.  ``v`` is the
     extrapolation ``2 x+ - x``, the schemes' velocity at ``alpha = 1``.
+    The step forms ``A x+`` and leaves it on the state it returns, with
+    ``B y+`` and ``A v+ = 2 A x+ - A x``: the trace row makes no product,
+    and the next step's one forward product is its own ``A x+``.  A cold or
+    hand-built state, which has no ``A v``, has it computed; its next state
+    differs from a looped state's by rounding only.
     """
     A = problem.A
-    z = state.lam + sigma * A.apply(state.v)
+    Ax, _ = state.products(problem)
+    Av = A.apply(state.v) if state.Av is None else state.Av
+    z = state.lam + sigma * Av
     y_new = problem.g.prox(z / sigma, 1.0 / sigma)
     lam_new = z - sigma * y_new
 
     x_new = problem.f_prox.prox(state.x - tau * A.adjoint(lam_new), tau)
-    return IterateState(x=x_new, v=2.0 * x_new - state.x, y=y_new, w=y_new, lam=lam_new)
+    Ax_new = A.apply(x_new)
+    return IterateState(x=x_new, v=2.0 * x_new - state.x, y=y_new, w=y_new, lam=lam_new,
+                        Ax=Ax_new, By=problem.B.apply(y_new), Av=2.0 * Ax_new - Ax)
 
 
 def pdhg_run(problem, max_iters, x0=None, lam0=None):

@@ -213,6 +213,6 @@ def _rel_excess(value, bound):
 
 def sparsity(x):
     """Number of entries with ``|x_i| > 1e-6 * ||x||_inf``."""
-    x = np.asarray(x)
-    mx = float(np.max(np.abs(x))) if x.size else 0.0
-    return int(np.count_nonzero(np.abs(x) > 1e-6 * mx))
+    ax = np.abs(np.asarray(x))
+    mx = float(np.max(ax)) if ax.size else 0.0
+    return int(np.count_nonzero(ax > 1e-6 * mx))

@@ -109,7 +109,10 @@ def iterate(problem, state, budget, meta, step, ps=None, rule=None,
         budget = RunBudget(max_iters=budget)
     if budget.target_obj_residual is not None and f_star is None:
         raise ValueError("an objective target needs f_star, the value it is measured against")
-    assert ps is None or record_every == 1, "record_every applies only without a schedule"
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, not {record_every}")
+    if ps is not None and record_every != 1:
+        raise ValueError("record_every applies only to a method without a parameter schedule")
     saddle = problem.saddle if ps is not None else None
     trace = IterationTrace(meta=dict(meta, max_iters=budget.max_iters))
 

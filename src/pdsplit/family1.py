@@ -9,16 +9,19 @@ multiplier once.  With ``c = a / theta`` and the scaled weights
 
 the y-block is a prox step ``y+ = prox_{tau g}(y_tilde - tau B^T lam_bar)``,
 ``tau = a^2 / eta_g``, or an augmented step with penalty ``1/theta_{k+1}``
-linearized at ``lam_hat = lam - (A x + B y - b) / theta + c A(v - x)``;
-then ``w+ = y+ + (y+ - y) / a``.  The prediction ``lam_bar`` and the update
-are one map, ``lam + c (A v + B w - b)``: the prediction sees the fresh
-velocity on the implicit side only, the update both fresh velocities.
+linearized at ``lam_hat = lam - (A x + B y - b) / theta + c A(v - x)``,
+whose drift is ``A v - A x``, the prediction's product less the state's
+kept one; then ``w+ = y+ + (y+ - y) / a``.  The prediction ``lam_bar`` and
+the update are one map, ``lam + c (A v + B w - b)``: the prediction sees
+the fresh velocity on the implicit side only, the update both fresh
+velocities.
 
 Each family module supplies its f-block as one pair ``F_BLOCK``: a prox
 form (against ``lam_bar``) and an augmented form; ``driver._STEPS`` binds
 :func:`step` to each scheme's ``implicit`` side and family pair.  The first
 family's f-block mirrors the y-block, with ``eta_f = (1 + a) gamma + mu_f a``,
-``x_tilde``, ``A`` and ``lam_hat = lam - (A x + B y - b) / theta + c B(w - y)``.
+``x_tilde``, ``A`` and ``lam_hat = lam - (A x + B y - b) / theta + c B(w - y)``,
+with ``B(w - y)`` formed as ``B w - B y``.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +37,9 @@ __all__ = ["IterateState", "step", "F_BLOCK"]
 class IterateState:
     """Iterates of all eight methods: the points ``x``, ``y``, their
     velocities ``v``, ``w`` and the multiplier ``lam``; also the products
-    ``A x`` and ``B y`` once they are known (see :meth:`products`)."""
+    ``A x`` and ``B y`` once they are known (see :meth:`products`), and
+    ``A v`` where the pdhg step left it (the scheme step does not read it).
+    None of the three enters ``repr`` or ``==``."""
 
     x: np.ndarray
     v: np.ndarray
@@ -43,10 +48,12 @@ class IterateState:
     lam: np.ndarray
     Ax: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
     By: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+    Av: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
 
     def products(self, problem):
-        """``A x`` and ``B y``: as the ladmm step that made this state left
-        them, else computed on first use (for a scheme, by the trace row) and kept."""
+        """``A x`` and ``B y``: as the ladmm or pdhg step that made this state
+        left them, else computed on first use (for a scheme, by the trace
+        row) and kept."""
         if self.Ax is None:
             self.Ax, self.By = problem.A.apply(self.x), problem.B.apply(self.y)
         return self.Ax, self.By
@@ -73,17 +80,19 @@ def _weights(point, velocity, coeff, mu, alpha):
     return eta, point + (alpha * coeff / eta) * (velocity - point)
 
 
-def _augmented_step(problem, state, ps, ps_next, alpha, side, eta, center):
+def _augmented_step(problem, state, ps, ps_next, alpha, side, eta, center, held):
     """Augmented step of block ``side`` (``"x"`` or ``"y"``) with penalty
-    ``1/theta_{k+1}`` and weight ``eta / a^2``, linearized at ``lam_hat``."""
-    A, B, b = problem.A, problem.B, problem.b
+    ``1/theta_{k+1}`` and weight ``eta / a^2``, linearized at ``lam_hat``.
+    ``held`` is the product the step formed for its prediction, ``B w`` on
+    side x and ``A v`` on side y; the drift ``B w - B y`` or ``A v - A x``
+    takes it and the state's kept product, so the step makes no product
+    for it."""
+    b = problem.b
     Ax, By = state.products(problem)
     if side == "x":
-        block, C = problem.f_prox, A
-        offset, drift = By - b, B.apply(state.w - state.y)
+        block, C, offset, drift = problem.f_prox, problem.A, By - b, held - By
     else:
-        block, C = problem.g, B
-        offset, drift = Ax - b, A.apply(state.v - state.x)
+        block, C, offset, drift = problem.g, problem.B, Ax - b, held - Ax
     lam_hat = state.lam - (Ax + By - b) / ps.theta + (alpha / ps.theta) * drift
     return solve_augmented_subproblem(
         block, C.adjoint(lam_hat), C, offset,
@@ -109,7 +118,7 @@ def step(implicit, f_block, problem, state, ps, ps_next, alpha):
         x_new, v_new = f_augmented(problem, state, ps, ps_next, alpha, Bw)
         Av = A.apply(v_new)
     elif implicit == "y":
-        y_new = _augmented_step(problem, state, ps, ps_next, alpha, "y", eta_g, y_tilde)
+        y_new = _augmented_step(problem, state, ps, ps_next, alpha, "y", eta_g, y_tilde, Av)
         w_new = y_new + (y_new - state.y) / alpha
         Bw = B.apply(w_new)
     lam_bar = state.lam + c * (Av + Bw - b)
@@ -136,7 +145,7 @@ def _f1_prox(problem, state, ps, alpha, lam_bar):
 
 def _f1_augmented(problem, state, ps, ps_next, alpha, Bw):
     eta_f, x_tilde = _weights(state.x, state.v, ps.gamma, ps.mu_f, alpha)
-    x_new = _augmented_step(problem, state, ps, ps_next, alpha, "x", eta_f, x_tilde)
+    x_new = _augmented_step(problem, state, ps, ps_next, alpha, "x", eta_f, x_tilde, Bw)
     return x_new, x_new + (x_new - state.x) / alpha
 
 

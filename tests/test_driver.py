@@ -7,9 +7,10 @@ import pytest
 from pdsplit import diagnostics
 from pdsplit.baselines import ladmm_run, pdhg_run
 from pdsplit.bench import generate_lad, generate_quadratic
-from pdsplit.driver import RunBudget, build_rule, run
+from pdsplit.driver import RunBudget, build_rule, iterate, run
+from pdsplit.family1 import IterateState
 from pdsplit.oracles import SeparableProblem
-from pdsplit.params import Scheme
+from pdsplit.params import ParamState, Scheme
 
 from helpers import quadratic_instance
 
@@ -142,6 +143,22 @@ def test_objective_target_without_f_star_raises():
     prob, _ = quadratic_instance(84)
     with pytest.raises(ValueError, match="f_star"):
         ladmm_run(prob, RunBudget(max_iters=3000, target_obj_residual=1e-2))
+
+
+def test_record_every_below_one_raises():
+    prob, _ = quadratic_instance(85)
+    with pytest.raises(ValueError, match="record_every must be at least 1, not 0"):
+        ladmm_run(prob, 5, record_every=0)
+
+
+def test_record_every_with_a_schedule_raises():
+    # a scheme writes each step's alpha into the last row, which thinning would leave stale
+    prob, _ = quadratic_instance(86)
+    ps = ParamState.initial(mu_f=prob.mu_f, mu_g=prob.mu_g)
+    with pytest.raises(ValueError, match="without a parameter schedule"):
+        iterate(prob, IterateState.cold_start(prob), 4, {"scheme": "f1-semiB"},
+                lambda state, *params: state, ps=ps,
+                rule=build_rule(prob, Scheme.F1_SEMI_B), record_every=2)
 
 
 NAN_ENTRY_POINTS = {

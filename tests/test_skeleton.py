@@ -1,13 +1,14 @@
 """The shared step skeleton: operator products per step for all six
 schemes and the two baselines.  Each product a step needs is computed
-once and reused, and the products ``A x`` and ``B y`` an iterate state
-keeps change no bit of the next state."""
+once and reused.  The products ``A x`` and ``B y`` an iterate state keeps
+change no bit of the next state; pdhg's kept ``A v``, which it derives
+instead of forming, changes it by rounding only."""
 
 import numpy as np
 import pytest
 
 from pdsplit.baselines import ladmm_run, pdhg_run, step_ladmm, step_pdhg
-from pdsplit.bench import generate_quadratic
+from pdsplit.bench import RunConfig, generate_problem, generate_quadratic
 from pdsplit.driver import _STEPS, run
 from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, ScaledIdentity
@@ -53,13 +54,14 @@ def counted(A, B, step, state):
 # (forward, adjoint) products per step from a hand-built state, and forward
 # products from a state out of the run loop, whose trace row has computed
 # A x and B y.  The adjoints include the one the quadratic block's
-# closed-form augmented solve makes.
+# closed-form augmented solve makes.  An augmented step forms its drift
+# from the prediction's product and the kept one: B w - B y, A v - A x.
 PRODUCTS = {
-    Scheme.F1_SEMI_B: (6, 3, 4),
-    Scheme.F1_SEMI_A: (6, 3, 4),
+    Scheme.F1_SEMI_B: (5, 3, 3),
+    Scheme.F1_SEMI_A: (5, 3, 3),
     Scheme.F1_EXPLICIT: (4, 2, 4),
     Scheme.F2_SEMI_B: (3, 3, 3),
-    Scheme.F2_SEMI_A: (6, 3, 4),
+    Scheme.F2_SEMI_A: (5, 3, 3),
     Scheme.F2_EXPLICIT: (4, 2, 4),
 }
 
@@ -124,34 +126,87 @@ def test_kept_products_change_no_bit(method):
         assert (a is None and b is None) or np.array_equal(a, b), block
 
 
-@pytest.mark.parametrize("method, per_iteration", [(Scheme.F1_SEMI_A, 6), ("ladmm", 2)],
-                         ids=["f1-semiA", "ladmm"])
-def test_forward_products_per_iteration_rows_included(method, per_iteration):
-    # 50x200 quadratic with a saddle point: each row computes A x and B y,
-    # which its gap reuses and the next f1-semiA step too; ladmm's step
-    # leaves A x+ and B y+ for the row and the next step
-    base = generate_quadratic(50, 200, seed=1).prox_form
-    A, B = CountingOperator(base.A.matrix), CountingOperator(base.B.matrix)
-    prob = SeparableProblem(base.f_prox, base.g, A, B, base.b, saddle=base.saddle)
+def pdhg_instance(f, A, B):
+    """``f(x) + g(A x)`` as a split with ``B = -I``, ``b = 0`` and a quadratic g."""
+    m = A.shape[0]
+    return SeparableProblem(f, QuadraticProx(np.eye(m)), A, B, np.zeros(m))
+
+
+# forward products per iteration, rows included: the row's A x and B y
+# unless the step left them, and the step's own
+ROW_INCLUDED = {
+    Scheme.F1_SEMI_B: 5, Scheme.F1_SEMI_A: 5, Scheme.F1_EXPLICIT: 6,
+    Scheme.F2_SEMI_B: 5, Scheme.F2_SEMI_A: 5, Scheme.F2_EXPLICIT: 6,
+    "ladmm": 2, "pdhg": 2,
+}
+
+
+@pytest.mark.parametrize("method", list(ROW_INCLUDED), ids=lambda m: getattr(m, "value", m))
+def test_forward_products_per_iteration_rows_included(method):
+    # 50x200 quadratic with a saddle point: each scheme row computes A x and
+    # B y, which its gap reuses and the next semiA or semiB step too; ladmm's
+    # and pdhg's steps leave A x+ and B y+ for the row and the next step
+    bundle = generate_quadratic(50, 200, seed=1)
+    base = bundle.split_form if getattr(method, "family", 1) == 2 else bundle.prox_form
+    A = CountingOperator(base.A.matrix)
+    if method == "pdhg":
+        B = CountingIdentity(-1.0, base.dim_lam)
+        prob = pdhg_instance(base.f_prox, A, B)
+    else:
+        B = CountingOperator(base.B.matrix)
+        f = (base.f_smooth, base.f_prox) if base.has_smooth_f() else base.f_prox
+        prob = SeparableProblem(f, base.g, A, B, base.b, saddle=base.saddle)
     A.norm_bound(), B.norm_bound()
     A.fwd = B.fwd = 0
     iters = 20
     if method == "ladmm":
         ladmm_run(prob, iters)
+    elif method == "pdhg":
+        pdhg_run(prob, iters)
     else:
         run(prob, method, iters)
-    # row 0 computes its own A x and B y; the merit's saddle side costs 2
-    first = 2 if method == "ladmm" else 4
-    assert A.fwd + B.fwd == first + per_iteration * iters
+    # row 0 computes its own A x and B y; a scheme's merit at its saddle
+    # side costs 2 more, and pdhg's first step forms the cold start's A v
+    first = {"ladmm": 2, "pdhg": 3}.get(method, 4)
+    assert A.fwd + B.fwd == first + ROW_INCLUDED[method] * iters
 
 
 def test_pdhg_products_per_step():
-    # A x_bar forward and A^T lam+ adjoint; B = -I enters only through the prox
+    # A x+ and B y+ forward, A^T lam+ adjoint; A v is kept from the last
+    # step, or formed once for the cold start, whose row made A x and B y
     base, _ = quadratic_instance(31)
     A, B = CountingOperator(base.A.matrix), CountingIdentity(-1.0, base.dim_lam)
-    prob = SeparableProblem(base.f_prox, QuadraticProx(np.eye(base.dim_lam)), A, B,
-                            np.zeros(base.dim_lam))
-    state = pdhg_run(prob, 0, x0=np.ones(prob.dim_x))[1]
-    A.fwd = A.adj = B.fwd = B.adj = 0
-    step_pdhg(prob, state, 0.1, 0.1)
-    assert (A.fwd + B.fwd, A.adj + B.adj) == (1, 1)
+    prob = pdhg_instance(base.f_prox, A, B)
+    for iters, fwd in ((0, 3), (1, 2)):
+        state = pdhg_run(prob, iters, x0=np.ones(prob.dim_x))[1]
+        assert counted(A, B, lambda s: step_pdhg(prob, s, 0.1, 0.1), state) == (fwd, 1)
+
+
+def _lad_pdhg():
+    prob = generate_problem(RunConfig(problem="lad-case1", m=50, n=200, seed=1)).prox_form
+    tau = 1.0 / prob.A.norm_bound()
+    return prob, lambda state: step_pdhg(prob, state, tau, tau)
+
+
+def _relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_pdhg_kept_velocity_product_stays_exact():
+    # A v+ = 2 A x+ - A x accumulates no drift from A v over 2,000 steps
+    prob, step = _lad_pdhg()
+    state = IterateState.cold_start(prob)
+    for _ in range(2000):
+        state = step(state)
+        assert _relative(state.Av, prob.A.matrix @ state.v) <= 1e-12
+
+
+def test_pdhg_kept_products_move_the_next_state_by_rounding_only():
+    # a looped state derives A v; its hand-built copy forms it directly
+    prob, step = _lad_pdhg()
+    looped = pdhg_run(prob, 50)[1]
+    fresh = hand_built(looped)
+    assert fresh.Av is None and fresh.Ax is None
+    new, new_fresh = step(looped), step(fresh)
+    for block in ("x", "v", "y", "w", "lam", "Ax", "By", "Av"):
+        assert _relative(getattr(new, block), getattr(new_fresh, block)) <= 1e-12, block

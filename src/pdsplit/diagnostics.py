@@ -115,9 +115,9 @@ def lyapunov(problem, state, ps, saddle, gap=None):
     if gap is None:
         gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
     return (gap
-            + 0.5 * ps.gamma * float(np.sum((state.v - saddle.x) ** 2))
-            + 0.5 * ps.beta * float(np.sum((state.w - saddle.y) ** 2))
-            + 0.5 * ps.theta * float(np.sum((state.lam - saddle.lam) ** 2)))
+            + 0.5 * ps.gamma * float(((state.v - saddle.x) ** 2).sum())
+            + 0.5 * ps.beta * float(((state.w - saddle.y) ** 2).sum())
+            + 0.5 * ps.theta * float(((state.lam - saddle.lam) ** 2).sum()))
 
 
 def r0(problem, state, saddle, e0):

@@ -11,6 +11,11 @@ for problems whose both blocks expose gradients (smooth mode only).  The
 rescaling parameters have closed forms, e.g. ``theta(t) = e^{-t}``, which
 the integrator tests lean on.  Along exact trajectories the product
 ``e^t E(t)`` of time and the merit function is nonincreasing.
+
+``integrate`` works on the packed phase point ``(theta, gamma, beta, x, y,
+v, w, lam)``: the derivative is built once per run, with the gradient
+oracles and block slices resolved, and a ``SmoothSystemState`` is built
+only for each returned sample.
 """
 
 import math
@@ -63,9 +68,14 @@ class SmoothSystemState(IterateState):
 
     @staticmethod
     def unpack(t, z, nx, ny, m):
-        i, j, k, n = 3 + nx, 3 + nx + ny, 3 + 2 * nx + ny, 3 + 2 * (nx + ny)
+        i, j, k, n = _cuts(nx, ny)
         return SmoothSystemState(x=z[3:i], y=z[i:j], v=z[j:k], w=z[k:n], lam=z[n:n + m],
                                  t=t, theta=z[0], gamma=z[1], beta=z[2])
+
+
+def _cuts(nx, ny):
+    """Where ``y``, ``v``, ``w`` and ``lam`` start in a packed phase point."""
+    return 3 + nx, 3 + nx + ny, 3 + 2 * nx + ny, 3 + 2 * (nx + ny)
 
 
 def _gradients(problem):
@@ -79,26 +89,42 @@ def _gradients(problem):
     return gf, gg
 
 
+def _derivative(problem):
+    """The time derivative as a function of the packed phase point, with the
+    oracles, operators and block slices resolved once per run.
+
+    Both primal blocks share each array operation.  The velocity rows are
+    ``(mu (v - x) + G) / -gamma``, which rounds exactly as
+    ``(mu (x - v) - G) / gamma`` does: negation commutes with rounding.
+    """
+    grad_f, grad_g = _gradients(problem)
+    A, B, b = problem.A, problem.B, problem.b
+    nx, ny = problem.dim_x, problem.dim_y
+    i, j, k, n = _cuts(nx, ny)
+    targets = np.array([0.0, problem.mu_f, problem.mu_g])
+    moduli = np.concatenate((np.full(nx, problem.mu_f), np.full(ny, problem.mu_g)))
+    scale = np.empty(nx + ny)
+
+    def derivative(z):
+        theta, gamma, beta = z[:3].tolist()
+        if theta <= 0 or gamma <= 0 or beta <= 0:
+            raise ValueError("theta, gamma, beta must stay positive")
+        lam = z[n:]
+        drift = z[j:n] - z[3:j]
+        pull = np.concatenate((grad_f(z[3:i]) + A.adjoint(lam), grad_g(z[i:j]) + B.adjoint(lam)))
+        scale[:nx] = -gamma
+        scale[nx:] = -beta
+        dlam = (A.apply(z[j:k]) + B.apply(z[k:n]) - b) / theta
+        return np.concatenate((targets - z[:3], drift, (moduli * drift + pull) / scale, dlam))
+
+    return derivative
+
+
 def rhs(problem, state):
     """Time derivative of the packed state at ``state``.  A split f-block
     whose prox part is not a ``ZeroFun`` raises ``ValueError``: the flow
     would drop that part of f."""
-    if state.theta <= 0 or state.gamma <= 0 or state.beta <= 0:
-        raise ValueError("theta, gamma, beta must stay positive")
-    grad_f, grad_g = _gradients(problem)
-    A, B, b = problem.A, problem.B, problem.b
-    mu_f, mu_g = problem.mu_f, problem.mu_g
-
-    dx = state.v - state.x
-    dy = state.w - state.y
-    dv = (mu_f * (state.x - state.v)
-          - (grad_f(state.x) + A.adjoint(state.lam))) / state.gamma
-    dw = (mu_g * (state.y - state.w)
-          - (grad_g(state.y) + B.adjoint(state.lam))) / state.beta
-    dlam = (A.apply(state.v) + B.apply(state.w) - b) / state.theta
-
-    return np.concatenate(([-state.theta, mu_f - state.gamma, mu_g - state.beta],
-                           dx, dy, dv, dw, dlam))
+    return _derivative(problem)(state.pack())
 
 
 def initial_state(problem, x0=None, y0=None, lam0=None, gamma0=None, beta0=None):
@@ -113,32 +139,45 @@ def integrate(problem, initial, T, h=1e-3):
 
     Returns the list of :class:`SmoothSystemState` at ``t = 0, h, 2h, ...``
     up to the horizon.  Raises :class:`OdeBlowUpError` if the state norm
-    passes ``1e12``.
+    passes ``1e12``, and ``FloatingPointError`` naming the block and the
+    time if the start or a step is not finite.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     if T < 0:
         raise ValueError("T must be nonnegative")
-    nx, ny, m = problem.dim_x, problem.dim_y, problem.dim_lam
-
-    def f(t, z):
-        return rhs(problem, SmoothSystemState.unpack(t, z, nx, ny, m))
+    dims = problem.dim_x, problem.dim_y, problem.dim_lam
+    derivative = _derivative(problem)
 
     n_steps = int(round(T / h))
     z = initial.pack()
     t = initial.t
-    out = [SmoothSystemState.unpack(t, z.copy(), nx, ny, m)]
+    _norm(t, z, dims)   # a non-finite start raises
+    out = [SmoothSystemState.unpack(t, z, *dims)]
     for _ in range(n_steps):
-        k1 = f(t, z)
-        k2 = f(t + 0.5 * h, z + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, z + 0.5 * h * k2)
-        k4 = f(t + h, z + h * k3)
+        # z is rebound, never written in place, so each sample's views stay valid
+        k1 = derivative(z)
+        k2 = derivative(z + (0.5 * h) * k1)
+        k3 = derivative(z + (0.5 * h) * k2)
+        k4 = derivative(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-        if np.linalg.norm(z) > BLOWUP_NORM:
+        if _norm(t, z, dims) > BLOWUP_NORM:
             raise OdeBlowUpError(t)
-        out.append(SmoothSystemState.unpack(t, z.copy(), nx, ny, m))
+        out.append(SmoothSystemState.unpack(t, z, *dims))
     return out
+
+
+def _norm(t, z, dims):
+    """``||z||``, as ``np.linalg.norm`` computes it; a non-finite ``z`` raises
+    ``FloatingPointError`` naming its first non-finite block and ``t``."""
+    sq = z @ z
+    if not math.isfinite(sq):
+        state = SmoothSystemState.unpack(t, z, *dims)
+        for block in ("theta", "gamma", "beta", "x", "y", "v", "w", "lam"):
+            if not np.isfinite(getattr(state, block)).all():
+                raise FloatingPointError(f"non-finite {block} at t = {t:.6g}")
+    return math.sqrt(sq)
 
 
 def lyapunov_continuous(problem, state, saddle):

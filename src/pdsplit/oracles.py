@@ -6,6 +6,8 @@ sets are folded into the prox oracles (the prox projects), never
 represented standalone.
 """
 
+import math
+
 import numpy as np
 
 from .linops import LinearOperator
@@ -161,7 +163,7 @@ def lagrangian_value(problem, x, y, lam, objective=None, residual=None):
     or ``A x + B y - b`` passes it as ``objective`` or ``residual``.
     """
     base = problem.objective(x, y) if objective is None else objective
-    if not np.isfinite(base):
+    if not math.isfinite(base):
         return base
     if residual is None:
         residual = problem.A.apply(x) + problem.B.apply(y) - problem.b

@@ -1,12 +1,14 @@
 """Continuous-time flow: closed-form parameters, stationarity, decay
 certification, and integrator order."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from pdsplit import IterateState
+from pdsplit.bench import generate_quadratic
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.odeflow import (OdeBlowUpError, SmoothSystemState,
                              closed_form_parameters, initial_state, integrate,
@@ -165,6 +167,107 @@ def test_blow_up_detection():
     with pytest.raises(OdeBlowUpError) as exc:
         integrate(prob, init, T=10.0, h=1e-2)
     assert 0.0 < exc.value.t <= 10.0
+
+
+def test_non_finite_start_raises_naming_the_block():
+    prob = generate_quadratic(6, 6, seed=1).prox_form
+    lam0 = np.zeros(prob.dim_lam)
+    lam0[0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite lam at t = 0$"):
+        integrate(prob, initial_state(prob, lam0=lam0), T=0.1, h=0.01)
+
+
+def test_non_finite_step_raises_naming_the_block_and_time():
+    # A^T lam overflows to inf - inf on the first stage; the state's own
+    # squared norm overflows at t = 0 without any block being non-finite
+    prob = generate_quadratic(6, 6, seed=1).prox_form
+    init = initial_state(prob, lam0=np.full(prob.dim_lam, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite x at t = 0.01$"):
+            integrate(prob, init, T=0.1, h=0.01)
+
+
+@pytest.mark.parametrize("theta,gamma", [(0.8, 0.0), (-0.5, 1.1)], ids=["gamma=0", "theta<0"])
+def test_nonpositive_parameter_raises(theta, gamma):
+    prob, _ = quadratic_instance(73)
+    sd = prob.saddle
+    st = SmoothSystemState(t=0.0, theta=theta, gamma=gamma, beta=0.9,
+                           x=sd.x, y=sd.y, v=sd.x, w=sd.y, lam=sd.lam)
+    with pytest.raises(ValueError, match="theta, gamma, beta must stay positive"):
+        rhs(prob, st)
+    with pytest.raises(ValueError, match="theta, gamma, beta must stay positive"):
+        integrate(prob, st, T=0.01, h=0.005)
+
+
+def _blockwise_rhs(problem, state):
+    """The derivative written block by block, one oracle call per block."""
+    gf, gg = problem.f_prox.gradient, problem.g.gradient
+    A, B = problem.A, problem.B
+    dv = (problem.mu_f * (state.x - state.v) - (gf(state.x) + A.adjoint(state.lam))) / state.gamma
+    dw = (problem.mu_g * (state.y - state.w) - (gg(state.y) + B.adjoint(state.lam))) / state.beta
+    dlam = (A.apply(state.v) + B.apply(state.w) - problem.b) / state.theta
+    return np.concatenate(([-state.theta, problem.mu_f - state.gamma, problem.mu_g - state.beta],
+                           state.v - state.x, state.w - state.y, dv, dw, dlam))
+
+
+def _per_stage_flow(problem, initial, T, h):
+    """Classical RK4 that unpacks a phase point and calls ``rhs`` at every stage."""
+    dims = problem.dim_x, problem.dim_y, problem.dim_lam
+
+    def f(t, z):
+        return rhs(problem, SmoothSystemState.unpack(t, z, *dims))
+
+    z, t = initial.pack(), initial.t
+    out = [SmoothSystemState.unpack(t, z.copy(), *dims)]
+    for _ in range(int(round(T / h))):
+        k1 = f(t, z)
+        k2 = f(t + 0.5 * h, z + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, z + 0.5 * h * k2)
+        k4 = f(t + h, z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        assert np.linalg.norm(z) <= 1e12
+        out.append(SmoothSystemState.unpack(t, z.copy(), *dims))
+    return out
+
+
+def _flow_instances():
+    for seed in range(3):
+        yield f"quadratic-6x6-seed{seed}", generate_quadratic(6, 6, seed).prox_form, None
+    for mu_f, mu_g in MU_REGIMES:
+        yield f"ode-mu{mu_f:g},{mu_g:g}", ode_quadratic_instance(65, mu_f, mu_g), None
+    prob = generate_quadratic(6, 6, 4).prox_form
+    sd = prob.saddle
+    yield "saddle-start", prob, initial_state(prob, x0=sd.x, y0=sd.y, lam0=sd.lam)
+
+
+FLOW_INSTANCES = list(_flow_instances())
+
+
+@pytest.mark.parametrize("name,prob,init", FLOW_INSTANCES, ids=[c[0] for c in FLOW_INSTANCES])
+def test_integrate_matches_per_stage_rk4_bit_for_bit(name, prob, init):
+    init = initial_state(prob) if init is None else init
+    traj = integrate(prob, init, T=0.5, h=1e-3)
+    ref = _per_stage_flow(prob, init, T=0.5, h=1e-3)
+    assert len(traj) == len(ref) == 501
+    assert [st.t for st in traj] == [st.t for st in ref]
+    for st, expect in zip(traj, ref):
+        assert np.array_equal(st.pack(), expect.pack())
+    for st in traj[::50]:
+        assert np.array_equal(rhs(prob, st), _blockwise_rhs(prob, st))
+
+
+@pytest.mark.parametrize("with_reference", [True, False], ids=["saddle+f_star", "none"])
+def test_trajectory_csv_bytes_match_per_stage_rk4(with_reference):
+    bundle = generate_quadratic(6, 10, seed=3)
+    prob = bundle.prox_form
+    refs = dict(saddle=prob.saddle, f_star=bundle.f_star) if with_reference else {}
+    texts = []
+    for flow in (integrate, _per_stage_flow):
+        buf = io.StringIO()
+        trajectory_to_csv(prob, flow(prob, initial_state(prob), T=0.5, h=1e-3), buf, **refs)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
 
 
 def test_integrate_validates_arguments():

@@ -115,3 +115,34 @@ def test_compare_reports_largest_fstar_differences(tmp_path, capsys):
     assert "fstar               1.00e-06  own value     lad-case1-seed0/summary.json\n" in out
     assert "fstar_uncertainty   5.00e-01  own value     svm-l1-seed1/summary.json\n" in out
     assert result["summaries_identical"] == 1 and result["mismatched"] == []
+
+
+def test_compare_counts_flow_trajectories(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "flow").mkdir(parents=True)
+        (root / "flow" / "quadratic-seed0.csv").write_text("t,E\n0.0,1.5\n")
+    (parent / "flow" / "quadratic-seed1.csv").write_text("t,E\n0.0,2.5\n")
+    (change / "flow" / "quadratic-seed1.csv").write_text("t,E\n0.0,2.5000000000000004\n")
+
+    sweep = _sweep()
+    result = sweep.compare(parent, change)
+    sweep.report(result)
+
+    assert (result["flows_identical"], result["flows_total"]) == (1, 2)
+    assert result["flows_differing"] == ["flow/quadratic-seed1.csv"]
+    out = capsys.readouterr().out
+    assert "flow trajectories byte-identical: 1 of 2\ndiffers: flow/quadratic-seed1.csv\n" in out
+    assert (result["identical"], result["total"], result["mismatched"]) == (0, 0, [])
+
+
+def test_write_flows_writes_one_full_trajectory_per_seed(tmp_path):
+    paths = _sweep().write_flows(tmp_path)
+
+    assert [p.relative_to(tmp_path).as_posix() for p in paths] == [
+        "flow/quadratic-seed0.csv", "flow/quadratic-seed1.csv"]
+    for path in paths:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,E,feas,obj_gap,theta,gamma,beta"
+        assert len(lines) == 1 + 501                     # t = 0, 1e-3, ..., 0.5
+        assert all(row.split(",")[1] and row.split(",")[3] for row in lines[1:])

@@ -4,16 +4,20 @@ The sweep runs ``pdsplit.bench.run_benchmark`` on every problem kind
 (lad-case1, lad-case2, svm-l1, svm-elastic, quadratic-synthetic) for seeds
 0 and 1 at m = 30, n = 80, 300 iterations and all eight methods.  That gives
 74 trace CSVs (``pdhg`` applies only to the two LAD instances).  Each run
-goes to ``OUT/<problem>-seed<s>/``, and ``OUT/sha256sums.txt`` lists the
-digest of every CSV in ``sha256sum`` format.
+goes to ``OUT/<problem>-seed<s>/``.  The sweep also integrates the
+continuous flow on ``generate_quadratic(6, 10, seed)`` for seeds 0 and 1
+(T = 0.5, h = 1e-3) and writes each trajectory, with its merit and
+objective gap, to ``OUT/flow/quadratic-seed<s>.csv``.  ``OUT/sha256sums.txt``
+lists the digest of every CSV in ``sha256sum`` format.
 
     PYTHONPATH=src python3 tools/sweep.py OUT
     PYTHONPATH=src python3 tools/sweep.py OUT --against PARENT_OUT
 
 The pdsplit that runs is the one on ``PYTHONPATH``, so a parent commit's
 output comes from the same script with that commit's ``src`` on the path.
-With ``--against``, the script prints how many CSVs are byte-identical to
-``PARENT_OUT``'s, names each one that is not, and gives, per column, the
+With ``--against``, the script prints how many trace CSVs and how many flow
+trajectories are byte-identical to ``PARENT_OUT``'s, names each one that
+is not, and gives, per trace column, the
 largest difference: relative for
 ``theta``, ``alpha``, ``gap`` and ``lyap``; relative to the parent's row-0
 value for ``obj`` and ``feas``; absolute for ``sparsity``.  It also prints
@@ -35,6 +39,7 @@ from pathlib import Path
 
 PROBLEMS = ("lad-case1", "lad-case2", "svm-l1", "svm-elastic", "quadratic-synthetic")
 SEEDS = (0, 1)
+FLOW = {"m": 6, "n": 10, "T": 0.5, "h": 1e-3}
 RELATIVE = ("theta", "alpha", "gap", "lyap")
 ROW0_RELATIVE = ("obj", "feas")
 EXACT = ("sparsity",)
@@ -53,10 +58,30 @@ def run_sweep(out):
             run_benchmark(RunConfig(problem=problem, m=30, n=80, seed=seed, methods=METHOD_TAGS,
                                     iters=300, out=str(out / f"{problem}-seed{seed}")))
     paths = sorted(out.glob("*/trace_*.csv"))
+    flows = write_flows(out)
     with open(out / "sha256sums.txt", "w") as fh:
-        for path in paths:
+        for path in paths + flows:
             fh.write(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}\n")
-    print(f"{len(paths)} trace CSVs in {out}")
+    print(f"{len(paths)} trace CSVs and {len(flows)} flow trajectories in {out}")
+    return paths + flows
+
+
+def write_flows(out):
+    """Integrate the flow on ``generate_quadratic`` for each seed and write its
+    trajectory CSV, with saddle and ``f_star``, under ``out/flow``; return the paths."""
+    from pdsplit.bench import generate_quadratic
+    from pdsplit.odeflow import initial_state, integrate, trajectory_to_csv
+
+    flow_dir = Path(out) / "flow"
+    flow_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for seed in SEEDS:
+        bundle = generate_quadratic(FLOW["m"], FLOW["n"], seed)
+        problem = bundle.prox_form
+        trajectory = integrate(problem, initial_state(problem), T=FLOW["T"], h=FLOW["h"])
+        paths.append(flow_dir / f"quadratic-seed{seed}.csv")
+        trajectory_to_csv(problem, trajectory, str(paths[-1]), saddle=problem.saddle,
+                          f_star=bundle.f_star)
     return paths
 
 
@@ -104,10 +129,12 @@ def compare(parent_dir, change_dir):
     the names of the CSVs on both sides that are not byte-identical, ``columns``
     mapping each compared column to ``(largest difference, where)``,
     ``summaries_identical`` and ``summaries_total`` counts of the
-    ``summary.json`` files, compared without ``config.out``, and
+    ``summary.json`` files, compared without ``config.out``,
     ``summary_fields`` mapping ``fstar`` and ``fstar_uncertainty`` to their
-    ``(largest relative difference, where)`` over those summaries, and
-    ``mismatched``, the files missing on one side and the CSVs differing in ``k``.
+    ``(largest relative difference, where)`` over those summaries,
+    ``flows_identical`` and ``flows_total`` counts of the flow trajectories
+    and ``flows_differing``, the names of those that are not byte-identical,
+    and ``mismatched``, the files missing on one side and the CSVs differing in ``k``.
     """
     parent_dir, change_dir = Path(parent_dir), Path(change_dir)
     columns = {c: (0.0, "") for c in RELATIVE + ROW0_RELATIVE + EXACT}
@@ -141,9 +168,14 @@ def compare(parent_dir, change_dir):
                 diff = _difference(p[col], c[col], scale)
                 if diff > columns[col][0]:
                     columns[col] = (diff, f"{name} k={p['k']}")
+    flows_total, flows = _pairs(parent_dir, change_dir, "flow/*.csv", mismatched)
+    flows_differing = [str(name) for name, p_path, c_path in flows
+                       if p_path.read_bytes() != c_path.read_bytes()]
     return {"identical": identical, "total": total, "differing": differing, "columns": columns,
             "summaries_identical": summaries_identical, "summaries_total": summaries_total,
-            "summary_fields": summary_fields, "mismatched": mismatched}
+            "summary_fields": summary_fields, "flows_identical": len(flows) - len(flows_differing),
+            "flows_total": flows_total, "flows_differing": flows_differing,
+            "mismatched": mismatched}
 
 
 def report(result):
@@ -159,6 +191,9 @@ def report(result):
           f"{result['summaries_identical']} of {result['summaries_total']}")
     for field, (diff, where) in result["summary_fields"].items():
         print(f"{field:<20}{diff:<10.2e}{'own value':<14}{where}")
+    print(f"flow trajectories byte-identical: {result['flows_identical']} of {result['flows_total']}")
+    for name in result["flows_differing"]:
+        print(f"differs: {name}")
     for line in result["mismatched"]:
         print(f"MISMATCH {line}")
 

@@ -81,7 +81,8 @@ class SeparableProblem:
     The f-block is either a single prox oracle, or a pair
     ``(smooth, prox)`` for solvers that take a gradient step on the smooth
     part.  ``mu_f`` / ``mu_g`` are the strong convexity moduli that drive
-    the parameter recursion; they default to the oracles' declared moduli.
+    the parameter recursion; they default to the oracles' declared moduli,
+    read on first use, so building a problem decomposes nothing.
     """
 
     def __init__(self, f, g, A, B, b, mu_f=None, mu_g=None, saddle=None):
@@ -97,9 +98,7 @@ class SeparableProblem:
 
         self.g = g
         self.A, self.B, self.b = A, B, b
-        f_moduli = self.f_prox if self.f_smooth is None else self.f_smooth
-        self.mu_f = f_moduli.strong_convexity if mu_f is None else float(mu_f)
-        self.mu_g = g.strong_convexity if mu_g is None else float(mu_g)
+        self._mu = (None if mu_f is None else float(mu_f), None if mu_g is None else float(mu_g))
 
         if saddle is not None:
             if saddle.x.size != A.shape[1] or saddle.y.size != B.shape[1] or saddle.lam.size != b.size:
@@ -109,6 +108,14 @@ class SeparableProblem:
                 raise ValueError(f"supplied saddle point is infeasible: residual {feas:.3e}")
         self.saddle = saddle
         self._saddle_terms = None   # (saddle, F(x*, y*), A x* + B y* - b)
+
+    @property
+    def mu_f(self):
+        return (self.f_smooth or self.f_prox).strong_convexity if self._mu[0] is None else self._mu[0]
+
+    @property
+    def mu_g(self):
+        return self.g.strong_convexity if self._mu[1] is None else self._mu[1]
 
     @property
     def dim_x(self):

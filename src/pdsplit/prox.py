@@ -3,9 +3,10 @@
 Every prox here is closed form, written in the ``prox`` method of its class.
 ``QuadraticProx`` and ``SquaredL2`` are smooth oracles too, so either can be
 the smooth part of a split f-block.  ``ZeroFun`` and ``QuadraticProx`` solve
-the augmented subproblem in closed form, and ``L1Norm`` and ``ElasticNet`` by
-active-set Newton, which declines when its answer fails the inner loop's
-stopping test.
+the augmented subproblem in closed form from one kept factor each (the
+eigendecomposition of ``P``, or of the smaller Gram matrix of ``C``), and
+``L1Norm`` and ``ElasticNet`` by active-set Newton, which declines when its
+answer fails the inner loop's stopping test.
 """
 
 from functools import cached_property
@@ -47,9 +48,20 @@ class ZeroFun(ProxOracle):
     def prox(self, z, tau):
         return np.asarray(z, dtype=float)
 
+    _gram = None    # (C, dense C, lam, Q) of the last operator C
+
     def solve_augmented(self, linear, C, offset, sigma, weight, center):
+        """Solve ``(weight I + sigma C^T C) u = rhs`` from ``Q diag(lam) Q^T``,
+        the kept eigendecomposition of ``C C^T`` when C has fewer rows than
+        columns (by Woodbury), else of ``C^T C``."""
+        if self._gram is None or self._gram[0] is not C:
+            M = C.to_dense()
+            self._gram = (C, M, *np.linalg.eigh(M @ M.T if M.shape[0] < M.shape[1] else M.T @ M))
+        _, M, lam, Q = self._gram
         rhs = weight * center - linear - sigma * C.adjoint(offset)
-        return _solve_augmented_normal(None, weight, C.to_dense(), sigma, rhs)
+        if M.shape[0] < M.shape[1]:
+            return (rhs - sigma * (M.T @ (Q @ ((Q.T @ (M @ rhs)) / (weight + sigma * lam))))) / weight
+        return Q @ ((Q.T @ rhs) / (weight + sigma * lam))
 
 
 class L1Norm(ProxOracle):
@@ -184,21 +196,31 @@ class QuadraticProx(ProxOracle, SmoothOracle):
     ``eigh(P)`` is computed on first use and kept, as is ``C V`` for the last
     (immutable) operator ``C``.  The closed-form augmented solve lets the
     Gauss-Seidel schemes run with a general coupling operator on this block.
-    The moduli bypass ``SmoothOracle``'s check: an indefinite ``P`` is accepted.
+    The moduli, read from ``eigh(P)`` (the smallest eigenvalue clamped at 0,
+    the largest), bypass ``SmoothOracle``'s check: an indefinite ``P`` is accepted.
     """
 
     def __init__(self, P, p=None):
         P = np.asarray(P, dtype=float)
-        self.P = 0.5 * (P + P.T)
-        self.p = np.zeros(P.shape[0]) if p is None else np.asarray(p, dtype=float)
-        eigs = np.linalg.eigvalsh(self.P)
-        self.strong_convexity = float(max(eigs[0], 0.0))
-        self.lipschitz = float(eigs[-1])
+        p = np.zeros(P.shape[:1]) if p is None else np.asarray(p, dtype=float)
+        if P.ndim != 2 or p.ndim != 1 or P.shape != (p.size, p.size):
+            raise ValueError(f"P must be square and p a vector of its side, not {P.shape} and {p.shape}")
+        if not (np.isfinite(P).all() and np.isfinite(p).all()):
+            raise ValueError("P and p must be finite")
+        self.P, self.p = 0.5 * (P + P.T), p
         self._coupled = None    # (C, C V) for the last operator C
 
     @cached_property
     def _eigh(self):
         return np.linalg.eigh(self.P)
+
+    @cached_property
+    def strong_convexity(self):
+        return float(max(self._eigh[0][0], 0.0))
+
+    @cached_property
+    def lipschitz(self):
+        return float(self._eigh[0][-1])
 
     def value(self, z):
         return 0.5 * float(z @ (self.P @ z)) + float(self.p @ z)

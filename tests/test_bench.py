@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from pdsplit import baselines, linops
-from pdsplit.bench import (METHOD_TAGS, RunConfig, _run_method,
+from pdsplit.bench import (METHOD_TAGS, SCHEME_TAGS, RunConfig, _run_method,
                            checkpoint_indices, generate_lad, generate_problem,
                            generate_quadratic, generate_svm, main,
                            run_benchmark)
+from pdsplit.diagnostics import LyapunovInputs, certify_bounds
 from pdsplit.linops import ScaledIdentity
 from pdsplit.oracles import SeparableProblem
 from pdsplit.prox import ElasticNet, HingeSum, L1Norm, QuadraticProx, ShiftedL1, SquaredL2
@@ -341,3 +342,13 @@ def test_lad_generator_allocates_no_dense_square():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_quadratic_schemes_certify_on_a_seed_panel(seed):
+    # the check perfbench applies to every quad-saddle operation, at a smaller size
+    bundle = generate_quadratic(20, 60, seed)
+    inputs = LyapunovInputs(bundle.prox_form.saddle, bundle.f_star)
+    for tag in SCHEME_TAGS:
+        trace, _ = _run_method(bundle, tag, 300)
+        assert certify_bounds(trace, inputs).clean(slack=1e-8), (tag, seed)

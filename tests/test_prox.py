@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from pdsplit.linops import DenseOperator
+from pdsplit.oracles import SeparableProblem
 from pdsplit.prox import (BoxIndicator, ElasticNet, HingeSum, L1Norm,
                           QuadraticProx, ShiftedL1, SquaredL2, ZeroFun)
 
@@ -263,3 +264,63 @@ def test_solve_augmented_never_reuses_another_operators_factor():
         got = q.solve_augmented(sigma=2.0, **case)
         want = _augmented_reference(P, p, sigma=2.0, **dict(case, C=case["C"].matrix))
         assert _rel_err(got, want) <= 1e-10
+
+
+@pytest.mark.parametrize("P, p", [
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), None),
+    (np.eye(2), np.array([0.0, np.inf])),
+    (np.eye(3), np.ones(4)),
+    (np.ones((3, 4)), None),
+    (np.ones(3), None),
+    (np.eye(3), np.ones((3, 1))),
+])
+def test_quadratic_prox_checks_its_data_when_built(P, p):
+    with pytest.raises(ValueError, match="must be"):
+        QuadraticProx(P, p)
+
+
+@pytest.fixture
+def count_decompositions(monkeypatch):
+    """Calls of ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` while the test runs."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_quadratic_prox_decomposes_once_and_reads_its_moduli_from_it(count_decompositions):
+    rng = np.random.default_rng(11)
+    n = 12
+    P, p = _psd(rng, n, n - 2) - 0.05 * np.eye(n), rng.standard_normal(n)
+    e = np.linalg.eigh(0.5 * (P + P.T))[0]
+    count_decompositions.update(eigh=0)
+    q, r = QuadraticProx(P, p), QuadraticProx(_psd(rng, 5), rng.standard_normal(5))
+    SeparableProblem(q, r, DenseOperator(rng.standard_normal((5, n))),
+                     DenseOperator(rng.standard_normal((5, 5))), np.zeros(5))
+    assert count_decompositions == {"eigh": 0, "eigvalsh": 0}
+    assert q.strong_convexity == 0.0 and e[0] < 0.0
+    assert q.lipschitz == e[-1]
+    q.prox(rng.standard_normal(n), 0.3)
+    q.solve_augmented(sigma=2.0, **_augmented_case(rng, 4, n))
+    q.gradient(rng.standard_normal(n))
+    q.value(rng.standard_normal(n))
+    assert count_decompositions == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_zero_fun_factors_each_operator_once_per_switch(count_decompositions):
+    rng = np.random.default_rng(8)
+    n = 10
+    zero = ZeroFun()
+    cases = [_augmented_case(rng, 4, n), _augmented_case(rng, 4, n), _augmented_case(rng, 15, n)]
+    order = [0, 0, 1, 2, 2, 0, 1, 1, 2]
+    for i, j in enumerate(order):
+        case = cases[j]
+        got = zero.solve_augmented(sigma=2.0 + i, **case)
+        want = _augmented_reference(np.zeros((n, n)), np.zeros(n), sigma=2.0 + i,
+                                    **dict(case, C=case["C"].matrix))
+        assert _rel_err(got, want) <= 1e-10
+    switches = 1 + sum(a != b for a, b in zip(order, order[1:]))
+    assert count_decompositions == {"eigh": switches, "eigvalsh": 0}

@@ -42,16 +42,18 @@ def _tree(root, setup, rate):
 
 
 @pytest.fixture
-def trees(tmp_path):
+def trees(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
     return (_tree(tmp_path / "parent", 0.010, 100.0), _tree(tmp_path / "change", 0.005, 90.0),
-            tmp_path / "out")
+            out)
 
 
-def _main(trees, workload, seeds):
-    parent, change, out = trees
-    out.mkdir(exist_ok=True)
+def _main(trees, workload, seeds, seconds=2):
+    parent, change, _ = trees
     _pairs().main([str(parent), str(change), "--workload", workload, "--seeds", seeds,
-                   "--seconds", "2", "--names", "aaa", "bbb", "--out", str(out)])
+                   "--seconds", str(seconds), "--names", "aaa", "bbb"])
 
 
 def test_records_alternating_pairs_and_appends_across_workloads(trees, capsys):
@@ -89,3 +91,17 @@ def test_rejects_a_bad_run_naming_side_pair_seed_and_workload(trees, seeds, pair
     assert cause in message
     kept = json.loads((trees[2] / "BENCH_aaa.json").read_text())["runs"] if pair else []
     assert [r["seed"] for r in kept] == list(range(5, 5 + pair))
+
+
+def test_refuses_a_recorded_seed_or_another_seconds_before_running(trees):
+    _main(trees, "quad-saddle", "1-2")
+    before = (trees[2] / "BENCH_aaa.json").read_text()
+    with pytest.raises(SystemExit, match=r"seeds \[2\] of workload quad-saddle are already recorded"):
+        _main(trees, "quad-saddle", "2-3")
+    with pytest.raises(SystemExit, match="not --seconds 3"):
+        _main(trees, "lad-large", "4-4", seconds=3)
+    assert (trees[2] / "BENCH_aaa.json").read_text() == before
+    _main(trees, "lad-large", "2-2")
+    runs = json.loads((trees[2] / "BENCH_bbb.json").read_text())["runs"]
+    assert [(r["workload"], r["seed"], r["pair"]) for r in runs] == [
+        ("quad-saddle", 1, 0), ("quad-saddle", 2, 1), ("lad-large", 2, 0)]

@@ -1,7 +1,7 @@
 """Run perfbench in alternating pairs on two source trees and record both sides.
 
     python3 tools/pairs.py PARENT CHANGE --workload quad-saddle --seeds 600-611 \
-        --names 7452456 1a2b3c4 [--seconds 36] [--out .]
+        --names 7452456 1a2b3c4 [--seconds 36]
 
 PARENT and CHANGE are two checkouts of pdsplit (for example two git
 archives).  Pair i runs ``python3 perfbench/run.py --workload W --seconds S
@@ -13,11 +13,14 @@ result, prints anything after its result, or has a result that is not
 strict JSON (``NaN`` or ``Infinity``, which perfbench writes for a failed
 operation's time).
 
-Each side's runs go to ``OUT/BENCH_<name>.json``, with the names given by
-``--names`` because an archive carries no commit.  A later call for another
-workload appends to the same two files, and its pairs are numbered after
-the workload's runs already there.  The files are rewritten after every
-pair, so a rejected run leaves the pairs before it recorded.  At the end,
+Each side's runs go to ``BENCH_<name>.json`` in the current directory,
+with the names given by ``--names`` because an archive carries no commit.
+A later call for another workload appends to the same two files, and its
+pairs are numbered after the workload's runs already there.  A call whose
+``--seconds`` differs from the files' command, or whose seeds include one
+already recorded for the workload, is refused before anything runs.  The
+files are rewritten after every pair, so a rejected run leaves the pairs
+before it recorded; resume with the seeds after them.  At the end,
 per metric of this call, the script prints each side's median and
 quartiles and in how many pairs the change was better, the direction read
 from CHANGE's ``BENCHMARK.json``.
@@ -76,14 +79,17 @@ def machine(env):
 
 
 def load_record(path, name, other, seconds):
-    if path.exists():
-        record = json.loads(path.read_text())
-        if (record["commit"], record["paired_with"]) != (name, other):
-            raise SystemExit(f"{path} records {record['commit']} paired with "
-                             f"{record['paired_with']}, not {name} with {other}")
-        return record
-    return {"command": f"python3 perfbench/run.py --workload WORKLOAD --seconds {seconds} --seed SEED",
-            "commit": name, "machine": None, "paired_with": other, "source": SOURCE, "runs": []}
+    command = f"python3 perfbench/run.py --workload WORKLOAD --seconds {seconds} --seed SEED"
+    if not path.exists():
+        return {"command": command, "commit": name, "machine": None, "paired_with": other,
+                "source": SOURCE, "runs": []}
+    record = json.loads(path.read_text())
+    if (record["commit"], record["paired_with"]) != (name, other):
+        raise SystemExit(f"{path} records {record['commit']} paired with "
+                         f"{record['paired_with']}, not {name} with {other}")
+    if record["command"] != command:
+        raise SystemExit(f"{path} records runs of `{record['command']}`, not --seconds {seconds}")
+    return record
 
 
 def quartiles(values):
@@ -116,14 +122,17 @@ def main(argv=None):
     ap.add_argument("--seeds", required=True, help="inclusive range A-B")
     ap.add_argument("--seconds", type=int, default=36)
     ap.add_argument("--names", nargs=2, required=True, metavar=("PARENT_NAME", "CHANGE_NAME"))
-    ap.add_argument("--out", type=Path, default=Path("."))
     args = ap.parse_args(argv)
     first, last = (int(s) for s in args.seeds.split("-"))
     trees = {"parent": args.parent, "change": args.change}
     names = dict(zip(trees, args.names))
-    paths = {side: args.out / f"BENCH_{names[side]}.json" for side in trees}
+    paths = {side: Path(f"BENCH_{names[side]}.json") for side in trees}
     records = {side: load_record(paths[side], names[side], names[other], args.seconds)
                for side, other in (("parent", "change"), ("change", "parent"))}
+    done = sorted({run["seed"] for record in records.values() for run in record["runs"]
+                   if run["workload"] == args.workload and first <= run["seed"] <= last})
+    if done:
+        raise SystemExit(f"seeds {done} of workload {args.workload} are already recorded")
     start = sum(run["workload"] == args.workload for run in records["parent"]["runs"])
     results = []
     for pair, seed in enumerate(range(first, last + 1), start=start):

@@ -137,7 +137,7 @@ def approximate_optimum(problem, iters=20000):
     making.  ``iters = 0`` returns the initial objective with infinite
     uncertainty.
     """
-    check = max(iters // 2, 1)
+    check = max((iters + 1) // 2, 1)
     trace, state = ladmm_run(problem, iters, record_every=check)
     objs = [r.obj for r in trace.rows if r.obj is not None]
     if iters == 0 or len(objs) < 2:

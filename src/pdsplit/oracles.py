@@ -44,8 +44,9 @@ class ProxOracle:
 
         Returns None when this oracle has no closed form for a general
         coupling operator ``C``, or when its own solve declines this one;
-        the solver then falls back to its inner loop.  A scaled-identity ``C`` never reaches this method: the
-        solver merges it into the prox first.
+        the solver then falls back to its inner loop.  A scaled-identity
+        ``C`` never reaches this method: the solver merges it into the prox
+        first.  ``pdsplit.prox`` lists the oracles that override it.
         """
         return None
 
@@ -89,8 +90,9 @@ class SeparableProblem:
         if not isinstance(A, LinearOperator) or not isinstance(B, LinearOperator):
             raise TypeError("A and B must be LinearOperator instances")
         b = np.asarray(b, dtype=float)
-        if A.shape[0] != B.shape[0] or A.shape[0] != b.size:
-            raise ValueError("A, B and b must map into the same space")
+        if A.shape[0] != B.shape[0] or b.shape != (A.shape[0],):
+            raise ValueError(f"A, B and b must map into the same space; A has {A.shape[0]} rows, "
+                             f"B {B.shape[0]}, and b has shape {b.shape}")
 
         self.f_smooth, self.f_prox = f if isinstance(f, tuple) else (None, f)
         if self.f_smooth is not None and not isinstance(self.f_smooth, SmoothOracle):

@@ -2,11 +2,12 @@
 
 Every prox here is closed form, written in the ``prox`` method of its class.
 ``QuadraticProx`` and ``SquaredL2`` are smooth oracles too, so either can be
-the smooth part of a split f-block.  ``ZeroFun`` and ``QuadraticProx`` solve
-the augmented subproblem in closed form from one kept factor each (the
-eigendecomposition of ``P``, or of the smaller Gram matrix of ``C``), and
-``L1Norm`` and ``ElasticNet`` by active-set Newton, which declines when its
-answer fails the inner loop's stopping test.
+the smooth part of a split f-block.  ``L1Norm`` and ``ZeroFun`` are
+``ElasticNet`` and ``SquaredL2`` at ``mu = 0``.  ``SquaredL2`` and
+``QuadraticProx`` solve the augmented subproblem in closed form from one
+kept factor each (the eigendecomposition of the smaller Gram matrix of
+``C``, or of ``P``), and ``ElasticNet`` by active-set Newton, which declines
+when its answer fails the inner loop's stopping test.
 """
 
 from functools import cached_property
@@ -37,49 +38,6 @@ def _soft_threshold(z, tau, lam):
     if tau * lam <= 0:
         raise ValueError("threshold must be positive")
     return np.sign(z) * np.maximum(np.abs(z) - tau * lam, 0.0)
-
-
-class ZeroFun(ProxOracle):
-    """The zero function; prox is the identity."""
-
-    def value(self, z):
-        return 0.0
-
-    def prox(self, z, tau):
-        return np.asarray(z, dtype=float)
-
-    _gram = None    # (C, dense C, lam, Q) of the last operator C
-
-    def solve_augmented(self, linear, C, offset, sigma, weight, center):
-        """Solve ``(weight I + sigma C^T C) u = rhs`` from ``Q diag(lam) Q^T``,
-        the kept eigendecomposition of ``C C^T`` when C has fewer rows than
-        columns (by Woodbury), else of ``C^T C``."""
-        if self._gram is None or self._gram[0] is not C:
-            M = C.to_dense()
-            self._gram = (C, M, *np.linalg.eigh(M @ M.T if M.shape[0] < M.shape[1] else M.T @ M))
-        _, M, lam, Q = self._gram
-        rhs = weight * center - linear - sigma * C.adjoint(offset)
-        if M.shape[0] < M.shape[1]:
-            return (rhs - sigma * (M.T @ (Q @ ((Q.T @ (M @ rhs)) / (weight + sigma * lam))))) / weight
-        return Q @ ((Q.T @ rhs) / (weight + sigma * lam))
-
-
-class L1Norm(ProxOracle):
-    """``lam * ||x||_1``."""
-
-    def __init__(self, lam):
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
-        self.lam = float(lam)
-
-    def value(self, z):
-        return self.lam * float(np.sum(np.abs(z)))
-
-    def prox(self, z, tau):
-        return _soft_threshold(z, tau, self.lam)
-
-    def solve_augmented(self, linear, C, offset, sigma, weight, center):
-        return _l1_newton(self, 0.0, linear, C, offset, sigma, weight, center)
 
 
 class ShiftedL1(ProxOracle):
@@ -119,6 +77,29 @@ class SquaredL2(ProxOracle, SmoothOracle):
     def prox(self, z, tau):
         return np.asarray(z, dtype=float) / (1.0 + tau * self.mu)
 
+    _gram = None    # (C, dense C, lam, Q) of the last operator C
+
+    def solve_augmented(self, linear, C, offset, sigma, weight, center):
+        """Solve ``(d I + sigma C^T C) u = rhs``, ``d = weight + mu``, from
+        ``Q diag(lam) Q^T``, the kept eigendecomposition of ``C C^T`` when C
+        has fewer rows than columns (by Woodbury), else of ``C^T C``."""
+        if self._gram is None or self._gram[0] is not C:
+            M = C.to_dense()
+            self._gram = (C, M, *np.linalg.eigh(M @ M.T if M.shape[0] < M.shape[1] else M.T @ M))
+        _, M, lam, Q = self._gram
+        d = weight + self.mu
+        rhs = weight * center - linear - sigma * C.adjoint(offset)
+        if M.shape[0] < M.shape[1]:
+            return (rhs - sigma * (M.T @ (Q @ ((Q.T @ (M @ rhs)) / (d + sigma * lam))))) / d
+        return Q @ ((Q.T @ rhs) / (d + sigma * lam))
+
+
+class ZeroFun(SquaredL2):
+    """The zero function, ``SquaredL2(0)``; prox is the identity."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
 
 class ElasticNet(ProxOracle):
     """``lam * ||x||_1 + mu/2 * ||x||^2``."""
@@ -127,11 +108,11 @@ class ElasticNet(ProxOracle):
         if lam < 0 or mu < 0:
             raise ValueError("lam and mu must be nonnegative")
         self.lam = float(lam)
-        self.mu = float(mu)
-        self.strong_convexity = float(mu)
+        self.mu = self.strong_convexity = float(mu)
 
     def value(self, z):
-        return self.lam * float(np.sum(np.abs(z))) + 0.5 * self.mu * float(z @ z)
+        l1 = self.lam * float(np.sum(np.abs(z)))
+        return l1 + 0.5 * self.mu * float(z @ z) if self.mu else l1   # 0 * inf is nan
 
     def prox(self, z, tau):
         """Soft-threshold by ``tau * lam``, then shrink by ``1 / (1 + tau * mu)``."""
@@ -140,7 +121,14 @@ class ElasticNet(ProxOracle):
         return _soft_threshold(z, tau, self.lam) / (1.0 + tau * self.mu)
 
     def solve_augmented(self, linear, C, offset, sigma, weight, center):
-        return _l1_newton(self, self.mu, linear, C, offset, sigma, weight, center)
+        return _l1_newton(self, linear, C, offset, sigma, weight, center)
+
+
+class L1Norm(ElasticNet):
+    """``lam * ||x||_1``, ``ElasticNet(lam, 0)``."""
+
+    def __init__(self, lam):
+        super().__init__(lam, 0.0)
 
 
 class HingeSum(ProxOracle):
@@ -240,9 +228,9 @@ class QuadraticProx(ProxOracle, SmoothOracle):
         return _solve_augmented_normal(V, e + weight, self._coupled[1], sigma, rhs)
 
 
-def _l1_newton(block, mu, linear, C, offset, sigma, weight, center):
-    """Active-set (semismooth) Newton on the augmented subproblem of
-    ``block.lam ||u||_1 + mu/2 ||u||^2`` (Li, Sun & Toh, SIAM J. Optim. 2018).
+def _l1_newton(block, linear, C, offset, sigma, weight, center):
+    """Active-set (semismooth) Newton (Li, Sun & Toh, SIAM J. Optim. 2018)
+    on the augmented subproblem of ``block``, ``lam ||u||_1 + mu/2 ||u||^2``.
 
     With ``d = weight + mu``, the smooth part ``q`` (the subproblem without
     the l1 term) and ``g0 = grad q(0)``, the minimiser is the fixed point of
@@ -255,7 +243,7 @@ def _l1_newton(block, mu, linear, C, offset, sigma, weight, center):
     test at the inner loop's step; otherwise this returns None and the
     solver falls back to the inner loop.
     """
-    M, d, lam = C.to_dense(), weight + mu, block.lam
+    M, d, lam = C.to_dense(), weight + block.mu, block.lam
     shift = linear + sigma * C.adjoint(offset) - weight * center   # g0
     u, signs = np.array(center, dtype=float), None
     for _ in range(_NEWTON_STEPS):

@@ -7,9 +7,8 @@ Each non-linearized block update minimizes
 over the block's set (folded into ``h``'s prox).  The solve is closed form
 when ``C`` is a scaled identity (the augmented term merges into the prox)
 or when the block oracle solves the subproblem itself (``QuadraticProx``,
-``ZeroFun``, and ``L1Norm`` and ``ElasticNet`` by active-set Newton, which
-may decline); otherwise an inner loop of accelerated proximal gradient is
-used.  The loop starts at ``center`` and returns ``T(z)``, one
+``SquaredL2``, and ``ElasticNet`` by active-set Newton, which may decline);
+otherwise an inner loop of accelerated proximal gradient is used.  The loop starts at ``center`` and returns ``T(z)``, one
 prox-gradient step from the extrapolated point ``z``, as soon as
 ``||T(z) - z|| <= inner_tol * (1 + ||T(z)||)``: the test of
 :func:`prox_gradient_step`, which a Newton answer must pass too.  When it

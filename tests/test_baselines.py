@@ -126,6 +126,16 @@ def test_approximate_optimum_zero_budget():
                                                      np.zeros(prob.dim_y)))
 
 
+@pytest.mark.parametrize("iters", [200, 201])
+def test_approximate_optimum_drift_spans_the_last_half(iters):
+    # the drift spans the last iters // 2 iterations, for odd counts too
+    prob, _ = quadratic_instance(39, mu_f=0.0, mu_g=0.0)
+    trace, state = ladmm_run(prob, iters)
+    drift = abs(trace.rows[iters].obj - trace.rows[iters - iters // 2].obj)
+    feas = trace.rows[-1].feas * (1.0 + float(np.linalg.norm(state.lam)))
+    assert approximate_optimum(prob, iters=iters).uncertainty == drift + feas
+
+
 def test_baselines_reject_split_f_block():
     _, split = quadratic_instance(38)
     with pytest.raises(ValueError):

@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from pdsplit import IterateState
+from pdsplit import IterateState, driver
 from pdsplit.bench import generate_quadratic
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.odeflow import (OdeBlowUpError, SmoothSystemState,
                              closed_form_parameters, initial_state, integrate,
                              lyapunov_continuous, rhs, trajectory_to_csv)
 from pdsplit.oracles import SeparableProblem, feasibility_residual
+from pdsplit.params import ParamState, Scheme, advance
 from pdsplit.prox import L1Norm, QuadraticProx, SquaredL2, ZeroFun
 
 from helpers import MU_REGIMES, ode_quadratic_instance, quadratic_instance
@@ -105,6 +106,30 @@ def test_split_f_block_with_a_zero_prox_part_flows_like_the_prox_form():
     ends = [integrate(p, initial_state(p), T=0.05, h=0.01)[-1].pack()
             for p in (prox_form, split_form)]
     assert np.array_equal(ends[0], ends[1])
+
+
+@pytest.mark.parametrize("mu_f,mu_g", MU_REGIMES)
+def test_each_scheme_step_is_a_first_order_step_of_the_flow(mu_f, mu_g):
+    # (z+ - z) / alpha, theta, gamma and beta included, tends to rhs(z) at rate alpha
+    prox_form, split_form = quadratic_instance(72, mu_f, mu_g, n=6, ny=6, m=4)
+    rng = np.random.default_rng(73)
+    x, v, y, w = (rng.standard_normal(6) for _ in range(4))
+    lam = rng.standard_normal(4)
+    ps = ParamState(theta=0.7, gamma=1.3, beta=0.9, mu_f=mu_f, mu_g=mu_g)
+    st = SmoothSystemState(t=0.0, theta=0.7, gamma=1.3, beta=0.9, x=x, y=y, v=v, w=w, lam=lam)
+    z, flow = st.pack(), rhs(prox_form, st)
+    for scheme in Scheme:
+        problem = (prox_form, split_form)[scheme.family - 1]
+        errors = []
+        for alpha in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
+            nxt = advance(ps, alpha)
+            new = driver._STEPS[scheme](problem, IterateState(x=x, v=v, y=y, w=w, lam=lam),
+                                        ps, nxt, alpha)
+            z_new = SmoothSystemState(t=alpha, theta=nxt.theta, gamma=nxt.gamma, beta=nxt.beta,
+                                      x=new.x, y=new.y, v=new.v, w=new.w, lam=new.lam).pack()
+            errors.append(np.linalg.norm((z_new - z) / alpha - flow) / np.linalg.norm(flow))
+        ratios = np.divide(errors[:-1], errors[1:])
+        assert np.all((ratios >= 1.8) & (ratios <= 2.2)), (scheme.value, ratios)
 
 
 @pytest.mark.parametrize("mu_f,mu_g", MU_REGIMES)

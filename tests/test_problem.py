@@ -1,5 +1,7 @@
 """Problem assembly: Lagrangian values, residuals, dimension checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -93,10 +95,9 @@ def test_quadratic_prox_serves_as_smooth_part():
 
 
 def test_non_smooth_oracle_rejected_as_smooth_part():
-    for part in (ZeroFun(), L1Norm(1.0)):
-        with pytest.raises(TypeError):
-            SeparableProblem((part, ZeroFun()), ZeroFun(), DenseOperator(np.eye(1)),
-                             negated_identity(1), np.zeros(1))
+    with pytest.raises(TypeError):
+        SeparableProblem((L1Norm(1.0), ZeroFun()), ZeroFun(), DenseOperator(np.eye(1)),
+                         negated_identity(1), np.zeros(1))
 
 
 def test_moduli_default_from_oracles():
@@ -111,6 +112,14 @@ def test_dimension_mismatch_rejected():
     B = negated_identity(3)
     with pytest.raises(ValueError):
         SeparableProblem(ZeroFun(), ZeroFun(), A, B, np.zeros(2))
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3), (4,), ()])
+def test_right_hand_side_must_be_a_vector_of_length_m(shape):
+    # a (3, 1) b would broadcast the residual A x + B y - b to a 3-by-3 matrix
+    with pytest.raises(ValueError, match=re.escape(f"b has shape {shape}")):
+        SeparableProblem(ZeroFun(), ZeroFun(), DenseOperator(np.eye(3)), negated_identity(3),
+                         np.zeros(shape))
 
 
 def test_infeasible_saddle_rejected():

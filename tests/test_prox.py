@@ -197,6 +197,8 @@ def test_prox_values_extended_real():
     assert box.value(np.array([0.5, 0.5])) == 0.0
     assert box.value(np.array([1.5, 0.5])) == np.inf
     assert L1Norm(2.0).value(np.array([1.0, -2.0])) == pytest.approx(6.0)
+    # ||z||^2 overflows, and must not turn lam ||z||_1 into nan
+    assert L1Norm(1.0).value(np.array([1e200, -1e200])) == 2e200
 
 
 def test_strong_convexity_declarations():
@@ -245,7 +247,8 @@ def test_solve_augmented_matches_normal_equations(m, sigma):
     rng = np.random.default_rng(m)
     P, p = _psd(rng, n, n - 1), rng.standard_normal(n)
     for oracle, P_ref, p_ref in ((QuadraticProx(P, p), P, p),
-                                 (ZeroFun(), np.zeros((n, n)), np.zeros(n))):
+                                 (ZeroFun(), np.zeros((n, n)), np.zeros(n)),
+                                 (SquaredL2(0.7), 0.7 * np.eye(n), np.zeros(n))):
         case = _augmented_case(rng, m, n)
         got = oracle.solve_augmented(sigma=sigma, **case)
         dense = dict(case, C=case["C"].matrix)

@@ -17,7 +17,7 @@ from .family1 import IterateState
 from .diagnostics import (BoundReport, IterationTrace, LyapunovInputs,
                           TraceRow, certify_bounds, lagrangian_gap, lyapunov,
                           r0, sparsity)
-from .driver import RunBudget, RunResult, run
+from .driver import RunResult, run
 from .baselines import approximate_optimum, ladmm_run, pdhg_run
 from .odeflow import (OdeBlowUpError, SmoothSystemState, integrate,
                       lyapunov_continuous, rhs)

@@ -57,11 +57,12 @@ def step_ladmm(problem, state, sigma, tx, ty):
     return IterateState(x=x_new, v=x_new, y=y_new, w=y_new, lam=lam_new, Ax=Ax_new, By=By_new)
 
 
-def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1):
-    """Run the linearized multiplier method with penalty 1 and collect a
-    standard trace.
+def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1,
+              iterate_callback=None):
+    """Run the linearized multiplier method with penalty 1 for ``max_iters``
+    steps and collect a standard trace.
 
-    ``max_iters`` is an iteration count or a :class:`~pdsplit.driver.RunBudget`.
+    A true return of ``iterate_callback(k, state)`` ends the run at that row.
     The ``theta`` and ``alpha`` columns do not apply to this method; theta
     is recorded as 1 throughout so the CSV schema stays uniform.
     """
@@ -71,7 +72,7 @@ def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1):
     ty = 1.0 / problem.B.norm_bound() ** 2
     result = iterate(problem, state, max_iters, {"scheme": "ladmm", "sigma": 1.0},
                      lambda s: step_ladmm(problem, s, 1.0, tx, ty),
-                     record_every=record_every)
+                     iterate_callback=iterate_callback, record_every=record_every)
     return result.trace, result.state
 
 
@@ -101,9 +102,9 @@ def step_pdhg(problem, state, tau, sigma):
                         Ax=Ax_new, By=problem.B.apply(y_new), Av=2.0 * Ax_new - Ax)
 
 
-def pdhg_run(problem, max_iters, x0=None, lam0=None):
-    """Run the primal-dual iteration with steps ``tau = sigma = 1/||A||``;
-    ``max_iters`` is an iteration count or a :class:`~pdsplit.driver.RunBudget`.
+def pdhg_run(problem, max_iters, x0=None, lam0=None, iterate_callback=None):
+    """Run the primal-dual iteration with steps ``tau = sigma = 1/||A||`` for
+    ``max_iters`` steps, or until ``iterate_callback(k, state)`` returns true.
     The start is the cold start with ``y0 = 0``, which the step never reads."""
     B = problem.B
     if not (isinstance(B, ScaledIdentity) and B.scale == -1.0):
@@ -115,7 +116,7 @@ def pdhg_run(problem, max_iters, x0=None, lam0=None):
     state = IterateState.cold_start(problem, x0, None, lam0)
     tau = sigma = 1.0 / problem.A.norm_bound()
     result = iterate(problem, state, max_iters, {"scheme": "pdhg", "tau": tau, "sigma": sigma},
-                     lambda s: step_pdhg(problem, s, tau, sigma))
+                     lambda s: step_pdhg(problem, s, tau, sigma), iterate_callback=iterate_callback)
     return result.trace, result.state
 
 

@@ -92,6 +92,7 @@ class RunConfig:
             value, integer = getattr(self, name), name in ("iters", "seed", "m", "n")
             if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
                 raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'}, got {value!r}")
+            setattr(self, name, int(value) if integer else float(value))   # numpy scalars too
         if not (0.0 < self.sparsity_fraction <= 1.0):
             raise ValueError("sparsity_fraction must lie in (0, 1]")
         for name, lo, hi in (("iters", 0, np.inf), ("seed", 0, np.inf), ("m", 1, np.inf),

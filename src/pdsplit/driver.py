@@ -1,7 +1,7 @@
 """The run loop of all eight methods: the six schemes and the two baselines.
 
-:func:`iterate` records the trace rows, checks the stop targets, calls the
-iterate callback and raises ``FloatingPointError`` on a non-finite iterate.
+:func:`iterate` records the trace rows, ends the run where the iterate
+callback returns true and raises ``FloatingPointError`` on a non-finite iterate.
 A scheme also has a parameter schedule: before each step the loop solves
 the step size and advances ``(theta, gamma, beta)``.
 
@@ -27,19 +27,10 @@ from .diagnostics import (IterationTrace, TraceRow, lagrangian_gap, lyapunov,
 from .oracles import feasibility_residual
 from .params import ParamState, Scheme, StepSizeRule, advance, solve_step_size
 
-__all__ = ["RunBudget", "RunResult", "run", "iterate", "build_rule", "check_f_block"]
+__all__ = ["RunResult", "run", "iterate", "build_rule", "check_f_block"]
 
 _STEPS = {s: partial(family1.step, s.implicit, (family1, family2)[s.family - 1].F_BLOCK)
           for s in Scheme}
-
-
-@dataclass
-class RunBudget:
-    """Iteration cap plus optional early-exit targets."""
-
-    max_iters: int = 1000
-    target_feasibility: float = None
-    target_obj_residual: float = None   # |F - F*|, needs a known F*
 
 
 @dataclass
@@ -68,17 +59,16 @@ def check_f_block(problem, method, smooth):
                          "part into the prox oracle or use a gradient-based scheme")
 
 
-def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
-        gamma0=None, beta0=None, f_star=None, iterate_callback=None):
-    """Run one scheme on one problem and return its trace.
+def run(problem, scheme, max_iters, x0=None, y0=None, lam0=None,
+        gamma0=None, beta0=None, iterate_callback=None):
+    """Run one scheme on one problem for ``max_iters`` steps and return its trace.
 
     The Lyapunov and gap columns, and ``E0``/``R0`` in the trace header,
     are only populated when ``problem.saddle`` is known; ``E0`` is row 0's
-    merit.  ``f_star`` is the reference value the objective target of
-    ``budget`` is measured against.  The augmented-subproblem inner loop
-    stops by the fixed rule in :data:`pdsplit.subprob.OPTIONS`.
-    ``iterate_callback(k, state)`` is invoked at every recorded index for
-    callers that need the full iterate, which the trace does not keep.
+    merit.  The augmented-subproblem inner loop stops by the fixed rule in
+    :data:`pdsplit.subprob.OPTIONS`.  ``iterate_callback(k, state)`` is
+    invoked at every row, with the full iterate, which the trace does not
+    keep; a true return ends the run at that row.
     """
     check_f_block(problem, scheme.value, smooth=scheme.family == 2)
     state = family1.IterateState.cold_start(problem, x0, y0, lam0)
@@ -91,34 +81,31 @@ def run(problem, scheme, budget, x0=None, y0=None, lam0=None,
         "mu_f": ps.mu_f, "mu_g": ps.mu_g,
         "gamma0": ps.gamma0, "beta0": ps.beta0,
     }
-    return iterate(problem, state, budget, meta,
+    return iterate(problem, state, max_iters, meta,
                    lambda s, ps, ps_next, alpha: step(problem, s, ps, ps_next, alpha),
-                   ps=ps, rule=build_rule(problem, scheme), f_star=f_star,
-                   iterate_callback=iterate_callback)
+                   ps=ps, rule=build_rule(problem, scheme), iterate_callback=iterate_callback)
 
 
-def iterate(problem, state, budget, meta, step, ps=None, rule=None,
-            f_star=None, iterate_callback=None, record_every=1):
-    """Step ``state`` through ``budget`` (a count or a :class:`RunBudget`).
+def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
+            iterate_callback=None, record_every=1):
+    """Step ``state`` ``max_iters`` times or until ``iterate_callback`` returns true.
 
     ``meta`` starts the trace header and names the method under
     ``"scheme"``.  With a parameter schedule (``ps`` and its ``rule``)
     the step is ``step(state, ps, ps_next, alpha)``, else ``step(state)``.
     """
-    if isinstance(budget, int):
-        budget = RunBudget(max_iters=budget)
-    if budget.target_obj_residual is not None and f_star is None:
-        raise ValueError("an objective target needs f_star, the value it is measured against")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, not {max_iters}")
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, not {record_every}")
     if ps is not None and record_every != 1:
         raise ValueError("record_every applies only to a method without a parameter schedule")
     saddle = problem.saddle if ps is not None else None
-    trace = IterationTrace(meta=dict(meta, max_iters=budget.max_iters))
+    trace = IterationTrace(meta=dict(meta, max_iters=max_iters))
 
     t_start = time.perf_counter()
-    for k in range(budget.max_iters + 1):
-        if k % record_every == 0 or k == budget.max_iters:
+    for k in range(max_iters + 1):
+        if k % record_every == 0 or k == max_iters:
             _check_finite(trace.meta["scheme"], k, state)
             # A x, B y and F(x, y) once per row; the gap, r0 and the step reuse them
             feas = feasibility_residual(problem, state.x, state.y, state)
@@ -137,12 +124,7 @@ def iterate(problem, state, budget, meta, step, ps=None, rule=None,
             if k == 0 and ey is not None:
                 trace.meta["e0"] = ey
                 trace.meta["r0"] = r0(problem, state, saddle, ey)
-            if iterate_callback is not None:
-                iterate_callback(k, state)
-            if (k == budget.max_iters
-                    or (budget.target_feasibility is not None and feas <= budget.target_feasibility)
-                    or (budget.target_obj_residual is not None and obj is not None
-                        and abs(obj - f_star) <= budget.target_obj_residual)):
+            if (iterate_callback is not None and iterate_callback(k, state)) or k == max_iters:
                 break
 
         if ps is None:

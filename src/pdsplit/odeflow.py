@@ -27,7 +27,7 @@ from .diagnostics import lyapunov, write_csv
 from .family1 import IterateState
 from .oracles import feasibility_residual
 from .params import ParamState
-from .prox import ZeroFun
+from .prox import SquaredL2
 
 __all__ = [
     "SmoothSystemState",
@@ -79,9 +79,10 @@ def _cuts(nx, ny):
 
 
 def _gradients(problem):
-    if problem.has_smooth_f() and not isinstance(problem.f_prox, ZeroFun):
+    zero_prox = isinstance(problem.f_prox, SquaredL2) and problem.f_prox.mu == 0.0
+    if problem.has_smooth_f() and not zero_prox:
         raise ValueError("the continuous flow takes f through its gradient alone; the f-block's "
-                         f"prox part {type(problem.f_prox).__name__} must be a ZeroFun")
+                         f"prox part {type(problem.f_prox).__name__} must be a ZeroFun or SquaredL2(0)")
     f = problem.f_smooth if problem.has_smooth_f() else problem.f_prox
     gf, gg = (getattr(oracle, "gradient", None) for oracle in (f, problem.g))
     if gf is None or gg is None:
@@ -122,7 +123,7 @@ def _derivative(problem):
 
 def rhs(problem, state):
     """Time derivative of the packed state at ``state``.  A split f-block
-    whose prox part is not a ``ZeroFun`` raises ``ValueError``: the flow
+    whose prox part is not ``SquaredL2(0)`` raises ``ValueError``: the flow
     would drop that part of f."""
     return _derivative(problem)(state.pack())
 

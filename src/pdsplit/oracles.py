@@ -103,8 +103,10 @@ class SeparableProblem:
         self._mu = (None if mu_f is None else float(mu_f), None if mu_g is None else float(mu_g))
 
         if saddle is not None:
-            if saddle.x.size != A.shape[1] or saddle.y.size != B.shape[1] or saddle.lam.size != b.size:
-                raise ValueError("saddle point dimensions do not match the problem")
+            shapes = (saddle.x.shape, saddle.y.shape, saddle.lam.shape)
+            if shapes != ((A.shape[1],), (B.shape[1],), b.shape):
+                raise ValueError(f"the saddle point's x, y and lam must have shapes {(A.shape[1],)}, "
+                                 f"{(B.shape[1],)} and {b.shape}, not {shapes}")
             feas = feasibility_residual(self, saddle.x, saddle.y)
             if feas > 1e-8 * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"supplied saddle point is infeasible: residual {feas:.3e}")

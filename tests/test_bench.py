@@ -161,6 +161,17 @@ def test_config_validation_names_non_real_field(field, value):
         cfg.validate()
 
 
+def test_numpy_scalars_in_config_run_and_write_the_summary(tmp_path):
+    # an np.int64 count used to fail every method, then the summary's json.dump
+    cfg = RunConfig(problem="lad-case1", m=8, n=16, iters=np.int64(5), seed=np.int64(0),
+                    noise_variance=np.float64(0.01), methods=METHOD_TAGS, out=str(tmp_path))
+    summary = run_benchmark(cfg)
+    assert all("checkpoints" in entry for entry in summary["methods"].values())
+    assert type(cfg.iters) is int and type(cfg.noise_variance) is float
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written["config"]["iters"] == 5 and written["config"]["seed"] == 0
+
+
 def test_budget_zero_summary(tmp_path):
     cfg = RunConfig(problem="quadratic-synthetic", m=5, n=5, iters=0,
                     methods=("f1-semiA",), out=str(tmp_path / "o"))

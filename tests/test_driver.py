@@ -1,5 +1,5 @@
-"""Run loop behavior: budgets, early exits, trace bookkeeping, and loud
-failures, for the schemes and the baselines alike."""
+"""Run loop behavior: iteration counts, early exits by callback, trace
+bookkeeping, and loud failures, for the schemes and the baselines alike."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ import pytest
 from pdsplit import diagnostics
 from pdsplit.baselines import ladmm_run, pdhg_run
 from pdsplit.bench import generate_lad, generate_quadratic
-from pdsplit.driver import RunBudget, build_rule, iterate, run
+from pdsplit.driver import build_rule, iterate, run
 from pdsplit.family1 import IterateState
-from pdsplit.oracles import SeparableProblem
+from pdsplit.oracles import SeparableProblem, feasibility_residual
 from pdsplit.params import ParamState, Scheme
 
 from helpers import quadratic_instance
@@ -70,10 +70,13 @@ def test_objective_once_per_row(monkeypatch):
     assert count == 12
 
 
+def feasible_within(prob, tol):
+    return lambda k, st: feasibility_residual(prob, st.x, st.y, st) <= tol
+
+
 def test_target_feasibility_stops_early():
     prob, _ = quadratic_instance(83)
-    budget = RunBudget(max_iters=5000, target_feasibility=1e-3)
-    res = run(prob, Scheme.F1_SEMI_B, budget)
+    res = run(prob, Scheme.F1_SEMI_B, 5000, iterate_callback=feasible_within(prob, 1e-3))
     assert res.trace.rows[-1].feas <= 1e-3
     assert res.trace.rows[-1].k < 5000
 
@@ -81,10 +84,49 @@ def test_target_feasibility_stops_early():
 def test_target_objective_residual_stops_early():
     prob, _ = quadratic_instance(84)
     f_star = prob.objective(prob.saddle.x, prob.saddle.y)
-    budget = RunBudget(max_iters=5000, target_obj_residual=1e-2)
-    res = run(prob, Scheme.F1_SEMI_B, budget, f_star=f_star)
+    res = run(prob, Scheme.F1_SEMI_B, 5000,
+              iterate_callback=lambda k, st: abs(prob.objective(st.x, st.y) - f_star) <= 1e-2)
     assert abs(res.trace.rows[-1].obj - f_star) <= 1e-2
     assert res.trace.rows[-1].k < 5000
+
+
+def _run_f1_semi_b(prob, n, cb):
+    res = run(prob, Scheme.F1_SEMI_B, n, iterate_callback=cb)
+    return res.trace, res.state
+
+
+ENTRY_POINTS = {
+    "f1-semiB": _run_f1_semi_b,
+    "ladmm": lambda prob, n, cb: ladmm_run(prob, n, iterate_callback=cb),
+    "pdhg": lambda prob, n, cb: pdhg_run(prob, n, iterate_callback=cb),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_true_callback_return_ends_the_run_at_that_row(entry):
+    prob = generate_lad(20, 60, 0).prox_form
+    seen = []
+
+    def stop_at_seven(k, state):
+        seen.append((k, state))
+        return k == 7
+
+    trace, state = ENTRY_POINTS[entry](prob, 50, stop_at_seven)
+    assert [k for k, _ in seen] == [r.k for r in trace.rows] == list(range(8))
+    assert state is seen[-1][1]
+    assert trace.meta["iterations"] == 7 and trace.meta["max_iters"] == 50
+    # a count reached first still ends the run, after the callback saw its last row
+    seen.clear()
+    trace, _ = ENTRY_POINTS[entry](prob, 5, stop_at_seven)
+    assert [k for k, _ in seen] == [r.k for r in trace.rows] == list(range(6))
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_negative_iteration_count_raises(entry):
+    # it used to end in an IndexError from an empty trace
+    prob = generate_lad(20, 60, 0).prox_form
+    with pytest.raises(ValueError, match="max_iters must be at least 0, not -1"):
+        ENTRY_POINTS[entry](prob, -1, None)
 
 
 def test_build_rule_uses_inflated_norms():
@@ -134,15 +176,9 @@ def test_start_of_wrong_length_is_rejected(entry):
 
 def test_baseline_target_feasibility_stops_early():
     prob, _ = quadratic_instance(83)
-    trace, _ = ladmm_run(prob, RunBudget(max_iters=5000, target_feasibility=1e-3))
+    trace, _ = ladmm_run(prob, 5000, iterate_callback=feasible_within(prob, 1e-3))
     assert trace.rows[-1].feas <= 1e-3
     assert trace.rows[-1].k < 5000
-
-
-def test_objective_target_without_f_star_raises():
-    prob, _ = quadratic_instance(84)
-    with pytest.raises(ValueError, match="f_star"):
-        ladmm_run(prob, RunBudget(max_iters=3000, target_obj_residual=1e-2))
 
 
 def test_record_every_below_one_raises():

@@ -100,6 +100,18 @@ def test_rhs_rejects_a_split_f_block_with_a_prox_part():
         integrate(prob, initial_state(prob), T=0.01, h=0.005)
 
 
+def test_rhs_accepts_squared_l2_at_zero_as_the_zero_prox_part():
+    # SquaredL2(0) is ZeroFun's function; only a nonzero modulus is a dropped part of f
+    parts = {"zero": ZeroFun(), "mu=0": SquaredL2(0.0), "mu=0.5": SquaredL2(0.5)}
+    probs = {name: SeparableProblem((QuadraticProx(np.eye(2)), part), QuadraticProx(np.eye(2)),
+                                    DenseOperator(np.eye(2)), negated_identity(2), np.zeros(2))
+             for name, part in parts.items()}
+    st = initial_state(probs["zero"], x0=np.array([1.0, -2.0]))
+    assert np.array_equal(rhs(probs["mu=0"], st), rhs(probs["zero"], st))
+    with pytest.raises(ValueError, match="prox part SquaredL2 must be a ZeroFun"):
+        rhs(probs["mu=0.5"], st)
+
+
 def test_split_f_block_with_a_zero_prox_part_flows_like_the_prox_form():
     prox_form, split_form = quadratic_instance(71)
     assert isinstance(split_form.f_prox, ZeroFun)

@@ -105,3 +105,11 @@ def test_refuses_a_recorded_seed_or_another_seconds_before_running(trees):
     runs = json.loads((trees[2] / "BENCH_bbb.json").read_text())["runs"]
     assert [(r["workload"], r["seed"], r["pair"]) for r in runs] == [
         ("quad-saddle", 1, 0), ("quad-saddle", 2, 1), ("lad-large", 2, 0)]
+
+
+@pytest.mark.parametrize("seeds", ["5-4", "5", "a-b", "1-2-3"])
+def test_refuses_a_reversed_or_malformed_seed_range_before_running(trees, seeds):
+    # a reversed range used to run no pair and then fail in the summary
+    with pytest.raises(SystemExit, match=f"--seeds must be a range A-B .*not '{seeds}'"):
+        _main(trees, "quad-saddle", seeds)
+    assert not (trees[2] / "BENCH_aaa.json").exists()

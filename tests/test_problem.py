@@ -130,6 +130,16 @@ def test_infeasible_saddle_rejected():
         SeparableProblem(ZeroFun(), ZeroFun(), A, B, np.zeros(2), saddle=bad)
 
 
+def test_saddle_point_blocks_must_be_vectors():
+    # a true saddle given as columns broadcast to an (m, m) residual and was called infeasible
+    prob, _ = quadratic_instance(91)
+    sd = prob.saddle
+    columns = SaddlePoint(sd.x[:, None], sd.y[:, None], sd.lam[:, None])
+    with pytest.raises(ValueError, match=re.escape(f"not ({sd.x.shape + (1,)}, ")):
+        SeparableProblem(prob.f_prox, prob.g, prob.A, prob.B, prob.b, saddle=columns)
+    SeparableProblem(prob.f_prox, prob.g, prob.A, prob.B, prob.b, saddle=sd)
+
+
 def test_smooth_oracle_validates_constants():
     with pytest.raises(ValueError):
         SmoothOracle(lipschitz=1.0, strong_convexity=2.0)

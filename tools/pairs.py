@@ -17,8 +17,9 @@ Each side's runs go to ``BENCH_<name>.json`` in the current directory,
 with the names given by ``--names`` because an archive carries no commit.
 A later call for another workload appends to the same two files, and its
 pairs are numbered after the workload's runs already there.  A call whose
-``--seconds`` differs from the files' command, or whose seeds include one
-already recorded for the workload, is refused before anything runs.  The
+``--seconds`` differs from the files' command, whose seeds include one
+already recorded for the workload, or whose ``--seeds`` is not a range
+``A-B`` with ``A <= B``, is refused before anything runs.  The
 files are rewritten after every pair, so a rejected run leaves the pairs
 before it recorded; resume with the seeds after them.  At the end,
 per metric of this call, the script prints each side's median and
@@ -28,6 +29,7 @@ from CHANGE's ``BENCHMARK.json``.
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -123,7 +125,10 @@ def main(argv=None):
     ap.add_argument("--seconds", type=int, default=36)
     ap.add_argument("--names", nargs=2, required=True, metavar=("PARENT_NAME", "CHANGE_NAME"))
     args = ap.parse_args(argv)
-    first, last = (int(s) for s in args.seeds.split("-"))
+    seeds = re.fullmatch(r"(\d+)-(\d+)", args.seeds)
+    first, last = (int(s) for s in seeds.groups()) if seeds else (1, 0)
+    if first > last:
+        raise SystemExit(f"--seeds must be a range A-B of seeds with A <= B, not {args.seeds!r}")
     trees = {"parent": args.parent, "change": args.change}
     names = dict(zip(trees, args.names))
     paths = {side: Path(f"BENCH_{names[side]}.json") for side in trees}

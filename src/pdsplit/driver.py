@@ -15,6 +15,7 @@ the last; only the reference-optimum estimate sets it.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -93,7 +94,11 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     ``meta`` starts the trace header and names the method under
     ``"scheme"``.  With a parameter schedule (``ps`` and its ``rule``)
     the step is ``step(state, ps, ps_next, alpha)``, else ``step(state)``.
+    A ``max_iters`` that is not an integer (a ``bool`` included) raises
+    ``TypeError``, a negative one ``ValueError``.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
+        raise TypeError(f"max_iters must be an integer, not {max_iters!r}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, not {max_iters}")
     if record_every < 1:

@@ -1,27 +1,25 @@
-"""The step skeleton of all six schemes, and the first family's f-block.
+"""The step skeleton of all six schemes, and the first family's block forms.
 
 The schemes share one rescaled flow and differ only in which block, if
 any, takes the implicit (augmented) step: ``x`` for ``semiB``, ``y`` for
-``semiA``, none for ``explicit``.  The skeleton writes the y-block and the
-multiplier once.  With ``c = a / theta`` and the scaled weights
+``semiA``, none for ``explicit``.  With ``c = a / theta``, the multiplier's
+prediction ``lam_bar`` and update are one map, ``lam + c (A v + B w - b)``:
+the prediction sees the fresh velocity on the implicit side only.
 
-    eta_g = (1 + a) beta + mu_g a        y_tilde = y + (a beta / eta_g)(w - y)
-
-the y-block is a prox step ``y+ = prox_{tau g}(y_tilde - tau B^T lam_bar)``,
-``tau = a^2 / eta_g``, or an augmented step with penalty ``1/theta_{k+1}``
-linearized at ``lam_hat = lam - (A x + B y - b) / theta + c A(v - x)``,
-whose drift is ``A v - A x``, the prediction's product less the state's
-kept one; then ``w+ = y+ + (y+ - y) / a``.  The prediction ``lam_bar`` and
-the update are one map, ``lam + c (A v + B w - b)``: the prediction sees
-the fresh velocity on the implicit side only, the update both fresh
-velocities.
-
-Each family module supplies its f-block as one pair ``F_BLOCK``: a prox
-form (against ``lam_bar``) and an augmented form; ``driver._STEPS`` binds
-:func:`step` to each scheme's ``implicit`` side and family pair.  The first
-family's f-block mirrors the y-block, with ``eta_f = (1 + a) gamma + mu_f a``,
-``x_tilde``, ``A`` and ``lam_hat = lam - (A x + B y - b) / theta + c B(w - y)``,
-with ``B(w - y)`` formed as ``B w - B y``.
+A block steps through a pair of forms, a prox form (against ``lam_bar``)
+and an augmented form, each given the side.  This module's pair
+:data:`F_BLOCK`, which the y-block always takes and family 1's x-block
+too, is one linearized step on either side.  On side y, with
+``eta = (1 + a) beta + mu_g a`` and ``y_tilde = y + (a beta / eta)(w - y)``,
+the prox form is ``y+ = prox_{tau g}(y_tilde - tau B^T lam_bar)``,
+``tau = a^2 / eta``.  The augmented form, with penalty ``sigma = 1/theta_{k+1}``
+and weight ``eta / a^2``, is linearized at
+``lam_hat = lam - (A x + B y - b) / theta + c (A v - A x)``, whose drift
+is the prediction's product less the state's kept one, and hands the
+solver ``r = weight y_tilde - B^T (lam_hat + sigma (A x - b))``.  Then
+``w+ = y+ + (y+ - y) / a``.  Side x reads ``f``, ``A``, ``gamma``, ``mu_f``,
+``x``, ``v`` and ``B y`` instead.  ``driver._STEPS`` binds :func:`step` to
+each scheme's implicit side and family pair.
 """
 
 from dataclasses import dataclass, field
@@ -74,79 +72,59 @@ class IterateState:
         return IterateState(x=x0, v=x0.copy(), y=y0, w=y0.copy(), lam=lam0)
 
 
-def _weights(point, velocity, coeff, mu, alpha):
-    """Scaled prox weight ``eta`` and the centre the block steps from."""
-    eta = (1.0 + alpha) * coeff + mu * alpha
-    return eta, point + (alpha * coeff / eta) * (velocity - point)
-
-
-def _augmented_step(problem, state, ps, ps_next, alpha, side, eta, center, held):
-    """Augmented step of block ``side`` (``"x"`` or ``"y"``) with penalty
-    ``1/theta_{k+1}`` and weight ``eta / a^2``, linearized at ``lam_hat``.
-    ``held`` is the product the step formed for its prediction, ``B w`` on
-    side x and ``A v`` on side y; the drift ``B w - B y`` or ``A v - A x``
-    takes it and the state's kept product, so the step makes no product
-    for it."""
-    b = problem.b
-    Ax, By = state.products(problem)
-    if side == "x":
-        block, C, offset, drift = problem.f_prox, problem.A, By - b, held - By
-    else:
-        block, C, offset, drift = problem.g, problem.B, Ax - b, held - Ax
-    lam_hat = state.lam - (Ax + By - b) / ps.theta + (alpha / ps.theta) * drift
-    return solve_augmented_subproblem(
-        block, C.adjoint(lam_hat), C, offset,
-        sigma=1.0 / ps_next.theta, weight=eta / alpha ** 2, center=center,
-    )
-
-
 def step(implicit, f_block, problem, state, ps, ps_next, alpha):
     """One step of the scheme whose implicit side is ``implicit`` (``"x"``,
-    ``"y"`` or None).  ``f_block`` is the family's f-block pair, each form
-    returning ``(x+, v+)``: the prox form ``(problem, state, ps, alpha,
-    lam_bar)`` and the augmented form ``(problem, state, ps, ps_next,
-    alpha, Bw)``, which only ``implicit == "x"`` takes."""
-    f_prox, f_augmented = f_block
-    A, B, b = problem.A, problem.B, problem.b
-    c = alpha / ps.theta
-    eta_g, y_tilde = _weights(state.y, state.w, ps.beta, ps.mu_g, alpha)
-
+    ``"y"`` or None), the x-block through ``f_block``.  Each form returns the
+    side's new point and velocity: the prox form ``(side, problem, state, ps,
+    alpha, lam_bar)`` and the augmented form ``(side, problem, state, ps,
+    ps_next, alpha, held)``, ``held`` being the prediction's ``B w`` on side x
+    and ``A v`` on side y."""
+    forms, ops = {"x": f_block, "y": F_BLOCK}, {"x": problem.A, "y": problem.B}
     # A v and B w as the prediction sees them: fresh on the implicit side
-    Av = A.apply(state.v) if implicit != "x" else None
-    Bw = B.apply(state.w) if implicit != "y" else None
-    if implicit == "x":
-        x_new, v_new = f_augmented(problem, state, ps, ps_next, alpha, Bw)
-        Av = A.apply(v_new)
-    elif implicit == "y":
-        y_new = _augmented_step(problem, state, ps, ps_next, alpha, "y", eta_g, y_tilde, Av)
-        w_new = y_new + (y_new - state.y) / alpha
-        Bw = B.apply(w_new)
-    lam_bar = state.lam + c * (Av + Bw - b)
-
-    if implicit != "x":
-        x_new, v_new = f_prox(problem, state, ps, alpha, lam_bar)
-        Av = A.apply(v_new)
-    if implicit != "y":
-        tau = alpha ** 2 / eta_g
-        y_new = problem.g.prox(y_tilde - tau * B.adjoint(lam_bar), tau)
-        w_new = y_new + (y_new - state.y) / alpha
-        Bw = B.apply(w_new)
-
-    lam_new = state.lam + c * (Av + Bw - b)
-    return IterateState(x=x_new, v=v_new, y=y_new, w=w_new, lam=lam_new)
+    fresh = {s: ops[s].apply(u) for s, u in (("x", state.v), ("y", state.w)) if s != implicit}
+    new = {}
+    if implicit is not None:
+        held = fresh["y" if implicit == "x" else "x"]
+        new[implicit] = forms[implicit][1](implicit, problem, state, ps, ps_next, alpha, held)
+        fresh[implicit] = ops[implicit].apply(new[implicit][1])
+    c = alpha / ps.theta
+    lam_bar = state.lam + c * (fresh["x"] + fresh["y"] - problem.b)
+    for side in ops:
+        if side != implicit:
+            new[side] = forms[side][0](side, problem, state, ps, alpha, lam_bar)
+            fresh[side] = ops[side].apply(new[side][1])
+    lam_new = state.lam + c * (fresh["x"] + fresh["y"] - problem.b)
+    return IterateState(*new["x"], *new["y"], lam_new)
 
 
-def _f1_prox(problem, state, ps, alpha, lam_bar):
-    eta_f, x_tilde = _weights(state.x, state.v, ps.gamma, ps.mu_f, alpha)
-    s = alpha ** 2 / eta_f
-    x_new = problem.f_prox.prox(x_tilde - s * problem.A.adjoint(lam_bar), s)
-    return x_new, x_new + (x_new - state.x) / alpha
+def _block(side, problem, state, ps, alpha):
+    """The side's oracle, operator and point, its scaled weight ``eta`` and
+    the centre it steps from."""
+    if side == "x":
+        h, C, z, velocity, coeff, mu = problem.f_prox, problem.A, state.x, state.v, ps.gamma, ps.mu_f
+    else:
+        h, C, z, velocity, coeff, mu = problem.g, problem.B, state.y, state.w, ps.beta, ps.mu_g
+    eta = (1.0 + alpha) * coeff + mu * alpha
+    return h, C, z, eta, z + (alpha * coeff / eta) * (velocity - z)
 
 
-def _f1_augmented(problem, state, ps, ps_next, alpha, Bw):
-    eta_f, x_tilde = _weights(state.x, state.v, ps.gamma, ps.mu_f, alpha)
-    x_new = _augmented_step(problem, state, ps, ps_next, alpha, "x", eta_f, x_tilde, Bw)
-    return x_new, x_new + (x_new - state.x) / alpha
+def _prox_form(side, problem, state, ps, alpha, lam_bar):
+    h, C, z, eta, center = _block(side, problem, state, ps, alpha)
+    tau = alpha ** 2 / eta
+    z_new = h.prox(center - tau * C.adjoint(lam_bar), tau)
+    return z_new, z_new + (z_new - z) / alpha
 
 
-F_BLOCK = (_f1_prox, _f1_augmented)
+def _augmented_form(side, problem, state, ps, ps_next, alpha, held):
+    h, C, z, eta, center = _block(side, problem, state, ps, alpha)
+    b = problem.b
+    Ax, By = state.products(problem)
+    other = By if side == "x" else Ax
+    lam_hat = state.lam - (Ax + By - b) / ps.theta + (alpha / ps.theta) * (held - other)
+    sigma, weight = 1.0 / ps_next.theta, eta / alpha ** 2
+    r = weight * center - C.adjoint(lam_hat + sigma * (other - b))
+    z_new = solve_augmented_subproblem(h, r, C, sigma, weight, center)
+    return z_new, z_new + (z_new - z) / alpha
+
+
+F_BLOCK = (_prox_form, _augmented_form)

@@ -1,6 +1,7 @@
 """Second scheme family's f-block pair ``F_BLOCK``: gradient step on the smooth
 f-part, prox on the rest, and an averaging correction that keeps iterates inside
-the set.  The y-block and multiplier updates are those of ``family1.step``.
+the set.  The y-block and multiplier updates are those of ``family1.step``,
+and both forms take the side first, as there (here always ``"x"``).
 
 The f-block is ``f = f1 + f2`` with ``f1`` smooth.  The velocity update
 acts on ``v``; the correction
@@ -10,6 +11,9 @@ acts on ``v``; the correction
 sandwiches it, with the auxiliary weights
 
     eta_f~ = gamma + mu_f a        v_tilde = (gamma v + mu_f a u) / eta_f~
+
+and the augmented form hands the solver, for penalty ``sigma = a / theta`` and
+weight ``eta_f~ / a``, ``r = weight v_tilde - grad f1(u) - A^T (lam + sigma (B w - b))``.
 """
 
 from .subprob import solve_augmented_subproblem
@@ -24,7 +28,7 @@ def _aux(state, ps, alpha):
     return u, eta_ft, v_tilde
 
 
-def _f2_prox(problem, state, ps, alpha, lam_bar):
+def _f2_prox(side, problem, state, ps, alpha, lam_bar):
     u, eta_ft, v_tilde = _aux(state, ps, alpha)
     s = alpha / eta_ft
     grad = problem.f_smooth.gradient(u) + problem.A.adjoint(lam_bar)
@@ -32,13 +36,12 @@ def _f2_prox(problem, state, ps, alpha, lam_bar):
     return (state.x + alpha * v_new) / (1.0 + alpha), v_new
 
 
-def _f2_augmented(problem, state, ps, ps_next, alpha, Bw):
+def _f2_augmented(side, problem, state, ps, ps_next, alpha, Bw):
     u, eta_ft, v_tilde = _aux(state, ps, alpha)
-    d = problem.f_smooth.gradient(u) + problem.A.adjoint(state.lam)
-    v_new = solve_augmented_subproblem(
-        problem.f_prox, d, problem.A, Bw - problem.b,
-        sigma=alpha / ps.theta, weight=eta_ft / alpha, center=v_tilde,
-    )
+    sigma, weight = alpha / ps.theta, eta_ft / alpha
+    r = (weight * v_tilde - problem.f_smooth.gradient(u)
+         - problem.A.adjoint(state.lam + sigma * (Bw - problem.b)))
+    v_new = solve_augmented_subproblem(problem.f_prox, r, problem.A, sigma, weight, v_tilde)
     return (state.x + alpha * v_new) / (1.0 + alpha), v_new
 
 

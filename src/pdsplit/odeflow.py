@@ -143,10 +143,10 @@ def integrate(problem, initial, T, h=1e-3):
     passes ``1e12``, and ``FloatingPointError`` naming the block and the
     time if the start or a step is not finite.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, not {h!r}")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be nonnegative and finite, not {T!r}")
     dims = problem.dim_x, problem.dim_y, problem.dim_lam
     derivative = _derivative(problem)
 

@@ -22,6 +22,15 @@ __all__ = [
 ]
 
 
+def _nonnegative(name, value):
+    """``value`` as a float; raises ``ValueError`` naming ``name`` unless it is
+    finite and at least 0 (a NaN fails both)."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be nonnegative and finite, not {value!r}")
+    return value
+
+
 class ProxOracle:
     """Oracle for a proper closed convex function ``h`` (set folded in).
 
@@ -38,9 +47,9 @@ class ProxOracle:
     def prox(self, z, tau):
         raise NotImplementedError
 
-    def solve_augmented(self, linear, C, offset, sigma, weight, center):
-        """Minimize ``h(u) + <linear,u> + sigma/2 ||Cu+offset||^2
-        + weight/2 ||u-center||^2`` when a closed form exists.
+    def solve_augmented(self, r, C, sigma, weight, center):
+        """Minimize ``h(u) + sigma/2 ||C u||^2 + weight/2 ||u||^2 - <r, u>``
+        when a closed form exists; an iterative solve starts at ``center``.
 
         Returns None when this oracle has no closed form for a general
         coupling operator ``C``, or when its own solve declines this one;
@@ -82,8 +91,9 @@ class SeparableProblem:
     The f-block is either a single prox oracle, or a pair
     ``(smooth, prox)`` for solvers that take a gradient step on the smooth
     part.  ``mu_f`` / ``mu_g`` are the strong convexity moduli that drive
-    the parameter recursion; they default to the oracles' declared moduli,
-    read on first use, so building a problem decomposes nothing.
+    the parameter recursion, checked finite and nonnegative; they default
+    to the oracles' declared moduli, read on first use, so building a
+    problem decomposes nothing.
     """
 
     def __init__(self, f, g, A, B, b, mu_f=None, mu_g=None, saddle=None):
@@ -100,7 +110,8 @@ class SeparableProblem:
 
         self.g = g
         self.A, self.B, self.b = A, B, b
-        self._mu = (None if mu_f is None else float(mu_f), None if mu_g is None else float(mu_g))
+        self._mu = tuple(None if mu is None else _nonnegative(name, mu)
+                         for name, mu in (("mu_f", mu_f), ("mu_g", mu_g)))
 
         if saddle is not None:
             shapes = (saddle.x.shape, saddle.y.shape, saddle.lam.shape)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .oracles import ProxOracle, SmoothOracle
+from .oracles import ProxOracle, SmoothOracle, _nonnegative
 from .subprob import prox_gradient_step
 
 __all__ = [
@@ -44,10 +44,8 @@ class ShiftedL1(ProxOracle):
     """``lam * ||y - shift||_1``."""
 
     def __init__(self, shift, lam=1.0):
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
+        self.lam = _nonnegative("lam", lam)
         self.shift = np.asarray(shift, dtype=float)
-        self.lam = float(lam)
 
     def value(self, z):
         return self.lam * float(np.sum(np.abs(z - self.shift)))
@@ -64,9 +62,7 @@ class SquaredL2(ProxOracle, SmoothOracle):
     matrix, with the values and gradients of ``QuadraticProx(mu * I)``."""
 
     def __init__(self, mu):
-        if mu < 0:
-            raise ValueError("mu must be nonnegative")
-        self.mu = self.lipschitz = self.strong_convexity = float(mu)
+        self.mu = self.lipschitz = self.strong_convexity = _nonnegative("mu", mu)
 
     def value(self, z):
         return 0.5 * z @ (self.mu * z)
@@ -79,8 +75,8 @@ class SquaredL2(ProxOracle, SmoothOracle):
 
     _gram = None    # (C, dense C, lam, Q) of the last operator C
 
-    def solve_augmented(self, linear, C, offset, sigma, weight, center):
-        """Solve ``(d I + sigma C^T C) u = rhs``, ``d = weight + mu``, from
+    def solve_augmented(self, r, C, sigma, weight, center):
+        """Solve ``(d I + sigma C^T C) u = r``, ``d = weight + mu``, from
         ``Q diag(lam) Q^T``, the kept eigendecomposition of ``C C^T`` when C
         has fewer rows than columns (by Woodbury), else of ``C^T C``."""
         if self._gram is None or self._gram[0] is not C:
@@ -88,10 +84,9 @@ class SquaredL2(ProxOracle, SmoothOracle):
             self._gram = (C, M, *np.linalg.eigh(M @ M.T if M.shape[0] < M.shape[1] else M.T @ M))
         _, M, lam, Q = self._gram
         d = weight + self.mu
-        rhs = weight * center - linear - sigma * C.adjoint(offset)
         if M.shape[0] < M.shape[1]:
-            return (rhs - sigma * (M.T @ (Q @ ((Q.T @ (M @ rhs)) / (d + sigma * lam))))) / d
-        return Q @ ((Q.T @ rhs) / (d + sigma * lam))
+            return (r - sigma * (M.T @ (Q @ ((Q.T @ (M @ r)) / (d + sigma * lam))))) / d
+        return Q @ ((Q.T @ r) / (d + sigma * lam))
 
 
 class ZeroFun(SquaredL2):
@@ -105,10 +100,8 @@ class ElasticNet(ProxOracle):
     """``lam * ||x||_1 + mu/2 * ||x||^2``."""
 
     def __init__(self, lam, mu):
-        if lam < 0 or mu < 0:
-            raise ValueError("lam and mu must be nonnegative")
-        self.lam = float(lam)
-        self.mu = self.strong_convexity = float(mu)
+        self.lam = _nonnegative("lam", lam)
+        self.mu = self.strong_convexity = _nonnegative("mu", mu)
 
     def value(self, z):
         l1 = self.lam * float(np.sum(np.abs(z)))
@@ -120,8 +113,8 @@ class ElasticNet(ProxOracle):
             raise ValueError("tau must be positive")
         return _soft_threshold(z, tau, self.lam) / (1.0 + tau * self.mu)
 
-    def solve_augmented(self, linear, C, offset, sigma, weight, center):
-        return _l1_newton(self, linear, C, offset, sigma, weight, center)
+    def solve_augmented(self, r, C, sigma, weight, center):
+        return _l1_newton(self, r, C, sigma, weight, center)
 
 
 class L1Norm(ElasticNet):
@@ -143,10 +136,8 @@ class HingeSum(ProxOracle):
         labels = np.asarray(labels, dtype=float)
         if not np.all(np.abs(labels) == 1.0):
             raise ValueError("labels must be +-1")
-        if weight < 0:
-            raise ValueError("weight must be nonnegative")
         self.labels = labels
-        self.weight = float(weight)
+        self.weight = _nonnegative("weight", weight)
 
     def value(self, z):
         return self.weight * float(np.sum(np.maximum(0.0, 1.0 - self.labels * z)))
@@ -220,42 +211,40 @@ class QuadraticProx(ProxOracle, SmoothOracle):
     def gradient(self, z):
         return self.P @ z + self.p
 
-    def solve_augmented(self, linear, C, offset, sigma, weight, center):
+    def solve_augmented(self, r, C, sigma, weight, center):
         e, V = self._eigh
         if self._coupled is None or self._coupled[0] is not C:
             self._coupled = (C, C.to_dense() @ V)
-        rhs = weight * center - self.p - linear - sigma * C.adjoint(offset)
-        return _solve_augmented_normal(V, e + weight, self._coupled[1], sigma, rhs)
+        return _solve_augmented_normal(V, e + weight, self._coupled[1], sigma, r - self.p)
 
 
-def _l1_newton(block, linear, C, offset, sigma, weight, center):
+def _l1_newton(block, r, C, sigma, weight, center):
     """Active-set (semismooth) Newton (Li, Sun & Toh, SIAM J. Optim. 2018)
     on the augmented subproblem of ``block``, ``lam ||u||_1 + mu/2 ||u||^2``.
 
-    With ``d = weight + mu``, the smooth part ``q`` (the subproblem without
-    the l1 term) and ``g0 = grad q(0)``, the minimiser is the fixed point of
-    ``u = soft(z, lam / d)``, ``z = u - grad q(u) / d = -(g0 + sigma C^T C u) / d``.
+    With ``d = weight + mu`` and the smooth part ``q`` (the subproblem
+    without the l1 term, ``grad q(0) = -r``), the minimiser is the fixed point
+    of ``u = soft(z, lam / d)``, ``z = u - grad q(u) / d = (r - sigma C^T C u) / d``.
     From ``center``, each step takes the signed active set
     ``s = sign(z) [|z| > lam / d]`` of the current ``u`` and solves
-    ``(d I + sigma C_S^T C_S) u_S = -(g0_S + lam s_S)``, with ``u = 0`` off
+    ``(d I + sigma C_S^T C_S) u_S = r_S - lam s_S``, with ``u = 0`` off
     ``S``; once ``s`` repeats, ``u`` is that fixed point.  After that, or
     after ``_NEWTON_STEPS`` steps, ``u`` must pass the inner loop's stopping
     test at the inner loop's step; otherwise this returns None and the
     solver falls back to the inner loop.
     """
     M, d, lam = C.to_dense(), weight + block.mu, block.lam
-    shift = linear + sigma * C.adjoint(offset) - weight * center   # g0
     u, signs = np.array(center, dtype=float), None
     for _ in range(_NEWTON_STEPS):
-        z = -(sigma * (M.T @ (M @ u)) + shift) / d
+        z = (r - sigma * (M.T @ (M @ u))) / d
         active = np.where(np.abs(z) > lam / d, np.sign(z), 0.0)
         if signs is not None and np.array_equal(active, signs):
             break
         signs, S = active, np.flatnonzero(active)
         u = np.zeros_like(u)
-        u[S] = _solve_augmented_normal(None, d, M[:, S], sigma, -(shift[S] + lam * signs[S]))
+        u[S] = _solve_augmented_normal(None, d, M[:, S], sigma, r[S] - lam * signs[S])
     step = 1.0 / (sigma * C.norm_bound() ** 2 + weight)
-    _, _, accepted = prox_gradient_step(block, u, C.apply(u), C, sigma, weight, shift, step)
+    _, _, accepted = prox_gradient_step(block, u, C.apply(u), C, sigma, weight, r, step)
     return u if accepted else None
 
 

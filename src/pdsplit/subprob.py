@@ -2,14 +2,17 @@
 
 Each non-linearized block update minimizes
 
-    h(u) + <linear, u> + sigma/2 ||C u + offset||^2 + weight/2 ||u - center||^2
+    h(u) + sigma/2 ||C u||^2 + weight/2 ||u||^2 - <r, u>
 
-over the block's set (folded into ``h``'s prox).  The solve is closed form
-when ``C`` is a scaled identity (the augmented term merges into the prox)
-or when the block oracle solves the subproblem itself (``QuadraticProx``,
-``SquaredL2``, and ``ElasticNet`` by active-set Newton, which may decline);
-otherwise an inner loop of accelerated proximal gradient is used.  The loop starts at ``center`` and returns ``T(z)``, one
-prox-gradient step from the extrapolated point ``z``, as soon as
+over the block's set (folded into ``h``'s prox).  The caller forms the
+right-hand side ``r`` with one adjoint product, and every solve reads it as
+it is.  The solve is closed form when ``C`` is a scaled identity (the
+augmented term merges into the prox) or when the block oracle solves the
+subproblem itself (``QuadraticProx``, ``SquaredL2``, and ``ElasticNet`` by
+active-set Newton, which may decline); otherwise an inner loop of
+accelerated proximal gradient is used.  An iterative solve starts at
+``center``.  The loop returns ``T(z)``, one prox-gradient step from the
+extrapolated point ``z``, as soon as
 ``||T(z) - z|| <= inner_tol * (1 + ||T(z)||)``: the test of
 :func:`prox_gradient_step`, which a Newton answer must pass too.  When it
 reaches ``inner_max_iters`` first it returns the last ``T(z)`` with an
@@ -47,32 +50,30 @@ class InnerLoopCapWarning(RuntimeWarning):
         self.residual = residual
 
 
-def solve_augmented_subproblem(block, linear, C, offset, sigma, weight, center):
+def solve_augmented_subproblem(block, r, C, sigma, weight, center):
     """Scaled-identity merge, else the oracle's closed form, else the inner loop."""
     if isinstance(C, ScaledIdentity):
-        c = C.scale
-        rho = sigma * c * c + weight
-        z = (weight * center - linear - sigma * c * offset) / rho
-        return block.prox(z, 1.0 / rho)
+        rho = sigma * C.scale * C.scale + weight
+        return block.prox(r / rho, 1.0 / rho)
 
-    closed = block.solve_augmented(linear, C, offset, sigma, weight, center)
+    closed = block.solve_augmented(r, C, sigma, weight, center)
     if closed is not None:
         return closed
-    return _inner_prox_gradient(block, linear, C, offset, sigma, weight, center)
+    return _inner_prox_gradient(block, r, C, sigma, weight, center)
 
 
-def prox_gradient_step(block, z, Cz, C, sigma, weight, shift, step):
+def prox_gradient_step(block, z, Cz, C, sigma, weight, r, step):
     """``T(z)``, the residual ``||T(z) - z||`` and whether it passes the stopping
     test ``residual <= inner_tol * (1 + ||T(z)||)``.  ``T`` is one prox-gradient
-    step on the smooth part, whose gradient is ``sigma C^T C z + weight z + shift``;
+    step on the smooth part, whose gradient is ``sigma C^T C z + weight z - r``;
     ``Cz = C z``."""
-    grad = sigma * C.adjoint(Cz) + weight * z + shift
+    grad = sigma * C.adjoint(Cz) + weight * z - r
     u_next = block.prox(z - step * grad, step)
     residual = np.linalg.norm(u_next - z)
     return u_next, residual, residual <= OPTIONS.inner_tol * (1.0 + np.linalg.norm(u_next))
 
 
-def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center):
+def _inner_prox_gradient(block, r, C, sigma, weight, center):
     """Accelerated proximal gradient on the smooth quadratic part, prox on the block.
 
     The smooth part is ``weight``-strongly convex with gradient Lipschitz
@@ -85,14 +86,12 @@ def _inner_prox_gradient(block, linear, C, offset, sigma, weight, center):
     step = 1.0 / lip
     root_q = np.sqrt(weight / lip)
     momentum = (1.0 - root_q) / (1.0 + root_q)
-    shift = linear + sigma * C.adjoint(offset) - weight * center
     u = np.array(center, dtype=float)
     Cu = C.apply(u)
     z, Cz = u, Cu
     u_next, residual = u, np.inf   # returned as is when the cap is 0
     for _ in range(OPTIONS.inner_max_iters):
-        u_next, residual, accepted = prox_gradient_step(block, z, Cz, C, sigma, weight,
-                                                        shift, step)
+        u_next, residual, accepted = prox_gradient_step(block, z, Cz, C, sigma, weight, r, step)
         if accepted:
             return u_next
         Cu_next = C.apply(u_next)

@@ -129,6 +129,17 @@ def test_negative_iteration_count_raises(entry):
         ENTRY_POINTS[entry](prob, -1, None)
 
 
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_non_integer_iteration_count_raises(entry):
+    # a float used to end in range's TypeError, and True ran one step
+    prob = generate_lad(20, 60, 0).prox_form
+    for count in (5.0, True, "5"):
+        with pytest.raises(TypeError, match="max_iters must be an integer"):
+            ENTRY_POINTS[entry](prob, count, None)
+    trace, _ = ENTRY_POINTS[entry](prob, np.int64(3), None)
+    assert len(trace.rows) == 4
+
+
 def test_build_rule_uses_inflated_norms():
     prob, split = quadratic_instance(85)
     rule = build_rule(prob, Scheme.F1_SEMI_B)

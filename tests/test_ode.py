@@ -315,6 +315,15 @@ def test_integrate_validates_arguments():
         integrate(prob, initial_state(prob), T=-1.0, h=0.1)
 
 
+@pytest.mark.parametrize("T, h, name", [(1.0, math.nan, "h"), (1.0, math.inf, "h"),
+                                        (math.nan, 0.1, "T"), (math.inf, 0.1, "T")])
+def test_integrate_refuses_non_finite_step_and_horizon(T, h, name):
+    # a NaN h used to raise from int(), an infinite T an OverflowError
+    prob, _ = quadratic_instance(68)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        integrate(prob, initial_state(prob), T=T, h=h)
+
+
 @pytest.mark.parametrize("with_f_star", [True, False], ids=["f_star", "no-f_star"])
 @pytest.mark.parametrize("with_saddle", [True, False], ids=["saddle", "no-saddle"])
 def test_trajectory_csv(tmp_path, with_saddle, with_f_star):

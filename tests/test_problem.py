@@ -107,6 +107,16 @@ def test_moduli_default_from_oracles():
     assert prob.mu_g == 0.0
 
 
+@pytest.mark.parametrize("name, value", [("mu_f", -1.0), ("mu_f", np.nan), ("mu_g", np.inf),
+                                         ("mu_g", -np.inf)])
+def test_moduli_must_be_finite_and_nonnegative(name, value):
+    # a negative mu_f used to fail at the first step with a math domain
+    # error, a NaN as a non-finite iterate and an infinite mu_g as a NaN bracket
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+        SeparableProblem(ZeroFun(), ZeroFun(), DenseOperator(np.eye(1)), negated_identity(1),
+                         np.zeros(1), **{name: value})
+
+
 def test_dimension_mismatch_rejected():
     A = DenseOperator(np.eye(2))
     B = negated_identity(3)

@@ -174,6 +174,20 @@ def test_shifted_l1_rejects_negative_lam():
         ShiftedL1(np.zeros(2), -1.0)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda v: SquaredL2(v), "mu"),
+    (lambda v: ElasticNet(1.0, v), "mu"),
+    (lambda v: ElasticNet(v, 1.0), "lam"),
+    (lambda v: ShiftedL1(np.zeros(2), lam=v), "lam"),
+    (lambda v: HingeSum(np.array([1.0, -1.0]), v), "weight"),
+], ids=["squared-l2", "enet-mu", "enet-lam", "shifted-l1", "hinge"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_oracle_parameters_must_be_finite_and_nonnegative(build, name, value):
+    # each check used to be ``< 0``, which a NaN passes
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+        build(value)
+
+
 def test_quadratic_prox_optimality():
     rng = np.random.default_rng(46)
     M = rng.standard_normal((5, 5))
@@ -228,15 +242,24 @@ def test_eigenbasis_prox_matches_dense_solve(n, rank):
         assert _rel_err(q.prox(z, tau), want) <= 1e-12
 
 
-def _augmented_reference(P, p, linear, C, offset, sigma, weight, center):
-    H = P + sigma * C.T @ C + weight * np.eye(C.shape[1])
-    return np.linalg.solve(H, weight * center - p - linear - sigma * C.T @ offset)
+def _augmented_reference(P, p, r, C, sigma, weight, center):
+    M = C.matrix
+    return np.linalg.solve(P + sigma * M.T @ M + weight * np.eye(M.shape[1]), r - p)
 
 
 def _augmented_case(rng, m, n):
     return dict(linear=rng.standard_normal(n), C=DenseOperator(rng.standard_normal((m, n))),
                 offset=rng.standard_normal(m), weight=0.1 + rng.random(),
                 center=rng.standard_normal(n))
+
+
+def _augmented_args(case, sigma):
+    """``solve_augmented``'s arguments for the case's subproblem
+    ``h(u) + <linear, u> + sigma/2 ||C u + offset||^2 + weight/2 ||u - center||^2``,
+    whose right-hand side is ``r = weight center - linear - sigma C^T offset``."""
+    C, weight, center = case["C"], case["weight"], case["center"]
+    r = weight * center - case["linear"] - sigma * C.matrix.T @ case["offset"]
+    return dict(r=r, C=C, sigma=sigma, weight=weight, center=center)
 
 
 @pytest.mark.parametrize("m", [5, 12, 30])
@@ -249,10 +272,9 @@ def test_solve_augmented_matches_normal_equations(m, sigma):
     for oracle, P_ref, p_ref in ((QuadraticProx(P, p), P, p),
                                  (ZeroFun(), np.zeros((n, n)), np.zeros(n)),
                                  (SquaredL2(0.7), 0.7 * np.eye(n), np.zeros(n))):
-        case = _augmented_case(rng, m, n)
-        got = oracle.solve_augmented(sigma=sigma, **case)
-        dense = dict(case, C=case["C"].matrix)
-        want = _augmented_reference(P_ref, p_ref, sigma=sigma, **dense)
+        args = _augmented_args(_augmented_case(rng, m, n), sigma)
+        got = oracle.solve_augmented(**args)
+        want = _augmented_reference(P_ref, p_ref, **args)
         assert _rel_err(got, want) <= 1e-10, type(oracle).__name__
 
 
@@ -263,9 +285,9 @@ def test_solve_augmented_never_reuses_another_operators_factor():
     q = QuadraticProx(P, p)
     cases = [_augmented_case(rng, 4, n), _augmented_case(rng, 4, n), _augmented_case(rng, 15, n)]
     for i in range(9):
-        case = cases[i % 3]
-        got = q.solve_augmented(sigma=2.0, **case)
-        want = _augmented_reference(P, p, sigma=2.0, **dict(case, C=case["C"].matrix))
+        args = _augmented_args(cases[i % 3], 2.0)
+        got = q.solve_augmented(**args)
+        want = _augmented_reference(P, p, **args)
         assert _rel_err(got, want) <= 1e-10
 
 
@@ -307,7 +329,7 @@ def test_quadratic_prox_decomposes_once_and_reads_its_moduli_from_it(count_decom
     assert q.strong_convexity == 0.0 and e[0] < 0.0
     assert q.lipschitz == e[-1]
     q.prox(rng.standard_normal(n), 0.3)
-    q.solve_augmented(sigma=2.0, **_augmented_case(rng, 4, n))
+    q.solve_augmented(**_augmented_args(_augmented_case(rng, 4, n), 2.0))
     q.gradient(rng.standard_normal(n))
     q.value(rng.standard_normal(n))
     assert count_decompositions == {"eigh": 1, "eigvalsh": 0}
@@ -320,10 +342,9 @@ def test_zero_fun_factors_each_operator_once_per_switch(count_decompositions):
     cases = [_augmented_case(rng, 4, n), _augmented_case(rng, 4, n), _augmented_case(rng, 15, n)]
     order = [0, 0, 1, 2, 2, 0, 1, 1, 2]
     for i, j in enumerate(order):
-        case = cases[j]
-        got = zero.solve_augmented(sigma=2.0 + i, **case)
-        want = _augmented_reference(np.zeros((n, n)), np.zeros(n), sigma=2.0 + i,
-                                    **dict(case, C=case["C"].matrix))
+        args = _augmented_args(cases[j], 2.0 + i)
+        got = zero.solve_augmented(**args)
+        want = _augmented_reference(np.zeros((n, n)), np.zeros(n), **args)
         assert _rel_err(got, want) <= 1e-10
     switches = 1 + sum(a != b for a, b in zip(order, order[1:]))
     assert count_decompositions == {"eigh": switches, "eigvalsh": 0}

@@ -53,15 +53,16 @@ def counted(A, B, step, state):
 
 # (forward, adjoint) products per step from a hand-built state, and forward
 # products from a state out of the run loop, whose trace row has computed
-# A x and B y.  The adjoints include the one the quadratic block's
-# closed-form augmented solve makes.  An augmented step forms its drift
-# from the prediction's product and the kept one: B w - B y, A v - A x.
+# A x and B y.  An augmented step forms its right-hand side with one
+# adjoint, which the quadratic block's closed-form solve reads as it is,
+# and its drift from the prediction's product and the kept one:
+# B w - B y, A v - A x.
 PRODUCTS = {
-    Scheme.F1_SEMI_B: (5, 3, 3),
-    Scheme.F1_SEMI_A: (5, 3, 3),
+    Scheme.F1_SEMI_B: (5, 2, 3),
+    Scheme.F1_SEMI_A: (5, 2, 3),
     Scheme.F1_EXPLICIT: (4, 2, 4),
-    Scheme.F2_SEMI_B: (3, 3, 3),
-    Scheme.F2_SEMI_A: (5, 3, 3),
+    Scheme.F2_SEMI_B: (3, 2, 3),
+    Scheme.F2_SEMI_A: (5, 2, 3),
     Scheme.F2_EXPLICIT: (4, 2, 4),
 }
 

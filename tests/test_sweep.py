@@ -67,11 +67,11 @@ def test_compare_flags_missing_csv_and_empty_field(tmp_path):
     assert result["mismatched"] == [f"quadratic-synthetic-seed0/trace_pdhg.csv: missing in {change}"]
 
 
-def _write_summary(root, name, fstar, uncertainty=0.0):
+def _write_summary(root, name, fstar, uncertainty=0.0, methods=None):
     path = root / name / "summary.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     summary = {"config": {"out": str(path.parent), "seed": 0}, "fstar": fstar,
-               "fstar_uncertainty": uncertainty, "methods": {}}
+               "fstar_uncertainty": uncertainty, "methods": methods or {}}
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
@@ -114,6 +114,36 @@ def test_compare_reports_largest_fstar_differences(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fstar               1.00e-06  own value     lad-case1-seed0/summary.json\n" in out
     assert "fstar_uncertainty   5.00e-01  own value     svm-l1-seed1/summary.json\n" in out
+    assert result["summaries_identical"] == 1 and result["mismatched"] == []
+
+
+def test_compare_reports_composite_final_and_cap_hits(tmp_path, capsys):
+    # neither figure is in a trace CSV, so the CSVs alone would not show them move
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write_summary(parent, "lad-case1-seed0", 1.0, methods={
+        "f1-semiA": {"composite_final": 4.0, "inner_cap_hits": 2},
+        "f1-semiB": {"composite_final": 8.0, "inner_cap_hits": 1},
+        "pdhg": {"composite_final": 5.0}})
+    _write_summary(change, "lad-case1-seed0", 1.0, methods={
+        "f1-semiA": {"composite_final": 4.0000004, "inner_cap_hits": 0},
+        "f1-semiB": {"composite_final": 8.0000016, "inner_cap_hits": 1},
+        "pdhg": {"composite_final": 5.0}})
+    _write_summary(parent, "quadratic-synthetic-seed0", 1.0, methods={
+        "f2-semiB": {"inner_cap_hits": 3}})
+    _write_summary(change, "quadratic-synthetic-seed0", 1.0, methods={
+        "f2-semiB": {"inner_cap_hits": 3}})
+
+    sweep = _sweep()
+    result = sweep.compare(parent, change)
+    sweep.report(result)
+
+    diff, where = result["summary_fields"]["composite_final"]
+    assert diff == pytest.approx(2e-7)                       # 1.6e-6 relative to 8.0
+    assert where == "lad-case1-seed0/summary.json f1-semiB"
+    assert result["cap_hits"] == (6, 4)
+    out = capsys.readouterr().out
+    assert "composite_final     2.00e-07  own value     lad-case1-seed0/summary.json f1-semiB\n" in out
+    assert "inner_cap_hits, parent then change: 6 4\n" in out
     assert result["summaries_identical"] == 1 and result["mismatched"] == []
 
 

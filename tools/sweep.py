@@ -23,10 +23,13 @@ largest difference: relative for
 value for ``obj`` and ``feas``; absolute for ``sparsity``.  It also prints
 how many ``summary.json`` files are byte-identical once ``config.out``, the
 one field that names the output directory, is removed, and the largest
-relative difference of their reference optimum ``fstar`` and its
-``fstar_uncertainty``.  On the LAD and SVM instances that reference is a
-ladmm run with steps ``1/||A||^2``, so it moves with the operator norm.  It
-exits 1 when a CSV or a summary is missing on one side or two CSVs differ
+relative difference of their reference optimum ``fstar``, its
+``fstar_uncertainty`` and the methods' ``composite_final``, the composite
+objective at the last iterate, which no CSV holds.  On the LAD and SVM
+instances that reference is a ladmm run with steps ``1/||A||^2``, so it
+moves with the operator norm.  It also prints each side's total of the
+methods' ``inner_cap_hits``, the inner-loop solves that stopped at their cap.
+It exits 1 when a CSV or a summary is missing on one side or two CSVs differ
 in their rows' ``k``.
 """
 
@@ -130,15 +133,18 @@ def compare(parent_dir, change_dir):
     mapping each compared column to ``(largest difference, where)``,
     ``summaries_identical`` and ``summaries_total`` counts of the
     ``summary.json`` files, compared without ``config.out``,
-    ``summary_fields`` mapping ``fstar`` and ``fstar_uncertainty`` to their
-    ``(largest relative difference, where)`` over those summaries,
+    ``summary_fields`` mapping ``fstar``, ``fstar_uncertainty`` and the
+    methods' ``composite_final`` to their ``(largest relative difference,
+    where)`` over those summaries, ``cap_hits``, the parent's and the
+    change's totals of the methods' ``inner_cap_hits`` in them,
     ``flows_identical`` and ``flows_total`` counts of the flow trajectories
     and ``flows_differing``, the names of those that are not byte-identical,
     and ``mismatched``, the files missing on one side and the CSVs differing in ``k``.
     """
     parent_dir, change_dir = Path(parent_dir), Path(change_dir)
     columns = {c: (0.0, "") for c in RELATIVE + ROW0_RELATIVE + EXACT}
-    summary_fields = {f: (0.0, "") for f in SUMMARY_FIELDS}
+    summary_fields = {f: (0.0, "") for f in SUMMARY_FIELDS + ("composite_final",)}
+    cap_hits = [0, 0]
     mismatched = []
     summaries_total, summaries = _pairs(parent_dir, change_dir, "*/summary.json", mismatched)
     summaries_identical = 0
@@ -150,6 +156,15 @@ def compare(parent_dir, change_dir):
             diff = _difference(p, c, abs(p))
             if diff > summary_fields[field][0]:
                 summary_fields[field] = (diff, str(name))
+        methods = p_summary["methods"], c_summary["methods"]
+        for side, entries in enumerate(methods):
+            cap_hits[side] += sum(e.get("inner_cap_hits", 0) for e in entries.values())
+        for tag in sorted(methods[0].keys() & methods[1].keys()):
+            p, c = (entries[tag].get("composite_final") for entries in methods)
+            if p is not None and c is not None:
+                diff = _difference(p, c, abs(p))
+                if diff > summary_fields["composite_final"][0]:
+                    summary_fields["composite_final"] = (diff, f"{name} {tag}")
     total, traces = _pairs(parent_dir, change_dir, "*/trace_*.csv", mismatched)
     identical, differing = 0, []
     for name, p_path, c_path in traces:
@@ -173,7 +188,8 @@ def compare(parent_dir, change_dir):
                        if p_path.read_bytes() != c_path.read_bytes()]
     return {"identical": identical, "total": total, "differing": differing, "columns": columns,
             "summaries_identical": summaries_identical, "summaries_total": summaries_total,
-            "summary_fields": summary_fields, "flows_identical": len(flows) - len(flows_differing),
+            "summary_fields": summary_fields, "cap_hits": tuple(cap_hits),
+            "flows_identical": len(flows) - len(flows_differing),
             "flows_total": flows_total, "flows_differing": flows_differing,
             "mismatched": mismatched}
 
@@ -191,6 +207,7 @@ def report(result):
           f"{result['summaries_identical']} of {result['summaries_total']}")
     for field, (diff, where) in result["summary_fields"].items():
         print(f"{field:<20}{diff:<10.2e}{'own value':<14}{where}")
+    print("inner_cap_hits, parent then change: {} {}".format(*result["cap_hits"]))
     print(f"flow trajectories byte-identical: {result['flows_identical']} of {result['flows_total']}")
     for name in result["flows_differing"]:
         print(f"differs: {name}")

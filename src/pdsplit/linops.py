@@ -3,7 +3,7 @@
 All operators are dense, double precision, and immutable after construction
 except for the norm cache, which :meth:`LinearOperator.norm` fills once.
 :func:`estimate_operator_norm` gives the norm exactly up to rounding: by a
-closed form, by one dense Gram eigenvalue, or by Lanczos, by size.
+closed form, or by the top eigenvalue of the dense Gram matrix.
 """
 
 import numpy as np
@@ -22,11 +22,6 @@ __all__ = [
 # but not an under-estimate; the computed norm is exact up to rounding, a
 # relative error far below this margin.
 NORM_SAFETY = 1.0 + 1e-6
-
-# Operators whose smaller side has at most this many entries take their
-# norm from the dense Gram matrix on that side; larger ones run Lanczos,
-# which keeps no Gram matrix.
-GRAM_MAX_SIDE = 256
 
 
 class LinearOperator:
@@ -126,13 +121,11 @@ def estimate_operator_norm(op):
     """The largest singular value of ``op``, exact up to rounding.
 
     A scaled identity and a diagonal operator have closed forms.  Otherwise
-    the norm is the square root of the top eigenvalue of the Gram operator
-    on the smaller side, ``A A^T`` or ``A^T A``: taken from the dense Gram
-    matrix when that side has at most :data:`GRAM_MAX_SIDE` entries, else by
-    :func:`_lanczos_norm`, which uses at most two products per entry of
-    that side.  A zero operator returns 0 exactly.
-    :meth:`LinearOperator.norm` calls this once per operator and caches
-    the result.
+    the norm is the square root of the top eigenvalue of the dense Gram
+    matrix on the smaller side, ``A A^T`` or ``A^T A``, which has no more
+    entries than the dense matrix itself and costs no operator product.  A
+    zero operator returns 0 exactly.  :meth:`LinearOperator.norm` calls
+    this once per operator and caches the result.
     """
     rows, cols = op.shape
     if rows <= 0 or cols <= 0:
@@ -141,50 +134,6 @@ def estimate_operator_norm(op):
         return abs(op.scale)
     if isinstance(op, DiagonalOperator):
         return float(np.max(np.abs(op.diag)))
-    if min(rows, cols) > GRAM_MAX_SIDE:
-        return _lanczos_norm(op)
     M = op.to_dense()
     gram = M @ M.T if rows <= cols else M.T @ M
     return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1])))
-
-
-def _lanczos_norm(op):
-    """``sqrt(theta + rho)`` from Lanczos on the smaller-side Gram operator.
-
-    The Krylov basis starts from a seeded random vector and grows one
-    fully reorthogonalized vector per step, each step one forward and one
-    adjoint product.  ``theta`` is the top Ritz value and
-    ``rho = beta |s_last|`` its residual, so an eigenvalue lies within
-    ``rho`` of ``theta``; from a random start the top one is found first
-    (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl., 1992).  The
-    loop stops once ``rho <= 1e-13 theta``, when the basis spans an
-    invariant subspace (``beta = 0``), or after ``dim`` steps, where the
-    Ritz values are the eigenvalues.  The Ritz pair costs a dense
-    eigensolve of the k×k tridiagonal matrix, so the residual test runs
-    on steps about k/8 apart, which adds at most an eighth to the steps.
-    """
-    rows, cols = op.shape
-    if rows <= cols:
-        dim, gram = rows, lambda v: op.apply(op.adjoint(v))
-    else:
-        dim, gram = cols, lambda v: op.adjoint(op.apply(v))
-    q = np.random.default_rng(12345).standard_normal(dim)
-    basis = (q / np.linalg.norm(q))[None, :]
-    alphas, betas, check_at = [], [], 1
-    while True:
-        w = gram(basis[-1])
-        alphas.append(basis[-1] @ w)
-        for _ in range(2):   # twice is enough to keep the basis orthonormal
-            w -= basis.T @ (basis @ w)
-        beta = np.linalg.norm(w)
-        k = len(alphas)
-        exhausted = beta == 0.0 or k == dim
-        if exhausted or k >= check_at:
-            tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            ritz, vectors = np.linalg.eigh(tridiagonal)
-            theta, rho = ritz[-1], beta * abs(vectors[-1, -1])
-            if exhausted or rho <= 1e-13 * theta:
-                return float(np.sqrt(max(0.0, theta + rho)))
-            check_at = k + 1 + k // 8
-        betas.append(beta)
-        basis = np.vstack((basis, w / beta))

@@ -139,7 +139,8 @@ def integrate(problem, initial, T, h=1e-3):
     """Classical 4th-order fixed-step integration, sampled every step.
 
     Returns the list of :class:`SmoothSystemState` at ``t = 0, h, 2h, ...``
-    up to the horizon.  Raises :class:`OdeBlowUpError` if the state norm
+    up to the horizon ``T``, which must be a whole number of steps ``h`` to
+    a relative 1e-9.  Raises :class:`OdeBlowUpError` if the state norm
     passes ``1e12``, and ``FloatingPointError`` naming the block and the
     time if the start or a step is not finite.
     """
@@ -147,10 +148,12 @@ def integrate(problem, initial, T, h=1e-3):
         raise ValueError(f"h must be positive and finite, not {h!r}")
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"T must be nonnegative and finite, not {T!r}")
+    n_steps = round(T / h)
+    if abs(n_steps * h - T) > 1e-9 * T:
+        raise ValueError(f"T must be a whole number of steps h, not T = {T!r} and h = {h!r}")
     dims = problem.dim_x, problem.dim_y, problem.dim_lam
     derivative = _derivative(problem)
 
-    n_steps = int(round(T / h))
     z = initial.pack()
     t = initial.t
     _norm(t, z, dims)   # a non-finite start raises

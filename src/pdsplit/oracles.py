@@ -64,10 +64,10 @@ class SmoothOracle:
     """Oracle for a differentiable convex function with known constants."""
 
     def __init__(self, lipschitz, strong_convexity=0.0):
-        if strong_convexity > lipschitz:
+        self.lipschitz = _nonnegative("lipschitz", lipschitz)
+        self.strong_convexity = _nonnegative("strong_convexity", strong_convexity)
+        if self.strong_convexity > self.lipschitz:
             raise ValueError("strong convexity modulus cannot exceed the Lipschitz constant")
-        self.lipschitz = float(lipschitz)
-        self.strong_convexity = float(strong_convexity)
 
     def value(self, z):
         raise NotImplementedError

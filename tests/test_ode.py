@@ -3,6 +3,7 @@ certification, and integrator order."""
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,15 @@ def test_integrate_refuses_non_finite_step_and_horizon(T, h, name):
     # a NaN h used to raise from int(), an infinite T an OverflowError
     prob, _ = quadratic_instance(68)
     with pytest.raises(ValueError, match=f"^{name} must be"):
+        integrate(prob, initial_state(prob), T=T, h=h)
+
+
+@pytest.mark.parametrize("T, h", [(0.15, 0.1), (0.04, 0.1), (1.0005, 1e-3)])
+def test_integrate_refuses_a_horizon_that_is_not_a_whole_number_of_steps(T, h):
+    # rounding T / h would stop 0.15 / 0.1 at t = 0.1 and 0.04 / 0.1 at the start
+    prob, _ = quadratic_instance(68)
+    with pytest.raises(ValueError, match=re.escape(f"T must be a whole number of steps h, "
+                                                   f"not T = {T!r} and h = {h!r}")):
         integrate(prob, initial_state(prob), T=T, h=h)
 
 

@@ -113,3 +113,21 @@ def test_refuses_a_reversed_or_malformed_seed_range_before_running(trees, seeds)
     with pytest.raises(SystemExit, match=f"--seeds must be a range A-B .*not '{seeds}'"):
         _main(trees, "quad-saddle", seeds)
     assert not (trees[2] / "BENCH_aaa.json").exists()
+
+
+def test_summary_reads_each_median_ratio_against_its_bound():
+    values = {"inside": (1.0, 1.1), "outside": (1.0, 1.2), "faster": (100.0, 150.0),
+              "slower": (100.0, 70.0), "unbounded": (1.0, 3.0), "zero": (0.0, 0.0)}
+    spec = {"inside": {"better": "lower", "bound": 0.25}, "outside": {"better": "lower", "bound": 0.1},
+            "faster": {"better": "higher", "bound": 0.25}, "slower": {"better": "higher", "bound": 0.25},
+            "zero": {"better": "lower", "bound": 0.25}}
+    runs = [tuple({"failed": 0, "metrics": {name: {"value": pair[i] * (1 + k / 100)}
+                                            for name, pair in values.items()}} for i in (0, 1))
+            for k in range(3)]
+    rows = {line.split()[0]: line for line in _pairs().summary(runs, spec)[1:-1]}
+    assert rows["inside"].endswith("0/3  1.100 within bound 0.25")
+    assert rows["outside"].endswith("0/3  1.200 OUTSIDE bound 0.1")
+    assert rows["faster"].endswith("3/3  1.500 within bound 0.25")
+    assert rows["slower"].endswith("0/3  0.700 OUTSIDE bound 0.25")
+    assert rows["unbounded"].endswith("0/3  3.000")
+    assert rows["zero"].endswith("0/3  1.000 within bound 0.25")   # flow_s of a workload without flows

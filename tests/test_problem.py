@@ -154,6 +154,16 @@ def test_smooth_oracle_validates_constants():
     with pytest.raises(ValueError):
         SmoothOracle(lipschitz=1.0, strong_convexity=2.0)
 
+
+@pytest.mark.parametrize("args, name", [
+    ((float("nan"),), "lipschitz"), ((float("inf"),), "lipschitz"), ((-1.0,), "lipschitz"),
+    ((1.0, float("nan")), "strong_convexity"), ((1.0, -0.5), "strong_convexity"),
+])
+def test_smooth_oracle_names_a_constant_that_is_not_finite_and_nonnegative(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite"):
+        SmoothOracle(*args)
+
+
 def test_smooth_gradient_matches_central_differences():
     rng = np.random.default_rng(31)
     n = 6

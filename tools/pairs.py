@@ -23,12 +23,16 @@ already recorded for the workload, or whose ``--seeds`` is not a range
 files are rewritten after every pair, so a rejected run leaves the pairs
 before it recorded; resume with the seeds after them.  At the end,
 per metric of this call, the script prints each side's median and
-quartiles and in how many pairs the change was better, the direction read
-from CHANGE's ``BENCHMARK.json``.
+quartiles, in how many pairs the change was better, and the ratio of the
+change's median to the parent's.  A metric whose change median is worse
+than the parent's by more than its ``bound`` (a fraction of the parent's
+median) is marked ``OUTSIDE``.  The direction and the bound are read from
+CHANGE's ``BENCHMARK.json``.
 """
 
 import argparse
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -101,16 +105,28 @@ def quartiles(values):
     return q2, q1, q3
 
 
-def summary(runs, better):
-    """Lines of per-metric medians, quartiles and the change's wins over ``runs``,
-    a list of (parent result, change result) pairs."""
-    lines = [f"{'metric':14s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s} wins"]
+def summary(runs, spec):
+    """Lines of per-metric medians, quartiles, the change's wins and its median
+    ratio to the parent's over ``runs``, a list of (parent result, change
+    result) pairs; ``spec`` maps a metric's name to its ``BENCHMARK.json``
+    entry, whose ``bound`` (when given) marks a worse ratio ``OUTSIDE``."""
+    lines = [f"{'metric':14s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s} "
+             "wins  change/parent"]
     for name in runs[0][0]["metrics"]:
         sides = [[r[i]["metrics"][name]["value"] for r in runs] for i in (0, 1)]
-        sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+        entry = spec.get(name, {})
+        sign = -1.0 if entry.get("better", "lower") == "higher" else 1.0
         wins = sum(sign * c < sign * p for p, c in zip(*sides))
-        cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*quartiles(vals)) for vals in sides]
-        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {wins}/{len(runs)}")
+        stats = [quartiles(vals) for vals in sides]
+        cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*q) for q in stats]
+        parent, change = stats[0][0], stats[1][0]
+        ratio = change / parent if parent else (1.0 if change == 0 else math.inf)
+        verdict = ""
+        if "bound" in entry:
+            outside = sign * (ratio - 1.0) > entry["bound"]
+            verdict = f" {'OUTSIDE' if outside else 'within'} bound {entry['bound']:g}"
+        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {wins}/{len(runs)}"
+                     f"  {ratio:.3f}{verdict}")
     failed = [sum(r[i]["failed"] for r in runs) for i in (0, 1)]
     lines.append(f"failed operations: parent {failed[0]}, change {failed[1]}")
     return lines
@@ -159,9 +175,8 @@ def main(argv=None):
         results.append((got["parent"][1], got["change"][1]))
         print(f"pair {pair} seed {seed}: {order[0]} first, ok", flush=True)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     print(f"{args.workload}: {len(results)} pairs, {names['change']} against {names['parent']}")
-    print("\n".join(summary(results, better)))
+    print("\n".join(summary(results, {m["name"]: m for m in spec["end_to_end"]})))
 
 
 if __name__ == "__main__":

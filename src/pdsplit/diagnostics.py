@@ -91,29 +91,24 @@ def write_csv(path_or_buf, columns, rows):
                          for c, v in zip(columns, row)])
 
 
-def lagrangian_gap(problem, x, y, lam, saddle, objective=None, residual=None):
-    """``L(x, y, lam*) - L(x*, y*, lam)``; nonnegative at a true saddle.
-    ``L(x*, y*, lam)`` pairs ``lam`` with the problem's kept saddle residual;
-    ``objective`` and ``residual`` go to :func:`lagrangian_value`."""
+def lagrangian_gap(problem, state, saddle, objective):
+    """``L(x, y, lam*) - L(x*, y*, lam)`` at the iterate state, given its
+    ``objective`` ``F(x, y)``; nonnegative at a true saddle.
+    ``L(x*, y*, lam)`` pairs ``lam`` with the problem's kept saddle residual."""
     f_saddle, saddle_residual = problem.saddle_terms(saddle)
-    return (lagrangian_value(problem, x, y, saddle.lam, objective, residual)
-            - (f_saddle + float(lam @ saddle_residual)))
+    return (lagrangian_value(problem, state, saddle.lam, objective)
+            - (f_saddle + float(state.lam @ saddle_residual)))
 
 
-def lyapunov(problem, state, ps, saddle, gap=None):
+def lyapunov(problem, state, ps, saddle, gap):
     """Discrete merit: Lagrangian gap plus weighted distances to the saddle.
 
     ``E_k = gap + gamma/2 ||v - x*||^2 + beta/2 ||w - y*||^2
     + theta/2 ||lam - lam*||^2``
 
     ``ps`` supplies ``theta``, ``gamma`` and ``beta``; ``saddle`` is the
-    reference point, None when unknown.  ``gap`` is the Lagrangian gap of
-    ``state``, computed here unless the caller has it.
+    reference point and ``gap`` the Lagrangian gap of ``state`` against it.
     """
-    if saddle is None:
-        return None
-    if gap is None:
-        gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle)
     return (gap
             + 0.5 * ps.gamma * float(((state.v - saddle.x) ** 2).sum())
             + 0.5 * ps.beta * float(((state.w - saddle.y) ** 2).sum())
@@ -127,7 +122,7 @@ def r0(problem, state, saddle, e0):
         return None
     return (math.sqrt(2.0 * max(e0, 0.0))
             + float(np.linalg.norm(state.lam - saddle.lam))
-            + feasibility_residual(problem, state.x, state.y, state))
+            + feasibility_residual(problem, state))
 
 
 @dataclass

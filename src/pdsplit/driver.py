@@ -113,15 +113,13 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
         if k % record_every == 0 or k == max_iters:
             _check_finite(trace.meta["scheme"], k, state)
             # A x, B y and F(x, y) once per row; the gap, r0 and the step reuse them
-            feas = feasibility_residual(problem, state.x, state.y, state)
+            feas = feasibility_residual(problem, state)
             objective = problem.objective(state.x, state.y)
             obj = float(objective) if math.isfinite(objective) else None
             gap = ey = None
             if saddle is not None:
-                Ax, By = state.products(problem)
-                gap = lagrangian_gap(problem, state.x, state.y, state.lam, saddle,
-                                     objective, Ax + By - problem.b)
-                ey = lyapunov(problem, state, ps, saddle, gap=gap)
+                gap = lagrangian_gap(problem, state, saddle, objective)
+                ey = lyapunov(problem, state, ps, saddle, gap)
             row = TraceRow(k=k, theta=1.0 if ps is None else ps.theta, obj=obj,
                            feas=feas, gap=gap, lyap=ey, sparsity=sparsity(state.x),
                            seconds=time.perf_counter() - t_start)

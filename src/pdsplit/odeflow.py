@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import lyapunov, write_csv
+from .diagnostics import lagrangian_gap, lyapunov, write_csv
 from .family1 import IterateState
 from .oracles import feasibility_residual
 from .params import ParamState
@@ -187,7 +187,8 @@ def _norm(t, z, dims):
 def lyapunov_continuous(problem, state, saddle):
     """Continuous merit ``E(t)``: the discrete merit at the phase point,
     whose own ``theta``, ``gamma`` and ``beta`` weigh the distances."""
-    return lyapunov(problem, state, state, saddle)
+    gap = lagrangian_gap(problem, state, saddle, problem.objective(state.x, state.y))
+    return lyapunov(problem, state, state, saddle, gap)
 
 
 def closed_form_parameters(t, mu_f, mu_g, gamma0, beta0):
@@ -207,7 +208,7 @@ def trajectory_to_csv(problem, trajectory, path_or_buf, saddle=None, f_star=None
     """
     write_csv(path_or_buf, TRAJECTORY_COLUMNS, (
         (st.t, lyapunov_continuous(problem, st, saddle) if saddle is not None else None,
-         feasibility_residual(problem, st.x, st.y),
+         feasibility_residual(problem, st),
          abs(problem.objective(st.x, st.y) - f_star) if f_star is not None else None,
          st.theta, st.gamma, st.beta)
         for st in trajectory))

@@ -118,7 +118,7 @@ class SeparableProblem:
             if shapes != ((A.shape[1],), (B.shape[1],), b.shape):
                 raise ValueError(f"the saddle point's x, y and lam must have shapes {(A.shape[1],)}, "
                                  f"{(B.shape[1],)} and {b.shape}, not {shapes}")
-            feas = feasibility_residual(self, saddle.x, saddle.y)
+            feas = float(np.linalg.norm(A.apply(saddle.x) + B.apply(saddle.y) - b))
             if feas > 1e-8 * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"supplied saddle point is infeasible: residual {feas:.3e}")
         self.saddle = saddle
@@ -169,24 +169,21 @@ class SeparableProblem:
         return self._saddle_terms[1:]
 
 
-def feasibility_residual(problem, x, y, state=None):
-    """Euclidean norm of the constraint residual ``A x + B y - b``.  With
-    ``state``, the iterate state whose points are ``x`` and ``y``, it takes
-    ``A x`` and ``B y`` from the state, which keeps them."""
-    Ax, By = (problem.A.apply(x), problem.B.apply(y)) if state is None else state.products(problem)
+def feasibility_residual(problem, state):
+    """Euclidean norm of the constraint residual ``A x + B y - b`` at the
+    iterate state's point, from the products the state keeps."""
+    Ax, By = state.products(problem)
     return float(np.linalg.norm(Ax + By - problem.b))
 
 
-def lagrangian_value(problem, x, y, lam, objective=None, residual=None):
-    """``f(x) + g(y) + <lam, A x + B y - b>``, extended real.
+def lagrangian_value(problem, state, lam, objective):
+    """``f(x) + g(y) + <lam, A x + B y - b>`` at the iterate state's point,
+    extended real, given that point's ``objective`` ``F(x, y)``.
 
     Returns ``inf`` when ``x`` or ``y`` violates its constraint set (the
-    indicator lives inside the block values).  A caller that has ``F(x, y)``
-    or ``A x + B y - b`` passes it as ``objective`` or ``residual``.
+    indicator lives inside the block values).
     """
-    base = problem.objective(x, y) if objective is None else objective
-    if not math.isfinite(base):
-        return base
-    if residual is None:
-        residual = problem.A.apply(x) + problem.B.apply(y) - problem.b
-    return base + float(lam @ residual)
+    if not math.isfinite(objective):
+        return objective
+    Ax, By = state.products(problem)
+    return objective + float(lam @ (Ax + By - problem.b))

@@ -58,7 +58,7 @@ def test_ladmm_converges_to_kkt_solution():
     _, state = ladmm_run(prob, 5000)
     assert np.linalg.norm(state.x - prob.saddle.x) <= 1e-6
     assert np.linalg.norm(state.y - prob.saddle.y) <= 1e-6
-    assert feasibility_residual(prob, state.x, state.y) <= 1e-6
+    assert feasibility_residual(prob, state) <= 1e-6
 
 
 def test_pdhg_requires_composite_shape():

@@ -19,6 +19,11 @@ from pdsplit.params import ParamState, Scheme
 from helpers import quadratic_instance
 
 
+def merit(prob, st, ps, sd):
+    """The merit of ``st``, its gap computed from the state's own objective."""
+    return lyapunov(prob, st, ps, sd, lagrangian_gap(prob, st, sd, prob.objective(st.x, st.y)))
+
+
 def test_lyapunov_recomputation():
     prob, _ = quadratic_instance(51)
     rng = np.random.default_rng(1)
@@ -29,12 +34,13 @@ def test_lyapunov_recomputation():
                       lam=rng.standard_normal(prob.dim_lam))
     ps = ParamState(theta=0.6, gamma=1.4, beta=0.8)
     sd = prob.saddle
-    expect = (lagrangian_value(prob, st.x, st.y, sd.lam)
-              - lagrangian_value(prob, sd.x, sd.y, st.lam)
+    at_saddle = IterateState.cold_start(prob, sd.x, sd.y)
+    expect = (lagrangian_value(prob, st, sd.lam, prob.objective(st.x, st.y))
+              - lagrangian_value(prob, at_saddle, st.lam, prob.objective(sd.x, sd.y))
               + 0.7 * np.sum((st.v - sd.x) ** 2)
               + 0.4 * np.sum((st.w - sd.y) ** 2)
               + 0.3 * np.sum((st.lam - sd.lam) ** 2))
-    assert lyapunov(prob, st, ps, sd) == pytest.approx(expect, rel=1e-12)
+    assert merit(prob, st, ps, sd) == pytest.approx(expect, rel=1e-12)
 
 
 def test_lyapunov_zero_at_saddle():
@@ -42,7 +48,7 @@ def test_lyapunov_zero_at_saddle():
     sd = prob.saddle
     st = IterateState(x=sd.x, v=sd.x, y=sd.y, w=sd.y, lam=sd.lam)
     ps = ParamState.initial()
-    val = lyapunov(prob, st, ps, sd)
+    val = merit(prob, st, ps, sd)
     assert abs(val) <= 1e-10
 
 
@@ -50,9 +56,10 @@ def test_gap_nonnegative_at_random_points():
     prob, _ = quadratic_instance(53)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        g = lagrangian_gap(prob, rng.standard_normal(prob.dim_x),
-                           rng.standard_normal(prob.dim_y),
-                           rng.standard_normal(prob.dim_lam), prob.saddle)
+        st = IterateState.cold_start(prob, rng.standard_normal(prob.dim_x),
+                                     rng.standard_normal(prob.dim_y),
+                                     rng.standard_normal(prob.dim_lam))
+        g = lagrangian_gap(prob, st, prob.saddle, prob.objective(st.x, st.y))
         assert g >= -1e-10
 
 
@@ -61,7 +68,7 @@ def test_r0_formula_recomputation():
     prob, _ = quadratic_instance(54)
     st = IterateState.cold_start(prob)
     ps = ParamState.initial()
-    e0 = lyapunov(prob, st, ps, prob.saddle)
+    e0 = merit(prob, st, ps, prob.saddle)
     expect = (math.sqrt(2 * max(e0, 0.0))
               + np.linalg.norm(prob.saddle.lam)
               + np.linalg.norm(prob.b))

@@ -71,7 +71,7 @@ def test_objective_once_per_row(monkeypatch):
 
 
 def feasible_within(prob, tol):
-    return lambda k, st: feasibility_residual(prob, st.x, st.y, st) <= tol
+    return lambda k, st: feasibility_residual(prob, st) <= tol
 
 
 def test_target_feasibility_stops_early():

@@ -178,13 +178,13 @@ def test_bounded_scaled_residual_and_gap():
     init = initial_state(prob)
     traj = integrate(prob, init, T=10.0, h=1e-3)
     e0 = lyapunov_continuous(prob, traj[0], sd)
-    z0 = feasibility_residual(prob, init.x, init.y)
+    z0 = feasibility_residual(prob, init)
     lam_reach = float(np.linalg.norm(init.lam - sd.lam)) + math.sqrt(2.0 * e0)
     c_feas = z0 + lam_reach
     c_gap = e0 + float(np.linalg.norm(sd.lam)) * c_feas
     for st in traj:
         scale = math.exp(st.t)
-        assert scale * feasibility_residual(prob, st.x, st.y) <= c_feas * (1 + 1e-6)
+        assert scale * feasibility_residual(prob, st) <= c_feas * (1 + 1e-6)
         assert scale * abs(prob.objective(st.x, st.y) - f_star) <= c_gap * (1 + 1e-6)
     # the conservation identity itself, to integrator accuracy
     for st in traj[::1000]:
@@ -360,6 +360,26 @@ def test_trajectory_csv(tmp_path, with_saddle, with_f_star):
         # E column recomputes
         assert float(first[1]) == pytest.approx(
             lyapunov_continuous(prob, traj[0], prob.saddle))
+
+
+class CountingOperator(DenseOperator):
+    fwd = 0
+
+    def apply(self, v):
+        self.fwd += 1
+        return super().apply(v)
+
+
+def test_trajectory_csv_forms_each_samples_products_once():
+    # the merit and the feas column share each sample's A x and B y
+    base, _ = quadratic_instance(69)
+    A, B = CountingOperator(base.A.matrix), CountingOperator(base.B.matrix)
+    prob = SeparableProblem(base.f_prox, base.g, A, B, base.b, saddle=base.saddle)
+    traj = integrate(prob, initial_state(prob), T=0.1, h=0.05)
+    prob.saddle_terms(prob.saddle)   # the saddle's own residual, once per problem
+    A.fwd = B.fwd = 0
+    trajectory_to_csv(prob, traj, io.StringIO(), saddle=prob.saddle, f_star=0.0)
+    assert A.fwd + B.fwd == 2 * len(traj)
 
 
 def test_phase_point_is_an_iterate_state():

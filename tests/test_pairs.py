@@ -8,13 +8,15 @@ import pytest
 
 PAIRS = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
 
-# seed 7 prints Infinity, seed 8 a line after its result, seed 9 exits 3
+# seed 7 prints Infinity, seed 8 a line after its result, seed 9 exits 3;
+# the env line carries the directory the run started in
 STUB = '''
-import argparse, json
+import argparse, json, os
 ap = argparse.ArgumentParser()
 ap.add_argument("--workload"); ap.add_argument("--seconds"); ap.add_argument("--seed", type=int)
 a = ap.parse_args()
-print("env " + json.dumps({"nproc": 2, "python": "3.x", "numpy": "2.x", "blas": "b", "seed": a.seed}))
+print("env " + json.dumps({"nproc": 2, "python": "3.x", "numpy": "2.x", "blas": "b", "seed": a.seed,
+                              "cwd": os.getcwd()}))
 print("setup_s   1 s")
 if a.seed == 9:
     raise SystemExit(3)
@@ -75,6 +77,33 @@ def test_records_alternating_pairs_and_appends_across_workloads(trees, capsys):
     assert [r["ran_first"] for r in change["runs"]] == [False, True, False, False, True]
     run = change["runs"][0]
     assert run["env"]["seed"] == 1 and run["result"]["metrics"]["setup_s"]["value"] == 0.006
+
+
+def test_each_side_runs_from_both_slots_in_both_orders_never_from_its_own_path(trees):
+    # the second call resumes at pair 3, mid-way through a block of four
+    _main(trees, "quad-saddle", "10-12")
+    _main(trees, "quad-saddle", "13-17")
+    parent, change, out = trees
+    runs = {side: json.loads((out / f"BENCH_{name}.json").read_text())["runs"]
+            for side, name in (("parent", "aaa"), ("change", "bbb"))}
+    cwds = {Path(run["env"]["cwd"]) for side in runs for run in runs[side]}
+    assert {cwd.name for cwd in cwds} == {"slot_a", "slot_b"}
+    assert len({len(str(cwd)) for cwd in cwds}) == 1
+    assert not any(cwd.parent.exists() for cwd in cwds)   # removed after each call
+    assert parent not in cwds and change not in cwds
+    for side, setup in (("parent", 0.010), ("change", 0.005)):
+        for run in runs[side]:
+            assert Path(run["env"]["cwd"]).name == run["slot"]
+            # the slot held this side's tree: its stub prints its own set-up time
+            assert run["result"]["metrics"]["setup_s"]["value"] == setup + run["seed"] / 1000
+        for start in (0, 4):
+            block = runs[side][start:start + 4]
+            assert sorted((r["slot"], r["ran_first"]) for r in block) == [
+                ("slot_a", False), ("slot_a", True), ("slot_b", False), ("slot_b", True)]
+    # in every pair the two sides hold different slots of the same directory
+    for p, c in zip(runs["parent"], runs["change"]):
+        assert p["slot"] != c["slot"]
+        assert Path(p["env"]["cwd"]).parent == Path(c["env"]["cwd"]).parent
 
 
 @pytest.mark.parametrize("seeds, pair, seed, cause", [

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.oracles import (SaddlePoint, SeparableProblem, SmoothOracle,
                              feasibility_residual, lagrangian_value)
@@ -30,7 +31,7 @@ def test_feasibility_three_four_five():
     prob = SeparableProblem(ZeroFun(), ZeroFun(), A, B, np.zeros(2))
     x = np.array([3.0, 0.0])
     y = np.array([0.0, -4.0])
-    assert feasibility_residual(prob, x, y) == pytest.approx(5.0)
+    assert feasibility_residual(prob, IterateState.cold_start(prob, x, y)) == pytest.approx(5.0)
 
 
 def test_lagrangian_arithmetic_instance():
@@ -40,7 +41,8 @@ def test_lagrangian_arithmetic_instance():
     y = np.array([0.0, 0.0])
     lam = np.array([0.5, 0.5])
     # f(x) = 2, g = 0, <lam, Ax - y> = 0.5*1 + 0.5*(-2) = -0.5
-    assert lagrangian_value(prob, x, y, lam) == pytest.approx(2.0 - 0.5)
+    st = IterateState.cold_start(prob, x, y, lam)
+    assert lagrangian_value(prob, st, lam, prob.objective(x, y)) == pytest.approx(2.0 - 0.5)
 
 
 def test_lagrangian_affine_in_multiplier():
@@ -50,9 +52,10 @@ def test_lagrangian_affine_in_multiplier():
     y = rng.standard_normal(prob.dim_y)
     l1 = rng.standard_normal(prob.dim_lam)
     l2 = rng.standard_normal(prob.dim_lam)
+    st, obj = IterateState.cold_start(prob, x, y), prob.objective(x, y)
     for t in (0.25, 0.5, 0.9):
-        mix = lagrangian_value(prob, x, y, (1 - t) * l1 + t * l2)
-        interp = (1 - t) * lagrangian_value(prob, x, y, l1) + t * lagrangian_value(prob, x, y, l2)
+        mix = lagrangian_value(prob, st, (1 - t) * l1 + t * l2, obj)
+        interp = (1 - t) * lagrangian_value(prob, st, l1, obj) + t * lagrangian_value(prob, st, l2, obj)
         assert mix == pytest.approx(interp, rel=1e-12)
 
 
@@ -61,7 +64,9 @@ def test_lagrangian_infinite_outside_set():
     B = negated_identity(1)
     prob = SeparableProblem(BoxIndicator(np.zeros(1), np.ones(1)), ZeroFun(),
                             A, B, np.zeros(1))
-    assert lagrangian_value(prob, np.array([2.0]), np.zeros(1), np.zeros(1)) == np.inf
+    x, y = np.array([2.0]), np.zeros(1)
+    st = IterateState.cold_start(prob, x, y)
+    assert lagrangian_value(prob, st, np.zeros(1), prob.objective(x, y)) == np.inf
 
 
 def test_split_f_block_sums_values():

@@ -6,11 +6,16 @@
 PARENT and CHANGE are two checkouts of pdsplit (for example two git
 archives).  Pair i runs ``python3 perfbench/run.py --workload W --seconds S
 --seed N`` in both trees on the same seed N, the parent first in even pairs
-and the change first in odd ones.  Each run's ``env`` line and its result,
-the last line of its output, are kept.  A run is rejected, naming the side,
-pair, seed and workload, when it exits non-zero, has no ``env`` line or no
-result, prints anything after its result, or has a result that is not
-strict JSON (``NaN`` or ``Infinity``, which perfbench writes for a failed
+and the change first in odd ones.  Where a tree sits can move its timings,
+so neither runs from its own path: each is copied (without ``.git`` and
+``__pycache__``) into one of two sibling slot directories of a fresh
+temporary directory, ``slot_a`` and ``slot_b``, whose paths have equal
+length.  The trees swap slots every second pair, so over every four pairs
+each side runs once in each slot with each run order.  Each run's ``env``
+line, its result (the last line of its output) and its slot are kept.  A
+run is rejected, naming the side, pair, seed and workload, when it exits
+non-zero, has no ``env`` line or no result, prints anything after its
+result, or has a result that is not strict JSON (``NaN`` or ``Infinity``, which perfbench writes for a failed
 operation's time).
 
 Each side's runs go to ``BENCH_<name>.json`` in the current directory,
@@ -34,13 +39,16 @@ import argparse
 import json
 import math
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-SOURCE = ("each side ran from a git archive of its commit, so env.git_commit is null "
-          "and env.source_sha256 names the sources")
+SOURCE = ("each side ran from a copy of its tree in a slot directory, so env.git_commit "
+          "is null and env.source_sha256 names the sources")
+SLOTS = ("slot_a", "slot_b")
 
 
 class RejectedRun(Exception):
@@ -77,6 +85,20 @@ def run_one(tree, workload, seconds, seed):
         tail = proc.stderr.strip().splitlines()[-1:] or [""]
         raise RejectedRun(f"exit status {proc.returncode} {tail[0]}".rstrip())
     return parse_run(proc.stdout)
+
+
+def slot_of(side, pair):
+    """The slot ``side`` runs from in ``pair``: the parent holds ``slot_a``
+    in pairs 0 and 1 of every four and ``slot_b`` in pairs 2 and 3."""
+    held = (pair // 2) % 2
+    return SLOTS[held if side == "parent" else 1 - held]
+
+
+def swap_slots(base):
+    """Exchange the trees in the two slots under ``base``."""
+    (base / SLOTS[0]).rename(base / "swap")
+    (base / SLOTS[1]).rename(base / SLOTS[0])
+    (base / "swap").rename(base / SLOTS[1])
 
 
 def machine(env):
@@ -156,24 +178,33 @@ def main(argv=None):
         raise SystemExit(f"seeds {done} of workload {args.workload} are already recorded")
     start = sum(run["workload"] == args.workload for run in records["parent"]["runs"])
     results = []
-    for pair, seed in enumerate(range(first, last + 1), start=start):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        got = {}
-        for side in order:
-            try:
-                got[side] = run_one(trees[side], args.workload, args.seconds, seed)
-            except RejectedRun as exc:
-                raise SystemExit(f"rejected: {side} run of pair {pair}, seed {seed}, "
-                                 f"workload {args.workload}: {exc}") from None
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        base = Path(tmp)
         for side in trees:
-            env, result = got[side]
-            records[side]["machine"] = records[side]["machine"] or machine(env)
-            records[side]["runs"].append({"env": env, "pair": pair, "ran_first": side == order[0],
-                                          "result": result, "seed": seed,
-                                          "workload": args.workload})
-            paths[side].write_text(json.dumps(records[side], indent=1, sort_keys=True) + "\n")
-        results.append((got["parent"][1], got["change"][1]))
-        print(f"pair {pair} seed {seed}: {order[0]} first, ok", flush=True)
+            shutil.copytree(trees[side], base / slot_of(side, start),
+                            ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        for pair, seed in enumerate(range(first, last + 1), start=start):
+            if pair != start and pair % 2 == 0:
+                swap_slots(base)
+            held = {side: slot_of(side, pair) for side in trees}
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            got = {}
+            for side in order:
+                try:
+                    got[side] = run_one(base / held[side], args.workload, args.seconds, seed)
+                except RejectedRun as exc:
+                    raise SystemExit(f"rejected: {side} run of pair {pair}, seed {seed}, "
+                                     f"workload {args.workload}: {exc}") from None
+            for side in trees:
+                env, result = got[side]
+                records[side]["machine"] = records[side]["machine"] or machine(env)
+                records[side]["runs"].append({"env": env, "pair": pair,
+                                              "ran_first": side == order[0], "result": result,
+                                              "seed": seed, "slot": held[side],
+                                              "workload": args.workload})
+                paths[side].write_text(json.dumps(records[side], indent=1, sort_keys=True) + "\n")
+            results.append((got["parent"][1], got["change"][1]))
+            print(f"pair {pair} seed {seed}: {order[0]} first, ok", flush=True)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     print(f"{args.workload}: {len(results)} pairs, {names['change']} against {names['parent']}")
     print("\n".join(summary(results, {m["name"]: m for m in spec["end_to_end"]})))

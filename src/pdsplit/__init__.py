@@ -7,8 +7,8 @@ from .linops import (DenseOperator, DiagonalOperator, LinearOperator,
                      ScaledIdentity, estimate_operator_norm, negated_identity)
 from .oracles import (ProxOracle, SaddlePoint, SeparableProblem, SmoothOracle,
                       feasibility_residual, lagrangian_value)
-from .prox import (BoxIndicator, ElasticNet, HingeSum, L1Norm, QuadraticProx,
-                   ShiftedL1, SquaredL2, ZeroFun)
+from .prox import (BoxIndicator, ElasticNet, HingeSum, QuadraticProx, ShiftedL1,
+                   SquaredL2)
 from .params import (BoundResult, ParamState, Scheme, StepSizeError,
                      StepSizeRule, advance, appendix_c_bound, solve_step_size,
                      theoretical_theta_bound)

@@ -38,7 +38,7 @@ from .diagnostics import sparsity
 from .linops import DenseOperator, negated_identity
 from .oracles import SaddlePoint, SeparableProblem
 from .params import Scheme
-from .prox import ElasticNet, L1Norm, QuadraticProx, ShiftedL1, HingeSum, SquaredL2, ZeroFun
+from .prox import ElasticNet, QuadraticProx, ShiftedL1, HingeSum, SquaredL2
 from .subprob import InnerLoopCapWarning
 
 __all__ = [
@@ -85,9 +85,13 @@ class RunConfig:
         if self.problem not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.problem!r}; "
                              f"choose from {tuple(PROBLEM_KINDS)}")
-        for tag in self.methods:
+        if isinstance(self.methods, str):
+            raise ValueError(f"methods must be a sequence of tags, not the string {self.methods!r}")
+        for i, tag in enumerate(self.methods):
             if tag not in METHOD_TAGS:
                 raise ValueError(f"unknown method {tag!r}; choose from {METHOD_TAGS}")
+            if tag in self.methods[:i]:
+                raise ValueError(f"method {tag!r} is repeated; each method runs once")
         for name in ("iters", "seed", "m", "n", "sparsity_fraction", "noise_variance", "flip_fraction"):
             value, integer = getattr(self, name), name in ("iters", "seed", "m", "n")
             if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
@@ -124,9 +128,8 @@ def _l1_bundle(A, g, rhs, lam_l1, mu, ground_truth, composite):
     """Both forms of ``f = lam_l1 ||x||_1 + mu/2 ||x||^2`` and ``g`` under
     ``A x - y = rhs``; the split form takes ``mu/2 ||x||^2`` as the smooth part."""
     A_op, B = DenseOperator(A), negated_identity(A.shape[0])
-    f_prox = ElasticNet(lam_l1, mu) if mu > 0 else L1Norm(lam_l1)
-    prox_form = SeparableProblem(f_prox, g, A_op, B, rhs)
-    split_form = SeparableProblem((SquaredL2(mu), L1Norm(lam_l1)), g, A_op, B, rhs)
+    prox_form = SeparableProblem(ElasticNet(lam_l1, mu), g, A_op, B, rhs)
+    split_form = SeparableProblem((SquaredL2(mu), ElasticNet(lam_l1, 0.0)), g, A_op, B, rhs)
     A_op.norm()   # shared by both forms; estimated here so generation pays for it
     return ProblemBundle(prox_form=prox_form, split_form=split_form,
                          ground_truth=ground_truth, composite=composite)
@@ -207,12 +210,11 @@ def generate_quadratic(m, n, seed):
     g = QuadraticProx(Q, q)
     A_op, B_op = DenseOperator(A), DenseOperator(Bm)
     prox_form = SeparableProblem(f, g, A_op, B_op, rhs, saddle=saddle)
-    split_form = SeparableProblem((f, ZeroFun()), g, A_op, B_op, rhs, saddle=saddle)
+    split_form = SeparableProblem((f, SquaredL2(0.0)), g, A_op, B_op, rhs, saddle=saddle)
     A_op.norm()   # shared by both forms; estimated here so generation pays for them
     B_op.norm()
-    f_star = prox_form.objective(x_star, y_star)
-    return ProblemBundle(prox_form=prox_form, split_form=split_form,
-                         ground_truth=x_star, composite=False, f_star=f_star)
+    return ProblemBundle(prox_form=prox_form, split_form=split_form, ground_truth=x_star,
+                         composite=False, f_star=prox_form.saddle_terms(saddle)[0])
 
 
 def generate_problem(config):

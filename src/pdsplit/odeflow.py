@@ -82,7 +82,7 @@ def _gradients(problem):
     zero_prox = isinstance(problem.f_prox, SquaredL2) and problem.f_prox.mu == 0.0
     if problem.has_smooth_f() and not zero_prox:
         raise ValueError("the continuous flow takes f through its gradient alone; the f-block's "
-                         f"prox part {type(problem.f_prox).__name__} must be a ZeroFun or SquaredL2(0)")
+                         f"prox part {type(problem.f_prox).__name__} must be SquaredL2(0)")
     f = problem.f_smooth if problem.has_smooth_f() else problem.f_prox
     gf, gg = (getattr(oracle, "gradient", None) for oracle in (f, problem.g))
     if gf is None or gg is None:

@@ -113,16 +113,16 @@ class SeparableProblem:
         self._mu = tuple(None if mu is None else _nonnegative(name, mu)
                          for name, mu in (("mu_f", mu_f), ("mu_g", mu_g)))
 
+        self.saddle = saddle
+        self._saddle_terms = None   # (saddle, F(x*, y*), A x* + B y* - b)
         if saddle is not None:
             shapes = (saddle.x.shape, saddle.y.shape, saddle.lam.shape)
             if shapes != ((A.shape[1],), (B.shape[1],), b.shape):
                 raise ValueError(f"the saddle point's x, y and lam must have shapes {(A.shape[1],)}, "
                                  f"{(B.shape[1],)} and {b.shape}, not {shapes}")
-            feas = float(np.linalg.norm(A.apply(saddle.x) + B.apply(saddle.y) - b))
+            feas = float(np.linalg.norm(self.saddle_terms(saddle)[1]))
             if feas > 1e-8 * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"supplied saddle point is infeasible: residual {feas:.3e}")
-        self.saddle = saddle
-        self._saddle_terms = None   # (saddle, F(x*, y*), A x* + B y* - b)
 
     @property
     def mu_f(self):
@@ -161,8 +161,9 @@ class SeparableProblem:
         return self.f_smooth is not None
 
     def saddle_terms(self, saddle):
-        """``F(x*, y*)`` and ``A x* + B y* - b`` at ``saddle``, kept from the
-        first call for that (unmodified) saddle point."""
+        """``F(x*, y*)`` and ``A x* + B y* - b`` at ``saddle``, kept for the
+        last (unmodified) saddle point asked for; a problem built with a
+        saddle point forms its terms then."""
         if self._saddle_terms is None or self._saddle_terms[0] is not saddle:
             residual = self.A.apply(saddle.x) + self.B.apply(saddle.y) - self.b
             self._saddle_terms = (saddle, self.objective(saddle.x, saddle.y), residual)

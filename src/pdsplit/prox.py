@@ -2,8 +2,7 @@
 
 Every prox here is closed form, written in the ``prox`` method of its class.
 ``QuadraticProx`` and ``SquaredL2`` are smooth oracles too, so either can be
-the smooth part of a split f-block.  ``L1Norm`` and ``ZeroFun`` are
-``ElasticNet`` and ``SquaredL2`` at ``mu = 0``.  ``SquaredL2`` and
+the smooth part of a split f-block.  ``SquaredL2`` and
 ``QuadraticProx`` solve the augmented subproblem in closed form from one
 kept factor each (the eigendecomposition of the smaller Gram matrix of
 ``C``, or of ``P``), and ``ElasticNet`` by active-set Newton, which declines
@@ -18,8 +17,6 @@ from .oracles import ProxOracle, SmoothOracle, _nonnegative
 from .subprob import prox_gradient_step
 
 __all__ = [
-    "ZeroFun",
-    "L1Norm",
     "ShiftedL1",
     "SquaredL2",
     "ElasticNet",
@@ -89,13 +86,6 @@ class SquaredL2(ProxOracle, SmoothOracle):
         return Q @ ((Q.T @ r) / (d + sigma * lam))
 
 
-class ZeroFun(SquaredL2):
-    """The zero function, ``SquaredL2(0)``; prox is the identity."""
-
-    def __init__(self):
-        super().__init__(0.0)
-
-
 class ElasticNet(ProxOracle):
     """``lam * ||x||_1 + mu/2 * ||x||^2``."""
 
@@ -115,13 +105,6 @@ class ElasticNet(ProxOracle):
 
     def solve_augmented(self, r, C, sigma, weight, center):
         return _l1_newton(self, r, C, sigma, weight, center)
-
-
-class L1Norm(ElasticNet):
-    """``lam * ||x||_1``, ``ElasticNet(lam, 0)``."""
-
-    def __init__(self, lam):
-        super().__init__(lam, 0.0)
 
 
 class HingeSum(ProxOracle):

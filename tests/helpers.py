@@ -5,7 +5,7 @@ import numpy as np
 
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SaddlePoint, SeparableProblem
-from pdsplit.prox import QuadraticProx, ZeroFun
+from pdsplit.prox import QuadraticProx, SquaredL2
 
 
 def spd_matrix(rng, dim, mu):
@@ -44,7 +44,7 @@ def quadratic_instance(seed, mu_f=1.0, mu_g=1.0, n=8, ny=8, m=8):
         DenseOperator(A), DenseOperator(Bm), rhs,
         mu_f=mu_f, mu_g=mu_g, saddle=saddle)
     split_form = SeparableProblem(
-        (prox_form.f_prox, ZeroFun()), QuadraticProx(Q, q),
+        (prox_form.f_prox, SquaredL2(0.0)), QuadraticProx(Q, q),
         DenseOperator(A), DenseOperator(Bm), rhs,
         mu_f=mu_f, mu_g=mu_g, saddle=saddle)
     return prox_form, split_form

@@ -9,7 +9,7 @@ from pdsplit.baselines import (approximate_optimum, ladmm_run, pdhg_run,
 from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.oracles import SeparableProblem, feasibility_residual
-from pdsplit.prox import L1Norm, QuadraticProx, ZeroFun
+from pdsplit.prox import ElasticNet, QuadraticProx, SquaredL2
 
 from helpers import quadratic_instance
 
@@ -71,7 +71,7 @@ def composite_problem(seed, n=6, m=4):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     prob = SeparableProblem(
-        L1Norm(0.5), QuadraticProx(np.eye(m), rng.standard_normal(m)),
+        ElasticNet(0.5, 0.0), QuadraticProx(np.eye(m), rng.standard_normal(m)),
         DenseOperator(A), negated_identity(m), np.zeros(m))
     return prob
 

@@ -16,7 +16,7 @@ from pdsplit.bench import (METHOD_TAGS, SCHEME_TAGS, RunConfig, _run_method,
 from pdsplit.diagnostics import LyapunovInputs, certify_bounds
 from pdsplit.linops import ScaledIdentity
 from pdsplit.oracles import SeparableProblem
-from pdsplit.prox import ElasticNet, HingeSum, L1Norm, QuadraticProx, ShiftedL1, SquaredL2
+from pdsplit.prox import ElasticNet, HingeSum, QuadraticProx, ShiftedL1, SquaredL2
 from pdsplit.subprob import InnerLoopCapWarning
 
 
@@ -27,7 +27,7 @@ def test_lad_shapes_and_sparsity():
     assert isinstance(prob.B, ScaledIdentity) and prob.B.scale == -1.0
     assert np.all(prob.b == 0.0)
     assert int(np.count_nonzero(bundle.ground_truth)) == 10
-    assert isinstance(prob.f_prox, L1Norm) and prob.f_prox.lam == 2.0
+    assert isinstance(prob.f_prox, ElasticNet) and prob.f_prox.mu == 0.0 and prob.f_prox.lam == 2.0
     assert isinstance(prob.g, ShiftedL1)
 
 
@@ -68,7 +68,8 @@ def test_svm_shapes_and_labels():
     assert isinstance(prob.g, HingeSum)
     assert prob.g.weight == pytest.approx(1.0 / 25)
     assert np.all(np.abs(prob.g.labels) == 1.0)
-    assert isinstance(prob.f_prox, L1Norm) and prob.f_prox.lam == pytest.approx(0.2)
+    assert isinstance(prob.f_prox, ElasticNet) and prob.f_prox.mu == 0.0
+    assert prob.f_prox.lam == pytest.approx(0.2)
 
 
 def test_svm_zero_flip_is_separable():
@@ -159,6 +160,21 @@ def test_config_validation_names_non_real_field(field, value):
     cfg = RunConfig(**{"problem": "svm-l1", "m": 5, "n": 8, field: value})
     with pytest.raises(ValueError, match=rf"^{field} must be a real number, got {re.escape(repr(value))}$"):
         cfg.validate()
+
+
+def test_config_validation_names_a_bare_string_of_methods():
+    # iterating the string used to fail on its first letter, "unknown method 'l'"
+    with pytest.raises(ValueError, match=r"^methods must be a sequence of tags, not the string 'ladmm'$"):
+        RunConfig(methods="ladmm").validate()
+
+
+def test_config_validation_names_a_repeated_method(tmp_path):
+    # a repeated tag used to run twice, the second run overwriting the
+    # first's trace file and summary entry
+    cfg = RunConfig(methods=("ladmm", "f1-semiA", "ladmm"), iters=3, out=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match=r"^method 'ladmm' is repeated"):
+        run_benchmark(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_numpy_scalars_in_config_run_and_write_the_summary(tmp_path):

@@ -14,7 +14,7 @@ from pdsplit.driver import _STEPS, run
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SeparableProblem
 from pdsplit.params import ParamState, Scheme, advance
-from pdsplit.prox import L1Norm, QuadraticProx
+from pdsplit.prox import ElasticNet, QuadraticProx
 
 from helpers import MU_REGIMES, quadratic_instance
 
@@ -163,7 +163,7 @@ def test_update_identities(step):
 def test_explicit_blocks_are_independent():
     # the x-update of the parallel scheme must not see the g-block oracle
     prob1, _ = quadratic_instance(7)
-    prob2 = SeparableProblem(prob1.f_prox, L1Norm(3.0), prob1.A, prob1.B,
+    prob2 = SeparableProblem(prob1.f_prox, ElasticNet(3.0, 0.0), prob1.A, prob1.B,
                              prob1.b, mu_f=prob1.mu_f, mu_g=0.0)
     st = IterateState.cold_start(prob1, x0=np.ones(prob1.dim_x),
                                  y0=-np.ones(prob1.dim_y))

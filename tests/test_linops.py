@@ -89,7 +89,7 @@ def _count_products(monkeypatch):
 
 # the last two shapes are above JACOBI_MAX_SIDE, so LAPACK is their reference
 @pytest.mark.parametrize("shape", [(5, 5), (8, 3), (3, 8), (20, 20), (600, 300), (300, 900)])
-def test_power_iteration_against_jacobi_svd(shape):
+def test_gram_norm_against_svd(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     M = rng.standard_normal(shape)
     est = estimate_operator_norm(DenseOperator(M))
@@ -119,7 +119,7 @@ def test_norm_bound_never_under_a_clustered_spectrum(shape):
         assert DenseOperator(M).norm_bound() >= np.linalg.svd(M, compute_uv=False)[0]
 
 
-def test_lanczos_breakdown_on_a_low_rank_operator_is_exact(monkeypatch):
+def test_norm_of_a_low_rank_operator_is_exact(monkeypatch):
     rng = np.random.default_rng(3)
     M = rng.standard_normal((400, 5)) @ rng.standard_normal((5, 900))
     count = _count_products(monkeypatch)

@@ -16,7 +16,7 @@ from pdsplit.odeflow import (OdeBlowUpError, SmoothSystemState,
                              lyapunov_continuous, rhs, trajectory_to_csv)
 from pdsplit.oracles import SeparableProblem, feasibility_residual
 from pdsplit.params import ParamState, Scheme, advance
-from pdsplit.prox import L1Norm, QuadraticProx, SquaredL2, ZeroFun
+from pdsplit.prox import ElasticNet, QuadraticProx, SquaredL2
 
 from helpers import MU_REGIMES, ode_quadratic_instance, quadratic_instance
 
@@ -84,7 +84,7 @@ def test_rhs_matches_hand_derivation_one_dim():
 
 
 def test_rhs_rejects_nonsmooth_blocks():
-    prob = SeparableProblem(L1Norm(1.0), QuadraticProx(np.eye(2)),
+    prob = SeparableProblem(ElasticNet(1.0, 0.0), QuadraticProx(np.eye(2)),
                             DenseOperator(np.eye(2)), negated_identity(2),
                             np.zeros(2))
     with pytest.raises(ValueError, match="gradient"):
@@ -93,29 +93,29 @@ def test_rhs_rejects_nonsmooth_blocks():
 
 def test_rhs_rejects_a_split_f_block_with_a_prox_part():
     # the flow integrates f through the smooth part's gradient; 5||x||_1 would be dropped
-    prob = SeparableProblem((SquaredL2(1.0), L1Norm(5.0)), QuadraticProx(np.eye(2)),
+    prob = SeparableProblem((SquaredL2(1.0), ElasticNet(5.0, 0.0)), QuadraticProx(np.eye(2)),
                             DenseOperator(np.eye(2)), negated_identity(2), np.zeros(2))
-    with pytest.raises(ValueError, match="prox part L1Norm must be a ZeroFun"):
+    with pytest.raises(ValueError, match=r"prox part ElasticNet must be SquaredL2\(0\)"):
         rhs(prob, initial_state(prob))
-    with pytest.raises(ValueError, match="L1Norm"):
+    with pytest.raises(ValueError, match="ElasticNet"):
         integrate(prob, initial_state(prob), T=0.01, h=0.005)
 
 
 def test_rhs_accepts_squared_l2_at_zero_as_the_zero_prox_part():
-    # SquaredL2(0) is ZeroFun's function; only a nonzero modulus is a dropped part of f
-    parts = {"zero": ZeroFun(), "mu=0": SquaredL2(0.0), "mu=0.5": SquaredL2(0.5)}
+    # only a nonzero modulus is a dropped part of f
+    parts = {"zero": SquaredL2(0.0), "mu=0": SquaredL2(0.0), "mu=0.5": SquaredL2(0.5)}
     probs = {name: SeparableProblem((QuadraticProx(np.eye(2)), part), QuadraticProx(np.eye(2)),
                                     DenseOperator(np.eye(2)), negated_identity(2), np.zeros(2))
              for name, part in parts.items()}
     st = initial_state(probs["zero"], x0=np.array([1.0, -2.0]))
     assert np.array_equal(rhs(probs["mu=0"], st), rhs(probs["zero"], st))
-    with pytest.raises(ValueError, match="prox part SquaredL2 must be a ZeroFun"):
+    with pytest.raises(ValueError, match=r"prox part SquaredL2 must be SquaredL2\(0\)"):
         rhs(probs["mu=0.5"], st)
 
 
 def test_split_f_block_with_a_zero_prox_part_flows_like_the_prox_form():
     prox_form, split_form = quadratic_instance(71)
-    assert isinstance(split_form.f_prox, ZeroFun)
+    assert isinstance(split_form.f_prox, SquaredL2) and split_form.f_prox.mu == 0.0
     ends = [integrate(p, initial_state(p), T=0.05, h=0.01)[-1].pack()
             for p in (prox_form, split_form)]
     assert np.array_equal(ends[0], ends[1])

@@ -160,3 +160,22 @@ def test_summary_reads_each_median_ratio_against_its_bound():
     assert rows["slower"].endswith("0/3  0.700 OUTSIDE bound 0.25")
     assert rows["unbounded"].endswith("0/3  3.000")
     assert rows["zero"].endswith("0/3  1.000 within bound 0.25")   # flow_s of a workload without flows
+
+
+def test_summary_reads_each_median_ratio_against_the_parents_interquartile_range():
+    # the parent's quartiles are 95 and 105 around 100: an IQR of 0.1 of its
+    # median, which a claimed gain must clear
+    spread = (0.9, 1.0, 1.1)
+    ratios = {"clears": 0.85, "short": 0.95, "worse": 1.05, "higher": 1.2, "higher_short": 1.05}
+    spec = {"higher": {"better": "higher"}, "higher_short": {"better": "higher"}}
+    runs = [tuple({"failed": 0, "metrics": {name: {"value": 100.0 * s * (ratio if i else 1.0)}
+                                            for name, ratio in ratios.items()}} for i in (0, 1))
+            for s in spread]
+    lines = _pairs().summary(runs, spec)
+    assert "parent IQR" in lines[0]
+    rows = {line.split()[0]: line.split()[7:] for line in lines[1:-1]}
+    assert rows["clears"] == ["0.100", "3/3", "0.850"]
+    assert rows["short"] == ["0.100", "no-gain", "3/3", "0.950"]
+    assert rows["worse"] == ["0.100", "no-gain", "0/3", "1.050"]
+    assert rows["higher"] == ["0.100", "3/3", "1.200"]
+    assert rows["higher_short"] == ["0.100", "no-gain", "3/3", "1.050"]

@@ -9,7 +9,7 @@ from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.oracles import (SaddlePoint, SeparableProblem, SmoothOracle,
                              feasibility_residual, lagrangian_value)
-from pdsplit.prox import BoxIndicator, L1Norm, QuadraticProx, SquaredL2, ZeroFun
+from pdsplit.prox import BoxIndicator, ElasticNet, QuadraticProx, SquaredL2
 
 from helpers import quadratic_instance
 
@@ -17,7 +17,7 @@ from helpers import quadratic_instance
 def small_problem():
     A = DenseOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
     B = negated_identity(2)
-    return SeparableProblem(L1Norm(1.0), ZeroFun(), A, B, np.zeros(2))
+    return SeparableProblem(ElasticNet(1.0, 0.0), SquaredL2(0.0), A, B, np.zeros(2))
 
 
 def test_dimensions():
@@ -28,7 +28,7 @@ def test_dimensions():
 def test_feasibility_three_four_five():
     A = DenseOperator(np.eye(2))
     B = negated_identity(2)
-    prob = SeparableProblem(ZeroFun(), ZeroFun(), A, B, np.zeros(2))
+    prob = SeparableProblem(SquaredL2(0.0), SquaredL2(0.0), A, B, np.zeros(2))
     x = np.array([3.0, 0.0])
     y = np.array([0.0, -4.0])
     assert feasibility_residual(prob, IterateState.cold_start(prob, x, y)) == pytest.approx(5.0)
@@ -62,7 +62,7 @@ def test_lagrangian_affine_in_multiplier():
 def test_lagrangian_infinite_outside_set():
     A = DenseOperator(np.eye(1))
     B = negated_identity(1)
-    prob = SeparableProblem(BoxIndicator(np.zeros(1), np.ones(1)), ZeroFun(),
+    prob = SeparableProblem(BoxIndicator(np.zeros(1), np.ones(1)), SquaredL2(0.0),
                             A, B, np.zeros(1))
     x, y = np.array([2.0]), np.zeros(1)
     st = IterateState.cold_start(prob, x, y)
@@ -71,14 +71,14 @@ def test_lagrangian_infinite_outside_set():
 
 def test_split_f_block_sums_values():
     P = np.array([[2.0]])
-    prob = SeparableProblem((QuadraticProx(P), L1Norm(3.0)), ZeroFun(),
+    prob = SeparableProblem((QuadraticProx(P), ElasticNet(3.0, 0.0)), SquaredL2(0.0),
                             DenseOperator(np.eye(1)), negated_identity(1), np.zeros(1))
     assert prob.f_value(np.array([2.0])) == pytest.approx(0.5 * 2 * 4 + 6.0)
     assert prob.has_smooth_f()
 
 
 def test_squared_l2_serves_as_smooth_part():
-    prob = SeparableProblem((SquaredL2(0.5), L1Norm(1.0)), ZeroFun(),
+    prob = SeparableProblem((SquaredL2(0.5), ElasticNet(1.0, 0.0)), SquaredL2(0.0),
                             DenseOperator(np.eye(3)), negated_identity(3), np.zeros(3))
     z = np.array([1.0, -2.0, 4.0])
     assert np.array_equal(prob.f_smooth.gradient(z), 0.5 * z)
@@ -90,7 +90,7 @@ def test_squared_l2_serves_as_smooth_part():
 def test_quadratic_prox_serves_as_smooth_part():
     P = np.array([[3.0, 1.0], [1.0, 3.0]])     # eigenvalues 2 and 4
     p = np.array([0.5, -1.0])
-    prob = SeparableProblem((QuadraticProx(P, p), ZeroFun()), ZeroFun(),
+    prob = SeparableProblem((QuadraticProx(P, p), SquaredL2(0.0)), SquaredL2(0.0),
                             DenseOperator(np.eye(2)), negated_identity(2), np.zeros(2))
     z = np.array([1.0, 2.0])
     assert np.allclose(prob.f_smooth.gradient(z), P @ z + p, atol=1e-15)
@@ -101,12 +101,12 @@ def test_quadratic_prox_serves_as_smooth_part():
 
 def test_non_smooth_oracle_rejected_as_smooth_part():
     with pytest.raises(TypeError):
-        SeparableProblem((L1Norm(1.0), ZeroFun()), ZeroFun(), DenseOperator(np.eye(1)),
+        SeparableProblem((ElasticNet(1.0, 0.0), SquaredL2(0.0)), SquaredL2(0.0), DenseOperator(np.eye(1)),
                          negated_identity(1), np.zeros(1))
 
 
 def test_moduli_default_from_oracles():
-    prob = SeparableProblem(SquaredL2(0.7), ZeroFun(),
+    prob = SeparableProblem(SquaredL2(0.7), SquaredL2(0.0),
                             DenseOperator(np.eye(1)), negated_identity(1), np.zeros(1))
     assert prob.mu_f == pytest.approx(0.7)
     assert prob.mu_g == 0.0
@@ -118,7 +118,7 @@ def test_moduli_must_be_finite_and_nonnegative(name, value):
     # a negative mu_f used to fail at the first step with a math domain
     # error, a NaN as a non-finite iterate and an infinite mu_g as a NaN bracket
     with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
-        SeparableProblem(ZeroFun(), ZeroFun(), DenseOperator(np.eye(1)), negated_identity(1),
+        SeparableProblem(SquaredL2(0.0), SquaredL2(0.0), DenseOperator(np.eye(1)), negated_identity(1),
                          np.zeros(1), **{name: value})
 
 
@@ -126,14 +126,14 @@ def test_dimension_mismatch_rejected():
     A = DenseOperator(np.eye(2))
     B = negated_identity(3)
     with pytest.raises(ValueError):
-        SeparableProblem(ZeroFun(), ZeroFun(), A, B, np.zeros(2))
+        SeparableProblem(SquaredL2(0.0), SquaredL2(0.0), A, B, np.zeros(2))
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (4,), ()])
 def test_right_hand_side_must_be_a_vector_of_length_m(shape):
     # a (3, 1) b would broadcast the residual A x + B y - b to a 3-by-3 matrix
     with pytest.raises(ValueError, match=re.escape(f"b has shape {shape}")):
-        SeparableProblem(ZeroFun(), ZeroFun(), DenseOperator(np.eye(3)), negated_identity(3),
+        SeparableProblem(SquaredL2(0.0), SquaredL2(0.0), DenseOperator(np.eye(3)), negated_identity(3),
                          np.zeros(shape))
 
 
@@ -142,7 +142,7 @@ def test_infeasible_saddle_rejected():
     B = negated_identity(2)
     bad = SaddlePoint(np.ones(2), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError, match="infeasible"):
-        SeparableProblem(ZeroFun(), ZeroFun(), A, B, np.zeros(2), saddle=bad)
+        SeparableProblem(SquaredL2(0.0), SquaredL2(0.0), A, B, np.zeros(2), saddle=bad)
 
 
 def test_saddle_point_blocks_must_be_vectors():

@@ -12,8 +12,8 @@ from scipy.optimize import minimize_scalar
 
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SeparableProblem
-from pdsplit.prox import (BoxIndicator, ElasticNet, HingeSum, L1Norm,
-                          QuadraticProx, ShiftedL1, SquaredL2, ZeroFun)
+from pdsplit.prox import (BoxIndicator, ElasticNet, HingeSum, QuadraticProx,
+                          ShiftedL1, SquaredL2)
 
 
 def golden_prox_1d(h, z, tau, bracket=20.0):
@@ -49,7 +49,7 @@ def separable_cases(rng):
     lam = 0.1 + rng.random()
     mu = 0.1 + rng.random()
     return [
-        (L1Norm(lam), lambda u: lam * abs(u), None),
+        (ElasticNet(lam, 0.0), lambda u: lam * abs(u), None),
         (ShiftedL1(np.array([shift]), lam), lambda u: lam * abs(u - shift), None),
         (ElasticNet(lam, mu), lambda u: lam * abs(u) + 0.5 * mu * u * u, None),
         (SquaredL2(mu), lambda u: 0.5 * mu * u * u, None),
@@ -57,7 +57,7 @@ def separable_cases(rng):
          lambda u: weight * max(0.0, 1.0 - labels[0] * u), None),
         (QuadraticProx(np.array([[mu]]), np.array([shift])),
          lambda u: 0.5 * mu * u * u + shift * u, None),
-        (ZeroFun(), lambda u: 0.0, None),
+        (SquaredL2(0.0), lambda u: 0.0, None),
     ]
 
 
@@ -86,7 +86,7 @@ def test_box_projection_against_oracle():
 
 def test_firm_nonexpansiveness():
     rng = np.random.default_rng(44)
-    oracles = [L1Norm(0.7), ElasticNet(0.3, 0.5), SquaredL2(1.2),
+    oracles = [ElasticNet(0.7, 0.0), ElasticNet(0.3, 0.5), SquaredL2(1.2),
                HingeSum(np.array([1.0, -1.0, 1.0]), 0.4),
                BoxIndicator(-np.ones(3), np.ones(3)),
                ShiftedL1(rng.standard_normal(3))]
@@ -108,7 +108,7 @@ def test_moreau_identity():
         z = rng.standard_normal(4) * 2.0
         tau = 0.2 + rng.random()
         lam = 0.8
-        p = L1Norm(lam).prox(z, tau)
+        p = ElasticNet(lam, 0.0).prox(z, tau)
         # conjugate of lam||.||_1 is the indicator of the lam-box
         dual = np.clip(z / tau, -lam, lam)
         assert np.allclose(p + tau * dual, z, atol=1e-12)
@@ -116,7 +116,7 @@ def test_moreau_identity():
 
 def test_soft_threshold_values():
     z = np.array([3.0, -0.5, 0.0, -2.0])
-    assert np.allclose(L1Norm(1.0).prox(z, 1.0), [2.0, 0.0, 0.0, -1.0])
+    assert np.allclose(ElasticNet(1.0, 0.0).prox(z, 1.0), [2.0, 0.0, 0.0, -1.0])
 
 
 def test_shifted_l1_fixed_point_at_shift():
@@ -141,7 +141,7 @@ def test_hinge_prox_three_regions():
 
 def test_prox_calls_check_step_and_shape():
     z = np.array([1.5, -0.2])
-    for oracle in (L1Norm(1.0), ShiftedL1(np.zeros(2)), ElasticNet(1.0, 0.5)):
+    for oracle in (ElasticNet(1.0, 0.0), ShiftedL1(np.zeros(2)), ElasticNet(1.0, 0.5)):
         with pytest.raises(ValueError):
             oracle.prox(z, 0.0)
     with pytest.raises(ValueError):
@@ -210,15 +210,15 @@ def test_prox_values_extended_real():
     box = BoxIndicator(np.zeros(2), np.ones(2))
     assert box.value(np.array([0.5, 0.5])) == 0.0
     assert box.value(np.array([1.5, 0.5])) == np.inf
-    assert L1Norm(2.0).value(np.array([1.0, -2.0])) == pytest.approx(6.0)
+    assert ElasticNet(2.0, 0.0).value(np.array([1.0, -2.0])) == pytest.approx(6.0)
     # ||z||^2 overflows, and must not turn lam ||z||_1 into nan
-    assert L1Norm(1.0).value(np.array([1e200, -1e200])) == 2e200
+    assert ElasticNet(1.0, 0.0).value(np.array([1e200, -1e200])) == 2e200
 
 
 def test_strong_convexity_declarations():
     assert ElasticNet(1.0, 0.3).strong_convexity == pytest.approx(0.3)
     assert SquaredL2(0.9).strong_convexity == pytest.approx(0.9)
-    assert L1Norm(1.0).strong_convexity == 0.0
+    assert ElasticNet(1.0, 0.0).strong_convexity == 0.0
 
 
 def _psd(rng, n, rank=None):
@@ -270,7 +270,7 @@ def test_solve_augmented_matches_normal_equations(m, sigma):
     rng = np.random.default_rng(m)
     P, p = _psd(rng, n, n - 1), rng.standard_normal(n)
     for oracle, P_ref, p_ref in ((QuadraticProx(P, p), P, p),
-                                 (ZeroFun(), np.zeros((n, n)), np.zeros(n)),
+                                 (SquaredL2(0.0), np.zeros((n, n)), np.zeros(n)),
                                  (SquaredL2(0.7), 0.7 * np.eye(n), np.zeros(n))):
         args = _augmented_args(_augmented_case(rng, m, n), sigma)
         got = oracle.solve_augmented(**args)
@@ -338,7 +338,7 @@ def test_quadratic_prox_decomposes_once_and_reads_its_moduli_from_it(count_decom
 def test_zero_fun_factors_each_operator_once_per_switch(count_decompositions):
     rng = np.random.default_rng(8)
     n = 10
-    zero = ZeroFun()
+    zero = SquaredL2(0.0)
     cases = [_augmented_case(rng, 4, n), _augmented_case(rng, 4, n), _augmented_case(rng, 15, n)]
     order = [0, 0, 1, 2, 2, 0, 1, 1, 2]
     for i, j in enumerate(order):

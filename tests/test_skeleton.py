@@ -166,10 +166,33 @@ def test_forward_products_per_iteration_rows_included(method):
         pdhg_run(prob, iters)
     else:
         run(prob, method, iters)
-    # row 0 computes its own A x and B y; a scheme's merit at its saddle
-    # side costs 2 more, and pdhg's first step forms the cold start's A v
-    first = {"ladmm": 2, "pdhg": 3}.get(method, 4)
+    # row 0 computes its own A x and B y (the saddle side of a scheme's merit
+    # was formed when the problem was built); pdhg's first step forms the
+    # cold start's A v
+    first = 3 if method == "pdhg" else 2
     assert A.fwd + B.fwd == first + ROW_INCLUDED[method] * iters
+
+
+def test_saddle_terms_are_formed_when_the_problem_is_built(monkeypatch):
+    # building checks the saddle's feasibility on the residual its merit
+    # reads, so F(x*, y*) and A x* + B y* - b are formed then, and row 0
+    # pays only for its own point
+    count = 0
+    objective = SeparableProblem.objective
+
+    def counted(self, x, y):
+        nonlocal count
+        count += 1
+        return objective(self, x, y)
+
+    base = generate_quadratic(8, 8, seed=0).prox_form
+    A, B = CountingOperator(base.A.matrix), CountingOperator(base.B.matrix)
+    monkeypatch.setattr(SeparableProblem, "objective", counted)
+    prob = SeparableProblem(base.f_prox, base.g, A, B, base.b, saddle=base.saddle)
+    assert (A.fwd + B.fwd, count) == (2, 1)
+    A.fwd = B.fwd = count = 0
+    run(prob, Scheme.F1_SEMI_A, 0)
+    assert (A.fwd + B.fwd, count) == (2, 1)
 
 
 def test_pdhg_products_per_step():

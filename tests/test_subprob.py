@@ -12,7 +12,7 @@ from pdsplit.driver import run
 from pdsplit.linops import DenseOperator, ScaledIdentity
 from pdsplit.oracles import SeparableProblem
 from pdsplit.params import Scheme
-from pdsplit.prox import ElasticNet, L1Norm
+from pdsplit.prox import ElasticNet
 from pdsplit.subprob import solve_augmented_subproblem
 
 
@@ -43,12 +43,12 @@ class CountingOperator(DenseOperator):
         return super().adjoint(w)
 
 
-class CountingL1(L1Norm):
-    """``L1Norm`` that counts its prox calls and has no closed form, so every
-    solve against a dense ``C`` runs the inner loop."""
+class CountingL1(ElasticNet):
+    """``ElasticNet(lam, 0)`` that counts its prox calls and has no closed
+    form, so every solve against a dense ``C`` runs the inner loop."""
 
     def __init__(self, lam):
-        super().__init__(lam)
+        super().__init__(lam, 0.0)
         self.calls = 0
 
     def prox(self, z, tau):
@@ -65,8 +65,8 @@ def test_inner_loop_matches_scaled_identity_closed_form(c):
     linear, offset, center, _ = _instance(1, n=n, m=n)
     r = _rhs(linear, offset, center, c * np.eye(n), sigma=1.3, weight=0.4)
     args = dict(r=r, sigma=1.3, weight=0.4, center=center)
-    closed = solve_augmented_subproblem(L1Norm(0.7), C=ScaledIdentity(c, n), **args)
-    for block in (CountingL1(0.7), L1Norm(0.7)):   # the inner loop, then Newton
+    closed = solve_augmented_subproblem(ElasticNet(0.7, 0.0), C=ScaledIdentity(c, n), **args)
+    for block in (CountingL1(0.7), ElasticNet(0.7, 0.0)):   # the inner loop, then Newton
         iterative = solve_augmented_subproblem(block, C=DenseOperator(c * np.eye(n)), **args)
         assert np.max(np.abs(iterative - closed)) <= 1e-8
 
@@ -182,7 +182,7 @@ def _newton_and_reference(block, m, n, sigma, seed=5):
 
 @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("m, n", [(7, 12), (12, 7)])   # capacitance and normal solve
-@pytest.mark.parametrize("block", [L1Norm(0.7), ElasticNet(0.7, 0.3), L1Norm(0.0),
+@pytest.mark.parametrize("block", [ElasticNet(0.7, 0.0), ElasticNet(0.7, 0.3), ElasticNet(0.0, 0.0),
                                    ElasticNet(0.0, 0.3)], ids=["l1", "enet", "l1-lam0", "enet-lam0"])
 def test_newton_solve_matches_tight_inner_loop(block, m, n, sigma):
     newton, reference, reference_error = _newton_and_reference(block, m, n, sigma)
@@ -193,7 +193,7 @@ def test_newton_solve_matches_tight_inner_loop(block, m, n, sigma):
                                                   + reference_error)
 
 
-@pytest.mark.parametrize("block", [L1Norm(1e4), ElasticNet(1e4, 0.3)], ids=["l1", "enet"])
+@pytest.mark.parametrize("block", [ElasticNet(1e4, 0.0), ElasticNet(1e4, 0.3)], ids=["l1", "enet"])
 def test_newton_solve_with_an_empty_active_set_is_zero(block):
     newton, reference, _ = _newton_and_reference(block, 7, 12, 1.0)
     assert np.array_equal(newton, np.zeros(12))
@@ -204,6 +204,6 @@ def test_declined_newton_solve_falls_back_to_the_inner_loop(monkeypatch):
     linear, offset, center, M = _instance(6)
     args = (_rhs(linear, offset, center, M, 1.0, 0.5), DenseOperator(M), 1.0, 0.5, center)
     monkeypatch.setattr(prox, "_NEWTON_STEPS", 1)   # stops before its active set settles
-    assert L1Norm(0.5).solve_augmented(*args) is None
-    inner = subprob._inner_prox_gradient(L1Norm(0.5), *args)
-    assert np.array_equal(solve_augmented_subproblem(L1Norm(0.5), *args), inner)
+    assert ElasticNet(0.5, 0.0).solve_augmented(*args) is None
+    inner = subprob._inner_prox_gradient(ElasticNet(0.5, 0.0), *args)
+    assert np.array_equal(solve_augmented_subproblem(ElasticNet(0.5, 0.0), *args), inner)

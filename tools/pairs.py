@@ -28,11 +28,17 @@ already recorded for the workload, or whose ``--seeds`` is not a range
 files are rewritten after every pair, so a rejected run leaves the pairs
 before it recorded; resume with the seeds after them.  At the end,
 per metric of this call, the script prints each side's median and
-quartiles, in how many pairs the change was better, and the ratio of the
-change's median to the parent's.  A metric whose change median is worse
-than the parent's by more than its ``bound`` (a fraction of the parent's
-median) is marked ``OUTSIDE``.  The direction and the bound are read from
-CHANGE's ``BENCHMARK.json``.
+quartiles, the parent's interquartile range as a fraction of its median,
+in how many pairs the change was better, and the ratio of the change's
+median to the parent's.  A ratio that is not better than 1 by more than
+that range is marked ``no-gain``: a claimed gain must clear it.  A metric
+whose change median is worse than the parent's by more than its ``bound``
+(a fraction of the parent's median) is marked ``OUTSIDE``.  The direction
+and the bound are read from CHANGE's ``BENCHMARK.json``.
+
+Given the same tree twice, with two ``--names``, the script is an A/A
+control: both copies run from the slots as above, and the summary reads
+the spread that placement and run order alone give each metric.
 """
 
 import argparse
@@ -128,12 +134,14 @@ def quartiles(values):
 
 
 def summary(runs, spec):
-    """Lines of per-metric medians, quartiles, the change's wins and its median
-    ratio to the parent's over ``runs``, a list of (parent result, change
-    result) pairs; ``spec`` maps a metric's name to its ``BENCHMARK.json``
+    """Lines of per-metric medians, quartiles, the parent's interquartile
+    range as a fraction of its median, the change's wins and its median ratio
+    to the parent's over ``runs``, a list of (parent result, change result)
+    pairs.  A ratio better than 1 by no more than that range is marked
+    ``no-gain``.  ``spec`` maps a metric's name to its ``BENCHMARK.json``
     entry, whose ``bound`` (when given) marks a worse ratio ``OUTSIDE``."""
     lines = [f"{'metric':14s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s} "
-             "wins  change/parent"]
+             "parent IQR          wins  change/parent"]
     for name in runs[0][0]["metrics"]:
         sides = [[r[i]["metrics"][name]["value"] for r in runs] for i in (0, 1)]
         entry = spec.get(name, {})
@@ -141,14 +149,16 @@ def summary(runs, spec):
         wins = sum(sign * c < sign * p for p, c in zip(*sides))
         stats = [quartiles(vals) for vals in sides]
         cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*q) for q in stats]
-        parent, change = stats[0][0], stats[1][0]
+        (parent, q1, q3), change = stats[0], stats[1][0]
         ratio = change / parent if parent else (1.0 if change == 0 else math.inf)
+        iqr = (q3 - q1) / parent if parent else 0.0
+        gain = "" if sign * (1.0 - ratio) > iqr else "no-gain"
         verdict = ""
         if "bound" in entry:
             outside = sign * (ratio - 1.0) > entry["bound"]
             verdict = f" {'OUTSIDE' if outside else 'within'} bound {entry['bound']:g}"
-        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {wins}/{len(runs)}"
-                     f"  {ratio:.3f}{verdict}")
+        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {iqr:10.3f} {gain:7s}  "
+                     f"{wins}/{len(runs)}  {ratio:.3f}{verdict}")
     failed = [sum(r[i]["failed"] for r in runs) for i in (0, 1)]
     lines.append(f"failed operations: parent {failed[0]}, change {failed[1]}")
     return lines

@@ -29,7 +29,7 @@ import json
 import numbers
 import os
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class ProblemBundle:
     ``prox_form`` folds the whole f-block into a single prox oracle (the
     implicit schemes and baselines); ``split_form`` exposes the smooth
     part separately (the gradient-based schemes).  Every generator builds
-    both.
+    both through ``_bundle``.
     """
 
     prox_form: SeparableProblem
@@ -124,15 +124,15 @@ class ProblemBundle:
     f_star: float = None         # exact optimum when a KKT oracle exists
 
 
-def _l1_bundle(A, g, rhs, lam_l1, mu, ground_truth, composite):
-    """Both forms of ``f = lam_l1 ||x||_1 + mu/2 ||x||^2`` and ``g`` under
-    ``A x - y = rhs``; the split form takes ``mu/2 ||x||^2`` as the smooth part."""
-    A_op, B = DenseOperator(A), negated_identity(A.shape[0])
-    prox_form = SeparableProblem(ElasticNet(lam_l1, mu), g, A_op, B, rhs)
-    split_form = SeparableProblem((SquaredL2(mu), ElasticNet(lam_l1, 0.0)), g, A_op, B, rhs)
-    A_op.norm()   # shared by both forms; estimated here so generation pays for it
-    return ProblemBundle(prox_form=prox_form, split_form=split_form,
-                         ground_truth=ground_truth, composite=composite)
+def _bundle(f, f_split, g, A, B, rhs, ground_truth, composite=False, saddle=None):
+    """Both forms of one instance, ``f`` as one prox oracle and ``f_split`` as its
+    ``(smooth, prox)`` pair, over one ``g``, ``A x + B y = rhs`` and ``saddle``;
+    both norms are computed here, so generation pays for them."""
+    prox_form, split_form = (SeparableProblem(fb, g, A, B, rhs, saddle=saddle) for fb in (f, f_split))
+    A.norm()
+    B.norm()
+    f_star = None if saddle is None else prox_form.saddle_terms(saddle)[0]
+    return ProblemBundle(prox_form, split_form, ground_truth, composite, f_star)
 
 
 def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01):
@@ -153,7 +153,8 @@ def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01)
     e = np.sqrt(noise_variance) * rng.standard_normal(m) if noise_variance > 0 else np.zeros(m)
     d = A @ x_sharp + e
     mu = 0.1 if case == 2 else 0.0
-    return _l1_bundle(A, ShiftedL1(d), np.zeros(m), 2.0, mu, x_sharp, composite=True)
+    return _bundle(ElasticNet(2.0, mu), (SquaredL2(mu), ElasticNet(2.0, 0.0)), ShiftedL1(d),
+                   DenseOperator(A), negated_identity(m), np.zeros(m), x_sharp, composite=True)
 
 
 def generate_svm(m, n, seed, elastic=False, flip_fraction=0.1):
@@ -175,7 +176,8 @@ def generate_svm(m, n, seed, elastic=False, flip_fraction=0.1):
         flip = rng.choice(m, size=n_flip, replace=False)
         labels[flip] *= -1.0
     lam_l1, mu = (0.5, 0.05) if elastic else (0.2, 0.0)
-    return _l1_bundle(W, HingeSum(labels, 1.0 / m), bias, lam_l1, mu, x_true, composite=False)
+    return _bundle(ElasticNet(lam_l1, mu), (SquaredL2(mu), ElasticNet(lam_l1, 0.0)),
+                   HingeSum(labels, 1.0 / m), DenseOperator(W), negated_identity(m), bias, x_true)
 
 
 def generate_quadratic(m, n, seed):
@@ -205,16 +207,9 @@ def generate_quadratic(m, n, seed):
     q = -(Q @ y_star + Bm.T @ lam_star)
     rhs = A @ x_star + Bm @ y_star
 
-    saddle = SaddlePoint(x_star, y_star, lam_star)
     f = QuadraticProx(P, p)
-    g = QuadraticProx(Q, q)
-    A_op, B_op = DenseOperator(A), DenseOperator(Bm)
-    prox_form = SeparableProblem(f, g, A_op, B_op, rhs, saddle=saddle)
-    split_form = SeparableProblem((f, SquaredL2(0.0)), g, A_op, B_op, rhs, saddle=saddle)
-    A_op.norm()   # shared by both forms; estimated here so generation pays for them
-    B_op.norm()
-    return ProblemBundle(prox_form=prox_form, split_form=split_form, ground_truth=x_star,
-                         composite=False, f_star=prox_form.saddle_terms(saddle)[0])
+    return _bundle(f, (f, SquaredL2(0.0)), QuadraticProx(Q, q), DenseOperator(A), DenseOperator(Bm),
+                   rhs, x_star, saddle=SaddlePoint(x_star, y_star, lam_star))
 
 
 def generate_problem(config):
@@ -363,28 +358,25 @@ def run_benchmark(config):
 
 
 def _config_from_sources(args):
-    cfg = RunConfig()
+    """The ``RunConfig`` of the JSON object in ``args.config``, whose keys are
+    its fields (``-`` read as ``_``), overridden by each flag that is set."""
+    values = {}
     if args.config:
         with open(args.config) as fh:
             file_vals = json.load(fh)
+        if not isinstance(file_vals, dict):
+            raise ValueError(f"config file {args.config!r} must hold a JSON object, "
+                             f"not a {type(file_vals).__name__}")
         for key, val in file_vals.items():
-            norm = key.replace("-", "_")
-            if not hasattr(cfg, norm):
+            name = key.replace("-", "_")
+            if name not in {f.name for f in fields(RunConfig)}:
                 raise ValueError(f"unknown config key {key!r}")
-            if norm == "methods" and isinstance(val, str):
-                val = tuple(v.strip() for v in val.split(","))
-            elif norm == "methods":
-                val = tuple(val)
-            setattr(cfg, norm, val)
-    if args.method:
-        cfg.methods = tuple(v.strip() for v in args.method.split(","))
-    if args.iters is not None:
-        cfg.iters = args.iters
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    return cfg
+            values[name] = val
+    flags = {"methods": args.method, "iters": args.iters, "seed": args.seed, "out": args.out}
+    values.update((name, val) for name, val in flags.items() if val is not None)
+    methods = values.get("methods", RunConfig.methods)
+    values["methods"] = tuple(map(str.strip, methods.split(","))) if isinstance(methods, str) else tuple(methods)
+    return RunConfig(**values)
 
 
 def main(argv=None):

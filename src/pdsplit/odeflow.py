@@ -204,11 +204,14 @@ def trajectory_to_csv(problem, trajectory, path_or_buf, saddle=None, f_star=None
     """Write ``t,E,feas,obj_gap,theta,gamma,beta`` rows with the trace's ``write_csv``.
 
     ``E`` needs a saddle point and ``obj_gap`` a reference value; either
-    column is left empty when its reference is missing.
+    column is left empty when its reference is missing.  Each sample's
+    objective is formed once, and only when a column needs it.
     """
-    write_csv(path_or_buf, TRAJECTORY_COLUMNS, (
-        (st.t, lyapunov_continuous(problem, st, saddle) if saddle is not None else None,
-         feasibility_residual(problem, st),
-         abs(problem.objective(st.x, st.y) - f_star) if f_star is not None else None,
-         st.theta, st.gamma, st.beta)
-        for st in trajectory))
+    def row(st):
+        obj = problem.objective(st.x, st.y) if saddle is not None or f_star is not None else None
+        return (st.t, None if saddle is None else
+                lyapunov(problem, st, st, saddle, lagrangian_gap(problem, st, saddle, obj)),
+                feasibility_residual(problem, st), None if f_star is None else abs(obj - f_star),
+                st.theta, st.gamma, st.beta)
+
+    write_csv(path_or_buf, TRAJECTORY_COLUMNS, map(row, trajectory))

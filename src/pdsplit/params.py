@@ -173,26 +173,16 @@ def theoretical_theta_bound(scheme, k, norm_A=0.0, norm_B=0.0,
         return BoundResult(math.nan, False, f"requires alpha_0 <= 1: gamma0 beta0 <= {_terms(scheme.coefficients)} "
                                             "at theta = 1, gamma = gamma0, beta = beta0")
 
-    def side(norm, start, mu):
-        """An operator's rate: min over the convex and strongly convex regimes."""
-        lin = norm / (math.sqrt(start) * kk)
-        quad = norm ** 2 / (mu * kk ** 2) if mu > 0 else math.inf
-        return min(lin, quad)
-
-    value = side(norm_B, beta0, mu_g) if c_B else 0.0
-    if not c_L:
-        return BoundResult(value + side(norm_A, gamma0, mu_f), True)
-    # Family 2: the f-side rate, which the A-side adds to each of its two regimes
-    smooth = lipschitz_f / (gamma0 * kk ** 2)
-    if lipschitz_f > 0:
-        expo = math.exp(-(kk / 4.0) * math.sqrt(mu_f / lipschitz_f)) if mu_f > 0 else math.inf
-    else:
-        expo = 0.0
-    if not c_A:
-        return BoundResult(value + min(smooth, expo), True)
-    conv = norm_A / (math.sqrt(gamma0) * kk) + smooth
-    sc = norm_A ** 2 / (mu_f * kk ** 2) + expo if mu_f > 0 else math.inf
-    return BoundResult(value + min(conv, sc), True)
+    # each rate term is 0.0 where the scheme's condition leaves its operator or L_f out;
+    # the A-side's convex and strongly convex regimes each add the f-side's rate
+    value_B = min(norm_B / (math.sqrt(beta0) * kk),
+                  norm_B ** 2 / (mu_g * kk ** 2) if mu_g > 0 else math.inf) if c_B else 0.0
+    lin_A = norm_A / (math.sqrt(gamma0) * kk) if c_A else 0.0
+    quad_A = (norm_A ** 2 / (mu_f * kk ** 2) if c_A else 0.0) if mu_f > 0 else math.inf
+    lip = c_L * lipschitz_f
+    smooth = lip / (gamma0 * kk ** 2)
+    expo = (math.exp(-(kk / 4.0) * math.sqrt(mu_f / lip)) if mu_f > 0 else math.inf) if lip > 0 else 0.0
+    return BoundResult(value_B + min(lin_A + smooth, quad_A + expo), True)
 
 
 def appendix_c_bound(case, k, sigma=1.0, tau=1.0, nu=1.0, P=0.0, Q=0.0, R=0.0):

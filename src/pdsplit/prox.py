@@ -226,8 +226,7 @@ def _l1_newton(block, r, C, sigma, weight, center):
         signs, S = active, np.flatnonzero(active)
         u = np.zeros_like(u)
         u[S] = _solve_augmented_normal(None, d, M[:, S], sigma, r[S] - lam * signs[S])
-    step = 1.0 / (sigma * C.norm_bound() ** 2 + weight)
-    _, _, accepted = prox_gradient_step(block, u, C.apply(u), C, sigma, weight, r, step)
+    _, _, accepted = prox_gradient_step(block, u, C.apply(u), C, sigma, weight, r)
     return u if accepted else None
 
 

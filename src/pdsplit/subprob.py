@@ -62,11 +62,12 @@ def solve_augmented_subproblem(block, r, C, sigma, weight, center):
     return _inner_prox_gradient(block, r, C, sigma, weight, center)
 
 
-def prox_gradient_step(block, z, Cz, C, sigma, weight, r, step):
+def prox_gradient_step(block, z, Cz, C, sigma, weight, r):
     """``T(z)``, the residual ``||T(z) - z||`` and whether it passes the stopping
     test ``residual <= inner_tol * (1 + ||T(z)||)``.  ``T`` is one prox-gradient
-    step on the smooth part, whose gradient is ``sigma C^T C z + weight z - r``;
-    ``Cz = C z``."""
+    step, of length ``1 / (sigma ||C||^2 + weight)``, on the smooth part, whose
+    gradient is ``sigma C^T C z + weight z - r``; ``Cz = C z``."""
+    step = 1.0 / (sigma * C.norm_bound() ** 2 + weight)
     grad = sigma * C.adjoint(Cz) + weight * z - r
     u_next = block.prox(z - step * grad, step)
     residual = np.linalg.norm(u_next - z)
@@ -83,7 +84,6 @@ def _inner_prox_gradient(block, r, C, sigma, weight, center):
     between iterations, so each one costs one forward and one adjoint product.
     """
     lip = sigma * C.norm_bound() ** 2 + weight
-    step = 1.0 / lip
     root_q = np.sqrt(weight / lip)
     momentum = (1.0 - root_q) / (1.0 + root_q)
     u = np.array(center, dtype=float)
@@ -91,7 +91,7 @@ def _inner_prox_gradient(block, r, C, sigma, weight, center):
     z, Cz = u, Cu
     u_next, residual = u, np.inf   # returned as is when the cap is 0
     for _ in range(OPTIONS.inner_max_iters):
-        u_next, residual, accepted = prox_gradient_step(block, z, Cz, C, sigma, weight, r, step)
+        u_next, residual, accepted = prox_gradient_step(block, z, Cz, C, sigma, weight, r)
         if accepted:
             return u_next
         Cu_next = C.apply(u_next)

@@ -109,10 +109,12 @@ def test_generators_share_oracles_and_operators(monkeypatch):
     assert calls == [prox.A, prox.B]
     for generate in (generate_lad, generate_svm):
         bundle = generate(10, 30, seed=0)
-        assert isinstance(bundle.split_form.f_smooth, SquaredL2)
-        assert bundle.split_form.A is bundle.prox_form.A
-        assert calls[-1] is bundle.prox_form.A
-    assert len(calls) == 4
+        prox, split = bundle.prox_form, bundle.split_form
+        assert isinstance(split.f_smooth, SquaredL2)
+        assert split.A is prox.A and split.B is prox.B and split.g is prox.g
+        # the -I coupling gets its closed-form norm at generation too
+        assert calls[-2:] == [prox.A, prox.B]
+    assert len(calls) == 6
 
 
 def test_checkpoint_indices():
@@ -329,6 +331,25 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     cfg_file.write_text(json.dumps({"mystery": 1}))
     with pytest.raises(ValueError, match="mystery"):
         main(["--config", str(cfg_file), "--out", str(tmp_path / "x")])
+
+
+def test_cli_refuses_a_config_key_that_is_not_a_field(tmp_path):
+    # validate is a method of RunConfig, not a field; it used to die with a TypeError
+    cfg_file = tmp_path / "validate.json"
+    cfg_file.write_text(json.dumps({"validate": 1}))
+    with pytest.raises(ValueError, match="unknown config key 'validate'"):
+        main(["--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_refuses_a_config_file_that_is_not_a_json_object(tmp_path):
+    # a list used to die with an AttributeError
+    cfg_file = tmp_path / "list.json"
+    cfg_file.write_text(json.dumps([{"iters": 5}]))
+    with pytest.raises(ValueError, match=re.escape(f"config file {str(cfg_file)!r} must hold a JSON "
+                                                   "object, not a list")):
+        main(["--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
 
 
 def test_generate_problem_dispatch():

@@ -102,13 +102,18 @@ def test_rhs_rejects_a_split_f_block_with_a_prox_part():
 
 
 def test_rhs_accepts_squared_l2_at_zero_as_the_zero_prox_part():
-    # only a nonzero modulus is a dropped part of f
-    parts = {"zero": SquaredL2(0.0), "mu=0": SquaredL2(0.0), "mu=0.5": SquaredL2(0.5)}
-    probs = {name: SeparableProblem((QuadraticProx(np.eye(2)), part), QuadraticProx(np.eye(2)),
-                                    DenseOperator(np.eye(2)), negated_identity(2), np.zeros(2))
-             for name, part in parts.items()}
-    st = initial_state(probs["zero"], x0=np.array([1.0, -2.0]))
-    assert np.array_equal(rhs(probs["mu=0"], st), rhs(probs["zero"], st))
+    # only a nonzero modulus is a dropped part of f: a float or an integer zero
+    # flows as the prox form, whose f is the smooth part alone
+    f_blocks = {"prox form": QuadraticProx(np.eye(2)),
+                "mu=0.0": (QuadraticProx(np.eye(2)), SquaredL2(0.0)),
+                "mu=0": (QuadraticProx(np.eye(2)), SquaredL2(0)),
+                "mu=0.5": (QuadraticProx(np.eye(2)), SquaredL2(0.5))}
+    probs = {name: SeparableProblem(f, QuadraticProx(np.eye(2)), DenseOperator(np.eye(2)),
+                                    negated_identity(2), np.zeros(2))
+             for name, f in f_blocks.items()}
+    st = initial_state(probs["prox form"], x0=np.array([1.0, -2.0]))
+    for name in ("mu=0.0", "mu=0"):
+        assert np.array_equal(rhs(probs[name], st), rhs(probs["prox form"], st))
     with pytest.raises(ValueError, match=r"prox part SquaredL2 must be SquaredL2\(0\)"):
         rhs(probs["mu=0.5"], st)
 
@@ -380,6 +385,26 @@ def test_trajectory_csv_forms_each_samples_products_once():
     A.fwd = B.fwd = 0
     trajectory_to_csv(prob, traj, io.StringIO(), saddle=prob.saddle, f_star=0.0)
     assert A.fwd + B.fwd == 2 * len(traj)
+
+
+@pytest.mark.parametrize("with_saddle, f_star, per_sample",
+                         [(True, 0.0, 1), (True, None, 1), (False, 0.0, 1), (False, None, 0)])
+def test_trajectory_csv_forms_each_samples_objective_once(monkeypatch, with_saddle, f_star, per_sample):
+    # the merit's gap and the obj_gap column share one F(x, y) per sample
+    prob, _ = quadratic_instance(69)
+    traj = integrate(prob, initial_state(prob), T=0.1, h=0.05)
+    count = 0
+    objective = SeparableProblem.objective
+
+    def counted(self, x, y):
+        nonlocal count
+        count += 1
+        return objective(self, x, y)
+
+    monkeypatch.setattr(SeparableProblem, "objective", counted)
+    trajectory_to_csv(prob, traj, io.StringIO(), saddle=prob.saddle if with_saddle else None,
+                      f_star=f_star)
+    assert count == per_sample * len(traj)
 
 
 def test_phase_point_is_an_iterate_state():

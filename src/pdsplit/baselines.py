@@ -71,7 +71,7 @@ def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1,
     tx = 1.0 / problem.A.norm_bound() ** 2
     ty = 1.0 / problem.B.norm_bound() ** 2
     result = iterate(problem, state, max_iters, {"scheme": "ladmm", "sigma": 1.0},
-                     lambda s: step_ladmm(problem, s, 1.0, tx, ty),
+                     lambda problem, s: step_ladmm(problem, s, 1.0, tx, ty),
                      iterate_callback=iterate_callback, record_every=record_every)
     return result.trace, result.state
 
@@ -116,7 +116,8 @@ def pdhg_run(problem, max_iters, x0=None, lam0=None, iterate_callback=None):
     state = IterateState.cold_start(problem, x0, None, lam0)
     tau = sigma = 1.0 / problem.A.norm_bound()
     result = iterate(problem, state, max_iters, {"scheme": "pdhg", "tau": tau, "sigma": sigma},
-                     lambda s: step_pdhg(problem, s, tau, sigma), iterate_callback=iterate_callback)
+                     lambda problem, s: step_pdhg(problem, s, tau, sigma),
+                     iterate_callback=iterate_callback)
     return result.trace, result.state
 
 

@@ -375,6 +375,8 @@ def _config_from_sources(args):
     flags = {"methods": args.method, "iters": args.iters, "seed": args.seed, "out": args.out}
     values.update((name, val) for name, val in flags.items() if val is not None)
     methods = values.get("methods", RunConfig.methods)
+    if not isinstance(methods, (str, list, tuple)):
+        raise ValueError(f"methods must be a sequence of tags, not {methods!r}")
     values["methods"] = tuple(map(str.strip, methods.split(","))) if isinstance(methods, str) else tuple(methods)
     return RunConfig(**values)
 

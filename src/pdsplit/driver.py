@@ -75,15 +75,13 @@ def run(problem, scheme, max_iters, x0=None, y0=None, lam0=None,
     state = family1.IterateState.cold_start(problem, x0, y0, lam0)
     ps = ParamState.initial(mu_f=problem.mu_f, mu_g=problem.mu_g,
                             gamma0=gamma0, beta0=beta0)
-    step = _STEPS[scheme]
     meta = {
         "scheme": scheme.value,
         "dim_x": problem.dim_x, "dim_y": problem.dim_y, "dim_lam": problem.dim_lam,
         "mu_f": ps.mu_f, "mu_g": ps.mu_g,
         "gamma0": ps.gamma0, "beta0": ps.beta0,
     }
-    return iterate(problem, state, max_iters, meta,
-                   lambda s, ps, ps_next, alpha: step(problem, s, ps, ps_next, alpha),
+    return iterate(problem, state, max_iters, meta, _STEPS[scheme],
                    ps=ps, rule=build_rule(problem, scheme), iterate_callback=iterate_callback)
 
 
@@ -93,7 +91,10 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
 
     ``meta`` starts the trace header and names the method under
     ``"scheme"``.  With a parameter schedule (``ps`` and its ``rule``)
-    the step is ``step(state, ps, ps_next, alpha)``, else ``step(state)``.
+    the step is ``step(problem, state, ps, ps_next, alpha)``, else
+    ``step(problem, state)``, on ``problem.eigenbasis``.  The callback and
+    the caller get states in the original basis, the returned one with
+    ``A x``, ``B y`` and a kept ``A v`` from the original operators.
     A ``max_iters`` that is not an integer (a ``bool`` included) raises
     ``TypeError``, a negative one ``ValueError``.
     """
@@ -105,42 +106,63 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
         raise ValueError(f"record_every must be at least 1, not {record_every}")
     if ps is not None and record_every != 1:
         raise ValueError("record_every applies only to a method without a parameter schedule")
-    saddle = problem.saddle if ps is not None else None
+    turned, Vx, Vy = problem.eigenbasis
+    saddle = turned.saddle if ps is not None else None
     trace = IterationTrace(meta=dict(meta, max_iters=max_iters))
+    state = _rotated(state, Vx, Vy, back=False)
 
     t_start = time.perf_counter()
     for k in range(max_iters + 1):
         if k % record_every == 0 or k == max_iters:
             _check_finite(trace.meta["scheme"], k, state)
             # A x, B y and F(x, y) once per row; the gap, r0 and the step reuse them
-            feas = feasibility_residual(problem, state)
-            objective = problem.objective(state.x, state.y)
+            feas = feasibility_residual(turned, state)
+            objective = turned.objective(state.x, state.y)
             obj = float(objective) if math.isfinite(objective) else None
             gap = ey = None
             if saddle is not None:
-                gap = lagrangian_gap(problem, state, saddle, objective)
-                ey = lyapunov(problem, state, ps, saddle, gap)
+                gap = lagrangian_gap(turned, state, saddle, objective)
+                ey = lyapunov(turned, state, ps, saddle, gap)
+            x = state.x if Vx is None else Vx @ state.x
             row = TraceRow(k=k, theta=1.0 if ps is None else ps.theta, obj=obj,
-                           feas=feas, gap=gap, lyap=ey, sparsity=sparsity(state.x),
+                           feas=feas, gap=gap, lyap=ey, sparsity=sparsity(x),
                            seconds=time.perf_counter() - t_start)
             trace.append(row)
             if k == 0 and ey is not None:
                 trace.meta["e0"] = ey
-                trace.meta["r0"] = r0(problem, state, saddle, ey)
-            if (iterate_callback is not None and iterate_callback(k, state)) or k == max_iters:
+                trace.meta["r0"] = r0(turned, state, saddle, ey)
+            seen = None if iterate_callback is None else _rotated(state, Vx, Vy, back=True)
+            if (seen is not None and iterate_callback(k, seen)) or k == max_iters:
                 break
 
         if ps is None:
-            state = step(state)
+            state = step(turned, state)
             continue
         alpha = solve_step_size(ps, rule)
         row.alpha = alpha
         ps_next = advance(ps, alpha)
-        state = step(state, ps, ps_next, alpha)
+        state = step(turned, state, ps, ps_next, alpha)
         ps = ps_next
 
     trace.meta["iterations"] = trace.rows[-1].k
+    if turned is not problem:   # products as a run in this basis would leave them
+        kept_Av = state.Av is not None
+        state = _rotated(state, Vx, Vy, back=True) if seen is None else seen
+        state.products(problem)
+        state.Av = problem.A.apply(state.v) if kept_Av else None
     return RunResult(trace=trace, state=state, params=ps)
+
+
+def _rotated(state, Vx, Vy, back):
+    """``state`` with ``x, v`` times ``Vx^T`` and ``y, w`` times ``Vy^T``, and its
+    products, which this leaves unchanged; times ``Vx`` and ``Vy``, without
+    products, when ``back``.  A ``V`` of None leaves its block as it is."""
+    if Vx is None and Vy is None:
+        return state
+    x, v, y, w = (z if V is None else (V if back else V.T) @ z
+                  for V, z in ((Vx, state.x), (Vx, state.v), (Vy, state.y), (Vy, state.w)))
+    kept = {} if back else {"Ax": state.Ax, "By": state.By, "Av": state.Av}
+    return family1.IterateState(x, v, y, w, state.lam, **kept)
 
 
 def _check_finite(method, k, state):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .linops import LinearOperator
+from .linops import DenseOperator, LinearOperator
 
 __all__ = [
     "ProxOracle",
@@ -115,6 +115,7 @@ class SeparableProblem:
 
         self.saddle = saddle
         self._saddle_terms = None   # (saddle, F(x*, y*), A x* + B y* - b)
+        self._eigenbasis = None     # (saddle, eigenbasis)
         if saddle is not None:
             shapes = (saddle.x.shape, saddle.y.shape, saddle.lam.shape)
             if shapes != ((A.shape[1],), (B.shape[1],), b.shape):
@@ -123,6 +124,40 @@ class SeparableProblem:
             feas = float(np.linalg.norm(self.saddle_terms(saddle)[1]))
             if feas > 1e-8 * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"supplied saddle point is infeasible: residual {feas:.3e}")
+
+    @property
+    def eigenbasis(self):
+        """``(problem, Vx, Vy)``: this problem with ``x = Vx x~`` and ``y = Vy y~``,
+        built on first use and kept for the last saddle point.  A block turns
+        into the eigenbasis ``V`` of its quadratic when its operator is exactly
+        a ``DenseOperator`` and its oracles exactly one ``QuadraticProx``, plus
+        ``SquaredL2`` in a split f-block (exact types: a subclass may do what
+        its data do not say).  Any other block keeps its basis (``V`` None);
+        with none turned, the problem is its own.  ``b``, the moduli and
+        ``lam*`` carry over.
+        """
+        if self._eigenbasis is None or self._eigenbasis[0] is not self.saddle:
+            self._eigenbasis = (self.saddle, self._build_eigenbasis())
+        return self._eigenbasis[1]
+
+    def _build_eigenbasis(self):
+        from .prox import QuadraticProx, SquaredL2   # prox builds on this module
+        blocks = []
+        for oracles, C in (((self.f_smooth, self.f_prox), self.A), ((self.g,), self.B)):
+            kinds = [type(h) for h in oracles if h is not None]
+            quad = next((h for h in oracles if type(h) is QuadraticProx), None)
+            turned = (type(C) is DenseOperator and kinds.count(QuadraticProx) == 1
+                      and set(kinds) <= {QuadraticProx, SquaredL2} and quad.in_eigenbasis(C))
+            blocks.append((tuple(turned[0] if h is quad else h for h in oracles), *turned[1:])
+                          if turned else (oracles, C, None))
+        ((f_smooth, f_prox), A, Vx), ((g,), B, Vy) = blocks
+        if Vx is None and Vy is None:
+            return self, None, None
+        s = self.saddle
+        saddle = None if s is None else SaddlePoint(s.x if Vx is None else Vx.T @ s.x,
+                                                    s.y if Vy is None else Vy.T @ s.y, s.lam)
+        f = f_prox if f_smooth is None else (f_smooth, f_prox)
+        return SeparableProblem(f, g, A, B, self.b, self.mu_f, self.mu_g, saddle), Vx, Vy
 
     @property
     def mu_f(self):

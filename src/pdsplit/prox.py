@@ -1,6 +1,7 @@
 """Builtin proximal oracles: l1, elastic net, hinge sums, boxes, quadratics.
 
-Every prox here is closed form, written in the ``prox`` method of its class.
+Every prox here is closed form, written in the ``prox`` method of its class,
+and refuses a step ``tau`` that is not positive.
 ``QuadraticProx`` and ``SquaredL2`` are smooth oracles too, so either can be
 the smooth part of a split f-block.  ``SquaredL2`` and
 ``QuadraticProx`` solve the augmented subproblem in closed form from one
@@ -13,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .linops import DenseOperator
 from .oracles import ProxOracle, SmoothOracle, _nonnegative
 from .subprob import prox_gradient_step
 
@@ -28,12 +30,16 @@ __all__ = [
 _NEWTON_STEPS = 25   # active-set Newton steps before the answer is tested
 
 
+def _check_step(tau):
+    """Raise ``ValueError`` unless the prox step ``tau`` is positive (a NaN is not)."""
+    if not tau > 0.0:
+        raise ValueError(f"the prox step tau must be positive, not {tau!r}")
+
+
 def _soft_threshold(z, tau, lam):
     """Prox of ``tau * lam * ||.||_1``: ``sign(z) * max(|z| - tau lam, 0)``."""
     if lam == 0.0:
         return np.asarray(z, dtype=float)
-    if tau * lam <= 0:
-        raise ValueError("threshold must be positive")
     return np.sign(z) * np.maximum(np.abs(z) - tau * lam, 0.0)
 
 
@@ -48,6 +54,7 @@ class ShiftedL1(ProxOracle):
         return self.lam * float(np.sum(np.abs(z - self.shift)))
 
     def prox(self, z, tau):
+        _check_step(tau)
         z = np.asarray(z, dtype=float)
         if z.shape != self.shift.shape:
             raise ValueError("shift and point must have matching shapes")
@@ -68,6 +75,7 @@ class SquaredL2(ProxOracle, SmoothOracle):
         return self.mu * z
 
     def prox(self, z, tau):
+        _check_step(tau)
         return np.asarray(z, dtype=float) / (1.0 + tau * self.mu)
 
     _gram = None    # (C, dense C, lam, Q) of the last operator C
@@ -99,8 +107,7 @@ class ElasticNet(ProxOracle):
 
     def prox(self, z, tau):
         """Soft-threshold by ``tau * lam``, then shrink by ``1 / (1 + tau * mu)``."""
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        _check_step(tau)
         return _soft_threshold(z, tau, self.lam) / (1.0 + tau * self.mu)
 
     def solve_augmented(self, r, C, sigma, weight, center):
@@ -129,6 +136,7 @@ class HingeSum(ProxOracle):
         """Per coordinate, with ``t = tau * weight`` and ``s = c_j z_j``: the
         point is unchanged when ``s >= 1``, shifted by ``t c_j`` when
         ``s < 1 - t``, and clamped onto the kink ``c_j z_j = 1`` in between."""
+        _check_step(tau)
         t = tau * self.weight
         s = self.labels * np.asarray(z, dtype=float)
         return self.labels * np.where(s >= 1.0, s, np.where(s < 1.0 - t, s + t, 1.0))
@@ -149,6 +157,7 @@ class BoxIndicator(ProxOracle):
         return np.inf
 
     def prox(self, z, tau):
+        _check_step(tau)
         return np.clip(z, self.lo, self.hi)
 
 
@@ -156,49 +165,72 @@ class QuadraticProx(ProxOracle, SmoothOracle):
     """``(1/2) x^T P x + p^T x`` with PSD ``P``, prox in the eigenbasis of ``P``.
 
     ``eigh(P)`` is computed on first use and kept, as is ``C V`` for the last
-    (immutable) operator ``C``.  The closed-form augmented solve lets the
-    Gauss-Seidel schemes run with a general coupling operator on this block.
-    The moduli, read from ``eigh(P)`` (the smallest eigenvalue clamped at 0,
-    the largest), bypass ``SmoothOracle``'s check: an indefinite ``P`` is accepted.
+    (immutable) operator ``C``.  With ``diagonal``, ``P`` is the vector ``e`` of
+    ``diag(e)``, kept as ``(e, None)``: the prox, value and gradient are O(n).
+    The closed-form augmented solve lets the Gauss-Seidel schemes run with a
+    general coupling operator on this block.
+    The moduli, read from the eigenvalues (the smallest clamped at 0, the
+    largest), bypass ``SmoothOracle``'s check: an indefinite ``P`` is accepted.
     """
 
-    def __init__(self, P, p=None):
+    def __init__(self, P, p=None, diagonal=False):
         P = np.asarray(P, dtype=float)
         p = np.zeros(P.shape[:1]) if p is None else np.asarray(p, dtype=float)
-        if P.ndim != 2 or p.ndim != 1 or P.shape != (p.size, p.size):
-            raise ValueError(f"P must be square and p a vector of its side, not {P.shape} and {p.shape}")
+        if p.ndim != 1 or P.shape != (p.size,) * (1 if diagonal else 2):
+            raise ValueError(f"P must be {'a vector' if diagonal else 'square'} and p a vector "
+                             f"of its side, not {P.shape} and {p.shape}")
         if not (np.isfinite(P).all() and np.isfinite(p).all()):
             raise ValueError("P and p must be finite")
-        self.P, self.p = 0.5 * (P + P.T), p
+        self.P, self.p = P if diagonal else 0.5 * (P + P.T), p
         self._coupled = None    # (C, C V) for the last operator C
 
     @cached_property
     def _eigh(self):
-        return np.linalg.eigh(self.P)
+        return (self.P, None) if self.P.ndim == 1 else np.linalg.eigh(self.P)
 
     @cached_property
     def strong_convexity(self):
-        return float(max(self._eigh[0][0], 0.0))
+        return float(max(self._eigh[0].min(), 0.0))
 
     @cached_property
     def lipschitz(self):
-        return float(self._eigh[0][-1])
+        return float(self._eigh[0].max())
 
     def value(self, z):
-        return 0.5 * float(z @ (self.P @ z)) + float(self.p @ z)
+        Pz = self.P * z if self.P.ndim == 1 else self.P @ z
+        return 0.5 * float(z @ Pz) + float(self.p @ z)
 
     def prox(self, z, tau):
+        _check_step(tau)
         e, V = self._eigh
+        if V is None:
+            return (z - tau * self.p) / (1.0 + tau * e)
         return V @ ((V.T @ (z - tau * self.p)) / (1.0 + tau * e))
 
     def gradient(self, z):
-        return self.P @ z + self.p
+        return (self.P * z if self.P.ndim == 1 else self.P @ z) + self.p
 
     def solve_augmented(self, r, C, sigma, weight, center):
         e, V = self._eigh
+        return _solve_augmented_normal(V, e + weight, self._times_V(C), sigma, r - self.p)
+
+    def _times_V(self, C):
+        """``C V`` (``C`` for a diagonal ``P``), kept for the last operator ``C``."""
         if self._coupled is None or self._coupled[0] is not C:
-            self._coupled = (C, C.to_dense() @ V)
-        return _solve_augmented_normal(V, e + weight, self._coupled[1], sigma, r - self.p)
+            V = self._eigh[1]
+            self._coupled = (C, C.to_dense() if V is None else C.to_dense() @ V)
+        return self._coupled[1]
+
+    def in_eigenbasis(self, C):
+        """``(h, C V, V)``: the diagonal ``h`` of ``(e, V^T p)``, this quadratic
+        in the eigenbasis ``V`` of ``P``, and ``C V`` as an operator with
+        ``C``'s norm, so that step sizes keep their bits; None for a diagonal."""
+        e, V = self._eigh
+        if V is None:
+            return None
+        CV = DenseOperator(self._times_V(C))
+        CV._norm = C.norm()
+        return QuadraticProx(e, V.T @ self.p, diagonal=True), CV, V
 
 
 def _l1_newton(block, r, C, sigma, weight, center):

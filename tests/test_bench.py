@@ -352,6 +352,16 @@ def test_cli_refuses_a_config_file_that_is_not_a_json_object(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("methods", [None, 5])
+def test_cli_refuses_methods_that_are_not_a_sequence(tmp_path, methods):
+    # both used to die with a TypeError from tuple(methods)
+    cfg_file = tmp_path / "methods.json"
+    cfg_file.write_text(json.dumps({"methods": methods}))
+    with pytest.raises(ValueError, match=f"methods must be a sequence of tags, not {methods!r}"):
+        main(["--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
+
+
 def test_generate_problem_dispatch():
     for kind in ("lad-case1", "lad-case2", "svm-l1", "svm-elastic"):
         cfg = RunConfig(problem=kind, m=10, n=30, iters=1)

@@ -9,8 +9,10 @@ from pdsplit.baselines import ladmm_run, pdhg_run
 from pdsplit.bench import generate_lad, generate_quadratic
 from pdsplit.driver import build_rule, iterate, run
 from pdsplit.family1 import IterateState
+from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.oracles import SeparableProblem, feasibility_residual
 from pdsplit.params import ParamState, Scheme
+from pdsplit.prox import QuadraticProx
 
 from helpers import quadratic_instance
 
@@ -54,7 +56,8 @@ def test_merit_costs_one_gap_per_row(monkeypatch, iters, calls):
 
 def test_objective_once_per_row(monkeypatch):
     # the row's F(x, y) serves the obj column and the gap; the saddle side
-    # of the gap was evaluated when the problem was built
+    # of the gap was evaluated when the problem was built, and when its
+    # eigenbasis problem was, on the first run
     count = 0
     objective = SeparableProblem.objective
 
@@ -67,7 +70,9 @@ def test_objective_once_per_row(monkeypatch):
     monkeypatch.setattr(SeparableProblem, "objective", counted)
     res = run(prob, Scheme.F1_SEMI_A, 10)
     assert len(res.trace.rows) == 11
-    assert count == 11
+    assert count == 11 + 1
+    run(prob, Scheme.F1_SEMI_A, 10)
+    assert count == 11 + 1 + 11
 
 
 def feasible_within(prob, tol):
@@ -168,6 +173,16 @@ def test_gap_columns_empty_without_saddle():
     assert "r0" not in res.trace.meta
 
 
+def test_a_replaced_saddle_point_reaches_the_next_run():
+    # the eigenbasis problem is kept for the last saddle point, not for good
+    prob, _ = quadratic_instance(87)
+    saddle, gaps = prob.saddle, []
+    for point in (saddle, None, saddle):
+        prob.saddle = point
+        gaps.append(run(prob, Scheme.F1_SEMI_B, 5).trace.rows[-1].gap)
+    assert gaps[0] == gaps[2] is not None and gaps[1] is None
+
+
 START_ENTRY_POINTS = {
     "f1-semiA": lambda prob: run(prob, Scheme.F1_SEMI_A, 20, y0=[0.5]),
     "f1-explicit": lambda prob: run(prob, Scheme.F1_EXPLICIT, 20, y0=[0.5]),
@@ -214,11 +229,9 @@ NAN_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("method", list(NAN_ENTRY_POINTS))
-def test_non_finite_iterate_raises(method):
-    # the x-block prox runs once per step; its third call makes x_3
-    prob, _ = quadratic_instance(88)
-    prox, calls = prob.f_prox.prox, 0
+def _nan_from_third_call(oracle):
+    """Make ``oracle``'s prox return NaN from its third call on."""
+    prox, calls = oracle.prox, 0
 
     def nan_from_third_call(z, tau):
         nonlocal calls
@@ -226,6 +239,74 @@ def test_non_finite_iterate_raises(method):
         out = prox(z, tau)
         return np.full_like(out, np.nan) if calls >= 3 else out
 
-    prob.f_prox.prox = nan_from_third_call
-    with pytest.raises(FloatingPointError, match=f"^{method}: non-finite x at iteration 3$"):
-        NAN_ENTRY_POINTS[method](prob)
+    oracle.prox = nan_from_third_call
+
+
+@pytest.mark.parametrize("method", list(NAN_ENTRY_POINTS))
+def test_non_finite_iterate_raises(method):
+    # the x-block prox runs once per step; its third call makes x_3.  The run
+    # calls the oracles of the problem it steps: an l1 problem's own, and a
+    # quadratic problem's eigenbasis problem's
+    plain, rotated = generate_lad(20, 60, 0).prox_form, quadratic_instance(88)[0]
+    assert plain.eigenbasis[0] is plain and rotated.eigenbasis[0] is not rotated
+    for prob in (plain, rotated):
+        _nan_from_third_call(prob.eigenbasis[0].f_prox)
+        with pytest.raises(FloatingPointError, match=f"^{method}: non-finite x at iteration 3$"):
+            NAN_ENTRY_POINTS[method](prob)
+
+
+class _PlainDense(DenseOperator):
+    """A subclassed operator: its blocks never rotate."""
+
+
+def _rotating_and_plain(method):
+    prox_form, split_form = quadratic_instance(89)
+    if method == "pdhg":
+        m = prox_form.dim_lam
+        pair = [SeparableProblem(prox_form.f_prox, QuadraticProx(np.eye(m)), op(prox_form.A.matrix),
+                                 negated_identity(m), np.zeros(m)) for op in (DenseOperator, _PlainDense)]
+    else:
+        base = split_form if getattr(method, "family", 1) == 2 else prox_form
+        f = (base.f_smooth, base.f_prox) if base.has_smooth_f() else base.f_prox
+        pair = [SeparableProblem(f, base.g, op(base.A.matrix), op(base.B.matrix), base.b,
+                                 saddle=base.saddle) for op in (DenseOperator, _PlainDense)]
+    assert pair[0].eigenbasis[0] is not pair[0] and pair[1].eigenbasis[0] is pair[1]
+    return pair
+
+
+@pytest.mark.parametrize("method", [*Scheme, "ladmm", "pdhg"], ids=lambda m: getattr(m, "value", m))
+def test_a_run_in_the_eigenbasis_matches_the_run_in_the_original_one(method):
+    # theta, alpha and sparsity bit for bit, the rest to rounding; the
+    # callback and the caller see original-basis states, the returned one
+    # with A x and B y (and pdhg's A v) from the original operators
+    runs = []
+    for rotating, prob in zip((True, False), _rotating_and_plain(method)):
+        seen = []
+
+        def callback(k, state):
+            seen.append(state)
+
+        if method in ("ladmm", "pdhg"):
+            trace, state = ENTRY_POINTS[method](prob, 40, callback)
+        else:
+            res = run(prob, method, 40, iterate_callback=callback)
+            trace, state = res.trace, res.state
+        assert state is seen[-1]
+        assert np.array_equal(state.Ax, prob.A.apply(state.x))
+        assert np.array_equal(state.By, prob.B.apply(state.y))
+        assert (state.Av is None) == (method != "pdhg")
+        if method == "pdhg":   # the plain step derives it as 2 A x+ - A x
+            Av = prob.A.apply(state.v)
+            assert np.array_equal(state.Av, Av) if rotating else np.allclose(state.Av, Av, atol=1e-12)
+        runs.append((trace, seen))
+    (turned, turned_seen), (plain, plain_seen) = runs
+    for col in ("theta", "alpha", "sparsity"):
+        assert turned.column(col) == plain.column(col), col
+    for col in ("obj", "feas", "gap", "lyap"):
+        got, want = (np.array([np.nan if v is None else v for v in t.column(col)]) for t in (turned, plain))
+        scale = np.nanmax(np.abs(want)) if not np.isnan(want).all() else 1.0
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * scale, equal_nan=True), col
+    for a, b in zip(turned_seen, plain_seen, strict=True):
+        for block in ("x", "v", "y", "w", "lam"):
+            want = getattr(b, block)
+            assert np.linalg.norm(getattr(a, block) - want) <= 1e-12 * (1.0 + np.linalg.norm(want)), block

@@ -179,3 +179,34 @@ def test_summary_reads_each_median_ratio_against_the_parents_interquartile_range
     assert rows["worse"] == ["0.100", "no-gain", "0/3", "1.050"]
     assert rows["higher"] == ["0.100", "3/3", "1.200"]
     assert rows["higher_short"] == ["0.100", "no-gain", "3/3", "1.050"]
+
+
+def _aa_record(path, workload, values):
+    """A recorded A/A side whose runs of ``workload`` give ``setup_s`` ``values``."""
+    runs = [{"workload": workload, "result": {"metrics": {"setup_s": {"value": v}}}} for v in values]
+    path.write_text(json.dumps({"runs": runs}))
+
+
+def test_summary_reads_the_recorded_aa_band_of_the_workload(trees, capsys):
+    out = trees[2]
+    _aa_record(out / "BENCH_aa-0-quad-saddle-a.json", "quad-saddle", [1.0])   # earlier by name
+    _aa_record(out / "BENCH_aa-0-quad-saddle-b.json", "quad-saddle", [9.0])
+    _aa_record(out / "BENCH_aa-1-quad-saddle-a.json", "quad-saddle", [1.0, 2.0, 3.0])
+    _aa_record(out / "BENCH_aa-1-quad-saddle-b.json", "quad-saddle", [1.1, 2.5, 3.0])
+    _aa_record(out / "BENCH_aa-2-lad-inner-a.json", "lad-inner", [1.0])   # another workload
+    _aa_record(out / "BENCH_aa-2-lad-inner-b.json", "lad-inner", [7.0])
+    _main(trees, "quad-saddle", "1-3")
+    lines = capsys.readouterr().out.splitlines()
+    head = lines.index("A/A: median ratios of BENCH_aa-1-quad-saddle-a.json and its -b")
+    assert lines[head + 1].split()[10:12] == ["IQR", "A/A"]
+    rows = {line.split()[0]: line.split()[7:9] for line in lines[head + 2:-1]}
+    # medians 2.5 over 2.0; a metric the control did not record reads "-"
+    assert rows["setup_s"][1] == "1.250" and rows["iter_per_s"][1] == "-"
+
+
+def test_summary_has_no_aa_column_without_a_recorded_control(trees, capsys):
+    _aa_record(trees[2] / "BENCH_aa-zzz-lad-inner-a.json", "lad-inner", [1.0])
+    _aa_record(trees[2] / "BENCH_aa-zzz-lad-inner-b.json", "lad-inner", [7.0])
+    _main(trees, "quad-saddle", "1-3")
+    printed = capsys.readouterr().out
+    assert "A/A" not in printed

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from pdsplit.bench import generate_lad, generate_quadratic, generate_svm
 from pdsplit.family1 import IterateState
-from pdsplit.linops import DenseOperator, negated_identity
+from pdsplit.linops import DenseOperator, DiagonalOperator, ScaledIdentity, negated_identity
 from pdsplit.oracles import (SaddlePoint, SeparableProblem, SmoothOracle,
                              feasibility_residual, lagrangian_value)
 from pdsplit.prox import BoxIndicator, ElasticNet, QuadraticProx, SquaredL2
@@ -184,3 +185,68 @@ def test_smooth_gradient_matches_central_differences():
             e[i] = h
             fd[i] = (f.value(z + e) - f.value(z - e)) / (2.0 * h)
         assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
+
+
+class _SubclassedQuadratic(QuadraticProx):
+    pass
+
+
+class _SubclassedDense(DenseOperator):
+    pass
+
+
+def _non_rotating(kind):
+    """A problem none of whose blocks rotates into an eigenbasis."""
+    prox_form, _ = quadratic_instance(6)
+    f, g, b = prox_form.f_prox, prox_form.g, prox_form.b
+    A, B = prox_form.A.matrix, prox_form.B.matrix
+    return {
+        "l1": lambda: generate_lad(20, 60, 0).prox_form,
+        "l1 split": lambda: generate_lad(20, 60, 0).split_form,
+        "hinge": lambda: generate_svm(20, 60, 0).prox_form,
+        "scaled identity": lambda: SeparableProblem(f, g, ScaledIdentity(2.0, 8), negated_identity(8), b),
+        "diagonal operator": lambda: SeparableProblem(f, g, DiagonalOperator(np.arange(1.0, 9.0)),
+                                                      DiagonalOperator(np.ones(8)), b),
+        "two quadratics": lambda: SeparableProblem((f, QuadraticProx(np.eye(8))), g, DenseOperator(A),
+                                                   negated_identity(8), b),
+        "subclassed oracle": lambda: SeparableProblem(_SubclassedQuadratic(f.P, f.p),
+                                                      _SubclassedQuadratic(g.P, g.p),
+                                                      DenseOperator(A), DenseOperator(B), b),
+        "subclassed operator": lambda: SeparableProblem(f, g, _SubclassedDense(A), _SubclassedDense(B), b),
+        "diagonal quadratic": lambda: SeparableProblem(QuadraticProx(np.ones(8), diagonal=True),
+                                                       QuadraticProx(np.ones(8), diagonal=True),
+                                                       DenseOperator(A), DenseOperator(B), b),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", ["l1", "l1 split", "hinge", "scaled identity", "diagonal operator",
+                                  "two quadratics", "subclassed oracle", "subclassed operator",
+                                  "diagonal quadratic"])
+def test_a_problem_without_a_rotating_block_is_its_own_eigenbasis_problem(kind):
+    prob = _non_rotating(kind)
+    assert prob.eigenbasis == (prob, None, None)
+
+
+def test_eigenbasis_problem_diagonalizes_each_quadratic_block():
+    prox_form, split_form = quadratic_instance(7)
+    for prob in (prox_form, split_form):
+        turned, Vx, Vy = prob.eigenbasis
+        assert prob.eigenbasis[0] is turned   # built once
+        for V, h, C, rot_h, rot_C in ((Vx, prox_form.f_prox, prob.A, turned.f_smooth or turned.f_prox,
+                                       turned.A), (Vy, prob.g, prob.B, turned.g, turned.B)):
+            e, _ = np.linalg.eigh(h.P)
+            assert type(rot_h) is QuadraticProx and rot_h.P.ndim == 1
+            assert np.allclose(rot_h.P, e, rtol=1e-12, atol=1e-12)
+            assert np.allclose(rot_h.p, V.T @ h.p, rtol=1e-12, atol=1e-12)
+            assert np.allclose(rot_C.matrix, C.matrix @ V, rtol=1e-12, atol=1e-12)
+            assert rot_C.norm() == C.norm()
+        assert (turned.mu_f, turned.mu_g) == (prob.mu_f, prob.mu_g)
+        assert turned.b is prob.b and turned.saddle.lam is prob.saddle.lam
+        x, y = prob.saddle.x, prob.saddle.y
+        assert np.allclose(turned.saddle.x, Vx.T @ x) and np.allclose(turned.saddle.y, Vy.T @ y)
+        assert turned.objective(Vx.T @ x, Vy.T @ y) == pytest.approx(prob.objective(x, y), rel=1e-12)
+    assert split_form.eigenbasis[0].f_prox is split_form.f_prox   # a rotation leaves SquaredL2 be
+    # a generated instance's two forms share A and f, so they share its kept A V
+    bundle = generate_quadratic(6, 10, seed=0)
+    turned = [form.eigenbasis[0] for form in (bundle.prox_form, bundle.split_form)]
+    assert turned[0].A.matrix is turned[1].A.matrix

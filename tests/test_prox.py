@@ -140,10 +140,19 @@ def test_hinge_prox_three_regions():
 
 
 def test_prox_calls_check_step_and_shape():
+    # every prox refuses a step that is not positive with one message; the
+    # unweighted l1 used to return its point, the quadratics to divide by
+    # zero, the hinge to move its point and the box to ignore the step
     z = np.array([1.5, -0.2])
-    for oracle in (ElasticNet(1.0, 0.0), ShiftedL1(np.zeros(2)), ElasticNet(1.0, 0.5)):
-        with pytest.raises(ValueError):
-            oracle.prox(z, 0.0)
+    oracles = (ElasticNet(1.0, 0.0), ElasticNet(1.0, 0.5), ElasticNet(0.0, 1.0),
+               ShiftedL1(np.zeros(2)), ShiftedL1(np.zeros(2), lam=0.0), SquaredL2(1.0),
+               SquaredL2(0.0), HingeSum(np.array([1.0, -1.0]), 1.0),
+               BoxIndicator(-np.ones(2), np.ones(2)), QuadraticProx(np.eye(2)),
+               QuadraticProx(np.ones(2), diagonal=True))
+    for oracle in oracles:
+        for tau in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="^the prox step tau must be positive, not "):
+                oracle.prox(z, tau)
     with pytest.raises(ValueError):
         ShiftedL1(np.zeros(3)).prox(z, 1.0)
     # no l1 weight: the elastic net is a pure shrink
@@ -240,6 +249,32 @@ def test_eigenbasis_prox_matches_dense_solve(n, rank):
         z = rng.standard_normal(n)
         want = np.linalg.solve(np.eye(n) + tau * q.P, z - tau * p)
         assert _rel_err(q.prox(z, tau), want) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [5, 30])
+def test_diagonal_quadratic_matches_its_dense_matrix(m):
+    # unsorted eigenvalues with a zero among them; m < n takes the capacitance
+    # system of the augmented solve, m >= n the direct one
+    n = 12
+    rng = np.random.default_rng(m)
+    e, p = rng.permutation(np.r_[0.0, rng.random(n - 1) * 5.0]), rng.standard_normal(n)
+    diag, dense = QuadraticProx(e, p, diagonal=True), QuadraticProx(np.diag(e), p)
+    assert (diag.strong_convexity, diag.lipschitz) == (dense.strong_convexity, dense.lipschitz)
+    z = rng.standard_normal(n)
+    assert abs(diag.value(z) - dense.value(z)) <= 1e-12 * abs(dense.value(z))
+    assert _rel_err(diag.gradient(z), dense.gradient(z)) <= 1e-12
+    for tau in (1e-3, 0.7, 50.0):
+        assert _rel_err(diag.prox(z, tau), dense.prox(z, tau)) <= 1e-12
+    for sigma in (1e-3, 1.0, 1e3):
+        args = _augmented_args(_augmented_case(rng, m, n), sigma)
+        assert _rel_err(diag.solve_augmented(**args), dense.solve_augmented(**args)) <= 1e-12
+
+
+def test_diagonal_quadratic_checks_its_data_when_built():
+    with pytest.raises(ValueError, match="P must be a vector and p a vector of its side"):
+        QuadraticProx(np.eye(2), diagonal=True)
+    with pytest.raises(ValueError, match="must be finite"):
+        QuadraticProx(np.array([1.0, np.inf]), diagonal=True)
 
 
 def _augmented_reference(P, p, r, C, sigma, weight, center):

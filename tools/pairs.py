@@ -34,7 +34,12 @@ median to the parent's.  A ratio that is not better than 1 by more than
 that range is marked ``no-gain``: a claimed gain must clear it.  A metric
 whose change median is worse than the parent's by more than its ``bound``
 (a fraction of the parent's median) is marked ``OUTSIDE``.  The direction
-and the bound are read from CHANGE's ``BENCHMARK.json``.
+and the bound are read from CHANGE's ``BENCHMARK.json``.  When the current
+directory holds a recorded A/A control of the workload,
+``BENCH_aa-<name>-<workload>-a.json`` and its ``-b.json``, the summary also
+prints each metric's A/A median ratio (``-b`` over ``-a``, from the last such
+pair by name) beside the parent's interquartile range: the spread that
+identical trees showed, against which a pair's ratio is read.
 
 Given the same tree twice, with two ``--names``, the script is an A/A
 control: both copies run from the slots as above, and the summary reads
@@ -133,15 +138,38 @@ def quartiles(values):
     return q2, q1, q3
 
 
-def summary(runs, spec):
+def _ratio(change, parent):
+    return change / parent if parent else (1.0 if change == 0 else math.inf)
+
+
+def aa_band(workload):
+    """The name of the last recorded A/A control of ``workload`` in the
+    current directory (its ``-a`` file) and each metric's median ratio
+    there, ``-b`` over ``-a``; None when there is none."""
+    for a in sorted(Path().glob(f"BENCH_aa-*-{workload}-a.json"), reverse=True):
+        b = a.with_name(a.name[:-len("a.json")] + "b.json")
+        if not b.exists():
+            continue
+        sides = [[run["result"]["metrics"] for run in json.loads(path.read_text())["runs"]
+                  if run["workload"] == workload] for path in (a, b)]
+        if all(sides):
+            return a.name, {name: _ratio(*(statistics.median(m[name]["value"] for m in side)
+                                           for side in reversed(sides)))
+                            for name in sides[0][0]}
+    return None
+
+
+def summary(runs, spec, band=None):
     """Lines of per-metric medians, quartiles, the parent's interquartile
     range as a fraction of its median, the change's wins and its median ratio
     to the parent's over ``runs``, a list of (parent result, change result)
     pairs.  A ratio better than 1 by no more than that range is marked
     ``no-gain``.  ``spec`` maps a metric's name to its ``BENCHMARK.json``
-    entry, whose ``bound`` (when given) marks a worse ratio ``OUTSIDE``."""
+    entry, whose ``bound`` (when given) marks a worse ratio ``OUTSIDE``.
+    ``band``, when given, maps a metric to its A/A median ratio, printed
+    after the range."""
     lines = [f"{'metric':14s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s} "
-             "parent IQR          wins  change/parent"]
+             f"parent IQR{'     A/A' if band else ''}          wins  change/parent"]
     for name in runs[0][0]["metrics"]:
         sides = [[r[i]["metrics"][name]["value"] for r in runs] for i in (0, 1)]
         entry = spec.get(name, {})
@@ -150,14 +178,15 @@ def summary(runs, spec):
         stats = [quartiles(vals) for vals in sides]
         cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*q) for q in stats]
         (parent, q1, q3), change = stats[0], stats[1][0]
-        ratio = change / parent if parent else (1.0 if change == 0 else math.inf)
+        ratio = _ratio(change, parent)
         iqr = (q3 - q1) / parent if parent else 0.0
+        aa = "" if not band else f" {band[name]:7.3f}" if name in band else f" {'-':>7s}"
         gain = "" if sign * (1.0 - ratio) > iqr else "no-gain"
         verdict = ""
         if "bound" in entry:
             outside = sign * (ratio - 1.0) > entry["bound"]
             verdict = f" {'OUTSIDE' if outside else 'within'} bound {entry['bound']:g}"
-        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {iqr:10.3f} {gain:7s}  "
+        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {iqr:10.3f}{aa} {gain:7s}  "
                      f"{wins}/{len(runs)}  {ratio:.3f}{verdict}")
     failed = [sum(r[i]["failed"] for r in runs) for i in (0, 1)]
     lines.append(f"failed operations: parent {failed[0]}, change {failed[1]}")
@@ -216,8 +245,12 @@ def main(argv=None):
             results.append((got["parent"][1], got["change"][1]))
             print(f"pair {pair} seed {seed}: {order[0]} first, ok", flush=True)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    band = aa_band(args.workload)
     print(f"{args.workload}: {len(results)} pairs, {names['change']} against {names['parent']}")
-    print("\n".join(summary(results, {m["name"]: m for m in spec["end_to_end"]})))
+    if band:
+        print(f"A/A: median ratios of {band[0]} and its -b")
+    print("\n".join(summary(results, {m["name"]: m for m in spec["end_to_end"]},
+                             band and band[1])))
 
 
 if __name__ == "__main__":

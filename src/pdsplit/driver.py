@@ -93,8 +93,9 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     ``"scheme"``.  With a parameter schedule (``ps`` and its ``rule``)
     the step is ``step(problem, state, ps, ps_next, alpha)``, else
     ``step(problem, state)``, on ``problem.eigenbasis``.  The callback and
-    the caller get states in the original basis, the returned one with
-    ``A x``, ``B y`` and a kept ``A v`` from the original operators.
+    the caller get states in the original basis: the callback's keep the
+    row's products, the returned one has ``A x``, ``B y`` and a kept ``A v``
+    formed by the original operators.
     A ``max_iters`` that is not an integer (a ``bool`` included) raises
     ``TypeError``, a negative one ``ValueError``.
     """
@@ -146,23 +147,21 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
 
     trace.meta["iterations"] = trace.rows[-1].k
     if turned is not problem:   # products as a run in this basis would leave them
-        kept_Av = state.Av is not None
         state = _rotated(state, Vx, Vy, back=True) if seen is None else seen
-        state.products(problem)
-        state.Av = problem.A.apply(state.v) if kept_Av else None
+        state.Ax, state.By = problem.A.apply(state.x), problem.B.apply(state.y)
+        state.Av = None if state.Av is None else problem.A.apply(state.v)
     return RunResult(trace=trace, state=state, params=ps)
 
 
 def _rotated(state, Vx, Vy, back):
-    """``state`` with ``x, v`` times ``Vx^T`` and ``y, w`` times ``Vy^T``, and its
-    products, which this leaves unchanged; times ``Vx`` and ``Vy``, without
-    products, when ``back``.  A ``V`` of None leaves its block as it is."""
+    """``state`` with ``x, v`` times ``Vx^T`` and ``y, w`` times ``Vy^T`` (``Vx``
+    and ``Vy`` when ``back``; a None leaves its block), and its products, which
+    a rotation leaves unchanged up to rounding."""
     if Vx is None and Vy is None:
         return state
     x, v, y, w = (z if V is None else (V if back else V.T) @ z
                   for V, z in ((Vx, state.x), (Vx, state.v), (Vy, state.y), (Vy, state.w)))
-    kept = {} if back else {"Ax": state.Ax, "By": state.By, "Av": state.Av}
-    return family1.IterateState(x, v, y, w, state.lam, **kept)
+    return family1.IterateState(x, v, y, w, state.lam, Ax=state.Ax, By=state.By, Av=state.Av)
 
 
 def _check_finite(method, k, state):

@@ -128,14 +128,11 @@ class SeparableProblem:
     @property
     def eigenbasis(self):
         """``(problem, Vx, Vy)``: this problem with ``x = Vx x~`` and ``y = Vy y~``,
-        built on first use and kept for the last saddle point.  A block turns
-        into the eigenbasis ``V`` of its quadratic when its operator is exactly
-        a ``DenseOperator`` and its oracles exactly one ``QuadraticProx``, plus
-        ``SquaredL2`` in a split f-block (exact types: a subclass may do what
-        its data do not say).  Any other block keeps its basis (``V`` None);
-        with none turned, the problem is its own.  ``b``, the moduli and
-        ``lam*`` carry over.
-        """
+        kept for the last saddle point.  A block turns into the eigenbasis of
+        its quadratic when its operator is exactly a ``DenseOperator`` and its
+        oracles exactly one ``QuadraticProx``, plus ``SquaredL2`` in a split
+        f-block (a subclass may do what its data do not say); any other keeps
+        its basis (``V`` None).  With none turned, the problem is its own."""
         if self._eigenbasis is None or self._eigenbasis[0] is not self.saddle:
             self._eigenbasis = (self.saddle, self._build_eigenbasis())
         return self._eigenbasis[1]

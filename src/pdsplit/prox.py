@@ -165,23 +165,23 @@ class QuadraticProx(ProxOracle, SmoothOracle):
     """``(1/2) x^T P x + p^T x`` with PSD ``P``, prox in the eigenbasis of ``P``.
 
     ``eigh(P)`` is computed on first use and kept, as is ``C V`` for the last
-    (immutable) operator ``C``.  With ``diagonal``, ``P`` is the vector ``e`` of
-    ``diag(e)``, kept as ``(e, None)``: the prox, value and gradient are O(n).
+    (immutable) operator ``C``.  The diagonal form that :meth:`in_eigenbasis`
+    builds holds the vector ``e`` of ``P = diag(e)``, kept as ``(e, None)``:
+    its prox, value and gradient cost O(n).
     The closed-form augmented solve lets the Gauss-Seidel schemes run with a
     general coupling operator on this block.
     The moduli, read from the eigenvalues (the smallest clamped at 0, the
     largest), bypass ``SmoothOracle``'s check: an indefinite ``P`` is accepted.
     """
 
-    def __init__(self, P, p=None, diagonal=False):
+    def __init__(self, P, p=None):
         P = np.asarray(P, dtype=float)
         p = np.zeros(P.shape[:1]) if p is None else np.asarray(p, dtype=float)
-        if p.ndim != 1 or P.shape != (p.size,) * (1 if diagonal else 2):
-            raise ValueError(f"P must be {'a vector' if diagonal else 'square'} and p a vector "
-                             f"of its side, not {P.shape} and {p.shape}")
+        if P.ndim != 2 or p.ndim != 1 or P.shape != (p.size, p.size):
+            raise ValueError(f"P must be square and p a vector of its side, not {P.shape} and {p.shape}")
         if not (np.isfinite(P).all() and np.isfinite(p).all()):
             raise ValueError("P and p must be finite")
-        self.P, self.p = P if diagonal else 0.5 * (P + P.T), p
+        self.P, self.p = 0.5 * (P + P.T), p
         self._coupled = None    # (C, C V) for the last operator C
 
     @cached_property
@@ -222,15 +222,17 @@ class QuadraticProx(ProxOracle, SmoothOracle):
         return self._coupled[1]
 
     def in_eigenbasis(self, C):
-        """``(h, C V, V)``: the diagonal ``h`` of ``(e, V^T p)``, this quadratic
-        in the eigenbasis ``V`` of ``P``, and ``C V`` as an operator with
-        ``C``'s norm, so that step sizes keep their bits; None for a diagonal."""
+        """``(h, C V, V)``: this quadratic in the eigenbasis ``V`` of ``P``, ``h``
+        the diagonal form of ``(e, V^T p)``, and ``C V`` as an operator with
+        ``C``'s norm, so that step sizes keep their bits; None for a diagonal form."""
         e, V = self._eigh
         if V is None:
             return None
+        h = QuadraticProx.__new__(QuadraticProx)   # __init__ takes a square P only
+        h.P, h.p, h._coupled = e, V.T @ self.p, None
         CV = DenseOperator(self._times_V(C))
         CV._norm = C.norm()
-        return QuadraticProx(e, V.T @ self.p, diagonal=True), CV, V
+        return h, CV, V
 
 
 def _l1_newton(block, r, C, sigma, weight, center):

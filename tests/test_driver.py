@@ -292,6 +292,9 @@ def test_a_run_in_the_eigenbasis_matches_the_run_in_the_original_one(method):
             res = run(prob, method, 40, iterate_callback=callback)
             trace, state = res.trace, res.state
         assert state is seen[-1]
+        for s in seen[:-1]:   # each callback state keeps its row's products
+            for got, want in ((s.Ax, prob.A.apply(s.x)), (s.By, prob.B.apply(s.y))):
+                assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
         assert np.array_equal(state.Ax, prob.A.apply(state.x))
         assert np.array_equal(state.By, prob.B.apply(state.y))
         assert (state.Av is None) == (method != "pdhg")

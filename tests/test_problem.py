@@ -213,8 +213,8 @@ def _non_rotating(kind):
                                                       _SubclassedQuadratic(g.P, g.p),
                                                       DenseOperator(A), DenseOperator(B), b),
         "subclassed operator": lambda: SeparableProblem(f, g, _SubclassedDense(A), _SubclassedDense(B), b),
-        "diagonal quadratic": lambda: SeparableProblem(QuadraticProx(np.ones(8), diagonal=True),
-                                                       QuadraticProx(np.ones(8), diagonal=True),
+        "diagonal quadratic": lambda: SeparableProblem(f.in_eigenbasis(DenseOperator(A))[0],
+                                                       g.in_eigenbasis(DenseOperator(B))[0],
                                                        DenseOperator(A), DenseOperator(B), b),
     }[kind]()
 

@@ -148,7 +148,7 @@ def test_prox_calls_check_step_and_shape():
                ShiftedL1(np.zeros(2)), ShiftedL1(np.zeros(2), lam=0.0), SquaredL2(1.0),
                SquaredL2(0.0), HingeSum(np.array([1.0, -1.0]), 1.0),
                BoxIndicator(-np.ones(2), np.ones(2)), QuadraticProx(np.eye(2)),
-               QuadraticProx(np.ones(2), diagonal=True))
+               QuadraticProx(np.eye(2)).in_eigenbasis(DenseOperator(np.eye(2)))[0])
     for oracle in oracles:
         for tau in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="^the prox step tau must be positive, not "):
@@ -252,29 +252,28 @@ def test_eigenbasis_prox_matches_dense_solve(n, rank):
 
 
 @pytest.mark.parametrize("m", [5, 30])
-def test_diagonal_quadratic_matches_its_dense_matrix(m):
-    # unsorted eigenvalues with a zero among them; m < n takes the capacitance
-    # system of the augmented solve, m >= n the direct one
+def test_diagonal_form_matches_its_dense_quadratic(m):
+    # the diagonal form of QuadraticProx(np.diag(e), p), whose eigenbasis V is
+    # a permutation: each of its results, mapped back by V, is the dense
+    # one's.  Unsorted eigenvalues with a zero among them; m < n takes the
+    # capacitance system of the augmented solve, m >= n the direct one
     n = 12
     rng = np.random.default_rng(m)
     e, p = rng.permutation(np.r_[0.0, rng.random(n - 1) * 5.0]), rng.standard_normal(n)
-    diag, dense = QuadraticProx(e, p, diagonal=True), QuadraticProx(np.diag(e), p)
+    dense, case = QuadraticProx(np.diag(e), p), _augmented_case(rng, m, n)
+    diag, CV, V = dense.in_eigenbasis(case["C"])
+    assert type(diag) is QuadraticProx and diag.P.shape == (n,) and diag.in_eigenbasis(CV) is None
+    assert np.allclose(diag.P, np.sort(e), rtol=1e-12, atol=1e-12)
     assert (diag.strong_convexity, diag.lipschitz) == (dense.strong_convexity, dense.lipschitz)
     z = rng.standard_normal(n)
-    assert abs(diag.value(z) - dense.value(z)) <= 1e-12 * abs(dense.value(z))
-    assert _rel_err(diag.gradient(z), dense.gradient(z)) <= 1e-12
+    assert abs(diag.value(V.T @ z) - dense.value(z)) <= 1e-12 * abs(dense.value(z))
+    assert _rel_err(V @ diag.gradient(V.T @ z), dense.gradient(z)) <= 1e-12
     for tau in (1e-3, 0.7, 50.0):
-        assert _rel_err(diag.prox(z, tau), dense.prox(z, tau)) <= 1e-12
+        assert _rel_err(V @ diag.prox(V.T @ z, tau), dense.prox(z, tau)) <= 1e-12
     for sigma in (1e-3, 1.0, 1e3):
-        args = _augmented_args(_augmented_case(rng, m, n), sigma)
-        assert _rel_err(diag.solve_augmented(**args), dense.solve_augmented(**args)) <= 1e-12
-
-
-def test_diagonal_quadratic_checks_its_data_when_built():
-    with pytest.raises(ValueError, match="P must be a vector and p a vector of its side"):
-        QuadraticProx(np.eye(2), diagonal=True)
-    with pytest.raises(ValueError, match="must be finite"):
-        QuadraticProx(np.array([1.0, np.inf]), diagonal=True)
+        args = _augmented_args(case, sigma)
+        got = diag.solve_augmented(V.T @ args["r"], CV, sigma, args["weight"], V.T @ args["center"])
+        assert _rel_err(V @ got, dense.solve_augmented(**args)) <= 1e-12
 
 
 def _augmented_reference(P, p, r, C, sigma, weight, center):

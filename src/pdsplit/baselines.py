@@ -39,13 +39,13 @@ def step_ladmm(problem, state, sigma, tx, ty):
     Both primal blocks are prox steps on the linearized augmented
     Lagrangian (Gauss-Seidel order: x first, then y against the new x).
     The velocities of the returned state are its points: ``v = x``,
-    ``w = y``; it keeps ``A x+`` and ``B y+``, which the next step and the
-    trace row reuse.
+    ``w = y``; it keeps ``A x+``, ``B y+`` and their residual, which the
+    next step and the trace row reuse.
     """
     A, B, b = problem.A, problem.B, problem.b
-    Ax, By = state.products(problem)
+    _, By = state.products(problem)
 
-    res = Ax + By - b + state.lam / sigma
+    res = state.residual(problem) + state.lam / sigma
     x_new = problem.f_prox.prox(state.x - tx * sigma * A.adjoint(res), tx)
 
     Ax_new = A.apply(x_new)
@@ -53,8 +53,9 @@ def step_ladmm(problem, state, sigma, tx, ty):
     y_new = problem.g.prox(state.y - ty * sigma * B.adjoint(res), ty)
 
     By_new = B.apply(y_new)
-    lam_new = state.lam + sigma * (Ax_new + By_new - b)
-    return IterateState(x=x_new, v=x_new, y=y_new, w=y_new, lam=lam_new, Ax=Ax_new, By=By_new)
+    res_new = Ax_new + By_new - b
+    return IterateState(x=x_new, v=x_new, y=y_new, w=y_new, lam=state.lam + sigma * res_new,
+                        Ax=Ax_new, By=By_new, res=res_new)
 
 
 def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1,

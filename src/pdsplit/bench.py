@@ -231,7 +231,7 @@ def checkpoint_indices(iters):
 
 def _composite_value(bundle, x):
     problem = bundle.prox_form
-    return problem.f_value(x) + problem.g_value(problem.A.apply(x))
+    return problem.f_value(x) + problem.g.value(problem.A.apply(x))
 
 
 def _run_method(bundle, tag, iters):

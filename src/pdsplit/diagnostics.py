@@ -109,15 +109,14 @@ def lyapunov(problem, state, ps, saddle, gap):
     ``ps`` supplies ``theta``, ``gamma`` and ``beta``; ``saddle`` is the
     reference point and ``gap`` the Lagrangian gap of ``state`` against it.
     """
-    return (gap
-            + 0.5 * ps.gamma * float(((state.v - saddle.x) ** 2).sum())
-            + 0.5 * ps.beta * float(((state.w - saddle.y) ** 2).sum())
-            + 0.5 * ps.theta * float(((state.lam - saddle.lam) ** 2).sum()))
+    dv, dw, dlam = state.v - saddle.x, state.w - saddle.y, state.lam - saddle.lam
+    return (gap + 0.5 * ps.gamma * float(dv @ dv) + 0.5 * ps.beta * float(dw @ dw)
+            + 0.5 * ps.theta * float(dlam @ dlam))
 
 
 def r0(problem, state, saddle, e0):
     """``sqrt(2 E_0) + ||lam_0 - lam*|| + ||A x_0 + B y_0 - b||`` at k=0,
-    from the merit ``e0`` of ``state`` and the products the state keeps."""
+    from the merit ``e0`` of ``state`` and the residual the state keeps."""
     if saddle is None:
         return None
     return (math.sqrt(2.0 * max(e0, 0.0))
@@ -209,5 +208,5 @@ def _rel_excess(value, bound):
 def sparsity(x):
     """Number of entries with ``|x_i| > 1e-6 * ||x||_inf``."""
     ax = np.abs(np.asarray(x))
-    mx = float(np.max(ax)) if ax.size else 0.0
+    mx = float(ax.max()) if ax.size else 0.0
     return int(np.count_nonzero(ax > 1e-6 * mx))

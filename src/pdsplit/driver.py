@@ -17,7 +17,7 @@ the last; only the reference-optimum estimate sets it.
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -94,8 +94,8 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     the step is ``step(problem, state, ps, ps_next, alpha)``, else
     ``step(problem, state)``, on ``problem.eigenbasis``.  The callback and
     the caller get states in the original basis: the callback's keep the
-    row's products, the returned one has ``A x``, ``B y`` and a kept ``A v``
-    formed by the original operators.
+    row's products and residual, the returned one has ``A x``, ``B y`` and a
+    kept ``A v`` formed by the original operators, its residual from them.
     A ``max_iters`` that is not an integer (a ``bool`` included) raises
     ``TypeError``, a negative one ``ValueError``.
     """
@@ -116,7 +116,7 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     for k in range(max_iters + 1):
         if k % record_every == 0 or k == max_iters:
             _check_finite(trace.meta["scheme"], k, state)
-            # A x, B y and F(x, y) once per row; the gap, r0 and the step reuse them
+            # A x + B y - b and F(x, y) once per row; the gap, r0 and the step reuse them
             feas = feasibility_residual(turned, state)
             objective = turned.objective(state.x, state.y)
             obj = float(objective) if math.isfinite(objective) else None
@@ -148,20 +148,20 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     trace.meta["iterations"] = trace.rows[-1].k
     if turned is not problem:   # products as a run in this basis would leave them
         state = _rotated(state, Vx, Vy, back=True) if seen is None else seen
-        state.Ax, state.By = problem.A.apply(state.x), problem.B.apply(state.y)
+        state.Ax, state.By, state.res = problem.A.apply(state.x), problem.B.apply(state.y), None
         state.Av = None if state.Av is None else problem.A.apply(state.v)
     return RunResult(trace=trace, state=state, params=ps)
 
 
 def _rotated(state, Vx, Vy, back):
     """``state`` with ``x, v`` times ``Vx^T`` and ``y, w`` times ``Vy^T`` (``Vx``
-    and ``Vy`` when ``back``; a None leaves its block), and its products, which
-    a rotation leaves unchanged up to rounding."""
+    and ``Vy`` when ``back``; a None leaves its block), and its products and
+    residual, which a rotation leaves unchanged up to rounding."""
     if Vx is None and Vy is None:
         return state
     x, v, y, w = (z if V is None else (V if back else V.T) @ z
                   for V, z in ((Vx, state.x), (Vx, state.v), (Vy, state.y), (Vy, state.w)))
-    return family1.IterateState(x, v, y, w, state.lam, Ax=state.Ax, By=state.By, Av=state.Av)
+    return replace(state, x=x, v=v, y=y, w=w)
 
 
 def _check_finite(method, k, state):

@@ -14,8 +14,8 @@ too, is one linearized step on either side.  On side y, with
 the prox form is ``y+ = prox_{tau g}(y_tilde - tau B^T lam_bar)``,
 ``tau = a^2 / eta``.  The augmented form, with penalty ``sigma = 1/theta_{k+1}``
 and weight ``eta / a^2``, is linearized at
-``lam_hat = lam - (A x + B y - b) / theta + c (A v - A x)``, whose drift
-is the prediction's product less the state's kept one, and hands the
+``lam_hat = lam - (A x + B y - b) / theta + c (A v - A x)``, whose
+residual and product the state keeps, and hands the
 solver ``r = weight y_tilde - B^T (lam_hat + sigma (A x - b))``.  Then
 ``w+ = y+ + (y+ - y) / a``.  Side x reads ``f``, ``A``, ``gamma``, ``mu_f``,
 ``x``, ``v`` and ``B y`` instead.  ``driver._STEPS`` binds :func:`step` to
@@ -34,10 +34,10 @@ __all__ = ["IterateState", "step", "F_BLOCK"]
 @dataclass
 class IterateState:
     """Iterates of all eight methods: the points ``x``, ``y``, their
-    velocities ``v``, ``w`` and the multiplier ``lam``; also the products
-    ``A x`` and ``B y`` once they are known (see :meth:`products`), and
+    velocities ``v``, ``w`` and the multiplier ``lam``; also ``A x``, ``B y``
+    and ``A x + B y - b`` once known (:meth:`products`, :meth:`residual`), and
     ``A v`` where the pdhg step left it (the scheme step does not read it).
-    None of the three enters ``repr`` or ``==``."""
+    None of the four enters ``repr`` or ``==``."""
 
     x: np.ndarray
     v: np.ndarray
@@ -47,6 +47,7 @@ class IterateState:
     Ax: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
     By: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
     Av: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+    res: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
 
     def products(self, problem):
         """``A x`` and ``B y``: as the ladmm or pdhg step that made this state
@@ -55,6 +56,13 @@ class IterateState:
         if self.Ax is None:
             self.Ax, self.By = problem.A.apply(self.x), problem.B.apply(self.y)
         return self.Ax, self.By
+
+    def residual(self, problem):
+        """``A x + B y - b`` from :meth:`products`, formed on first use and kept."""
+        if self.res is None:
+            Ax, By = self.products(problem)
+            self.res = Ax + By - problem.b
+        return self.res
 
     @staticmethod
     def cold_start(problem, x0=None, y0=None, lam0=None):
@@ -79,22 +87,24 @@ def step(implicit, f_block, problem, state, ps, ps_next, alpha):
     alpha, lam_bar)`` and the augmented form ``(side, problem, state, ps,
     ps_next, alpha, held)``, ``held`` being the prediction's ``B w`` on side x
     and ``A v`` on side y."""
-    forms, ops = {"x": f_block, "y": F_BLOCK}, {"x": problem.A, "y": problem.B}
+    A, B, c = problem.A, problem.B, alpha / ps.theta
     # A v and B w as the prediction sees them: fresh on the implicit side
-    fresh = {s: ops[s].apply(u) for s, u in (("x", state.v), ("y", state.w)) if s != implicit}
-    new = {}
-    if implicit is not None:
-        held = fresh["y" if implicit == "x" else "x"]
-        new[implicit] = forms[implicit][1](implicit, problem, state, ps, ps_next, alpha, held)
-        fresh[implicit] = ops[implicit].apply(new[implicit][1])
-    c = alpha / ps.theta
-    lam_bar = state.lam + c * (fresh["x"] + fresh["y"] - problem.b)
-    for side in ops:
-        if side != implicit:
-            new[side] = forms[side][0](side, problem, state, ps, alpha, lam_bar)
-            fresh[side] = ops[side].apply(new[side][1])
-    lam_new = state.lam + c * (fresh["x"] + fresh["y"] - problem.b)
-    return IterateState(*new["x"], *new["y"], lam_new)
+    Av = None if implicit == "x" else A.apply(state.v)
+    Bw = None if implicit == "y" else B.apply(state.w)
+    if implicit == "x":
+        x, v = f_block[1]("x", problem, state, ps, ps_next, alpha, Bw)
+        Av = A.apply(v)
+    elif implicit == "y":
+        y, w = F_BLOCK[1]("y", problem, state, ps, ps_next, alpha, Av)
+        Bw = B.apply(w)
+    lam_bar = state.lam + c * (Av + Bw - problem.b)
+    if implicit != "x":
+        x, v = f_block[0]("x", problem, state, ps, alpha, lam_bar)
+        Av = A.apply(v)
+    if implicit != "y":
+        y, w = F_BLOCK[0]("y", problem, state, ps, alpha, lam_bar)
+        Bw = B.apply(w)
+    return IterateState(x, v, y, w, state.lam + c * (Av + Bw - problem.b))
 
 
 def _block(side, problem, state, ps, alpha):
@@ -117,12 +127,11 @@ def _prox_form(side, problem, state, ps, alpha, lam_bar):
 
 def _augmented_form(side, problem, state, ps, ps_next, alpha, held):
     h, C, z, eta, center = _block(side, problem, state, ps, alpha)
-    b = problem.b
     Ax, By = state.products(problem)
     other = By if side == "x" else Ax
-    lam_hat = state.lam - (Ax + By - b) / ps.theta + (alpha / ps.theta) * (held - other)
+    lam_hat = state.lam - state.residual(problem) / ps.theta + (alpha / ps.theta) * (held - other)
     sigma, weight = 1.0 / ps_next.theta, eta / alpha ** 2
-    r = weight * center - C.adjoint(lam_hat + sigma * (other - b))
+    r = weight * center - C.adjoint(lam_hat + sigma * (other - problem.b))
     z_new = solve_augmented_subproblem(h, r, C, sigma, weight, center)
     return z_new, z_new + (z_new - z) / alpha
 

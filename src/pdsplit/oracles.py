@@ -182,12 +182,9 @@ class SeparableProblem:
             val = val + self.f_smooth.value(x)
         return val
 
-    def g_value(self, y):
-        return self.g.value(y)
-
     def objective(self, x, y):
         """``F(x, y) = f(x) + g(y)``, extended real."""
-        return self.f_value(x) + self.g_value(y)
+        return self.f_value(x) + self.g.value(y)
 
     def has_smooth_f(self):
         return self.f_smooth is not None
@@ -204,9 +201,10 @@ class SeparableProblem:
 
 def feasibility_residual(problem, state):
     """Euclidean norm of the constraint residual ``A x + B y - b`` at the
-    iterate state's point, from the products the state keeps."""
-    Ax, By = state.products(problem)
-    return float(np.linalg.norm(Ax + By - problem.b))
+    iterate state's point, which the state keeps (see ``IterateState.residual``);
+    ``np.linalg.norm``'s own arithmetic, without its per-call dispatch."""
+    res = state.residual(problem)
+    return math.sqrt(res.dot(res))
 
 
 def lagrangian_value(problem, state, lam, objective):
@@ -218,5 +216,4 @@ def lagrangian_value(problem, state, lam, objective):
     """
     if not math.isfinite(objective):
         return objective
-    Ax, By = state.products(problem)
-    return objective + float(lam @ (Ax + By - problem.b))
+    return objective + float(lam @ state.residual(problem))

@@ -63,20 +63,22 @@ class ShiftedL1(ProxOracle):
 
 class SquaredL2(ProxOracle, SmoothOracle):
     """``mu/2 * ||x||^2``: the quadratic of ``P = mu I`` without the n-by-n
-    matrix, with the values and gradients of ``QuadraticProx(mu * I)``."""
+    matrix, with the values and gradients of ``QuadraticProx(mu * I)``; at
+    ``mu = 0`` value and prox skip the arithmetic (same on finite points)."""
 
     def __init__(self, mu):
         self.mu = self.lipschitz = self.strong_convexity = _nonnegative("mu", mu)
 
     def value(self, z):
-        return 0.5 * z @ (self.mu * z)
+        return 0.5 * z @ (self.mu * z) if self.mu else 0.0
 
     def gradient(self, z):
         return self.mu * z
 
     def prox(self, z, tau):
         _check_step(tau)
-        return np.asarray(z, dtype=float) / (1.0 + tau * self.mu)
+        z = np.asarray(z, dtype=float)
+        return z / (1.0 + tau * self.mu) if self.mu else z
 
     _gram = None    # (C, dense C, lam, Q) of the last operator C
 

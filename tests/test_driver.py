@@ -275,6 +275,28 @@ def _rotating_and_plain(method):
 
 
 @pytest.mark.parametrize("method", [*Scheme, "ladmm", "pdhg"], ids=lambda m: getattr(m, "value", m))
+def test_kept_residual_follows_the_state_across_bases(method):
+    # each callback state carries its row's residual back from the
+    # eigenbasis; the returned state's residual is its own products'
+    prob = _rotating_and_plain(method)[0]
+    seen = []
+
+    def callback(k, state):
+        seen.append(state)
+
+    if method in ("ladmm", "pdhg"):
+        state = ENTRY_POINTS[method](prob, 40, callback)[1]
+    else:
+        state = run(prob, method, 40, iterate_callback=callback).state
+    for s in seen[:-1]:
+        want = prob.A.apply(s.x) + prob.B.apply(s.y) - prob.b
+        assert s.res is not None
+        assert np.linalg.norm(s.res - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+    assert np.array_equal(state.residual(prob), state.Ax + state.By - prob.b)
+    assert feasibility_residual(prob, state) == float(np.linalg.norm(state.Ax + state.By - prob.b))
+
+
+@pytest.mark.parametrize("method", [*Scheme, "ladmm", "pdhg"], ids=lambda m: getattr(m, "value", m))
 def test_a_run_in_the_eigenbasis_matches_the_run_in_the_original_one(method):
     # theta, alpha and sparsity bit for bit, the rest to rounding; the
     # callback and the caller see original-basis states, the returned one

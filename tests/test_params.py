@@ -1,5 +1,6 @@
 """Scaling-parameter recursion, step-size conditions, and bound formulas."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +120,20 @@ def test_step_size_degenerate_raises():
         solve_step_size(ps, StepSizeRule(Scheme.F1_SEMI_B, norm_B=0.0))
     with pytest.raises(StepSizeError):
         solve_step_size(ps, StepSizeRule(Scheme.F2_SEMI_A, norm_A=0.0, lipschitz_f=0.0))
+
+
+def test_advance_matches_the_recursion_and_stays_frozen():
+    ps = ParamState.initial(mu_f=0.3, mu_g=1.7, gamma0=2.0, beta0=0.5)
+    nxt = advance(advance(ps, 0.4), 0.9)
+    want = ps
+    for a in (0.4, 0.9):
+        want = ParamState(theta=want.theta / (1 + a), gamma=(want.gamma + 0.3 * a) / (1 + a),
+                          beta=(want.beta + 1.7 * a) / (1 + a), k=want.k + 1, mu_f=0.3,
+                          mu_g=1.7, gamma0=2.0, beta0=0.5)
+    assert nxt == want and hash(nxt) == hash(want) and type(nxt) is ParamState
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nxt.theta = 1.0
+    assert ps.k == 0 and ps.theta == 1.0
 
 
 def test_advance_rejects_nonpositive_alpha():

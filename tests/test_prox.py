@@ -382,3 +382,17 @@ def test_zero_fun_factors_each_operator_once_per_switch(count_decompositions):
         assert _rel_err(got, want) <= 1e-10
     switches = 1 + sum(a != b for a, b in zip(order, order[1:]))
     assert count_decompositions == {"eigh": switches, "eigvalsh": 0}
+
+
+def test_zero_function_equals_its_arithmetic_bit_for_bit():
+    # SquaredL2(0) skips 0.5 z.(0 z) and z / (1 + tau 0); on finite points,
+    # integer ones and signed zeros included, the results are those expressions'
+    rng = np.random.default_rng(9)
+    zero = SquaredL2(0.0)
+    points = [rng.standard_normal(7) * 1e3, np.array([-0.0, 0.0, -1.0]), np.arange(4), np.zeros(0)]
+    for z in points:
+        for tau in (1e-3, 0.7, 5.0):
+            got, want = zero.prox(z, tau), np.asarray(z, dtype=float) / (1.0 + tau * 0.0)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got, want = zero.value(z), 0.5 * z @ (0.0 * z)
+        assert np.array([got]).tobytes() == np.array([want], dtype=float).tobytes()

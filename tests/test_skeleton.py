@@ -4,9 +4,12 @@ once and reused.  The products ``A x`` and ``B y`` an iterate state keeps
 change no bit of the next state; pdhg's kept ``A v``, which it derives
 instead of forming, changes it by rounding only."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from pdsplit import baselines, driver
 from pdsplit.baselines import ladmm_run, pdhg_run, step_ladmm, step_pdhg
 from pdsplit.bench import RunConfig, generate_problem, generate_quadratic
 from pdsplit.driver import _STEPS, run
@@ -234,3 +237,95 @@ def test_pdhg_kept_products_move_the_next_state_by_rounding_only():
     new, new_fresh = step(looped), step(fresh)
     for block in ("x", "v", "y", "w", "lam", "Ax", "By", "Av"):
         assert _relative(getattr(new, block), getattr(new_fresh, block)) <= 1e-12, block
+
+
+class CountingVector(np.ndarray):
+    """A right-hand side ``b`` that counts the ufuncs reading it.  Each is the
+    subtraction that forms one constraint residual ``A x + B y - b``, one
+    multiplier prediction or update, or one augmented right-hand side."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.counts["b"] += 1
+        return getattr(ufunc, method)(*(np.asarray(z) for z in inputs), **kwargs)
+
+
+ORACLE_CALLS = ("prox", "value", "gradient", "solve_augmented")
+
+
+def calls_per_phase(monkeypatch, method, iters):
+    """Reads of ``b`` and oracle calls of a run of ``method`` on
+    ``generate_quadratic(8, 8, 0)``, one Counter per row and per step, in
+    run order: row 0, step 0, row 1, ..., row ``iters``."""
+    bundle = generate_quadratic(8, 8, 0)
+    prob = bundle.split_form if getattr(method, "family", 1) == 2 else bundle.prox_form
+    turned = prob.eigenbasis[0]     # the problem the run steps
+    counts = Counter()
+    turned.b = turned.b.view(CountingVector)
+    turned.b.counts = counts
+    for role, oracle in (("f", turned.f_prox), ("f1", turned.f_smooth), ("g", turned.g)):
+        for name in ORACLE_CALLS:
+            if oracle is not None and hasattr(oracle, name):
+                def wrapper(*args, _call=getattr(oracle, name), _key=f"{role}.{name}"):
+                    counts[_key] += 1
+                    return _call(*args)
+                monkeypatch.setattr(oracle, name, wrapper)
+    phases, seen = [], Counter()
+
+    def cut():
+        phases.append(counts - seen)
+        seen.update(phases[-1])
+
+    def phased(step):
+        def wrapper(*args):
+            cut()
+            out = step(*args)
+            cut()
+            return out
+        return wrapper
+
+    if method == "ladmm":
+        monkeypatch.setattr(baselines, "step_ladmm", phased(baselines.step_ladmm))
+        ladmm_run(prob, iters)
+    else:
+        monkeypatch.setitem(driver._STEPS, method, phased(driver._STEPS[method]))
+        run(prob, method, iters)
+    cut()
+    return phases
+
+
+# (per step, per row) reads of b and oracle calls.  A scheme row forms the
+# residual once, from which the feasibility, the gap and r0 read, and the
+# objective calls each value once.  An augmented form subtracts b once, for
+# its right-hand side (family 1's reads the row's residual for its
+# linearization), and every scheme step subtracts it for the multiplier's
+# prediction and update.  ladmm's step
+# leaves its residual on the state, for its row and the next step.
+def _calls(step, row):
+    return Counter(step), Counter(row)
+
+
+SCHEME_ROW = {"b": 1, "f.value": 1, "g.value": 1}
+CALLS = {
+    Scheme.F1_SEMI_B: _calls({"b": 3, "f.solve_augmented": 1, "g.prox": 1}, SCHEME_ROW),
+    Scheme.F1_SEMI_A: _calls({"b": 3, "f.prox": 1, "g.solve_augmented": 1}, SCHEME_ROW),
+    Scheme.F1_EXPLICIT: _calls({"b": 2, "f.prox": 1, "g.prox": 1}, SCHEME_ROW),
+    Scheme.F2_SEMI_B: _calls({"b": 3, "f1.gradient": 1, "f.solve_augmented": 1, "g.prox": 1},
+                             {**SCHEME_ROW, "f1.value": 1}),
+    Scheme.F2_SEMI_A: _calls({"b": 3, "f1.gradient": 1, "f.prox": 1, "g.solve_augmented": 1},
+                             {**SCHEME_ROW, "f1.value": 1}),
+    Scheme.F2_EXPLICIT: _calls({"b": 2, "f1.gradient": 1, "f.prox": 1, "g.prox": 1},
+                               {**SCHEME_ROW, "f1.value": 1}),
+    "ladmm": _calls({"b": 2, "f.prox": 1, "g.prox": 1}, {"f.value": 1, "g.value": 1}),
+}
+
+
+@pytest.mark.parametrize("method", list(CALLS), ids=lambda m: getattr(m, "value", m))
+def test_calls_per_step_and_row(monkeypatch, method):
+    iters = 4
+    phases = calls_per_phase(monkeypatch, method, iters)
+    rows, steps = phases[::2], phases[1::2]
+    assert (len(rows), len(steps)) == (iters + 1, iters)
+    step, row = CALLS[method]
+    assert steps == [step] * iters
+    # ladmm's row 0 forms the cold start's residual, which no step left
+    assert rows == [row + Counter(b=int(method == "ladmm"))] + [row] * iters

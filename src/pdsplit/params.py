@@ -119,11 +119,9 @@ def advance(ps, alpha):
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     d = 1.0 + alpha
-    # filled past the frozen __init__, whose per-field setattr costs more than the recursion
-    nxt = object.__new__(ParamState)
-    vars(nxt).update(vars(ps), theta=ps.theta / d, gamma=(ps.gamma + ps.mu_f * alpha) / d,
-                     beta=(ps.beta + ps.mu_g * alpha) / d, k=ps.k + 1)
-    return nxt
+    return ParamState(theta=ps.theta / d, gamma=(ps.gamma + ps.mu_f * alpha) / d,
+                      beta=(ps.beta + ps.mu_g * alpha) / d, k=ps.k + 1, mu_f=ps.mu_f,
+                      mu_g=ps.mu_g, gamma0=ps.gamma0, beta0=ps.beta0)
 
 
 @dataclass(frozen=True)

@@ -275,32 +275,10 @@ def _rotating_and_plain(method):
 
 
 @pytest.mark.parametrize("method", [*Scheme, "ladmm", "pdhg"], ids=lambda m: getattr(m, "value", m))
-def test_kept_residual_follows_the_state_across_bases(method):
-    # each callback state carries its row's residual back from the
-    # eigenbasis; the returned state's residual is its own products'
-    prob = _rotating_and_plain(method)[0]
-    seen = []
-
-    def callback(k, state):
-        seen.append(state)
-
-    if method in ("ladmm", "pdhg"):
-        state = ENTRY_POINTS[method](prob, 40, callback)[1]
-    else:
-        state = run(prob, method, 40, iterate_callback=callback).state
-    for s in seen[:-1]:
-        want = prob.A.apply(s.x) + prob.B.apply(s.y) - prob.b
-        assert s.res is not None
-        assert np.linalg.norm(s.res - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
-    assert np.array_equal(state.residual(prob), state.Ax + state.By - prob.b)
-    assert feasibility_residual(prob, state) == float(np.linalg.norm(state.Ax + state.By - prob.b))
-
-
-@pytest.mark.parametrize("method", [*Scheme, "ladmm", "pdhg"], ids=lambda m: getattr(m, "value", m))
 def test_a_run_in_the_eigenbasis_matches_the_run_in_the_original_one(method):
     # theta, alpha and sparsity bit for bit, the rest to rounding; the
     # callback and the caller see original-basis states, the returned one
-    # with A x and B y (and pdhg's A v) from the original operators
+    # with A x, B y, their residual (and pdhg's A v) from the original operators
     runs = []
     for rotating, prob in zip((True, False), _rotating_and_plain(method)):
         seen = []
@@ -314,11 +292,13 @@ def test_a_run_in_the_eigenbasis_matches_the_run_in_the_original_one(method):
             res = run(prob, method, 40, iterate_callback=callback)
             trace, state = res.trace, res.state
         assert state is seen[-1]
-        for s in seen[:-1]:   # each callback state keeps its row's products
-            for got, want in ((s.Ax, prob.A.apply(s.x)), (s.By, prob.B.apply(s.y))):
+        for s in seen[:-1]:   # each callback state keeps its row's products and residual
+            for got, want in ((s.Ax, prob.A.apply(s.x)), (s.By, prob.B.apply(s.y)),
+                              (s.res, prob.A.apply(s.x) + prob.B.apply(s.y) - prob.b)):
                 assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
         assert np.array_equal(state.Ax, prob.A.apply(state.x))
         assert np.array_equal(state.By, prob.B.apply(state.y))
+        assert np.array_equal(state.residual(prob), state.Ax + state.By - prob.b)
         assert (state.Av is None) == (method != "pdhg")
         if method == "pdhg":   # the plain step derives it as 2 A x+ - A x
             Av = prob.A.apply(state.v)

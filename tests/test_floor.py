@@ -13,13 +13,11 @@ def _floor():
     return module
 
 
-def test_floor_prints_each_method_and_their_sum(capsys):
+def test_floor_prints_each_method_and_their_sum():
     floor = _floor()
-    floor.main(["--sizes", "3x4", "--iters", "5", "--repeats", "2", "--seed", "0"])
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["size", "method", "us/iter"]
-    rows = [line.split() for line in lines[1:]]
+    best = floor.floor(3, 4, 0, 5, 2)
+    assert list(best) == list(floor.METHODS) and all(us > 0.0 for us in best.values())
+    rows = [line.split() for line in floor.rows("3x4", best)]
     assert [r[:2] for r in rows] == [["3x4", m] for m in (*floor.METHODS, "sum")]
     us = [float(r[2]) for r in rows]
-    assert all(u > 0.0 for u in us)
     assert abs(us[-1] - sum(us[:-1])) <= 0.1 * len(floor.METHODS)

@@ -1,21 +1,18 @@
 """Print the per-iteration floor: each method's best microseconds per iteration.
 
-    PYTHONPATH=src python3 tools/floor.py [--sizes 8x8 50x200] [--iters 550] \
-        [--repeats 3] [--seed 1]
+    PYTHONPATH=src python3 tools/floor.py
 
 Each size ``MxN`` is the instance ``pdsplit.bench.generate_quadratic(M, N,
-seed)``.  The default sizes are those of the acceptance suite's contraction
-fixture (8x8, nearly all per-call overhead) and of the ``quad-saddle``
-benchmark workload (50x200).  The methods are the workload's: the six
-schemes and ``ladmm``.  Each runs through ``pdsplit.bench._run_method``, the
-library's own dispatch, for ``iters`` iterations with a trace row at every
-index, ``repeats`` times.  The time of a run over ``iters`` gives its
-microseconds per iteration, and the best run is printed.  The first run also
-builds the instance's kept eigenbasis, which the best of several leaves out.
-The last line of each size sums its methods.
+1)``: 8x8, the acceptance suite's contraction fixture (nearly all per-call
+overhead), and 50x200, the ``quad-saddle`` benchmark workload.  The methods
+are the workload's: the six schemes and ``ladmm``.  Each runs through
+``pdsplit.bench._run_method``, the library's own dispatch, for 550
+iterations with a trace row at every index, 3 times.  The time of a run
+over its iterations gives its microseconds per iteration, and the best run
+is printed.  The first run also builds the instance's kept eigenbasis, which
+the best of several leaves out.  The last line of each size sums its methods.
 """
 
-import argparse
 import time
 
 METHODS = ("f1-semiB", "f1-semiA", "f1-explicit", "f2-semiB", "f2-semiA", "f2-explicit", "ladmm")
@@ -37,25 +34,16 @@ def floor(m, n, seed=1, iters=550, repeats=3):
     return best
 
 
-def _size(text):
-    m, n = text.lower().split("x")
-    return int(m), int(n)
+def rows(size, best):
+    """The printed lines of one size: each method's figure, then their sum."""
+    return [f"{size:<8} {method:<12} {us:>9.1f}"
+            for method, us in [*best.items(), ("sum", sum(best.values()))]]
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", nargs="+", type=_size, default=[(8, 8), (50, 200)], metavar="MxN")
-    ap.add_argument("--iters", type=int, default=550)
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-    if args.iters < 1 or args.repeats < 1:
-        ap.error("--iters and --repeats must be at least 1")
+def main():
     print(f"{'size':<8} {'method':<12} {'us/iter':>9}")
-    for m, n in args.sizes:
-        best = floor(m, n, args.seed, args.iters, args.repeats)
-        for method, us in [*best.items(), ("sum", sum(best.values()))]:
-            print(f"{f'{m}x{n}':<8} {method:<12} {us:>9.1f}")
+    for m, n in ((8, 8), (50, 200)):
+        print("\n".join(rows(f"{m}x{n}", floor(m, n))))
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
 """Builtin proximal oracles: l1, elastic net, hinge sums, boxes, quadratics.
 
 Every prox here is closed form, written in the ``prox`` method of its class,
-and refuses a step ``tau`` that is not positive.
-``QuadraticProx`` and ``SquaredL2`` are smooth oracles too, so either can be
-the smooth part of a split f-block.  ``SquaredL2`` and
-``QuadraticProx`` solve the augmented subproblem in closed form from one
-kept factor each (the eigendecomposition of the smaller Gram matrix of
-``C``, or of ``P``), and ``ElasticNet`` by active-set Newton, which declines
-when its answer fails the inner loop's stopping test.
+and refuses a step ``tau`` that is not positive.  ``QuadraticProx`` and
+``SquaredL2`` are smooth oracles too, so either can be the smooth part of a
+split f-block.  Both solve the augmented subproblem in closed form from one
+kept eigendecomposition: of ``P``, through ``QuadraticProx``'s diagonal form
+in that basis, or of the smaller Gram matrix of ``C``; ``ElasticNet`` by
+active-set Newton, which declines when its answer fails the inner loop's
+stopping test.
 """
 
 from functools import cached_property
@@ -166,14 +166,10 @@ class BoxIndicator(ProxOracle):
 class QuadraticProx(ProxOracle, SmoothOracle):
     """``(1/2) x^T P x + p^T x`` with PSD ``P``, prox in the eigenbasis of ``P``.
 
-    ``eigh(P)`` is computed on first use and kept, as is ``C V`` for the last
-    (immutable) operator ``C``.  The diagonal form that :meth:`in_eigenbasis`
-    builds holds the vector ``e`` of ``P = diag(e)``, kept as ``(e, None)``:
-    its prox, value and gradient cost O(n).
-    The closed-form augmented solve lets the Gauss-Seidel schemes run with a
-    general coupling operator on this block.
-    The moduli, read from the eigenvalues (the smallest clamped at 0, the
-    largest), bypass ``SmoothOracle``'s check: an indefinite ``P`` is accepted.
+    ``eigh(P) = (e, V)`` is computed on first use and kept as ``(h, V)``, ``h``
+    the diagonal form of ``(e, V^T p)``, which gives the moduli; so is ``C V``
+    for the last (immutable) operator ``C``.  The prox and the closed-form
+    augmented solve rotate into that basis, call ``h`` and rotate back.
     """
 
     def __init__(self, P, p=None):
@@ -184,57 +180,65 @@ class QuadraticProx(ProxOracle, SmoothOracle):
         if not (np.isfinite(P).all() and np.isfinite(p).all()):
             raise ValueError("P and p must be finite")
         self.P, self.p = 0.5 * (P + P.T), p
-        self._coupled = None    # (C, C V) for the last operator C
+        self._coupled = None    # (C, C V as an operator) for the last operator C
 
     @cached_property
     def _eigh(self):
-        return (self.P, None) if self.P.ndim == 1 else np.linalg.eigh(self.P)
+        e, V = np.linalg.eigh(self.P)
+        return _DiagonalQuadratic(e, V.T @ self.p), V
 
-    @cached_property
-    def strong_convexity(self):
-        return float(max(self._eigh[0].min(), 0.0))
-
-    @cached_property
-    def lipschitz(self):
-        return float(self._eigh[0].max())
+    strong_convexity = property(lambda self: self._eigh[0].strong_convexity)
+    lipschitz = property(lambda self: self._eigh[0].lipschitz)
 
     def value(self, z):
-        Pz = self.P * z if self.P.ndim == 1 else self.P @ z
-        return 0.5 * float(z @ Pz) + float(self.p @ z)
+        return 0.5 * float(z @ (self.P @ z)) + float(self.p @ z)
 
     def prox(self, z, tau):
-        _check_step(tau)
-        e, V = self._eigh
-        if V is None:
-            return (z - tau * self.p) / (1.0 + tau * e)
-        return V @ ((V.T @ (z - tau * self.p)) / (1.0 + tau * e))
+        h, V = self._eigh
+        return V @ h.prox(V.T @ z, tau)
 
     def gradient(self, z):
-        return (self.P * z if self.P.ndim == 1 else self.P @ z) + self.p
+        return self.P @ z + self.p
 
     def solve_augmented(self, r, C, sigma, weight, center):
-        e, V = self._eigh
-        return _solve_augmented_normal(V, e + weight, self._times_V(C), sigma, r - self.p)
+        h, V = self._eigh
+        return V @ h.solve_augmented(V.T @ r, self._times_V(C), sigma, weight, V.T @ center)
 
     def _times_V(self, C):
-        """``C V`` (``C`` for a diagonal ``P``), kept for the last operator ``C``."""
+        """``C V`` as an operator, kept for the last operator ``C``."""
         if self._coupled is None or self._coupled[0] is not C:
-            V = self._eigh[1]
-            self._coupled = (C, C.to_dense() if V is None else C.to_dense() @ V)
+            self._coupled = (C, DenseOperator(C.to_dense() @ self._eigh[1]))
         return self._coupled[1]
 
     def in_eigenbasis(self, C):
-        """``(h, C V, V)``: this quadratic in the eigenbasis ``V`` of ``P``, ``h``
-        the diagonal form of ``(e, V^T p)``, and ``C V`` as an operator with
-        ``C``'s norm, so that step sizes keep their bits; None for a diagonal form."""
-        e, V = self._eigh
-        if V is None:
-            return None
-        h = QuadraticProx.__new__(QuadraticProx)   # __init__ takes a square P only
-        h.P, h.p, h._coupled = e, V.T @ self.p, None
-        CV = DenseOperator(self._times_V(C))
+        """``(h, C V, V)``: this quadratic in the eigenbasis ``V`` of ``P``, and
+        the kept ``C V`` given ``C``'s norm, so that step sizes keep their bits."""
+        CV = self._times_V(C)
         CV._norm = C.norm()
-        return h, CV, V
+        return self._eigh[0], CV, self._eigh[1]
+
+
+class _DiagonalQuadratic(ProxOracle, SmoothOracle):
+    """``(1/2) x^T diag(e) x + p^T x``, a ``QuadraticProx`` in its eigenbasis,
+    at O(n) a call.  Its moduli, the smallest ``e`` clamped at 0 and the
+    largest, bypass ``SmoothOracle``'s check: an indefinite ``P`` is accepted."""
+
+    def __init__(self, e, p):
+        self.e, self.p = e, p
+        self.strong_convexity, self.lipschitz = float(max(e.min(), 0.0)), float(e.max())
+
+    def value(self, z):
+        return 0.5 * float(z @ (self.e * z)) + float(self.p @ z)
+
+    def prox(self, z, tau):
+        _check_step(tau)
+        return (z - tau * self.p) / (1.0 + tau * self.e)
+
+    def gradient(self, z):
+        return self.e * z + self.p
+
+    def solve_augmented(self, r, C, sigma, weight, center):
+        return _solve_augmented_normal(self.e + weight, C.to_dense(), sigma, r - self.p)
 
 
 def _l1_newton(block, r, C, sigma, weight, center):
@@ -261,24 +265,20 @@ def _l1_newton(block, r, C, sigma, weight, center):
             break
         signs, S = active, np.flatnonzero(active)
         u = np.zeros_like(u)
-        u[S] = _solve_augmented_normal(None, d, M[:, S], sigma, r[S] - lam * signs[S])
+        u[S] = _solve_augmented_normal(d, M[:, S], sigma, r[S] - lam * signs[S])
     _, _, accepted = prox_gradient_step(block, u, C.apply(u), C, sigma, weight, r)
     return u if accepted else None
 
 
-def _solve_augmented_normal(V, d, CV, sigma, rhs):
-    """Solve ``(V diag(d) V^T + sigma C^T C) u = rhs`` from ``G = C V``, ``V``
-    orthogonal (None for I), ``d > 0``: ``u = V s`` with ``(diag(d) + sigma
-    G^T G) s = V^T rhs``, through the m-by-m Woodbury capacitance system
-    ``I / sigma + G diag(1/d) G^T`` when ``G`` has fewer rows m than columns."""
-    t = rhs if V is None else V.T @ rhs
-    if CV.shape[0] < CV.shape[1]:
-        Gd = CV / d
-        K = Gd @ CV.T
+def _solve_augmented_normal(d, G, sigma, rhs):
+    """Solve ``(diag(d) + sigma G^T G) u = rhs``, ``d > 0``, through the m-by-m
+    Woodbury capacitance system ``I / sigma + G diag(1/d) G^T`` when ``G``
+    has fewer rows m than columns."""
+    if G.shape[0] < G.shape[1]:
+        Gd = G / d
+        K = Gd @ G.T
         K.flat[::K.shape[0] + 1] += 1.0 / sigma
-        s = (t - CV.T @ np.linalg.solve(K, Gd @ t)) / d
-    else:
-        H = sigma * (CV.T @ CV)
-        H.flat[::H.shape[0] + 1] += d
-        s = np.linalg.solve(H, t)
-    return s if V is None else V @ s
+        return (rhs - G.T @ np.linalg.solve(K, Gd @ rhs)) / d
+    H = sigma * (G.T @ G)
+    H.flat[::H.shape[0] + 1] += d
+    return np.linalg.solve(H, rhs)

@@ -12,7 +12,7 @@ from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.oracles import SeparableProblem, feasibility_residual
 from pdsplit.params import ParamState, Scheme
-from pdsplit.prox import QuadraticProx
+from pdsplit.prox import QuadraticProx, SquaredL2
 
 from helpers import quadratic_instance
 
@@ -259,6 +259,11 @@ class _PlainDense(DenseOperator):
     """A subclassed operator: its blocks never rotate."""
 
 
+# f2-explicit on a split f-block whose SquaredL2 is not zero: the rotation
+# leaves it be, which holds because its modulus is one scalar
+RIDING = "f2-explicit, SquaredL2(0.5)"
+
+
 def _rotating_and_plain(method):
     prox_form, split_form = quadratic_instance(89)
     if method == "pdhg":
@@ -266,15 +271,17 @@ def _rotating_and_plain(method):
         pair = [SeparableProblem(prox_form.f_prox, QuadraticProx(np.eye(m)), op(prox_form.A.matrix),
                                  negated_identity(m), np.zeros(m)) for op in (DenseOperator, _PlainDense)]
     else:
-        base = split_form if getattr(method, "family", 1) == 2 else prox_form
+        base = split_form if method == RIDING or getattr(method, "family", 1) == 2 else prox_form
         f = (base.f_smooth, base.f_prox) if base.has_smooth_f() else base.f_prox
+        if method == RIDING:   # p takes up the rider's gradient 0.5 x*, so the saddle stays one
+            f = (QuadraticProx(f[0].P, f[0].p - 0.5 * base.saddle.x), SquaredL2(0.5))
         pair = [SeparableProblem(f, base.g, op(base.A.matrix), op(base.B.matrix), base.b,
                                  saddle=base.saddle) for op in (DenseOperator, _PlainDense)]
     assert pair[0].eigenbasis[0] is not pair[0] and pair[1].eigenbasis[0] is pair[1]
     return pair
 
 
-@pytest.mark.parametrize("method", [*Scheme, "ladmm", "pdhg"], ids=lambda m: getattr(m, "value", m))
+@pytest.mark.parametrize("method", [*Scheme, "ladmm", "pdhg", RIDING], ids=lambda m: getattr(m, "value", m))
 def test_a_run_in_the_eigenbasis_matches_the_run_in_the_original_one(method):
     # theta, alpha and sparsity bit for bit, the rest to rounding; the
     # callback and the caller see original-basis states, the returned one
@@ -289,7 +296,8 @@ def test_a_run_in_the_eigenbasis_matches_the_run_in_the_original_one(method):
         if method in ("ladmm", "pdhg"):
             trace, state = ENTRY_POINTS[method](prob, 40, callback)
         else:
-            res = run(prob, method, 40, iterate_callback=callback)
+            res = run(prob, Scheme.F2_EXPLICIT if method == RIDING else method, 40,
+                      iterate_callback=callback)
             trace, state = res.trace, res.state
         assert state is seen[-1]
         for s in seen[:-1]:   # each callback state keeps its row's products and residual

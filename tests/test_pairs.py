@@ -106,6 +106,22 @@ def test_each_side_runs_from_both_slots_in_both_orders_never_from_its_own_path(t
         assert Path(p["env"]["cwd"]).parent == Path(c["env"]["cwd"]).parent
 
 
+def test_summary_covers_every_recorded_pair_of_the_workload(trees, capsys):
+    # a workload run in two calls, with another workload between them: the
+    # second call's summary reads all 5 of its pairs, not only its own 3
+    _main(trees, "quad-saddle", "1-2")
+    _main(trees, "lad-large", "3-3")
+    capsys.readouterr()
+    _main(trees, "quad-saddle", "4-6")
+    lines = capsys.readouterr().out.splitlines()
+    assert "quad-saddle: 5 pairs, 3 of them in this call, bbb against aaa" in lines
+    head = next(i for i, line in enumerate(lines) if line.startswith("metric"))
+    rows = {line.split()[0]: line.split() for line in lines[head + 1:-1]}
+    # parent set-up times 0.010 + seed / 1000 over seeds 1, 2, 4, 5 and 6
+    assert rows["setup_s"][1] == "0.014" and rows["setup_s"][-2:] == ["5/5", "0.643"]
+    assert rows["iter_per_s"][-2:] == ["0/5", "0.900"]
+
+
 @pytest.mark.parametrize("seeds, pair, seed, cause", [
     ("5-7", 2, 7, "not strict JSON"),
     ("8-8", 0, 8, "1 line(s) printed after the result"),

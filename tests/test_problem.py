@@ -10,7 +10,7 @@ from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, DiagonalOperator, ScaledIdentity, negated_identity
 from pdsplit.oracles import (SaddlePoint, SeparableProblem, SmoothOracle,
                              feasibility_residual, lagrangian_value)
-from pdsplit.prox import BoxIndicator, ElasticNet, QuadraticProx, SquaredL2
+from pdsplit.prox import BoxIndicator, ElasticNet, QuadraticProx, SquaredL2, _DiagonalQuadratic
 
 from helpers import quadratic_instance
 
@@ -235,8 +235,8 @@ def test_eigenbasis_problem_diagonalizes_each_quadratic_block():
         for V, h, C, rot_h, rot_C in ((Vx, prox_form.f_prox, prob.A, turned.f_smooth or turned.f_prox,
                                        turned.A), (Vy, prob.g, prob.B, turned.g, turned.B)):
             e, _ = np.linalg.eigh(h.P)
-            assert type(rot_h) is QuadraticProx and rot_h.P.ndim == 1
-            assert np.allclose(rot_h.P, e, rtol=1e-12, atol=1e-12)
+            assert type(rot_h) is _DiagonalQuadratic
+            assert np.allclose(rot_h.e, e, rtol=1e-12, atol=1e-12)
             assert np.allclose(rot_h.p, V.T @ h.p, rtol=1e-12, atol=1e-12)
             assert np.allclose(rot_C.matrix, C.matrix @ V, rtol=1e-12, atol=1e-12)
             assert rot_C.norm() == C.norm()

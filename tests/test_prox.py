@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SeparableProblem
 from pdsplit.prox import (BoxIndicator, ElasticNet, HingeSum, QuadraticProx,
-                          ShiftedL1, SquaredL2)
+                          ShiftedL1, SquaredL2, _DiagonalQuadratic)
 
 
 def golden_prox_1d(h, z, tau, bracket=20.0):
@@ -262,8 +262,8 @@ def test_diagonal_form_matches_its_dense_quadratic(m):
     e, p = rng.permutation(np.r_[0.0, rng.random(n - 1) * 5.0]), rng.standard_normal(n)
     dense, case = QuadraticProx(np.diag(e), p), _augmented_case(rng, m, n)
     diag, CV, V = dense.in_eigenbasis(case["C"])
-    assert type(diag) is QuadraticProx and diag.P.shape == (n,) and diag.in_eigenbasis(CV) is None
-    assert np.allclose(diag.P, np.sort(e), rtol=1e-12, atol=1e-12)
+    assert type(diag) is _DiagonalQuadratic and diag.e.shape == (n,)
+    assert np.allclose(diag.e, np.sort(e), rtol=1e-12, atol=1e-12)
     assert (diag.strong_convexity, diag.lipschitz) == (dense.strong_convexity, dense.lipschitz)
     z = rng.standard_normal(n)
     assert abs(diag.value(V.T @ z) - dense.value(z)) <= 1e-12 * abs(dense.value(z))
@@ -363,10 +363,15 @@ def test_quadratic_prox_decomposes_once_and_reads_its_moduli_from_it(count_decom
     assert q.strong_convexity == 0.0 and e[0] < 0.0
     assert q.lipschitz == e[-1]
     q.prox(rng.standard_normal(n), 0.3)
-    q.solve_augmented(**_augmented_args(_augmented_case(rng, 4, n), 2.0))
+    case = _augmented_case(rng, 4, n)
+    q.solve_augmented(**_augmented_args(case, 2.0))
     q.gradient(rng.standard_normal(n))
     q.value(rng.standard_normal(n))
-    assert count_decompositions == {"eigh": 1, "eigvalsh": 0}
+    assert count_decompositions == {"eigh": 1, "eigvalsh": 0}   # a dense solve needs no norm
+    # the eigenbasis reuses the solve's kept C V, and C's norm is computed once
+    first, second = q.in_eigenbasis(case["C"]), q.in_eigenbasis(case["C"])
+    assert first[1] is second[1] and first[1].norm() == case["C"].norm()
+    assert count_decompositions == {"eigh": 1, "eigvalsh": 1}
 
 
 def test_zero_fun_factors_each_operator_once_per_switch(count_decompositions):

@@ -26,8 +26,9 @@ pairs are numbered after the workload's runs already there.  A call whose
 already recorded for the workload, or whose ``--seeds`` is not a range
 ``A-B`` with ``A <= B``, is refused before anything runs.  The
 files are rewritten after every pair, so a rejected run leaves the pairs
-before it recorded; resume with the seeds after them.  At the end,
-per metric of this call, the script prints each side's median and
+before it recorded; resume with the seeds after them.  At the end, per
+metric, over every pair of the workload that both files record (this
+call's and earlier calls'), the script prints each side's median and
 quartiles, the parent's interquartile range as a fraction of its median,
 in how many pairs the change was better, and the ratio of the change's
 median to the parent's.  A ratio that is not better than 1 by more than
@@ -216,7 +217,6 @@ def main(argv=None):
     if done:
         raise SystemExit(f"seeds {done} of workload {args.workload} are already recorded")
     start = sum(run["workload"] == args.workload for run in records["parent"]["runs"])
-    results = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         base = Path(tmp)
         for side in trees:
@@ -242,11 +242,15 @@ def main(argv=None):
                                               "seed": seed, "slot": held[side],
                                               "workload": args.workload})
                 paths[side].write_text(json.dumps(records[side], indent=1, sort_keys=True) + "\n")
-            results.append((got["parent"][1], got["change"][1]))
             print(f"pair {pair} seed {seed}: {order[0]} first, ok", flush=True)
+    recorded = [{run["pair"]: run["result"] for run in records[side]["runs"]
+                 if run["workload"] == args.workload} for side in trees]
+    results = [(recorded[0][pair], recorded[1][pair]) for pair in sorted(recorded[0])
+               if pair in recorded[1]]
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     band = aa_band(args.workload)
-    print(f"{args.workload}: {len(results)} pairs, {names['change']} against {names['parent']}")
+    print(f"{args.workload}: {len(results)} pairs, {last - first + 1} of them in this call, "
+          f"{names['change']} against {names['parent']}")
     if band:
         print(f"A/A: median ratios of {band[0]} and its -b")
     print("\n".join(summary(results, {m["name"]: m for m in spec["end_to_end"]},

@@ -24,11 +24,9 @@ byte-identical files.
 """
 
 import argparse
-import contextlib
 import json
 import numbers
 import os
-import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -39,7 +37,6 @@ from .linops import DenseOperator, negated_identity
 from .oracles import SaddlePoint, SeparableProblem
 from .params import Scheme
 from .prox import ElasticNet, QuadraticProx, ShiftedL1, HingeSum, SquaredL2
-from .subprob import InnerLoopCapWarning
 
 __all__ = [
     "RunConfig",
@@ -250,24 +247,6 @@ def _run_method(bundle, tag, iters):
     return result.trace, result.state.x
 
 
-@contextlib.contextmanager
-def _counting_cap_hits(entry):
-    """Put the number of inner-loop cap warnings raised inside the block, and
-    the largest residual among them (None without one), into ``entry``;
-    every warning is then passed on to the caller's filters."""
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            yield
-    finally:
-        residuals = [w.message.residual for w in caught
-                     if issubclass(w.category, InnerLoopCapWarning)]
-        entry["inner_cap_hits"] = len(residuals)
-        entry["inner_cap_worst_residual"] = max(residuals, default=None)
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-
-
 def _relative_series(values, f_star=None):
     """Self-normalized series: each entry divided by the k=0 magnitude."""
     if f_star is not None:
@@ -309,10 +288,8 @@ def run_benchmark(config):
     }
 
     for tag in config.methods:
-        entry = {}
         try:
-            with _counting_cap_hits(entry):
-                trace, x_final = _run_method(bundle, tag, config.iters)
+            trace, x_final = _run_method(bundle, tag, config.iters)
         except baselines.NotApplicableError as exc:
             summary["methods"][tag] = {"skipped": str(exc)}
             continue
@@ -334,6 +311,12 @@ def run_benchmark(config):
         feas_rel = _relative_series([r.feas for r in rows])
         checkpoints = [{"k": r.k, "obj": r.obj, "feas": r.feas, "obj_rel": o, "feas_rel": fr}
                        for r, o, fr in zip(rows, obj_rel, feas_rel)]
+        blocks = trace.meta["blocks"]
+        worst = [b["worst_cap_residual"] for b in blocks.values() if b["cap_hits"]]
+        entry = {"checkpoints": checkpoints, "final_sparsity": sparsity(x_final),
+                 "fstar_uncertainty": f_star_unc, "trace": os.path.basename(path), "blocks": blocks,
+                 "inner_cap_hits": sum(b["cap_hits"] for b in blocks.values()),
+                 "inner_cap_worst_residual": max(worst, default=None)}
         if p_star is not None:
             # composite objective needs the x iterate, which the trace does
             # not keep; report it at the final iterate only
@@ -341,10 +324,6 @@ def run_benchmark(config):
             entry["composite_rel_final"] = (p_final - p_star) / (abs(p0 - p_star) or 1.0)
             entry["composite_final"] = p_final
             entry["composite_star"] = p_star
-        entry["checkpoints"] = checkpoints
-        entry["final_sparsity"] = sparsity(x_final)
-        entry["fstar_uncertainty"] = f_star_unc
-        entry["trace"] = os.path.basename(path)
         summary["methods"][tag] = entry
 
     spath = os.path.join(config.out, "summary.json")

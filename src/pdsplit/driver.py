@@ -96,11 +96,13 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     the caller get states in the original basis: the callback's keep the
     row's products and residual, the returned one has ``A x``, ``B y`` and a
     kept ``A v`` formed by the original operators, its residual from them.
-    A ``max_iters`` that is not an integer (a ``bool`` included) raises
-    ``TypeError``, a negative one ``ValueError``.
+    ``trace.meta["blocks"]`` holds each block's basis and its solve's counts
+    over the run.  A ``max_iters`` or ``record_every`` that is not an integer
+    (a ``bool`` included) raises ``TypeError``, one too small ``ValueError``.
     """
-    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
-        raise TypeError(f"max_iters must be an integer, not {max_iters!r}")
+    for name, value in (("max_iters", max_iters), ("record_every", record_every)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, not {value!r}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, not {max_iters}")
     if record_every < 1:
@@ -108,6 +110,8 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     if ps is not None and record_every != 1:
         raise ValueError("record_every applies only to a method without a parameter schedule")
     turned, Vx, Vy = problem.eigenbasis
+    for solve in turned.solves.values():
+        solve.reset()
     saddle = turned.saddle if ps is not None else None
     trace = IterationTrace(meta=dict(meta, max_iters=max_iters))
     state = _rotated(state, Vx, Vy, back=False)
@@ -146,6 +150,8 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
         ps = ps_next
 
     trace.meta["iterations"] = trace.rows[-1].k
+    trace.meta["blocks"] = {role: {"basis": "original" if V is None else "eigen", **solve.counts()}
+                            for (role, solve), V in zip(turned.solves.items(), (Vx, Vy))}
     if turned is not problem:   # products as a run in this basis would leave them
         state = _rotated(state, Vx, Vy, back=True) if seen is None else seen
         state.Ax, state.By, state.res = problem.A.apply(state.x), problem.B.apply(state.y), None

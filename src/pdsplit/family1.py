@@ -15,8 +15,8 @@ the prox form is ``y+ = prox_{tau g}(y_tilde - tau B^T lam_bar)``,
 ``tau = a^2 / eta``.  The augmented form, with penalty ``sigma = 1/theta_{k+1}``
 and weight ``eta / a^2``, is linearized at
 ``lam_hat = lam - (A x + B y - b) / theta + c (A v - A x)``, whose
-residual and product the state keeps, and hands the
-solver ``r = weight y_tilde - B^T (lam_hat + sigma (A x - b))``.  Then
+residual and product the state keeps, and hands ``g``'s solve
+``r = weight y_tilde - B^T (lam_hat + sigma (A x - b))``.  Then
 ``w+ = y+ + (y+ - y) / a``.  Side x reads ``f``, ``A``, ``gamma``, ``mu_f``,
 ``x``, ``v`` and ``B y`` instead.  ``driver._STEPS`` binds :func:`step` to
 each scheme's implicit side and family pair.
@@ -126,13 +126,13 @@ def _prox_form(side, problem, state, ps, alpha, lam_bar):
 
 
 def _augmented_form(side, problem, state, ps, ps_next, alpha, held):
-    h, C, z, eta, center = _block(side, problem, state, ps, alpha)
+    _, C, z, eta, center = _block(side, problem, state, ps, alpha)
     Ax, By = state.products(problem)
-    other = By if side == "x" else Ax
+    other, solve = (By, problem.solves["f"]) if side == "x" else (Ax, problem.solves["g"])
     lam_hat = state.lam - state.residual(problem) / ps.theta + (alpha / ps.theta) * (held - other)
     sigma, weight = 1.0 / ps_next.theta, eta / alpha ** 2
     r = weight * center - C.adjoint(lam_hat + sigma * (other - problem.b))
-    z_new = solve_augmented_subproblem(h, r, C, sigma, weight, center)
+    z_new = solve_augmented_subproblem(solve, r, sigma, weight, center)
     return z_new, z_new + (z_new - z) / alpha
 
 

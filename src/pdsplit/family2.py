@@ -12,7 +12,7 @@ sandwiches it, with the auxiliary weights
 
     eta_f~ = gamma + mu_f a        v_tilde = (gamma v + mu_f a u) / eta_f~
 
-and the augmented form hands the solver, for penalty ``sigma = a / theta`` and
+and the augmented form hands ``f``'s solve, for penalty ``sigma = a / theta`` and
 weight ``eta_f~ / a``, ``r = weight v_tilde - grad f1(u) - A^T (lam + sigma (B w - b))``.
 """
 
@@ -41,7 +41,7 @@ def _f2_augmented(side, problem, state, ps, ps_next, alpha, Bw):
     sigma, weight = alpha / ps.theta, eta_ft / alpha
     r = (weight * v_tilde - problem.f_smooth.gradient(u)
          - problem.A.adjoint(state.lam + sigma * (Bw - problem.b)))
-    v_new = solve_augmented_subproblem(problem.f_prox, r, problem.A, sigma, weight, v_tilde)
+    v_new = solve_augmented_subproblem(problem.solves["f"], r, sigma, weight, v_tilde)
     return (state.x + alpha * v_new) / (1.0 + alpha), v_new
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .linops import DenseOperator, LinearOperator
+from .subprob import BlockSolve
 
 __all__ = [
     "ProxOracle",
@@ -36,7 +37,10 @@ class ProxOracle:
 
     Subclasses implement ``value`` (extended real, ``inf`` outside the
     constraint set) and ``prox``, where ``prox(z, tau)`` minimizes
-    ``h(u) + ||u - z||^2 / (2 tau)``.
+    ``h(u) + ||u - z||^2 / (2 tau)``.  Some in ``pdsplit.prox`` also have
+    ``solve_augmented(r, C, sigma, weight, center)``, the closed form of
+    ``pdsplit.subprob``'s augmented subproblem for a ``C`` that is not a
+    scaled identity, which returns None to decline to the inner loop.
     """
 
     strong_convexity = 0.0
@@ -46,18 +50,6 @@ class ProxOracle:
 
     def prox(self, z, tau):
         raise NotImplementedError
-
-    def solve_augmented(self, r, C, sigma, weight, center):
-        """Minimize ``h(u) + sigma/2 ||C u||^2 + weight/2 ||u||^2 - <r, u>``
-        when a closed form exists; an iterative solve starts at ``center``.
-
-        Returns None when this oracle has no closed form for a general
-        coupling operator ``C``, or when its own solve declines this one;
-        the solver then falls back to its inner loop.  A scaled-identity
-        ``C`` never reaches this method: the solver merges it into the prox
-        first.  ``pdsplit.prox`` lists the oracles that override it.
-        """
-        return None
 
 
 class SmoothOracle:
@@ -93,7 +85,7 @@ class SeparableProblem:
     part.  ``mu_f`` / ``mu_g`` are the strong convexity moduli that drive
     the parameter recursion, checked finite and nonnegative; they default
     to the oracles' declared moduli, read on first use, so building a
-    problem decomposes nothing.
+    problem decomposes nothing; ``solves`` maps ``"f"`` and ``"g"`` to their solves.
     """
 
     def __init__(self, f, g, A, B, b, mu_f=None, mu_g=None, saddle=None):
@@ -110,6 +102,7 @@ class SeparableProblem:
 
         self.g = g
         self.A, self.B, self.b = A, B, b
+        self.solves = {"f": BlockSolve(self.f_prox, A), "g": BlockSolve(g, B)}
         self._mu = tuple(None if mu is None else _nonnegative(name, mu)
                          for name, mu in (("mu_f", mu_f), ("mu_g", mu_g)))
 

@@ -3,11 +3,11 @@
 Every prox here is closed form, written in the ``prox`` method of its class,
 and refuses a step ``tau`` that is not positive.  ``QuadraticProx`` and
 ``SquaredL2`` are smooth oracles too, so either can be the smooth part of a
-split f-block.  Both solve the augmented subproblem in closed form from one
-kept eigendecomposition: of ``P``, through ``QuadraticProx``'s diagonal form
-in that basis, or of the smaller Gram matrix of ``C``; ``ElasticNet`` by
-active-set Newton, which declines when its answer fails the inner loop's
-stopping test.
+split f-block.  Both have a ``solve_augmented`` (a block's ``closed`` path),
+in closed form from one kept eigendecomposition: of ``P``, through
+``QuadraticProx``'s diagonal form in that basis, or of the smaller Gram
+matrix of ``C``; so does ``ElasticNet``, by active-set Newton, which
+declines when its answer fails the inner loop's stopping test.
 """
 
 from functools import cached_property

@@ -6,11 +6,11 @@ Each non-linearized block update minimizes
 
 over the block's set (folded into ``h``'s prox).  The caller forms the
 right-hand side ``r`` with one adjoint product, and every solve reads it as
-it is.  The solve is closed form when ``C`` is a scaled identity (the
-augmented term merges into the prox) or when the block oracle solves the
-subproblem itself (``QuadraticProx``, ``SquaredL2``, and ``ElasticNet`` by
-active-set Newton, which may decline); otherwise an inner loop of
-accelerated proximal gradient is used.  An iterative solve starts at
+it is.  A block's :class:`BlockSolve` takes one path: ``merge`` when ``C``
+is a scaled identity (the augmented term merges into the prox), ``closed``
+when the oracle solves it (``QuadraticProx``, ``SquaredL2``, and ``ElasticNet``
+by active-set Newton, which may decline to ``inner``), else ``inner``: an
+inner loop of accelerated proximal gradient.  An iterative solve starts at
 ``center``.  The loop returns ``T(z)``, one prox-gradient step from the
 extrapolated point ``z``, as soon as
 ``||T(z) - z|| <= inner_tol * (1 + ||T(z)||)``: the test of
@@ -50,16 +50,36 @@ class InnerLoopCapWarning(RuntimeWarning):
         self.residual = residual
 
 
-def solve_augmented_subproblem(block, r, C, sigma, weight, center):
-    """Scaled-identity merge, else the oracle's closed form, else the inner loop."""
-    if isinstance(C, ScaledIdentity):
-        rho = sigma * C.scale * C.scale + weight
-        return block.prox(r / rho, 1.0 / rho)
+class BlockSolve:
+    """The augmented solve of ``block`` through ``C`` on the path chosen here.
+    Since :meth:`reset` it counts its declines (None answers of the closed
+    form, each solved by the inner loop) and the inner loop's cap residuals."""
 
-    closed = block.solve_augmented(r, C, sigma, weight, center)
-    if closed is not None:
-        return closed
-    return _inner_prox_gradient(block, r, C, sigma, weight, center)
+    def __init__(self, block, C):
+        self.block, self.C = block, C
+        self.path = ("merge" if isinstance(C, ScaledIdentity)
+                     else "closed" if hasattr(block, "solve_augmented") else "inner")
+        self.reset()
+
+    def reset(self):
+        self.declines, self.cap_residuals = 0, []
+
+    def counts(self):
+        return {"path": self.path, "declines": self.declines, "cap_hits": len(self.cap_residuals),
+                "worst_cap_residual": max(self.cap_residuals, default=None)}
+
+
+def solve_augmented_subproblem(solve, r, sigma, weight, center):
+    """The block's subproblem on ``solve``'s path; a declined closed form is counted."""
+    if solve.path == "merge":
+        rho = sigma * solve.C.scale * solve.C.scale + weight
+        return solve.block.prox(r / rho, 1.0 / rho)
+    if solve.path == "closed":
+        closed = solve.block.solve_augmented(r, solve.C, sigma, weight, center)
+        if closed is not None:
+            return closed
+        solve.declines += 1
+    return _inner_prox_gradient(solve, r, sigma, weight, center)
 
 
 def prox_gradient_step(block, z, Cz, C, sigma, weight, r):
@@ -74,7 +94,7 @@ def prox_gradient_step(block, z, Cz, C, sigma, weight, r):
     return u_next, residual, residual <= OPTIONS.inner_tol * (1.0 + np.linalg.norm(u_next))
 
 
-def _inner_prox_gradient(block, r, C, sigma, weight, center):
+def _inner_prox_gradient(solve, r, sigma, weight, center):
     """Accelerated proximal gradient on the smooth quadratic part, prox on the block.
 
     The smooth part is ``weight``-strongly convex with gradient Lipschitz
@@ -83,6 +103,7 @@ def _inner_prox_gradient(block, r, C, sigma, weight, center):
     where plain proximal gradient needs ``lip / weight``.  ``C u`` is carried
     between iterations, so each one costs one forward and one adjoint product.
     """
+    block, C = solve.block, solve.C
     lip = sigma * C.norm_bound() ** 2 + weight
     root_q = np.sqrt(weight / lip)
     momentum = (1.0 - root_q) / (1.0 + root_q)
@@ -98,6 +119,7 @@ def _inner_prox_gradient(block, r, C, sigma, weight, center):
         z = u_next + momentum * (u_next - u)
         Cz = Cu_next + momentum * (Cu_next - Cu)
         u, Cu = u_next, Cu_next
+    solve.cap_residuals.append(float(residual))
     warnings.warn(InnerLoopCapWarning(
         f"augmented-subproblem inner loop hit its cap of {OPTIONS.inner_max_iters} "
         f"iterations at residual {residual:.3e} (tolerance {OPTIONS.inner_tol:.1e}, "

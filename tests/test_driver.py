@@ -213,6 +213,16 @@ def test_record_every_below_one_raises():
         ladmm_run(prob, 5, record_every=0)
 
 
+@pytest.mark.parametrize("record_every", [2.5, True, float("nan")], ids=["2.5", "True", "nan"])
+def test_record_every_that_is_not_an_integer_raises(record_every):
+    # unchecked, 2.5 would record rows 0 and 5 only, True would act as 1 and nan would drop row 0
+    prob, _ = quadratic_instance(85)
+    with pytest.raises(TypeError, match="record_every must be an integer, not"):
+        ladmm_run(prob, 5, record_every=record_every)
+    trace, _ = ladmm_run(prob, 5, record_every=np.int64(2))   # a numpy integer is one
+    assert [row.k for row in trace.rows] == [0, 2, 4, 5]
+
+
 def test_record_every_with_a_schedule_raises():
     # a scheme writes each step's alpha into the last row, which thinning would leave stale
     prob, _ = quadratic_instance(86)

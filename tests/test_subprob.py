@@ -1,19 +1,22 @@
 """The augmented-subproblem solver: the inner loop's agreement with the
 closed form, its cost per iteration and its cap warning; the l1 and
-elastic-net Newton solve against the inner loop, and its fallback; and
-their effect on the LAD benchmark runs."""
+elastic-net Newton solve against the inner loop, and its fallback; the
+path each kind of block takes and the declines and cap hits a run counts;
+and their effect on the LAD benchmark runs."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from pdsplit import bench, prox, subprob
-from pdsplit.bench import RunConfig, generate_lad, generate_problem
+from pdsplit.bench import RunConfig, generate_lad, generate_problem, generate_quadratic
 from pdsplit.driver import run
 from pdsplit.linops import DenseOperator, ScaledIdentity
 from pdsplit.oracles import SeparableProblem
 from pdsplit.params import Scheme
-from pdsplit.prox import ElasticNet
-from pdsplit.subprob import solve_augmented_subproblem
+from pdsplit.prox import ElasticNet, HingeSum
+from pdsplit.subprob import BlockSolve, InnerLoopCapWarning, solve_augmented_subproblem
 
 
 def _instance(seed, n=12, m=7):
@@ -44,8 +47,9 @@ class CountingOperator(DenseOperator):
 
 
 class CountingL1(ElasticNet):
-    """``ElasticNet(lam, 0)`` that counts its prox calls and has no closed
-    form, so every solve against a dense ``C`` runs the inner loop."""
+    """``ElasticNet(lam, 0)`` that counts its prox calls and whose closed
+    form always declines, so every solve against a dense ``C`` runs the
+    inner loop."""
 
     def __init__(self, lam):
         super().__init__(lam, 0.0)
@@ -65,9 +69,9 @@ def test_inner_loop_matches_scaled_identity_closed_form(c):
     linear, offset, center, _ = _instance(1, n=n, m=n)
     r = _rhs(linear, offset, center, c * np.eye(n), sigma=1.3, weight=0.4)
     args = dict(r=r, sigma=1.3, weight=0.4, center=center)
-    closed = solve_augmented_subproblem(ElasticNet(0.7, 0.0), C=ScaledIdentity(c, n), **args)
+    closed = solve_augmented_subproblem(BlockSolve(ElasticNet(0.7, 0.0), ScaledIdentity(c, n)), **args)
     for block in (CountingL1(0.7), ElasticNet(0.7, 0.0)):   # the inner loop, then Newton
-        iterative = solve_augmented_subproblem(block, C=DenseOperator(c * np.eye(n)), **args)
+        iterative = solve_augmented_subproblem(BlockSolve(block, DenseOperator(c * np.eye(n))), **args)
         assert np.max(np.abs(iterative - closed)) <= 1e-8
 
 
@@ -78,7 +82,7 @@ def test_inner_iteration_costs_one_forward_and_one_adjoint_product():
     C.products = 0
     block = CountingL1(0.5)
     r = _rhs(linear, offset, center, M, sigma=1.0, weight=0.5)
-    solve_augmented_subproblem(block, r, C, sigma=1.0, weight=0.5, center=center)
+    solve_augmented_subproblem(BlockSolve(block, C), r, sigma=1.0, weight=0.5, center=center)
     assert 1 < block.calls < subprob.OPTIONS.inner_max_iters
     # the forward product at the centre, and one of each per iteration
     # except the forward after the accepted one
@@ -88,18 +92,27 @@ def test_inner_iteration_costs_one_forward_and_one_adjoint_product():
 def test_inner_loop_cap_hit_warns(monkeypatch):
     linear, offset, center, M = _instance(4)
     monkeypatch.setattr(subprob.OPTIONS, "inner_max_iters", 1)
-    with pytest.warns(RuntimeWarning, match=r"cap of 1 iterations at residual .*tolerance 1\.0e-10"):
-        solve_augmented_subproblem(CountingL1(0.5), _rhs(linear, offset, center, M, 1.0, 0.5),
-                                   DenseOperator(M), sigma=1.0, weight=0.5, center=center)
+    solve = BlockSolve(CountingL1(0.5), DenseOperator(M))
+    match = r"cap of 1 iterations at residual .*tolerance 1\.0e-10"
+    with pytest.warns(RuntimeWarning, match=match) as caught:
+        solve_augmented_subproblem(solve, _rhs(linear, offset, center, M, 1.0, 0.5),
+                                   sigma=1.0, weight=0.5, center=center)
+    [residual] = [w.message.residual for w in caught if w.category is InnerLoopCapWarning]
+    counts = solve.counts()
+    assert counts["cap_hits"] == 1
+    assert counts["worst_cap_residual"] == residual
 
 
 def test_inner_loop_is_the_default_fallback():
-    # an l1 x-block with no closed form against the dense A
+    # an l1 x-block whose closed form declines every solve against the dense
+    # A; a second run on the same problem counts its own declines only
     lad = generate_lad(20, 60, 0).prox_form
     problem = SeparableProblem(CountingL1(lad.f_prox.lam), lad.g, lad.A, lad.B, lad.b)
-    res = run(problem, Scheme.F1_SEMI_B, 5)
-    assert len(res.trace.rows) == 6
-    assert all(np.isfinite(r.obj) for r in res.trace.rows)
+    for _ in range(2):
+        res = run(problem, Scheme.F1_SEMI_B, 5)
+        assert len(res.trace.rows) == 6
+        assert all(np.isfinite(r.obj) for r in res.trace.rows)
+        assert res.trace.meta["blocks"]["f"]["declines"] == 5
 
 
 def _lad_run(tag, inner_tol=None, inner_max_iters=None):
@@ -135,6 +148,7 @@ def _lad_run(tag, inner_tol=None, inner_max_iters=None):
             mp.setattr(subprob.OPTIONS, "inner_tol", inner_tol)
             mp.setattr(subprob.OPTIONS, "inner_max_iters", inner_max_iters)
         trace, _ = bench._run_method(bundle, tag, 200)
+    assert trace.meta["blocks"]["f"]["declines"] == inner_calls   # every inner loop is a decline's
     solves = len(trace.rows) - 1   # one augmented x-solve per step
     return trace, calls / solves, inner_calls
 
@@ -170,12 +184,12 @@ def _newton_and_reference(block, m, n, sigma, seed=5):
     error of at most 2 lip r, so the answer is within 2 (lip / weight) r."""
     linear, offset, center, M = _instance(seed, n=n, m=m)
     C, weight = DenseOperator(M), 0.5
-    args = (_rhs(linear, offset, center, M, sigma, weight), C, sigma, weight, center)
-    newton = block.solve_augmented(*args)
+    r = _rhs(linear, offset, center, M, sigma, weight)
+    newton = block.solve_augmented(r, C, sigma, weight, center)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subprob.OPTIONS, "inner_tol", 1e-13)
         mp.setattr(subprob.OPTIONS, "inner_max_iters", 5000)
-        reference = subprob._inner_prox_gradient(block, *args)
+        reference = subprob._inner_prox_gradient(BlockSolve(block, C), r, sigma, weight, center)
     lip = sigma * C.norm_bound() ** 2 + weight
     return newton, reference, 2.0 * lip / weight * 1e-13 * (1.0 + np.linalg.norm(reference))
 
@@ -202,8 +216,66 @@ def test_newton_solve_with_an_empty_active_set_is_zero(block):
 
 def test_declined_newton_solve_falls_back_to_the_inner_loop(monkeypatch):
     linear, offset, center, M = _instance(6)
-    args = (_rhs(linear, offset, center, M, 1.0, 0.5), DenseOperator(M), 1.0, 0.5, center)
+    r, C = _rhs(linear, offset, center, M, 1.0, 0.5), DenseOperator(M)
     monkeypatch.setattr(prox, "_NEWTON_STEPS", 1)   # stops before its active set settles
-    assert ElasticNet(0.5, 0.0).solve_augmented(*args) is None
-    inner = subprob._inner_prox_gradient(ElasticNet(0.5, 0.0), *args)
-    assert np.array_equal(solve_augmented_subproblem(ElasticNet(0.5, 0.0), *args), inner)
+    assert ElasticNet(0.5, 0.0).solve_augmented(r, C, 1.0, 0.5, center) is None
+    inner = subprob._inner_prox_gradient(BlockSolve(ElasticNet(0.5, 0.0), C), r, 1.0, 0.5, center)
+    solve = BlockSolve(ElasticNet(0.5, 0.0), C)
+    assert solve.path == "closed"
+    assert np.array_equal(solve_augmented_subproblem(solve, r, 1.0, 0.5, center), inner)
+    assert solve.counts()["declines"] == 1
+
+
+def _quadratic_over_counting_operators():
+    """``generate_quadratic(8, 8, 0)`` over two counting operators, which, as
+    subclasses of ``DenseOperator``, keep each block in its own basis."""
+    base = generate_quadratic(8, 8, 0).prox_form
+    return SeparableProblem(base.f_prox, base.g, CountingOperator(base.A.matrix),
+                            CountingOperator(base.B.matrix), base.b)
+
+
+def _hinge_through_a_dense_operator():
+    """svm-l1's prox form with ``B = -I`` as a dense matrix, so that the hinge
+    block can neither merge nor solve in closed form."""
+    svm = generate_problem(RunConfig(problem="svm-l1", m=10, n=30, seed=0)).prox_form
+    return SeparableProblem(svm.f_prox, HingeSum(svm.g.labels, svm.g.weight), svm.A,
+                            DenseOperator(-np.eye(10)), svm.b)
+
+
+def _bench_trace(problem, tag, iters, **config):
+    return bench._run_method(generate_problem(RunConfig(problem=problem, **config)), tag, iters)[0]
+
+
+# case: (the run, giving its trace; {role: the entries expected in the role's block})
+BLOCK_PATHS = {
+    "lad f1-semiB": (lambda: _bench_trace("lad-case1", "f1-semiB", 20, m=20, n=60),
+                     {"f": {"basis": "original", "path": "closed"}}),
+    "lad f1-semiA": (lambda: _bench_trace("lad-case1", "f1-semiA", 20, m=20, n=60),
+                     {"g": {"basis": "original", "path": "merge"}}),
+    "svm-elastic f1-semiB": (lambda: _bench_trace("svm-elastic", "f1-semiB", 300, m=30, n=80),
+                             {"f": {"path": "closed", "declines": 3, "cap_hits": 1}}),
+    "quadratic": (lambda: run(generate_quadratic(8, 8, 0).prox_form, Scheme.F1_SEMI_B, 20).trace,
+                  {role: {"basis": "eigen", "path": "closed"} for role in "fg"}),
+    "quadratic over counting operators": (
+        lambda: run(_quadratic_over_counting_operators(), Scheme.F1_SEMI_A, 20).trace,
+        {role: {"basis": "original", "path": "closed"} for role in "fg"}),
+    "hinge through a dense operator": (
+        lambda: run(_hinge_through_a_dense_operator(), Scheme.F1_SEMI_A, 20).trace,
+        {"g": {"basis": "original", "path": "inner", "declines": 0}}),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_PATHS))
+def test_each_kind_of_block_takes_its_path(case):
+    build, expected = BLOCK_PATHS[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = build()
+    blocks = trace.meta["blocks"]
+    for role, entries in expected.items():
+        assert {key: blocks[role][key] for key in entries} == entries
+    # the counts are the cap warnings the run raised
+    residuals = [w.message.residual for w in caught if w.category is InnerLoopCapWarning]
+    assert sum(block["cap_hits"] for block in blocks.values()) == len(residuals)
+    assert (max(block["worst_cap_residual"] or 0.0 for block in blocks.values())
+            == max(residuals, default=0.0))

@@ -87,7 +87,7 @@ def test_compare_counts_summaries_identical_apart_from_out(tmp_path, capsys):
     result = sweep.compare(parent, change)
     sweep.report(result)
 
-    assert "summary.json without config.out, byte-identical: 1 of 3" in capsys.readouterr().out
+    assert "summary.json without config.out and blocks, byte-identical: 1 of 3" in capsys.readouterr().out
     assert (result["summaries_identical"], result["summaries_total"]) == (1, 3)
     assert result["mismatched"] == [f"svm-l1-seed1/summary.json: missing in {change}"]
     assert (result["identical"], result["total"], result["differing"]) == (0, 0, [])
@@ -118,20 +118,23 @@ def test_compare_reports_largest_fstar_differences(tmp_path, capsys):
 
 
 def test_compare_reports_composite_final_and_cap_hits(tmp_path, capsys):
-    # neither figure is in a trace CSV, so the CSVs alone would not show them move
+    # neither figure is in a trace CSV, so the CSVs alone would not show them move;
+    # only the change records blocks, which the byte comparison leaves out
     parent, change = tmp_path / "parent", tmp_path / "change"
+    blocks = {"f": {"path": "closed", "declines": 2, "cap_hits": 1},
+              "g": {"path": "merge", "declines": 0, "cap_hits": 0}}
     _write_summary(parent, "lad-case1-seed0", 1.0, methods={
         "f1-semiA": {"composite_final": 4.0, "inner_cap_hits": 2},
         "f1-semiB": {"composite_final": 8.0, "inner_cap_hits": 1},
         "pdhg": {"composite_final": 5.0}})
     _write_summary(change, "lad-case1-seed0", 1.0, methods={
         "f1-semiA": {"composite_final": 4.0000004, "inner_cap_hits": 0},
-        "f1-semiB": {"composite_final": 8.0000016, "inner_cap_hits": 1},
+        "f1-semiB": {"composite_final": 8.0000016, "inner_cap_hits": 1, "blocks": blocks},
         "pdhg": {"composite_final": 5.0}})
     _write_summary(parent, "quadratic-synthetic-seed0", 1.0, methods={
         "f2-semiB": {"inner_cap_hits": 3}})
     _write_summary(change, "quadratic-synthetic-seed0", 1.0, methods={
-        "f2-semiB": {"inner_cap_hits": 3}})
+        "f2-semiB": {"inner_cap_hits": 3, "blocks": {**blocks, "f": {**blocks["f"], "declines": 5}}}})
 
     sweep = _sweep()
     result = sweep.compare(parent, change)
@@ -144,6 +147,8 @@ def test_compare_reports_composite_final_and_cap_hits(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "composite_final     2.00e-07  own value     lad-case1-seed0/summary.json f1-semiB\n" in out
     assert "inner_cap_hits, parent then change: 6 4\n" in out
+    assert result["declines"] == (None, 7)
+    assert "declines, parent then change: - 7\n" in out
     assert result["summaries_identical"] == 1 and result["mismatched"] == []
 
 

@@ -33,8 +33,8 @@ class NotApplicableError(ValueError):
     """The method does not apply to the problem's structure."""
 
 
-def step_ladmm(problem, state, sigma, tx, ty):
-    """One linearized multiplier step with penalty ``sigma``.
+def step_ladmm(problem, state, tx, ty):
+    """One linearized multiplier step with penalty 1.
 
     Both primal blocks are prox steps on the linearized augmented
     Lagrangian (Gauss-Seidel order: x first, then y against the new x).
@@ -45,16 +45,16 @@ def step_ladmm(problem, state, sigma, tx, ty):
     A, B, b = problem.A, problem.B, problem.b
     _, By = state.products(problem)
 
-    res = state.residual(problem) + state.lam / sigma
-    x_new = problem.f_prox.prox(state.x - tx * sigma * A.adjoint(res), tx)
+    res = state.residual(problem) + state.lam
+    x_new = problem.f_prox.prox(state.x - tx * A.adjoint(res), tx)
 
     Ax_new = A.apply(x_new)
-    res = Ax_new + By - b + state.lam / sigma
-    y_new = problem.g.prox(state.y - ty * sigma * B.adjoint(res), ty)
+    res = Ax_new + By - b + state.lam
+    y_new = problem.g.prox(state.y - ty * B.adjoint(res), ty)
 
     By_new = B.apply(y_new)
     res_new = Ax_new + By_new - b
-    return IterateState(x=x_new, v=x_new, y=y_new, w=y_new, lam=state.lam + sigma * res_new,
+    return IterateState(x=x_new, v=x_new, y=y_new, w=y_new, lam=state.lam + res_new,
                         Ax=Ax_new, By=By_new, res=res_new)
 
 
@@ -71,8 +71,8 @@ def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1,
     state = IterateState.cold_start(problem, x0, y0, lam0)
     tx = 1.0 / problem.A.norm_bound() ** 2
     ty = 1.0 / problem.B.norm_bound() ** 2
-    result = iterate(problem, state, max_iters, {"scheme": "ladmm", "sigma": 1.0},
-                     lambda problem, s: step_ladmm(problem, s, 1.0, tx, ty),
+    result = iterate(problem, state, max_iters, {"scheme": "ladmm"},
+                     lambda problem, s: step_ladmm(problem, s, tx, ty),
                      iterate_callback=iterate_callback, record_every=record_every)
     return result.trace, result.state
 

@@ -207,6 +207,6 @@ def _rel_excess(value, bound):
 
 def sparsity(x):
     """Number of entries with ``|x_i| > 1e-6 * ||x||_inf``."""
-    ax = np.abs(np.asarray(x))
+    ax = np.abs(x)
     mx = float(ax.max()) if ax.size else 0.0
     return int(np.count_nonzero(ax > 1e-6 * mx))

@@ -63,13 +63,13 @@ class DenseOperator(LinearOperator):
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
         super().__init__(matrix.shape)
-        self.matrix = matrix
+        self.matrix, self._transposed = matrix, matrix.T
 
     def apply(self, v):
         return self.matrix @ v
 
     def adjoint(self, w):
-        return self.matrix.T @ w
+        return self._transposed @ w
 
     def to_dense(self):
         return self.matrix

@@ -108,9 +108,11 @@ class ElasticNet(ProxOracle):
         return l1 + 0.5 * self.mu * float(z @ z) if self.mu else l1   # 0 * inf is nan
 
     def prox(self, z, tau):
-        """Soft-threshold by ``tau * lam``, then shrink by ``1 / (1 + tau * mu)``."""
+        """Soft-threshold by ``tau * lam``, then shrink by ``1 / (1 + tau * mu)``
+        (skipped at ``mu = 0``: same bits on finite points)."""
         _check_step(tau)
-        return _soft_threshold(z, tau, self.lam) / (1.0 + tau * self.mu)
+        x = _soft_threshold(z, tau, self.lam)
+        return x / (1.0 + tau * self.mu) if self.mu else x
 
     def solve_augmented(self, r, C, sigma, weight, center):
         return _l1_newton(self, r, C, sigma, weight, center)
@@ -259,26 +261,36 @@ def _l1_newton(block, r, C, sigma, weight, center):
     M, d, lam = C.to_dense(), weight + block.mu, block.lam
     u, signs = np.array(center, dtype=float), None
     for _ in range(_NEWTON_STEPS):
-        z = (r - sigma * (M.T @ (M @ u))) / d
+        MtMu = M.T @ (M @ u)
+        z = (r - sigma * MtMu) / d
         active = np.where(np.abs(z) > lam / d, np.sign(z), 0.0)
-        if signs is not None and np.array_equal(active, signs):
+        if signs is not None and (active == signs).all():
             break
         signs, S = active, np.flatnonzero(active)
         u = np.zeros_like(u)
         u[S] = _solve_augmented_normal(d, M[:, S], sigma, r[S] - lam * signs[S])
-    _, _, accepted = prox_gradient_step(block, u, C.apply(u), C, sigma, weight, r)
+    else:   # the last step moved u past its product
+        MtMu = M.T @ (M @ u)
+    _, _, accepted = prox_gradient_step(block, u, MtMu, C, sigma, weight, r)
     return u if accepted else None
 
 
 def _solve_augmented_normal(d, G, sigma, rhs):
-    """Solve ``(diag(d) + sigma G^T G) u = rhs``, ``d > 0``, through the m-by-m
-    Woodbury capacitance system ``I / sigma + G diag(1/d) G^T`` when ``G``
-    has fewer rows m than columns."""
+    """Solve ``(diag(d) + sigma G^T G) u = rhs``, ``d > 0`` a vector or a
+    scalar.  When ``G`` has fewer rows m than columns, this goes through an
+    m-by-m Woodbury capacitance system formed by one symmetric product:
+    ``Gs Gs^T + I / sigma``, ``Gs = G diag(d)^(-1/2)``, or for a scalar
+    ``G G^T + (d / sigma) I``, which needs no scaled copy of ``G``."""
     if G.shape[0] < G.shape[1]:
-        Gd = G / d
-        K = Gd @ G.T
-        K.flat[::K.shape[0] + 1] += 1.0 / sigma
-        return (rhs - G.T @ np.linalg.solve(K, Gd @ rhs)) / d
+        if isinstance(d, np.ndarray):
+            s = 1.0 / np.sqrt(d)
+            Gs, t = G * s, s * rhs
+            K = Gs @ Gs.T
+            K.flat[::K.shape[0] + 1] += 1.0 / sigma
+            return s * (t - Gs.T @ np.linalg.solve(K, Gs @ t))
+        K = G @ G.T
+        K.flat[::K.shape[0] + 1] += d / sigma
+        return (rhs - G.T @ np.linalg.solve(K, G @ rhs)) / d
     H = sigma * (G.T @ G)
     H.flat[::H.shape[0] + 1] += d
     return np.linalg.solve(H, rhs)

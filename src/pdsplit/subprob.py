@@ -52,8 +52,8 @@ class InnerLoopCapWarning(RuntimeWarning):
 
 class BlockSolve:
     """The augmented solve of ``block`` through ``C`` on the path chosen here.
-    Since :meth:`reset` it counts its declines (None answers of the closed
-    form, each solved by the inner loop) and the inner loop's cap residuals."""
+    Since :meth:`reset` it counts its calls, its declines (None answers of the
+    closed form, each solved by the inner loop) and the inner loop's cap residuals."""
 
     def __init__(self, block, C):
         self.block, self.C = block, C
@@ -62,15 +62,17 @@ class BlockSolve:
         self.reset()
 
     def reset(self):
-        self.declines, self.cap_residuals = 0, []
+        self.calls, self.declines, self.cap_residuals = 0, 0, []
 
     def counts(self):
-        return {"path": self.path, "declines": self.declines, "cap_hits": len(self.cap_residuals),
+        return {"path": self.path, "calls": self.calls, "declines": self.declines,
+                "cap_hits": len(self.cap_residuals),
                 "worst_cap_residual": max(self.cap_residuals, default=None)}
 
 
 def solve_augmented_subproblem(solve, r, sigma, weight, center):
-    """The block's subproblem on ``solve``'s path; a declined closed form is counted."""
+    """The block's subproblem on ``solve``'s path; the call and a declined closed form are counted."""
+    solve.calls += 1
     if solve.path == "merge":
         rho = sigma * solve.C.scale * solve.C.scale + weight
         return solve.block.prox(r / rho, 1.0 / rho)
@@ -82,13 +84,13 @@ def solve_augmented_subproblem(solve, r, sigma, weight, center):
     return _inner_prox_gradient(solve, r, sigma, weight, center)
 
 
-def prox_gradient_step(block, z, Cz, C, sigma, weight, r):
+def prox_gradient_step(block, z, CtCz, C, sigma, weight, r):
     """``T(z)``, the residual ``||T(z) - z||`` and whether it passes the stopping
     test ``residual <= inner_tol * (1 + ||T(z)||)``.  ``T`` is one prox-gradient
     step, of length ``1 / (sigma ||C||^2 + weight)``, on the smooth part, whose
-    gradient is ``sigma C^T C z + weight z - r``; ``Cz = C z``."""
+    gradient is ``sigma C^T C z + weight z - r``; ``CtCz = C^T C z``."""
     step = 1.0 / (sigma * C.norm_bound() ** 2 + weight)
-    grad = sigma * C.adjoint(Cz) + weight * z - r
+    grad = sigma * CtCz + weight * z - r
     u_next = block.prox(z - step * grad, step)
     residual = np.linalg.norm(u_next - z)
     return u_next, residual, residual <= OPTIONS.inner_tol * (1.0 + np.linalg.norm(u_next))
@@ -112,7 +114,7 @@ def _inner_prox_gradient(solve, r, sigma, weight, center):
     z, Cz = u, Cu
     u_next, residual = u, np.inf   # returned as is when the cap is 0
     for _ in range(OPTIONS.inner_max_iters):
-        u_next, residual, accepted = prox_gradient_step(block, z, Cz, C, sigma, weight, r)
+        u_next, residual, accepted = prox_gradient_step(block, z, C.adjoint(Cz), C, sigma, weight, r)
         if accepted:
             return u_next
         Cu_next = C.apply(u_next)

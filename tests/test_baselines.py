@@ -23,18 +23,19 @@ def test_ladmm_matches_scalar_transcription():
         DenseOperator(np.array([[a]])), DenseOperator(np.array([[c]])),
         np.array([b]))
     x, y, lam = 0.6, -0.3, 0.9
-    sigma, tx, ty = 1.3, 0.21, 0.33
+    tx, ty = 0.21, 0.33
     st = IterateState.cold_start(prob, [x], [y], [lam])
 
-    res = a * x + c * y - b + lam / sigma
-    zx = x - tx * sigma * a * res
+    # penalty 1
+    res = a * x + c * y - b + lam
+    zx = x - tx * a * res
     x_new = (zx - tx * qf) / (1.0 + tx * pf)
-    res = a * x_new + c * y - b + lam / sigma
-    zy = y - ty * sigma * c * res
+    res = a * x_new + c * y - b + lam
+    zy = y - ty * c * res
     y_new = (zy - ty * qg) / (1.0 + ty * pg)
-    lam_new = lam + sigma * (a * x_new + c * y_new - b)
+    lam_new = lam + (a * x_new + c * y_new - b)
 
-    out = step_ladmm(prob, st, sigma, tx, ty)
+    out = step_ladmm(prob, st, tx, ty)
     assert abs(out.x[0] - x_new) <= 1e-12
     assert abs(out.y[0] - y_new) <= 1e-12
     assert abs(out.lam[0] - lam_new) <= 1e-12
@@ -47,7 +48,7 @@ def test_ladmm_saddle_is_fixed_point():
     st = IterateState.cold_start(prob, sd.x.copy(), sd.y.copy(), sd.lam.copy())
     tx = 1.0 / prob.A.norm_bound() ** 2
     ty = 1.0 / prob.B.norm_bound() ** 2
-    out = step_ladmm(prob, st, 1.0, tx, ty)
+    out = step_ladmm(prob, st, tx, ty)
     assert np.allclose(out.x, sd.x, atol=1e-10)
     assert np.allclose(out.y, sd.y, atol=1e-10)
     assert np.allclose(out.lam, sd.lam, atol=1e-10)

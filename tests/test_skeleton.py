@@ -97,7 +97,7 @@ def test_ladmm_products_per_step():
     looped = ladmm_run(prob, 0, x0=np.ones(prob.dim_x))[1]
 
     def step(state):
-        step_ladmm(prob, state, 1.0, 0.1, 0.1)
+        step_ladmm(prob, state, 0.1, 0.1)
 
     assert counted(A, B, step, hand_built(looped)) == (4, 2)
     assert counted(A, B, step, looped) == (2, 2)
@@ -112,7 +112,7 @@ def test_kept_products_change_no_bit(method):
         looped = ladmm_run(prob, 5)[1]
 
         def step(state):
-            return step_ladmm(prob, state, 1.0, 0.1, 0.1)
+            return step_ladmm(prob, state, 0.1, 0.1)
     else:
         prox_form, split_form = quadratic_instance(32)
         prob = split_form if method.family == 2 else prox_form

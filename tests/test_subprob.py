@@ -279,3 +279,15 @@ def test_each_kind_of_block_takes_its_path(case):
     assert sum(block["cap_hits"] for block in blocks.values()) == len(residuals)
     assert (max(block["worst_cap_residual"] or 0.0 for block in blocks.values())
             == max(residuals, default=0.0))
+
+
+@pytest.mark.parametrize("tag, calls", [("f1-semiB", {"f": 7, "g": 0}),
+                                        ("f1-explicit", {"f": 0, "g": 0}),
+                                        ("ladmm", {"f": 0, "g": 0})])
+def test_each_block_counts_its_solves(tag, calls):
+    # a semiB step solves the x-block once; an explicit or ladmm step solves
+    # no block; a second run on the same problem counts its own calls only
+    bundle = generate_problem(RunConfig(problem="lad-case1", m=20, n=60, seed=0))
+    for _ in range(2):
+        blocks = bench._run_method(bundle, tag, 7)[0].meta["blocks"]
+        assert {role: block["calls"] for role, block in blocks.items()} == calls

@@ -1,7 +1,7 @@
 """The augmented-subproblem solver: the inner loop's agreement with the
 closed form, its cost per iteration and its cap warning; the l1 and
 elastic-net Newton solve against the inner loop, and its fallback; the
-path each kind of block takes and the declines and cap hits a run counts;
+path each kind of block takes and the calls, declines and cap hits a run counts;
 and their effect on the LAD benchmark runs."""
 
 import warnings
@@ -112,7 +112,7 @@ def test_inner_loop_is_the_default_fallback():
         res = run(problem, Scheme.F1_SEMI_B, 5)
         assert len(res.trace.rows) == 6
         assert all(np.isfinite(r.obj) for r in res.trace.rows)
-        assert res.trace.meta["blocks"]["f"]["declines"] == 5
+        assert res.trace.meta["blocks"]["f"]["declines"] == res.trace.meta["blocks"]["f"]["calls"] == 5
 
 
 def _lad_run(tag, inner_tol=None, inner_max_iters=None):
@@ -249,9 +249,14 @@ def _bench_trace(problem, tag, iters, **config):
 # case: (the run, giving its trace; {role: the entries expected in the role's block})
 BLOCK_PATHS = {
     "lad f1-semiB": (lambda: _bench_trace("lad-case1", "f1-semiB", 20, m=20, n=60),
-                     {"f": {"basis": "original", "path": "closed"}}),
+                     {"f": {"basis": "original", "path": "closed", "calls": 20}, "g": {"calls": 0}}),
     "lad f1-semiA": (lambda: _bench_trace("lad-case1", "f1-semiA", 20, m=20, n=60),
-                     {"g": {"basis": "original", "path": "merge"}}),
+                     {"g": {"basis": "original", "path": "merge", "calls": 20}, "f": {"calls": 0}}),
+    # an explicit scheme and a baseline solve no subproblem, whatever the paths
+    "lad f1-explicit": (lambda: _bench_trace("lad-case1", "f1-explicit", 20, m=20, n=60),
+                        {"f": {"path": "closed", "calls": 0}, "g": {"path": "merge", "calls": 0}}),
+    "lad ladmm": (lambda: _bench_trace("lad-case1", "ladmm", 20, m=20, n=60),
+                  {"f": {"path": "closed", "calls": 0}, "g": {"path": "merge", "calls": 0}}),
     "svm-elastic f1-semiB": (lambda: _bench_trace("svm-elastic", "f1-semiB", 300, m=30, n=80),
                              {"f": {"path": "closed", "declines": 3, "cap_hits": 1}}),
     "quadratic": (lambda: run(generate_quadratic(8, 8, 0).prox_form, Scheme.F1_SEMI_B, 20).trace,
@@ -280,14 +285,3 @@ def test_each_kind_of_block_takes_its_path(case):
     assert (max(block["worst_cap_residual"] or 0.0 for block in blocks.values())
             == max(residuals, default=0.0))
 
-
-@pytest.mark.parametrize("tag, calls", [("f1-semiB", {"f": 7, "g": 0}),
-                                        ("f1-explicit", {"f": 0, "g": 0}),
-                                        ("ladmm", {"f": 0, "g": 0})])
-def test_each_block_counts_its_solves(tag, calls):
-    # a semiB step solves the x-block once; an explicit or ladmm step solves
-    # no block; a second run on the same problem counts its own calls only
-    bundle = generate_problem(RunConfig(problem="lad-case1", m=20, n=60, seed=0))
-    for _ in range(2):
-        blocks = bench._run_method(bundle, tag, 7)[0].meta["blocks"]
-        assert {role: block["calls"] for role, block in blocks.items()} == calls

@@ -182,7 +182,7 @@ class QuadraticProx(ProxOracle, SmoothOracle):
         if not (np.isfinite(P).all() and np.isfinite(p).all()):
             raise ValueError("P and p must be finite")
         self.P, self.p = 0.5 * (P + P.T), p
-        self._coupled = None    # (C, C V as an operator) for the last operator C
+        self._coupled = None    # (C, (h, C V, V)) for the last operator C
 
     @cached_property
     def _eigh(self):
@@ -203,21 +203,15 @@ class QuadraticProx(ProxOracle, SmoothOracle):
         return self.P @ z + self.p
 
     def solve_augmented(self, r, C, sigma, weight, center):
-        h, V = self._eigh
-        return V @ h.solve_augmented(V.T @ r, self._times_V(C), sigma, weight, V.T @ center)
-
-    def _times_V(self, C):
-        """``C V`` as an operator, kept for the last operator ``C``."""
-        if self._coupled is None or self._coupled[0] is not C:
-            self._coupled = (C, DenseOperator(C.to_dense() @ self._eigh[1]))
-        return self._coupled[1]
+        h, CV, V = self.in_eigenbasis(C)
+        return V @ h.solve_augmented(V.T @ r, CV, sigma, weight, V.T @ center)
 
     def in_eigenbasis(self, C):
-        """``(h, C V, V)``: this quadratic in the eigenbasis ``V`` of ``P``, and
-        the kept ``C V`` given ``C``'s norm, so that step sizes keep their bits."""
-        CV = self._times_V(C)
-        CV._norm = C.norm()
-        return self._eigh[0], CV, self._eigh[1]
+        """``(h, C V, V)``: this quadratic in ``P``'s eigenbasis, kept for the last ``C``."""
+        if self._coupled is None or self._coupled[0] is not C:
+            h, V = self._eigh
+            self._coupled = (C, (h, DenseOperator(C.to_dense() @ V), V))
+        return self._coupled[1]
 
 
 class _DiagonalQuadratic(ProxOracle, SmoothOracle):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pdsplit import diagnostics
-from pdsplit.baselines import ladmm_run, pdhg_run
-from pdsplit.bench import generate_lad, generate_quadratic
+from pdsplit.baselines import NotApplicableError, ladmm_run, pdhg_run
+from pdsplit.bench import METHOD_TAGS, _run_method, generate_lad, generate_quadratic
 from pdsplit.driver import build_rule, iterate, run
 from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, negated_identity
@@ -333,3 +333,30 @@ def test_a_run_in_the_eigenbasis_matches_the_run_in_the_original_one(method):
         for block in ("x", "v", "y", "w", "lam"):
             want = getattr(b, block)
             assert np.linalg.norm(getattr(a, block) - want) <= 1e-12 * (1.0 + np.linalg.norm(want)), block
+
+
+def _trace_csvs(bundle):
+    """Each applicable method's trace CSV on ``bundle``, without its timings."""
+    csvs = {}
+    for tag in METHOD_TAGS:
+        try:
+            trace, _ = _run_method(bundle, tag, 30)
+        except NotApplicableError:
+            continue
+        for row in trace.rows:
+            row.seconds = None
+        csvs[tag] = trace.to_csv_string()
+    return csvs
+
+
+def test_no_run_reads_a_rotated_operators_norm():
+    # step sizes come from the original operators and a rotated block is
+    # solved in closed form, so a NaN norm on each C V changes no trace byte
+    clean = _trace_csvs(generate_quadratic(20, 60, 3))
+    bundle = generate_quadratic(20, 60, 3)
+    for form in (bundle.prox_form, bundle.split_form):
+        turned, Vx, Vy = form.eigenbasis
+        assert Vx is not None and Vy is not None
+        turned.A._norm = turned.B._norm = float("nan")
+    assert list(clean) == [tag for tag in METHOD_TAGS if tag != "pdhg"]   # pdhg needs B = -I
+    assert _trace_csvs(bundle) == clean

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -226,3 +228,25 @@ def test_summary_has_no_aa_column_without_a_recorded_control(trees, capsys):
     _main(trees, "quad-saddle", "1-3")
     printed = capsys.readouterr().out
     assert "A/A" not in printed
+
+
+def test_aa_band_reads_the_newest_control_not_the_last_by_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def git(*args, when="2000-01-01T00:00:00Z"):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid", *args],
+                       check=True, capture_output=True,
+                       env=dict(os.environ, GIT_AUTHOR_DATE=when, GIT_COMMITTER_DATE=when))
+
+    git("init", "-q", ".")
+    for name, when, ratio in (("zzz", "2001-01-01T00:00:00Z", 3.0),
+                              ("aaa", "2002-01-01T00:00:00Z", 2.0)):   # newer, first by name
+        _aa_record(tmp_path / f"BENCH_aa-{name}-lad-inner-a.json", "lad-inner", [1.0])
+        _aa_record(tmp_path / f"BENCH_aa-{name}-lad-inner-b.json", "lad-inner", [ratio])
+        git("add", ".")
+        git("commit", "-q", "-m", name, when=when)
+    assert _pairs().aa_band("lad-inner") == ("BENCH_aa-aaa-lad-inner-a.json", {"setup_s": 2.0})
+    # an uncommitted control is newer than any committed one
+    _aa_record(tmp_path / "BENCH_aa-mmm-lad-inner-a.json", "lad-inner", [1.0])
+    _aa_record(tmp_path / "BENCH_aa-mmm-lad-inner-b.json", "lad-inner", [5.0])
+    assert _pairs().aa_band("lad-inner") == ("BENCH_aa-mmm-lad-inner-a.json", {"setup_s": 5.0})

@@ -239,7 +239,8 @@ def test_eigenbasis_problem_diagonalizes_each_quadratic_block():
             assert np.allclose(rot_h.e, e, rtol=1e-12, atol=1e-12)
             assert np.allclose(rot_h.p, V.T @ h.p, rtol=1e-12, atol=1e-12)
             assert np.allclose(rot_C.matrix, C.matrix @ V, rtol=1e-12, atol=1e-12)
-            assert rot_C.norm() == C.norm()
+            assert rot_C._norm is None   # turning the block computes no norm
+            assert rot_C.norm() == pytest.approx(C.norm(), rel=1e-12, abs=0)   # ||C V|| = ||C||
         assert (turned.mu_f, turned.mu_g) == (prob.mu_f, prob.mu_g)
         assert turned.b is prob.b and turned.saddle.lam is prob.saddle.lam
         x, y = prob.saddle.x, prob.saddle.y

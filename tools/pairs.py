@@ -38,9 +38,11 @@ whose change median is worse than the parent's by more than its ``bound``
 and the bound are read from CHANGE's ``BENCHMARK.json``.  When the current
 directory holds a recorded A/A control of the workload,
 ``BENCH_aa-<name>-<workload>-a.json`` and its ``-b.json``, the summary also
-prints each metric's A/A median ratio (``-b`` over ``-a``, from the last such
-pair by name) beside the parent's interquartile range: the spread that
-identical trees showed, against which a pair's ratio is read.
+prints each metric's A/A median ratio (``-b`` over ``-a``, from the newest
+such pair: the one whose ``-a`` file git last committed, an uncommitted one
+newer still, and the last by name among equals or outside a git checkout)
+beside the parent's interquartile range: the spread that identical trees
+showed, against which a pair's ratio is read.
 
 Given the same tree twice, with two ``--names``, the script is an A/A
 control: both copies run from the slots as above, and the summary reads
@@ -143,11 +145,26 @@ def _ratio(change, parent):
     return change / parent if parent else (1.0 if change == 0 else math.inf)
 
 
+def _commit_time(path):
+    """When ``path`` was last committed, in seconds since the epoch: inf when
+    it is not committed, 0 outside a git checkout."""
+    try:
+        log = subprocess.run(["git", "log", "-1", "--format=%ct", "--", path.name],
+                             cwd=path.parent, capture_output=True, text=True)
+    except OSError:   # no git
+        return 0.0
+    if log.returncode:
+        return 0.0
+    return float(log.stdout) if log.stdout.strip() else math.inf
+
+
 def aa_band(workload):
-    """The name of the last recorded A/A control of ``workload`` in the
+    """The name of the newest recorded A/A control of ``workload`` in the
     current directory (its ``-a`` file) and each metric's median ratio
-    there, ``-b`` over ``-a``; None when there is none."""
-    for a in sorted(Path().glob(f"BENCH_aa-*-{workload}-a.json"), reverse=True):
+    there, ``-b`` over ``-a``; None when there is none.  The newest is the
+    last committed, an uncommitted one newer still; name order breaks ties."""
+    controls = Path().glob(f"BENCH_aa-*-{workload}-a.json")
+    for a in sorted(controls, key=lambda path: (_commit_time(path), path.name), reverse=True):
         b = a.with_name(a.name[:-len("a.json")] + "b.json")
         if not b.exists():
             continue

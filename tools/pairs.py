@@ -153,7 +153,7 @@ def _commit_time(path):
                              cwd=path.parent, capture_output=True, text=True)
     except OSError:   # no git
         return 0.0
-    if log.returncode:
+    if log.returncode:   # not a git checkout
         return 0.0
     return float(log.stdout) if log.stdout.strip() else math.inf
 

@@ -313,7 +313,7 @@ def run_benchmark(config):
                        for r, o, fr in zip(rows, obj_rel, feas_rel)]
         blocks = trace.meta["blocks"]
         worst = [b["worst_cap_residual"] for b in blocks.values() if b["cap_hits"]]
-        entry = {"checkpoints": checkpoints, "final_sparsity": sparsity(x_final),
+        entry = {"checkpoints": checkpoints, "final_sparsity": int(sparsity(x_final)),
                  "fstar_uncertainty": f_star_unc, "trace": os.path.basename(path), "blocks": blocks,
                  "inner_cap_hits": sum(b["cap_hits"] for b in blocks.values()),
                  "inner_cap_worst_residual": max(worst, default=None)}

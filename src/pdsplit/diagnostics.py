@@ -7,10 +7,10 @@ Trace CSV schema (one row per iteration, exact header):
 Missing values (no reference saddle point) serialize as empty fields.
 """
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class IterationTrace:
         return [getattr(r, name) for r in self.rows]
 
     def to_csv(self, path_or_buf):
-        write_csv(path_or_buf, CSV_COLUMNS,
-                  ([getattr(r, c) for c in CSV_COLUMNS] for r in self.rows))
+        write_csv(path_or_buf, CSV_COLUMNS, map(attrgetter(*CSV_COLUMNS), self.rows))
 
     def to_csv_string(self):
         buf = io.StringIO()
@@ -80,24 +79,30 @@ class IterationTrace:
 def write_csv(path_or_buf, columns, rows):
     """Write ``columns`` and then ``rows`` (values in column order) to a path or a
     buffer: None as an empty field, ``k`` and ``sparsity`` as they are, any
-    other value as ``repr(float(v))``, so the same numbers give the same bytes."""
+    other value as ``repr(float(v))``, so the same numbers give the same bytes.
+    The bytes are ``csv.writer``'s for rows of two or more such fields: joined
+    by ``,``, each line ended by ``\\r\\n``."""
     if not hasattr(path_or_buf, "write"):
         with open(path_or_buf, "w", newline="") as fh:
             return write_csv(fh, columns, rows)
-    writer = csv.writer(path_or_buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if v is None else v if c in ("k", "sparsity") else repr(float(v))
-                         for c, v in zip(columns, row)])
+    formats = [str if c in ("k", "sparsity") else _float_field for c in columns]
+    lines = (",".join(["" if v is None else f(v) for f, v in zip(formats, row)]) for row in rows)
+    path_or_buf.write("".join(f"{line}\r\n" for line in (",".join(columns), *lines)))
+
+
+def _float_field(v):
+    return repr(float(v))
 
 
 def lagrangian_gap(problem, state, saddle, objective):
     """``L(x, y, lam*) - L(x*, y*, lam)`` at the iterate state, given its
     ``objective`` ``F(x, y)``; nonnegative at a true saddle.
-    ``L(x*, y*, lam)`` pairs ``lam`` with the problem's kept saddle residual."""
+    ``L(x*, y*, lam)`` pairs ``lam`` with the problem's kept saddle residual.
+    Over the last axis: a state of stacked points and their objectives give
+    one gap per point, each the bits of its own evaluation."""
     f_saddle, saddle_residual = problem.saddle_terms(saddle)
     return (lagrangian_value(problem, state, saddle.lam, objective)
-            - (f_saddle + float(state.lam @ saddle_residual)))
+            - (f_saddle + np.vecdot(state.lam, saddle_residual)))
 
 
 def lyapunov(problem, state, ps, saddle, gap):
@@ -108,10 +113,12 @@ def lyapunov(problem, state, ps, saddle, gap):
 
     ``ps`` supplies ``theta``, ``gamma`` and ``beta``; ``saddle`` is the
     reference point and ``gap`` the Lagrangian gap of ``state`` against it.
+    Over the last axis, as :func:`lagrangian_gap`: stacked points with one
+    ``theta``, ``gamma``, ``beta`` and ``gap`` each give one merit per point.
     """
     dv, dw, dlam = state.v - saddle.x, state.w - saddle.y, state.lam - saddle.lam
-    return (gap + 0.5 * ps.gamma * float(dv @ dv) + 0.5 * ps.beta * float(dw @ dw)
-            + 0.5 * ps.theta * float(dlam @ dlam))
+    return (gap + 0.5 * ps.gamma * np.vecdot(dv, dv) + 0.5 * ps.beta * np.vecdot(dw, dw)
+            + 0.5 * ps.theta * np.vecdot(dlam, dlam))
 
 
 def r0(problem, state, saddle, e0):
@@ -206,7 +213,7 @@ def _rel_excess(value, bound):
 
 
 def sparsity(x):
-    """Number of entries with ``|x_i| > 1e-6 * ||x||_inf``."""
+    """Number of entries with ``|x_i| > 1e-6 * ||x||_inf``, over the last axis:
+    one count for a point, one per point for a stack of them."""
     ax = np.abs(x)
-    mx = float(ax.max()) if ax.size else 0.0
-    return int(np.count_nonzero(ax > 1e-6 * mx))
+    return np.count_nonzero(ax > 1e-6 * ax.max(axis=-1, keepdims=True, initial=0.0), axis=-1)

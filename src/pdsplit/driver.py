@@ -11,7 +11,10 @@ with the step size ``alpha_k`` that was used to leave index ``k``.  The last
 row has no ``alpha``.  A baseline has no schedule: its rows have theta = 1
 and empty ``alpha``, ``gap`` and ``lyap``, even when a saddle is known.
 ``record_every`` keeps only the rows whose index is a multiple of it, and
-the last; only the reference-optimum estimate sets it.
+the last; only the reference-optimum estimate sets it.  A row is stamped with
+its ``seconds`` when recorded; its ``gap``, ``lyap`` and ``sparsity`` are
+filled with those of up to :data:`BLOCK_ROWS` rows at once, when the block is
+full or the run ends, bit for bit the values one row alone would get.
 """
 
 import math
@@ -19,6 +22,7 @@ import numbers
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +33,8 @@ from .oracles import feasibility_residual
 from .params import ParamState, Scheme, StepSizeRule, advance, solve_step_size
 
 __all__ = ["RunResult", "run", "iterate", "build_rule", "check_f_block"]
+
+BLOCK_ROWS = 64   # rows whose gap, merit and sparsity one call of each evaluates
 
 _STEPS = {s: partial(family1.step, s.implicit, (family1, family2)[s.family - 1].F_BLOCK)
           for s in Scheme}
@@ -97,8 +103,9 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     row's products and residual, the returned one has ``A x``, ``B y`` and a
     kept ``A v`` formed by the original operators, its residual from them.
     ``trace.meta["blocks"]`` holds each block's basis and its solve's counts
-    over the run.  A ``max_iters`` or ``record_every`` that is not an integer
-    (a ``bool`` included) raises ``TypeError``, one too small ``ValueError``.
+    over the run.  The callback sees a row before its block is filled.  A
+    ``max_iters`` or ``record_every`` that is not an integer (a ``bool``
+    included) raises ``TypeError``, one too small ``ValueError``.
     """
     for name, value in (("max_iters", max_iters), ("record_every", record_every)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -116,6 +123,7 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     trace = IterationTrace(meta=dict(meta, max_iters=max_iters))
     state = _rotated(state, Vx, Vy, back=False)
 
+    start, kept = state, []   # kept: the pending rows' arrays that _fill reads
     t_start = time.perf_counter()
     for k in range(max_iters + 1):
         if k % record_every == 0 or k == max_iters:
@@ -123,21 +131,22 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
             # A x + B y - b and F(x, y) once per row; the gap, r0 and the step reuse them
             feas = feasibility_residual(turned, state)
             objective = turned.objective(state.x, state.y)
-            obj = float(objective) if math.isfinite(objective) else None
-            gap = ey = None
-            if saddle is not None:
-                gap = lagrangian_gap(turned, state, saddle, objective)
-                ey = lyapunov(turned, state, ps, saddle, gap)
-            x = state.x if Vx is None else Vx @ state.x
-            row = TraceRow(k=k, theta=1.0 if ps is None else ps.theta, obj=obj,
-                           feas=feas, gap=gap, lyap=ey, sparsity=sparsity(x),
-                           seconds=time.perf_counter() - t_start)
+            row = TraceRow(k=k, theta=1.0 if ps is None else ps.theta,
+                           obj=float(objective) if math.isfinite(objective) else None,
+                           feas=feas, seconds=time.perf_counter() - t_start)
             trace.append(row)
-            if k == 0 and ey is not None:
-                trace.meta["e0"] = ey
-                trace.meta["r0"] = r0(turned, state, saddle, ey)
+            kept.append((state.x,) if saddle is None else
+                        (state.x, state.v, state.w, state.lam, state.res, objective,
+                         ps.theta, ps.gamma, ps.beta))
             seen = None if iterate_callback is None else _rotated(state, Vx, Vy, back=True)
-            if (seen is not None and iterate_callback(k, seen)) or k == max_iters:
+            stop = (seen is not None and iterate_callback(k, seen)) or k == max_iters
+            if stop or len(kept) == BLOCK_ROWS:
+                _fill(trace.rows[-len(kept):], kept, turned, saddle, Vx)
+                kept = []
+                if saddle is not None and "e0" not in trace.meta:
+                    trace.meta["e0"] = trace.rows[0].lyap
+                    trace.meta["r0"] = r0(turned, start, saddle, trace.meta["e0"])
+            if stop:
                 break
 
         if ps is None:
@@ -157,6 +166,24 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
         state.Ax, state.By, state.res = problem.A.apply(state.x), problem.B.apply(state.y), None
         state.Av = None if state.Av is None else problem.A.apply(state.v)
     return RunResult(trace=trace, state=state, params=ps)
+
+
+def _fill(rows, kept, problem, saddle, Vx):
+    """Fill ``rows``' sparsity, and with a saddle their gap and merit, from
+    ``kept``, one tuple per row, stacked: one call of each diagnostic per
+    block, the block's ``x`` turned back by one product."""
+    cols = [np.array(c) for c in zip(*kept)]
+    x = cols[0] if Vx is None else cols[0] @ Vx.T
+    for row, count in zip(rows, sparsity(x).tolist()):
+        row.sparsity = count
+    if saddle is not None:
+        _, v, w, lam, res, objective, theta, gamma, beta = cols
+        block = family1.IterateState(x=cols[0], v=v, y=None, w=w, lam=lam, res=res)
+        gap = lagrangian_gap(problem, block, saddle, objective)
+        ey = lyapunov(problem, block, SimpleNamespace(theta=theta, gamma=gamma, beta=beta),
+                      saddle, gap)
+        for row, g, e in zip(rows, gap.tolist(), ey.tolist()):
+            row.gap, row.lyap = g, e
 
 
 def _rotated(state, Vx, Vy, back):

@@ -35,7 +35,6 @@ __all__ = [
     "rhs",
     "integrate",
     "lyapunov_continuous",
-    "closed_form_parameters",
     "trajectory_to_csv",
 ]
 
@@ -189,15 +188,6 @@ def lyapunov_continuous(problem, state, saddle):
     whose own ``theta``, ``gamma`` and ``beta`` weigh the distances."""
     gap = lagrangian_gap(problem, state, saddle, problem.objective(state.x, state.y))
     return lyapunov(problem, state, state, saddle, gap)
-
-
-def closed_form_parameters(t, mu_f, mu_g, gamma0, beta0):
-    """Exact solutions of the parameter subsystem from (1, gamma0, beta0)."""
-    decay = math.exp(-t)
-    theta = decay
-    gamma = mu_f + (gamma0 - mu_f) * decay
-    beta = mu_g + (beta0 - mu_g) * decay
-    return theta, gamma, beta
 
 
 def trajectory_to_csv(problem, trajectory, path_or_buf, saddle=None, f_star=None):

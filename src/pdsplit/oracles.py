@@ -202,11 +202,12 @@ def feasibility_residual(problem, state):
 
 def lagrangian_value(problem, state, lam, objective):
     """``f(x) + g(y) + <lam, A x + B y - b>`` at the iterate state's point,
-    extended real, given that point's ``objective`` ``F(x, y)``.
+    extended real, given that point's ``objective`` ``F(x, y)``.  Over the
+    last axis: a state of stacked points, with their residuals kept, and an
+    array of their objectives give one value per point.
 
     Returns ``inf`` when ``x`` or ``y`` violates its constraint set (the
-    indicator lives inside the block values).
+    indicator lives inside the block values): the pairing term of a finite
+    point is finite, so a non-finite objective stays the value.
     """
-    if not math.isfinite(objective):
-        return objective
-    return objective + float(lam @ state.residual(problem))
+    return objective + np.vecdot(lam, state.residual(problem))

@@ -3,7 +3,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,3 +413,31 @@ def test_quadratic_schemes_certify_on_a_seed_panel(seed):
     for tag in SCHEME_TAGS:
         trace, _ = _run_method(bundle, tag, 300)
         assert certify_bounds(trace, inputs).clean(slack=1e-8), (tag, seed)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+THREADS_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[2])
+import sweep
+from pdsplit.bench import METHOD_TAGS, RunConfig, run_benchmark
+run_benchmark(RunConfig(problem="lad-case1", m=30, n=80, seed=0, methods=METHOD_TAGS,
+                        iters=300, out=sys.argv[1]))
+print(json.dumps(sweep.environment()))
+"""
+
+
+def test_trace_bytes_match_across_blas_thread_counts(tmp_path):
+    # byte-identity is promised for one numpy, BLAS and thread count; at this
+    # size the products stay on one thread, so the bytes match across counts too
+    traces = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, "-c", THREADS_CHILD, str(out), str(ROOT / "tools")],
+                               env=env, capture_output=True, text=True, check=True)
+        assert json.loads(child.stdout.splitlines()[-1])["blas_threads"] in (threads, None)
+        traces[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("trace_*.csv"))}
+    assert len(traces[1]) == len(METHOD_TAGS)
+    assert traces[1] == traces[2]

@@ -11,7 +11,8 @@ from pdsplit import IterateState
 from pdsplit.baselines import ladmm_run
 from pdsplit.diagnostics import (CSV_COLUMNS, BoundReport, IterationTrace,
                                  LyapunovInputs, TraceRow, certify_bounds,
-                                 lagrangian_gap, lyapunov, r0, sparsity)
+                                 lagrangian_gap, lyapunov, r0, sparsity,
+                                 write_csv)
 from pdsplit.driver import run
 from pdsplit.oracles import lagrangian_value
 from pdsplit.params import ParamState, Scheme
@@ -163,6 +164,10 @@ def test_sparsity_counts():
     assert sparsity(np.zeros(5)) == 0
     # the relative threshold ignores entries below 1e-6 of the peak
     assert sparsity(np.array([1.0, 1e-9])) == 1
+    # over the last axis, each point of a stack against its own peak
+    points = np.array([[0.0, 1.0, -2.0, 0.0], [0.0] * 4, [1.0, 1e-9, 0.0, 0.0]])
+    assert sparsity(points).tolist() == [sparsity(x) for x in points] == [2, 0, 1]
+    assert sparsity(np.zeros((2, 0))).tolist() == [0, 0]
 
 
 def test_csv_round_trip(tmp_path):
@@ -188,6 +193,25 @@ def test_csv_missing_fields_serialize_empty():
     trace.append(TraceRow(k=1, theta=1, sparsity=3))
     text = trace.to_csv_string()
     assert text.splitlines()[1:] == ["0,1.0,,,,,,,", "1,1.0,,,,,,3,"]
+
+
+def test_csv_bytes_are_csv_writers():
+    # the writer formats each column its own way and joins the fields itself;
+    # the bytes must stay those csv.writer gave for the same formatted fields
+    columns = ("k", "theta", "obj", "sparsity")
+    rows = [(0, 1.0, None, 3), (np.int64(7), np.float64(0.1), -0.0, np.int32(0)),
+            (12, np.float32(0.5), math.inf, None), (3, -math.inf, math.nan, 10**20),
+            (None, 2, np.float64(-1e-300), 5)]
+    expect = io.StringIO(newline="")
+    writer = csv.writer(expect)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["" if v is None else v if c in ("k", "sparsity") else repr(float(v))
+                         for c, v in zip(columns, row)])
+    got = io.StringIO(newline="")
+    write_csv(got, columns, rows)
+    assert got.getvalue() == expect.getvalue()
+    assert got.getvalue().splitlines()[2] == "7,0.1,-0.0,0"
 
 
 def test_trace_column_access():

@@ -4,9 +4,10 @@ bookkeeping, and loud failures, for the schemes and the baselines alike."""
 import numpy as np
 import pytest
 
-from pdsplit import diagnostics
+from pdsplit import diagnostics, driver
 from pdsplit.baselines import NotApplicableError, ladmm_run, pdhg_run
 from pdsplit.bench import METHOD_TAGS, _run_method, generate_lad, generate_quadratic
+from pdsplit.diagnostics import lagrangian_gap, lyapunov, r0, sparsity
 from pdsplit.driver import build_rule, iterate, run
 from pdsplit.family1 import IterateState
 from pdsplit.linops import DenseOperator, negated_identity
@@ -36,10 +37,11 @@ def test_meta_records_initial_constants():
     assert meta["iterations"] == 10
 
 
-@pytest.mark.parametrize("iters, calls", [(0, 1), (10, 11)])
-def test_merit_costs_one_gap_per_row(monkeypatch, iters, calls):
-    # E0 and R0 come from row 0's merit instead of evaluating it again, and
-    # the saddle side of the gap is evaluated once per problem
+@pytest.mark.parametrize("iters, rows", [(0, 1), (10, 11), (150, 151)])
+def test_merit_costs_one_gap_per_row(monkeypatch, iters, rows):
+    # every row's gap is evaluated once, in one call per block of rows; E0 and
+    # R0 come from row 0's merit instead of evaluating it again, and the saddle
+    # side of the gap is evaluated once per problem
     count = 0
     value = diagnostics.lagrangian_value
 
@@ -50,7 +52,8 @@ def test_merit_costs_one_gap_per_row(monkeypatch, iters, calls):
 
     monkeypatch.setattr(diagnostics, "lagrangian_value", counted)
     res = run(generate_quadratic(8, 8, seed=0).prox_form, Scheme.F1_SEMI_A, iters)
-    assert count == calls
+    assert len(res.trace.rows) == rows
+    assert count == -(-rows // driver.BLOCK_ROWS)
     assert res.trace.meta["e0"] == res.trace.rows[0].lyap
 
 
@@ -239,17 +242,17 @@ NAN_ENTRY_POINTS = {
 }
 
 
-def _nan_from_third_call(oracle):
-    """Make ``oracle``'s prox return NaN from its third call on."""
+def _nan_from_call(oracle, nth):
+    """Make ``oracle``'s prox return NaN from its ``nth`` call on."""
     prox, calls = oracle.prox, 0
 
-    def nan_from_third_call(z, tau):
+    def nan_from_nth_call(z, tau):
         nonlocal calls
         calls += 1
         out = prox(z, tau)
-        return np.full_like(out, np.nan) if calls >= 3 else out
+        return np.full_like(out, np.nan) if calls >= nth else out
 
-    oracle.prox = nan_from_third_call
+    oracle.prox = nan_from_nth_call
 
 
 @pytest.mark.parametrize("method", list(NAN_ENTRY_POINTS))
@@ -260,7 +263,7 @@ def test_non_finite_iterate_raises(method):
     plain, rotated = generate_lad(20, 60, 0).prox_form, quadratic_instance(88)[0]
     assert plain.eigenbasis[0] is plain and rotated.eigenbasis[0] is not rotated
     for prob in (plain, rotated):
-        _nan_from_third_call(prob.eigenbasis[0].f_prox)
+        _nan_from_call(prob.eigenbasis[0].f_prox, 3)
         with pytest.raises(FloatingPointError, match=f"^{method}: non-finite x at iteration 3$"):
             NAN_ENTRY_POINTS[method](prob)
 
@@ -360,3 +363,75 @@ def test_no_run_reads_a_rotated_operators_norm():
         turned.A._norm = turned.B._norm = float("nan")
     assert list(clean) == [tag for tag in METHOD_TAGS if tag != "pdhg"]   # pdhg needs B = -I
     assert _trace_csvs(bundle) == clean
+
+
+def _plain(form):
+    """``form`` on subclassed operators, so its blocks keep their basis."""
+    return SeparableProblem(form.f_prox, form.g, _PlainDense(form.A.matrix),
+                            _PlainDense(form.B.matrix), form.b, saddle=form.saddle)
+
+
+BLOCK_PATH = {
+    "8x8": lambda: generate_quadratic(8, 8, 0).prox_form,
+    "8x8-plain": lambda: _plain(generate_quadratic(8, 8, 0).prox_form),
+    "20x60": lambda: generate_quadratic(20, 60, 3).prox_form,
+}
+
+
+@pytest.mark.parametrize("instance", list(BLOCK_PATH))
+def test_rows_filled_in_blocks_match_the_per_point_diagnostics(monkeypatch, instance):
+    # 150 rows fill in three blocks, the last one partial.  Each row's gap and
+    # merit are the bits of the per-point functions at the state the loop
+    # stepped, in its basis; its sparsity is the count of the callback's x
+    prob = BLOCK_PATH[instance]()
+    turned, Vx, _ = prob.eigenbasis
+    assert (Vx is None) == (instance == "8x8-plain")
+    scheme = Scheme.F1_SEMI_A
+    step, stepped = driver._STEPS[scheme], []
+
+    def recording(problem, state, ps, ps_next, alpha):
+        out = step(problem, state, ps, ps_next, alpha)
+        stepped[-1:] = [(state, ps), (out, ps_next)]   # the last entry was this input
+        return out
+
+    monkeypatch.setitem(driver._STEPS, scheme, recording)
+    counted = []   # each block's x, as the run hands it to sparsity
+    monkeypatch.setattr(driver, "sparsity", lambda x: counted.append(x) or sparsity(x))
+    seen = []
+    res = run(prob, scheme, 149, iterate_callback=lambda k, state: seen.append(state))
+    rows, saddle = res.trace.rows, turned.saddle
+    block = driver.BLOCK_ROWS
+    assert len(rows) == len(stepped) == len(seen) == 150 > 2 * block
+    assert [len(x) for x in counted] == [block, block, 150 - 2 * block]
+    xs = np.array([state.x for state in seen])   # turned back one row at a time
+    assert np.allclose(np.concatenate(counted), xs, rtol=0.0, atol=1e-12 * np.abs(xs).max())
+    for row, (state, ps), shown in zip(rows, stepped, seen):
+        gap = lagrangian_gap(turned, state, saddle, turned.objective(state.x, state.y))
+        merit = lyapunov(turned, state, ps, saddle, gap)
+        assert (type(row.gap), type(row.lyap), type(row.sparsity)) == (float, float, int)
+        assert (row.gap.hex(), row.lyap.hex()) == (float(gap).hex(), float(merit).hex()), row.k
+        assert row.sparsity == sparsity(shown.x), row.k
+    assert res.trace.meta["e0"] == rows[0].lyap
+    assert res.trace.meta["r0"] == r0(turned, stepped[0][0], saddle, rows[0].lyap)
+
+
+@pytest.mark.parametrize("entry", ["f1-semiB", "ladmm"])
+def test_a_callback_stopping_mid_block_leaves_every_row_filled(entry):
+    prob = generate_quadratic(20, 60, 3).prox_form
+    full, _ = ENTRY_POINTS[entry](prob, 149, None)
+    stopped, _ = ENTRY_POINTS[entry](prob, 149, lambda k, state: k == 100)
+    columns = ("gap", "lyap", "sparsity") if entry == "f1-semiB" else ("sparsity",)
+    assert len(stopped.rows) == 101 and driver.BLOCK_ROWS < 101 < 2 * driver.BLOCK_ROWS
+    for col in columns:
+        assert None not in stopped.column(col)
+        assert stopped.column(col) == full.column(col)[:101], col
+
+
+def test_non_finite_iterate_in_a_later_block_raises_at_its_iteration():
+    # the rows' diagnostics wait for their block; the finiteness check does not
+    prob = quadratic_instance(88)[0]
+    _nan_from_call(prob.eigenbasis[0].f_prox, 100)
+    seen = []
+    with pytest.raises(FloatingPointError, match="^f1-semiA: non-finite x at iteration 100$"):
+        run(prob, Scheme.F1_SEMI_A, 149, iterate_callback=lambda k, state: seen.append(k))
+    assert seen == list(range(100))

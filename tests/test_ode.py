@@ -11,9 +11,8 @@ import pytest
 from pdsplit import IterateState, driver
 from pdsplit.bench import generate_quadratic
 from pdsplit.linops import DenseOperator, negated_identity
-from pdsplit.odeflow import (OdeBlowUpError, SmoothSystemState,
-                             closed_form_parameters, initial_state, integrate,
-                             lyapunov_continuous, rhs, trajectory_to_csv)
+from pdsplit.odeflow import (OdeBlowUpError, SmoothSystemState, initial_state,
+                             integrate, lyapunov_continuous, rhs, trajectory_to_csv)
 from pdsplit.oracles import SeparableProblem, feasibility_residual
 from pdsplit.params import ParamState, Scheme, advance
 from pdsplit.prox import ElasticNet, QuadraticProx, SquaredL2
@@ -39,9 +38,12 @@ def test_parameter_closed_forms_along_trajectory():
     prob = ode_quadratic_instance(63, 0.5, 0.0)
     init = initial_state(prob, gamma0=2.0, beta0=1.5)
     traj = integrate(prob, init, T=10.0, h=1e-3)
+    # the exact solutions of the parameter subsystem from (1, gamma0, beta0):
+    # theta = e^-t, gamma = mu_f + (gamma0 - mu_f) e^-t, beta = mu_g + (beta0 - mu_g) e^-t
     worst = 0.0
     for st in traj:
-        th, ga, be = closed_form_parameters(st.t, 0.5, 0.0, 2.0, 1.5)
+        decay = math.exp(-st.t)
+        th, ga, be = decay, 0.5 + (2.0 - 0.5) * decay, 1.5 * decay
         worst = max(worst, abs(st.theta - th), abs(st.gamma - ga), abs(st.beta - be))
     assert worst <= 1e-8
 

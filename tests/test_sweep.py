@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
@@ -181,3 +182,36 @@ def test_write_flows_writes_one_full_trajectory_per_seed(tmp_path):
         assert lines[0] == "t,E,feas,obj_gap,theta,gamma,beta"
         assert len(lines) == 1 + 501                     # t = 0, 1e-3, ..., 0.5
         assert all(row.split(",")[1] and row.split(",")[3] for row in lines[1:])
+
+
+def test_compare_names_an_environment_mismatch_before_any_byte_difference(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, "lad-case1-seed0/trace_ladmm.csv", ["0,1.0,,10.0,2.0,,,5,"])
+    _write(change, "lad-case1-seed0/trace_ladmm.csv", ["0,1.0,,10.000000000000002,2.0,,,5,"])
+    sweep = _sweep()
+    stamp = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31", "blas_threads": 1}
+    (parent / "environment.json").write_text(json.dumps(stamp))
+
+    result = sweep.compare(parent, change)
+    assert result["environments"] == [stamp, None]
+    assert result["environment_mismatch"] == [f"environment.json: missing in {change}"]
+
+    (change / "environment.json").write_text(json.dumps(dict(stamp, blas_threads=2)))
+    result = sweep.compare(parent, change)
+    sweep.report(result)
+
+    assert result["environment_mismatch"] == ["blas_threads: parent 1, change 2"]
+    out = capsys.readouterr().out
+    assert out.startswith(f"environment, parent: {json.dumps(stamp)}\n"
+                          f"environment, change: {json.dumps(dict(stamp, blas_threads=2))}\n"
+                          "ENVIRONMENT MISMATCH blas_threads: parent 1, change 2\n"
+                          "byte-identical: 0 of 1 CSVs\n")
+    (change / "environment.json").write_text(json.dumps(stamp))
+    assert sweep.compare(parent, change)["environment_mismatch"] == []
+
+
+def test_environment_reads_numpy_blas_and_its_thread_count():
+    stamp = _sweep().environment()
+    assert list(stamp) == ["numpy", "blas", "blas_threads"]
+    assert stamp["numpy"] == np.__version__
+    assert stamp["blas_threads"] is None or stamp["blas_threads"] >= 1

@@ -8,14 +8,20 @@ goes to ``OUT/<problem>-seed<s>/``.  The sweep also integrates the
 continuous flow on ``generate_quadratic(6, 10, seed)`` for seeds 0 and 1
 (T = 0.5, h = 1e-3) and writes each trajectory, with its merit and
 objective gap, to ``OUT/flow/quadratic-seed<s>.csv``.  ``OUT/sha256sums.txt``
-lists the digest of every CSV in ``sha256sum`` format.
+lists the digest of every CSV in ``sha256sum`` format, and ``OUT/environment.json``
+the numpy version, the BLAS and its thread count that made them, read as
+``perfbench/run.py`` reads them.  The same numpy, BLAS and thread count give
+the same bytes; another thread count may move the last bits of a product.
 
     PYTHONPATH=src python3 tools/sweep.py OUT
     PYTHONPATH=src python3 tools/sweep.py OUT --against PARENT_OUT
 
 The pdsplit that runs is the one on ``PYTHONPATH``, so a parent commit's
 output comes from the same script with that commit's ``src`` on the path.
-With ``--against``, the script prints how many trace CSVs and how many flow
+With ``--against``, the script first prints both sides' ``environment.json``
+and names each field in which they differ (or a side that records none),
+since then a byte difference need not be the code's; it then prints how
+many trace CSVs and how many flow
 trajectories are byte-identical to ``PARENT_OUT``'s, names each one that
 is not, and gives, per trace column, the
 largest difference: relative for
@@ -50,6 +56,7 @@ RELATIVE = ("theta", "alpha", "gap", "lyap")
 ROW0_RELATIVE = ("obj", "feas")
 EXACT = ("sparsity",)
 SUMMARY_FIELDS = ("fstar", "fstar_uncertainty")
+ENVIRONMENT = ("numpy", "blas", "blas_threads")
 
 
 def run_sweep(out):
@@ -68,8 +75,23 @@ def run_sweep(out):
     with open(out / "sha256sums.txt", "w") as fh:
         for path in paths + flows:
             fh.write(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}\n")
+    (out / "environment.json").write_text(json.dumps(environment(), indent=2) + "\n")
     print(f"{len(paths)} trace CSVs and {len(flows)} flow trajectories in {out}")
     return paths + flows
+
+
+def environment():
+    """``{numpy, blas, blas_threads}`` from ``perfbench/run.py``'s environment stamp."""
+    import importlib.util
+
+    import pdsplit
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", Path(__file__).resolve().parent.parent / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    stamp = run.environment(pdsplit, None)
+    return {key: stamp[key] for key in ENVIRONMENT}
 
 
 def write_flows(out):
@@ -117,6 +139,18 @@ def _summary(path):
     return summary, json.dumps(summary, indent=2, sort_keys=True) + "\n", declines
 
 
+def _environments(parent_dir, change_dir):
+    """Each side's ``environment.json`` (None where it has none), and a line
+    for each field in which the two differ or for each side without one."""
+    paths = [d / "environment.json" for d in (parent_dir, change_dir)]
+    stamps = [json.loads(p.read_text()) if p.exists() else None for p in paths]
+    if None in stamps:
+        return stamps, [f"environment.json: missing in {p.parent}" for p in paths if not p.exists()]
+    parent, change = stamps
+    return stamps, [f"{key}: parent {parent.get(key)}, change {change.get(key)}"
+                    for key in ENVIRONMENT if parent.get(key) != change.get(key)]
+
+
 def _pairs(parent_dir, change_dir, pattern, mismatched):
     """The number of paths matching ``pattern`` under either directory, and
     ``(name, parent path, change path)`` for those under both; a path
@@ -135,7 +169,10 @@ def _pairs(parent_dir, change_dir, pattern, mismatched):
 def compare(parent_dir, change_dir):
     """Compare the trace CSVs and summaries of two sweep outputs.
 
-    Returns a dict: ``identical`` and ``total`` CSV counts, ``differing``,
+    Returns a dict: ``environments``, the parent's and the change's
+    ``environment.json`` (None for a side without one), ``environment_mismatch``,
+    a line for each of its fields whose two values differ, or for each side
+    without the file; ``identical`` and ``total`` CSV counts, ``differing``,
     the names of the CSVs on both sides that are not byte-identical, ``columns``
     mapping each compared column to ``(largest difference, where)``,
     ``summaries_identical`` and ``summaries_total`` counts of the
@@ -198,7 +235,9 @@ def compare(parent_dir, change_dir):
     flows_total, flows = _pairs(parent_dir, change_dir, "flow/*.csv", mismatched)
     flows_differing = [str(name) for name, p_path, c_path in flows
                        if p_path.read_bytes() != c_path.read_bytes()]
-    return {"identical": identical, "total": total, "differing": differing, "columns": columns,
+    environments, environment_mismatch = _environments(parent_dir, change_dir)
+    return {"environments": environments, "environment_mismatch": environment_mismatch,
+            "identical": identical, "total": total, "differing": differing, "columns": columns,
             "summaries_identical": summaries_identical, "summaries_total": summaries_total,
             "summary_fields": summary_fields, "cap_hits": tuple(cap_hits),
             "declines": tuple(declines),
@@ -208,7 +247,11 @@ def compare(parent_dir, change_dir):
 
 
 def report(result):
-    """Print ``compare``'s result as a table."""
+    """Print ``compare``'s result as a table, the environments and their mismatch first."""
+    for side, stamp in zip(("parent", "change"), result["environments"]):
+        print(f"environment, {side}: {'none recorded' if stamp is None else json.dumps(stamp)}")
+    for line in result["environment_mismatch"]:
+        print(f"ENVIRONMENT MISMATCH {line}")
     print(f"byte-identical: {result['identical']} of {result['total']} CSVs")
     for name in result["differing"]:
         print(f"differs: {name}")

@@ -21,20 +21,18 @@ from pdsplit.odeflow import (initial_state, integrate, lyapunov_continuous,
 def main():
     bundle = generate_quadratic(6, 6, seed=1)
     problem = bundle.prox_form
-    saddle = problem.saddle
 
     trajectory = integrate(problem, initial_state(problem), T=8.0, h=1e-3)
-    e0 = lyapunov_continuous(problem, trajectory[0], saddle)
+    e0 = lyapunov_continuous(problem, trajectory[0], problem.saddle)
 
     print(f"{'t':>5} {'E(t)':>12} {'e^t E(t) / E(0)':>16}")
     for state in trajectory[::1000]:
-        e = lyapunov_continuous(problem, state, saddle)
+        e = lyapunov_continuous(problem, state, problem.saddle)
         print(f"{state.t:>5.1f} {e:>12.3e} {math.exp(state.t) * e / e0:>16.6f}")
 
     os.makedirs("demo-out", exist_ok=True)
     path = "demo-out/flow_trajectory.csv"
-    trajectory_to_csv(problem, trajectory, path, saddle=saddle,
-                      f_star=bundle.f_star)
+    trajectory_to_csv(problem, trajectory, path)
     print(f"\ntrajectory written to {path}")
 
 

@@ -128,8 +128,7 @@ def _bundle(f, f_split, g, A, B, rhs, ground_truth, composite=False, saddle=None
     prox_form, split_form = (SeparableProblem(fb, g, A, B, rhs, saddle=saddle) for fb in (f, f_split))
     A.norm()
     B.norm()
-    f_star = None if saddle is None else prox_form.saddle_terms(saddle)[0]
-    return ProblemBundle(prox_form, split_form, ground_truth, composite, f_star)
+    return ProblemBundle(prox_form, split_form, ground_truth, composite, prox_form.f_saddle)
 
 
 def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01):

@@ -94,40 +94,40 @@ def _float_field(v):
     return repr(float(v))
 
 
-def lagrangian_gap(problem, state, saddle, objective):
+def lagrangian_gap(problem, state, objective):
     """``L(x, y, lam*) - L(x*, y*, lam)`` at the iterate state, given its
-    ``objective`` ``F(x, y)``; nonnegative at a true saddle.
-    ``L(x*, y*, lam)`` pairs ``lam`` with the problem's kept saddle residual.
+    ``objective`` ``F(x, y)``; nonnegative at the problem's true saddle.
+    ``L(x*, y*, lam)`` pairs ``lam`` with the problem's saddle residual.
     Over the last axis: a state of stacked points and their objectives give
     one gap per point, each the bits of its own evaluation."""
-    f_saddle, saddle_residual = problem.saddle_terms(saddle)
-    return (lagrangian_value(problem, state, saddle.lam, objective)
-            - (f_saddle + np.vecdot(state.lam, saddle_residual)))
+    return (lagrangian_value(problem, state, problem.saddle.lam, objective)
+            - (problem.f_saddle + np.vecdot(state.lam, problem.saddle_residual)))
 
 
-def lyapunov(problem, state, ps, saddle, gap):
+def lyapunov(problem, state, ps, gap):
     """Discrete merit: Lagrangian gap plus weighted distances to the saddle.
 
     ``E_k = gap + gamma/2 ||v - x*||^2 + beta/2 ||w - y*||^2
     + theta/2 ||lam - lam*||^2``
 
-    ``ps`` supplies ``theta``, ``gamma`` and ``beta``; ``saddle`` is the
-    reference point and ``gap`` the Lagrangian gap of ``state`` against it.
+    ``ps`` supplies ``theta``, ``gamma`` and ``beta``; ``gap`` is the
+    Lagrangian gap of ``state`` against ``problem.saddle``.
     Over the last axis, as :func:`lagrangian_gap`: stacked points with one
     ``theta``, ``gamma``, ``beta`` and ``gap`` each give one merit per point.
     """
+    saddle = problem.saddle
     dv, dw, dlam = state.v - saddle.x, state.w - saddle.y, state.lam - saddle.lam
     return (gap + 0.5 * ps.gamma * np.vecdot(dv, dv) + 0.5 * ps.beta * np.vecdot(dw, dw)
             + 0.5 * ps.theta * np.vecdot(dlam, dlam))
 
 
-def r0(problem, state, saddle, e0):
+def r0(problem, state, e0):
     """``sqrt(2 E_0) + ||lam_0 - lam*|| + ||A x_0 + B y_0 - b||`` at k=0,
     from the merit ``e0`` of ``state`` and the residual the state keeps."""
-    if saddle is None:
+    if problem.saddle is None:
         return None
     return (math.sqrt(2.0 * max(e0, 0.0))
-            + float(np.linalg.norm(state.lam - saddle.lam))
+            + float(np.linalg.norm(state.lam - problem.saddle.lam))
             + feasibility_residual(problem, state))
 
 

@@ -119,7 +119,7 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     turned, Vx, Vy = problem.eigenbasis
     for solve in turned.solves.values():
         solve.reset()
-    saddle = turned.saddle if ps is not None else None
+    merit = ps is not None and turned.saddle is not None
     trace = IterationTrace(meta=dict(meta, max_iters=max_iters))
     state = _rotated(state, Vx, Vy, back=False)
 
@@ -135,17 +135,16 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
                            obj=float(objective) if math.isfinite(objective) else None,
                            feas=feas, seconds=time.perf_counter() - t_start)
             trace.append(row)
-            kept.append((state.x,) if saddle is None else
-                        (state.x, state.v, state.w, state.lam, state.res, objective,
-                         ps.theta, ps.gamma, ps.beta))
+            kept.append((state.x, state.v, state.w, state.lam, state.res, objective,
+                         ps.theta, ps.gamma, ps.beta) if merit else (state.x,))
             seen = None if iterate_callback is None else _rotated(state, Vx, Vy, back=True)
             stop = (seen is not None and iterate_callback(k, seen)) or k == max_iters
             if stop or len(kept) == BLOCK_ROWS:
-                _fill(trace.rows[-len(kept):], kept, turned, saddle, Vx)
+                _fill(trace.rows[-len(kept):], kept, turned, merit, Vx)
                 kept = []
-                if saddle is not None and "e0" not in trace.meta:
+                if merit and "e0" not in trace.meta:
                     trace.meta["e0"] = trace.rows[0].lyap
-                    trace.meta["r0"] = r0(turned, start, saddle, trace.meta["e0"])
+                    trace.meta["r0"] = r0(turned, start, trace.meta["e0"])
             if stop:
                 break
 
@@ -168,20 +167,19 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     return RunResult(trace=trace, state=state, params=ps)
 
 
-def _fill(rows, kept, problem, saddle, Vx):
-    """Fill ``rows``' sparsity, and with a saddle their gap and merit, from
+def _fill(rows, kept, problem, merit, Vx):
+    """Fill ``rows``' sparsity, and with ``merit`` their gap and merit, from
     ``kept``, one tuple per row, stacked: one call of each diagnostic per
     block, the block's ``x`` turned back by one product."""
     cols = [np.array(c) for c in zip(*kept)]
     x = cols[0] if Vx is None else cols[0] @ Vx.T
     for row, count in zip(rows, sparsity(x).tolist()):
         row.sparsity = count
-    if saddle is not None:
+    if merit:
         _, v, w, lam, res, objective, theta, gamma, beta = cols
         block = family1.IterateState(x=cols[0], v=v, y=None, w=w, lam=lam, res=res)
-        gap = lagrangian_gap(problem, block, saddle, objective)
-        ey = lyapunov(problem, block, SimpleNamespace(theta=theta, gamma=gamma, beta=beta),
-                      saddle, gap)
+        gap = lagrangian_gap(problem, block, objective)
+        ey = lyapunov(problem, block, SimpleNamespace(theta=theta, gamma=gamma, beta=beta), gap)
         for row, g, e in zip(rows, gap.tolist(), ey.tolist()):
             row.gap, row.lyap = g, e
 

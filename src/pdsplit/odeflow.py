@@ -185,23 +185,28 @@ def _norm(t, z, dims):
 
 def lyapunov_continuous(problem, state, saddle):
     """Continuous merit ``E(t)``: the discrete merit at the phase point,
-    whose own ``theta``, ``gamma`` and ``beta`` weigh the distances."""
-    gap = lagrangian_gap(problem, state, saddle, problem.objective(state.x, state.y))
-    return lyapunov(problem, state, state, saddle, gap)
+    whose own ``theta``, ``gamma`` and ``beta`` weigh the distances.  The
+    merit is the problem's: a ``saddle`` that is not ``problem.saddle``
+    raises ``ValueError``."""
+    if saddle is not problem.saddle:
+        raise ValueError("the continuous merit reads the problem's own saddle point")
+    return lyapunov(problem, state, state,
+                    lagrangian_gap(problem, state, problem.objective(state.x, state.y)))
 
 
-def trajectory_to_csv(problem, trajectory, path_or_buf, saddle=None, f_star=None):
+def trajectory_to_csv(problem, trajectory, path_or_buf):
     """Write ``t,E,feas,obj_gap,theta,gamma,beta`` rows with the trace's ``write_csv``.
 
-    ``E`` needs a saddle point and ``obj_gap`` a reference value; either
-    column is left empty when its reference is missing.  Each sample's
-    objective is formed once, and only when a column needs it.
+    ``E`` and ``obj_gap`` (against ``problem.f_saddle``) are left empty when
+    the problem has no saddle point.  Each sample's objective is formed once,
+    and only when the problem has one.
     """
     def row(st):
-        obj = problem.objective(st.x, st.y) if saddle is not None or f_star is not None else None
-        return (st.t, None if saddle is None else
-                lyapunov(problem, st, st, saddle, lagrangian_gap(problem, st, saddle, obj)),
-                feasibility_residual(problem, st), None if f_star is None else abs(obj - f_star),
+        if problem.saddle is None:
+            return st.t, None, feasibility_residual(problem, st), None, st.theta, st.gamma, st.beta
+        obj = problem.objective(st.x, st.y)
+        return (st.t, lyapunov(problem, st, st, lagrangian_gap(problem, st, obj)),
+                feasibility_residual(problem, st), abs(obj - problem.f_saddle),
                 st.theta, st.gamma, st.beta)
 
     write_csv(path_or_buf, TRAJECTORY_COLUMNS, map(row, trajectory))

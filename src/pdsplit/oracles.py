@@ -7,6 +7,7 @@ represented standalone.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,9 @@ class SeparableProblem:
     the parameter recursion, checked finite and nonnegative; they default
     to the oracles' declared moduli, read on first use, so building a
     problem decomposes nothing; ``solves`` maps ``"f"`` and ``"g"`` to their solves.
+    ``saddle``, the reference point of every diagnostic, is fixed when the
+    problem is built; ``f_saddle`` and ``saddle_residual`` hold ``F(x*, y*)``
+    and ``A x* + B y* - b`` there, or None without one.
     """
 
     def __init__(self, f, g, A, B, b, mu_f=None, mu_g=None, saddle=None):
@@ -106,31 +110,30 @@ class SeparableProblem:
         self._mu = tuple(None if mu is None else _nonnegative(name, mu)
                          for name, mu in (("mu_f", mu_f), ("mu_g", mu_g)))
 
-        self.saddle = saddle
-        self._saddle_terms = None   # (saddle, F(x*, y*), A x* + B y* - b)
-        self._eigenbasis = None     # (saddle, eigenbasis)
+        self._saddle, self.f_saddle, self.saddle_residual = saddle, None, None
         if saddle is not None:
             shapes = (saddle.x.shape, saddle.y.shape, saddle.lam.shape)
             if shapes != ((A.shape[1],), (B.shape[1],), b.shape):
                 raise ValueError(f"the saddle point's x, y and lam must have shapes {(A.shape[1],)}, "
                                  f"{(B.shape[1],)} and {b.shape}, not {shapes}")
-            feas = float(np.linalg.norm(self.saddle_terms(saddle)[1]))
+            self.saddle_residual = A.apply(saddle.x) + B.apply(saddle.y) - b
+            self.f_saddle = self.objective(saddle.x, saddle.y)
+            feas = float(np.linalg.norm(self.saddle_residual))
             if feas > 1e-8 * (1.0 + np.linalg.norm(b)):
                 raise ValueError(f"supplied saddle point is infeasible: residual {feas:.3e}")
 
     @property
+    def saddle(self):
+        return self._saddle
+
+    @cached_property
     def eigenbasis(self):
         """``(problem, Vx, Vy)``: this problem with ``x = Vx x~`` and ``y = Vy y~``,
-        kept for the last saddle point.  A block turns into the eigenbasis of
+        formed on first use.  A block turns into the eigenbasis of
         its quadratic when its operator is exactly a ``DenseOperator`` and its
         oracles exactly one ``QuadraticProx``, plus ``SquaredL2`` in a split
         f-block (a subclass may do what its data do not say); any other keeps
         its basis (``V`` None).  With none turned, the problem is its own."""
-        if self._eigenbasis is None or self._eigenbasis[0] is not self.saddle:
-            self._eigenbasis = (self.saddle, self._build_eigenbasis())
-        return self._eigenbasis[1]
-
-    def _build_eigenbasis(self):
         from .prox import QuadraticProx, SquaredL2   # prox builds on this module
         blocks = []
         for oracles, C in (((self.f_smooth, self.f_prox), self.A), ((self.g,), self.B)):
@@ -181,15 +184,6 @@ class SeparableProblem:
 
     def has_smooth_f(self):
         return self.f_smooth is not None
-
-    def saddle_terms(self, saddle):
-        """``F(x*, y*)`` and ``A x* + B y* - b`` at ``saddle``, kept for the
-        last (unmodified) saddle point asked for; a problem built with a
-        saddle point forms its terms then."""
-        if self._saddle_terms is None or self._saddle_terms[0] is not saddle:
-            residual = self.A.apply(saddle.x) + self.B.apply(saddle.y) - self.b
-            self._saddle_terms = (saddle, self.objective(saddle.x, saddle.y), residual)
-        return self._saddle_terms[1:]
 
 
 def feasibility_residual(problem, state):

@@ -50,6 +50,12 @@ def quadratic_instance(seed, mu_f=1.0, mu_g=1.0, n=8, ny=8, m=8):
     return prox_form, split_form
 
 
+def without_saddle(prob):
+    """``prob``'s data and moduli as a problem with no saddle point."""
+    f = prob.f_prox if prob.f_smooth is None else (prob.f_smooth, prob.f_prox)
+    return SeparableProblem(f, prob.g, prob.A, prob.B, prob.b, mu_f=prob.mu_f, mu_g=prob.mu_g)
+
+
 MU_REGIMES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
 

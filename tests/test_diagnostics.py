@@ -17,12 +17,12 @@ from pdsplit.driver import run
 from pdsplit.oracles import lagrangian_value
 from pdsplit.params import ParamState, Scheme
 
-from helpers import quadratic_instance
+from helpers import quadratic_instance, without_saddle
 
 
-def merit(prob, st, ps, sd):
+def merit(prob, st, ps):
     """The merit of ``st``, its gap computed from the state's own objective."""
-    return lyapunov(prob, st, ps, sd, lagrangian_gap(prob, st, sd, prob.objective(st.x, st.y)))
+    return lyapunov(prob, st, ps, lagrangian_gap(prob, st, prob.objective(st.x, st.y)))
 
 
 def test_lyapunov_recomputation():
@@ -41,7 +41,7 @@ def test_lyapunov_recomputation():
               + 0.7 * np.sum((st.v - sd.x) ** 2)
               + 0.4 * np.sum((st.w - sd.y) ** 2)
               + 0.3 * np.sum((st.lam - sd.lam) ** 2))
-    assert merit(prob, st, ps, sd) == pytest.approx(expect, rel=1e-12)
+    assert merit(prob, st, ps) == pytest.approx(expect, rel=1e-12)
 
 
 def test_lyapunov_zero_at_saddle():
@@ -49,7 +49,7 @@ def test_lyapunov_zero_at_saddle():
     sd = prob.saddle
     st = IterateState(x=sd.x, v=sd.x, y=sd.y, w=sd.y, lam=sd.lam)
     ps = ParamState.initial()
-    val = merit(prob, st, ps, sd)
+    val = merit(prob, st, ps)
     assert abs(val) <= 1e-10
 
 
@@ -60,7 +60,7 @@ def test_gap_nonnegative_at_random_points():
         st = IterateState.cold_start(prob, rng.standard_normal(prob.dim_x),
                                      rng.standard_normal(prob.dim_y),
                                      rng.standard_normal(prob.dim_lam))
-        g = lagrangian_gap(prob, st, prob.saddle, prob.objective(st.x, st.y))
+        g = lagrangian_gap(prob, st, prob.objective(st.x, st.y))
         assert g >= -1e-10
 
 
@@ -69,17 +69,17 @@ def test_r0_formula_recomputation():
     prob, _ = quadratic_instance(54)
     st = IterateState.cold_start(prob)
     ps = ParamState.initial()
-    e0 = merit(prob, st, ps, prob.saddle)
+    e0 = merit(prob, st, ps)
     expect = (math.sqrt(2 * max(e0, 0.0))
               + np.linalg.norm(prob.saddle.lam)
               + np.linalg.norm(prob.b))
-    assert r0(prob, st, prob.saddle, e0) == pytest.approx(expect, rel=1e-12)
+    assert r0(prob, st, e0) == pytest.approx(expect, rel=1e-12)
 
 
 def test_r0_none_without_saddle():
-    prob, _ = quadratic_instance(55)
+    prob = without_saddle(quadratic_instance(55)[0])
     st = IterateState.cold_start(prob)
-    assert r0(prob, st, None, None) is None
+    assert r0(prob, st, None) is None
 
 
 def run_trace(seed=56):

@@ -15,7 +15,7 @@ from pdsplit.oracles import SeparableProblem, feasibility_residual
 from pdsplit.params import ParamState, Scheme
 from pdsplit.prox import QuadraticProx, SquaredL2
 
-from helpers import quadratic_instance
+from helpers import quadratic_instance, without_saddle
 
 
 def test_trace_covers_full_budget():
@@ -169,21 +169,10 @@ def test_theta_column_matches_recursion():
 
 
 def test_gap_columns_empty_without_saddle():
-    prob, _ = quadratic_instance(87)
-    prob.saddle = None
+    prob = without_saddle(quadratic_instance(87)[0])
     res = run(prob, Scheme.F1_SEMI_B, 5)
     assert all(r.gap is None and r.lyap is None for r in res.trace.rows)
     assert "r0" not in res.trace.meta
-
-
-def test_a_replaced_saddle_point_reaches_the_next_run():
-    # the eigenbasis problem is kept for the last saddle point, not for good
-    prob, _ = quadratic_instance(87)
-    saddle, gaps = prob.saddle, []
-    for point in (saddle, None, saddle):
-        prob.saddle = point
-        gaps.append(run(prob, Scheme.F1_SEMI_B, 5).trace.rows[-1].gap)
-    assert gaps[0] == gaps[2] is not None and gaps[1] is None
 
 
 START_ENTRY_POINTS = {
@@ -399,20 +388,20 @@ def test_rows_filled_in_blocks_match_the_per_point_diagnostics(monkeypatch, inst
     monkeypatch.setattr(driver, "sparsity", lambda x: counted.append(x) or sparsity(x))
     seen = []
     res = run(prob, scheme, 149, iterate_callback=lambda k, state: seen.append(state))
-    rows, saddle = res.trace.rows, turned.saddle
+    rows = res.trace.rows
     block = driver.BLOCK_ROWS
     assert len(rows) == len(stepped) == len(seen) == 150 > 2 * block
     assert [len(x) for x in counted] == [block, block, 150 - 2 * block]
     xs = np.array([state.x for state in seen])   # turned back one row at a time
     assert np.allclose(np.concatenate(counted), xs, rtol=0.0, atol=1e-12 * np.abs(xs).max())
     for row, (state, ps), shown in zip(rows, stepped, seen):
-        gap = lagrangian_gap(turned, state, saddle, turned.objective(state.x, state.y))
-        merit = lyapunov(turned, state, ps, saddle, gap)
+        gap = lagrangian_gap(turned, state, turned.objective(state.x, state.y))
+        merit = lyapunov(turned, state, ps, gap)
         assert (type(row.gap), type(row.lyap), type(row.sparsity)) == (float, float, int)
         assert (row.gap.hex(), row.lyap.hex()) == (float(gap).hex(), float(merit).hex()), row.k
         assert row.sparsity == sparsity(shown.x), row.k
     assert res.trace.meta["e0"] == rows[0].lyap
-    assert res.trace.meta["r0"] == r0(turned, stepped[0][0], saddle, rows[0].lyap)
+    assert res.trace.meta["r0"] == r0(turned, stepped[0][0], rows[0].lyap)
 
 
 @pytest.mark.parametrize("entry", ["f1-semiB", "ladmm"])

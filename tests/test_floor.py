@@ -1,7 +1,11 @@
 """The per-iteration floor script at a tiny size."""
 
 import importlib.util
+import time
 from pathlib import Path
+from types import SimpleNamespace
+
+import pdsplit.bench
 
 FLOOR = Path(__file__).resolve().parent.parent / "tools" / "floor.py"
 
@@ -21,3 +25,17 @@ def test_floor_prints_each_method_and_their_sum():
     assert [r[:2] for r in rows] == [["3x4", m] for m in (*floor.METHODS, "sum")]
     us = [float(r[2]) for r in rows]
     assert abs(us[-1] - sum(us[:-1])) <= 0.1 * len(floor.METHODS)
+
+
+def test_main_warms_up_before_its_first_timed_call(monkeypatch, capsys):
+    # a fresh process used to time 8x8 first, through the BLAS start-up
+    floor = _floor()
+    events = []
+    monkeypatch.setattr(pdsplit.bench, "_run_method",
+                        lambda bundle, method, iters: events.append(("run", method, iters)))
+    monkeypatch.setattr(floor, "time", SimpleNamespace(
+        perf_counter=lambda: events.append("clock") or time.perf_counter()))
+    floor.main()
+    assert events[:3] == [("run", floor.METHODS[0], 3), "clock", ("run", floor.METHODS[0], 550)]
+    assert events.count(("run", floor.METHODS[0], 3)) == 1
+    assert "50x200   sum" in capsys.readouterr().out

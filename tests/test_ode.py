@@ -13,11 +13,11 @@ from pdsplit.bench import generate_quadratic
 from pdsplit.linops import DenseOperator, negated_identity
 from pdsplit.odeflow import (OdeBlowUpError, SmoothSystemState, initial_state,
                              integrate, lyapunov_continuous, rhs, trajectory_to_csv)
-from pdsplit.oracles import SeparableProblem, feasibility_residual
+from pdsplit.oracles import SaddlePoint, SeparableProblem, feasibility_residual
 from pdsplit.params import ParamState, Scheme, advance
 from pdsplit.prox import ElasticNet, QuadraticProx, SquaredL2
 
-from helpers import MU_REGIMES, ode_quadratic_instance, quadratic_instance
+from helpers import MU_REGIMES, ode_quadratic_instance, quadratic_instance, without_saddle
 
 
 def test_theta_reaches_exp_minus_one():
@@ -163,6 +163,15 @@ def test_scaled_lyapunov_nonincreasing(mu_f, mu_g):
     assert all(v <= vals[0] * (1 + 1e-5) for v in vals)
 
 
+def test_continuous_merit_refuses_a_saddle_point_other_than_the_problems():
+    # the merit is the problem's; an equal copy of its saddle is another point
+    prob, _ = quadratic_instance(64)
+    sd, st = prob.saddle, initial_state(prob)
+    with pytest.raises(ValueError, match="the problem's own saddle point"):
+        lyapunov_continuous(prob, st, SaddlePoint(sd.x, sd.y, sd.lam))
+    assert lyapunov_continuous(prob, st, sd) > 0.0
+
+
 def test_integrator_fourth_order():
     prob, _ = quadratic_instance(66, mu_f=0.5, mu_g=0.0)
     init = initial_state(prob, gamma0=2.0)
@@ -304,13 +313,12 @@ def test_integrate_matches_per_stage_rk4_bit_for_bit(name, prob, init):
 
 @pytest.mark.parametrize("with_reference", [True, False], ids=["saddle+f_star", "none"])
 def test_trajectory_csv_bytes_match_per_stage_rk4(with_reference):
-    bundle = generate_quadratic(6, 10, seed=3)
-    prob = bundle.prox_form
-    refs = dict(saddle=prob.saddle, f_star=bundle.f_star) if with_reference else {}
+    prob = generate_quadratic(6, 10, seed=3).prox_form
+    prob = prob if with_reference else without_saddle(prob)
     texts = []
     for flow in (integrate, _per_stage_flow):
         buf = io.StringIO()
-        trajectory_to_csv(prob, flow(prob, initial_state(prob), T=0.5, h=1e-3), buf, **refs)
+        trajectory_to_csv(prob, flow(prob, initial_state(prob), T=0.5, h=1e-3), buf)
         texts.append(buf.getvalue())
     assert texts[0] == texts[1]
 
@@ -341,15 +349,15 @@ def test_integrate_refuses_a_horizon_that_is_not_a_whole_number_of_steps(T, h):
         integrate(prob, initial_state(prob), T=T, h=h)
 
 
-@pytest.mark.parametrize("with_f_star", [True, False], ids=["f_star", "no-f_star"])
-@pytest.mark.parametrize("with_saddle", [True, False], ids=["saddle", "no-saddle"])
-def test_trajectory_csv(tmp_path, with_saddle, with_f_star):
+# a problem's saddle point brings its F(x*, y*): E and obj_gap are filled or left empty together
+@pytest.mark.parametrize("with_saddle", [True, False], ids=["saddle-f_star", "no-saddle-no-f_star"])
+def test_trajectory_csv(tmp_path, with_saddle):
     prob, _ = quadratic_instance(69)
+    f_star = prob.objective(prob.saddle.x, prob.saddle.y)
+    prob = prob if with_saddle else without_saddle(prob)
     traj = integrate(prob, initial_state(prob), T=0.1, h=0.05)
     path = tmp_path / "traj.csv"
-    f_star = prob.objective(prob.saddle.x, prob.saddle.y)
-    trajectory_to_csv(prob, traj, str(path), saddle=prob.saddle if with_saddle else None,
-                      f_star=f_star if with_f_star else None)
+    trajectory_to_csv(prob, traj, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "t,E,feas,obj_gap,theta,gamma,beta"
     assert len(lines) == 1 + len(traj)
@@ -358,8 +366,7 @@ def test_trajectory_csv(tmp_path, with_saddle, with_f_star):
     assert float(first[4]) == 1.0
     for line, st in zip(lines[1:], traj):
         fields = line.split(",")
-        assert (fields[1] == "") is not with_saddle
-        assert (fields[3] == "") is not with_f_star
+        assert (fields[1] == "") is (fields[3] == "") is not with_saddle
         # every written number reads back to the same float
         assert all(repr(float(v)) == v for v in fields if v)
         assert [float(fields[i]) for i in (0, 4, 5, 6)] == [st.t, st.theta, st.gamma, st.beta]
@@ -367,6 +374,7 @@ def test_trajectory_csv(tmp_path, with_saddle, with_f_star):
         # E column recomputes
         assert float(first[1]) == pytest.approx(
             lyapunov_continuous(prob, traj[0], prob.saddle))
+        assert float(first[3]) == abs(prob.objective(traj[0].x, traj[0].y) - f_star)
 
 
 class CountingOperator(DenseOperator):
@@ -383,17 +391,16 @@ def test_trajectory_csv_forms_each_samples_products_once():
     A, B = CountingOperator(base.A.matrix), CountingOperator(base.B.matrix)
     prob = SeparableProblem(base.f_prox, base.g, A, B, base.b, saddle=base.saddle)
     traj = integrate(prob, initial_state(prob), T=0.1, h=0.05)
-    prob.saddle_terms(prob.saddle)   # the saddle's own residual, once per problem
-    A.fwd = B.fwd = 0
-    trajectory_to_csv(prob, traj, io.StringIO(), saddle=prob.saddle, f_star=0.0)
+    A.fwd = B.fwd = 0   # the saddle's own residual was formed when the problem was built
+    trajectory_to_csv(prob, traj, io.StringIO())
     assert A.fwd + B.fwd == 2 * len(traj)
 
 
-@pytest.mark.parametrize("with_saddle, f_star, per_sample",
-                         [(True, 0.0, 1), (True, None, 1), (False, 0.0, 1), (False, None, 0)])
-def test_trajectory_csv_forms_each_samples_objective_once(monkeypatch, with_saddle, f_star, per_sample):
+@pytest.mark.parametrize("with_saddle, per_sample", [(True, 1), (False, 0)])
+def test_trajectory_csv_forms_each_samples_objective_once(monkeypatch, with_saddle, per_sample):
     # the merit's gap and the obj_gap column share one F(x, y) per sample
     prob, _ = quadratic_instance(69)
+    prob = prob if with_saddle else without_saddle(prob)
     traj = integrate(prob, initial_state(prob), T=0.1, h=0.05)
     count = 0
     objective = SeparableProblem.objective
@@ -404,8 +411,7 @@ def test_trajectory_csv_forms_each_samples_objective_once(monkeypatch, with_sadd
         return objective(self, x, y)
 
     monkeypatch.setattr(SeparableProblem, "objective", counted)
-    trajectory_to_csv(prob, traj, io.StringIO(), saddle=prob.saddle if with_saddle else None,
-                      f_star=f_star)
+    trajectory_to_csv(prob, traj, io.StringIO())
     assert count == per_sample * len(traj)
 
 

@@ -12,7 +12,7 @@ from pdsplit.oracles import (SaddlePoint, SeparableProblem, SmoothOracle,
                              feasibility_residual, lagrangian_value)
 from pdsplit.prox import BoxIndicator, ElasticNet, QuadraticProx, SquaredL2, _DiagonalQuadratic
 
-from helpers import quadratic_instance
+from helpers import quadratic_instance, without_saddle
 
 
 def small_problem():
@@ -154,6 +154,18 @@ def test_saddle_point_blocks_must_be_vectors():
     with pytest.raises(ValueError, match=re.escape(f"not ({sd.x.shape + (1,)}, ")):
         SeparableProblem(prob.f_prox, prob.g, prob.A, prob.B, prob.b, saddle=columns)
     SeparableProblem(prob.f_prox, prob.g, prob.A, prob.B, prob.b, saddle=sd)
+
+
+def test_the_saddle_point_is_fixed_when_the_problem_is_built():
+    # every diagnostic and the kept eigenbasis problem read the saddle given at build
+    prob, _ = quadratic_instance(92)
+    sd = prob.saddle
+    with pytest.raises(AttributeError):
+        prob.saddle = None
+    assert prob.saddle is sd and prob.f_saddle == prob.objective(sd.x, sd.y)
+    assert np.array_equal(prob.saddle_residual, prob.A.apply(sd.x) + prob.B.apply(sd.y) - prob.b)
+    bare = without_saddle(prob)
+    assert bare.saddle is bare.f_saddle is bare.saddle_residual is None
 
 
 def test_smooth_oracle_validates_constants():

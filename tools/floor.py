@@ -11,6 +11,9 @@ iterations with a trace row at every index, 3 times.  The time of a run
 over its iterations gives its microseconds per iteration, and the best run
 is printed.  The first run also builds the instance's kept eigenbasis, which
 the best of several leaves out.  The last line of each size sums its methods.
+Before the first size, one untimed 3-iteration run on another 8x8 instance
+takes the lazy imports and the BLAS start-up, as ``perfbench/run.py``'s
+warm-up does.
 """
 
 import time
@@ -41,6 +44,9 @@ def rows(size, best):
 
 
 def main():
+    from pdsplit.bench import _run_method, generate_quadratic
+
+    _run_method(generate_quadratic(8, 8, 0), METHODS[0], 3)   # warm-up, untimed
     print(f"{'size':<8} {'method':<12} {'us/iter':>9}")
     for m, n in ((8, 8), (50, 200)):
         print("\n".join(rows(f"{m}x{n}", floor(m, n))))

@@ -96,7 +96,7 @@ def environment():
 
 def write_flows(out):
     """Integrate the flow on ``generate_quadratic`` for each seed and write its
-    trajectory CSV, with saddle and ``f_star``, under ``out/flow``; return the paths."""
+    trajectory CSV, with its merit and objective gap, under ``out/flow``; return the paths."""
     from pdsplit.bench import generate_quadratic
     from pdsplit.odeflow import initial_state, integrate, trajectory_to_csv
 
@@ -108,8 +108,7 @@ def write_flows(out):
         problem = bundle.prox_form
         trajectory = integrate(problem, initial_state(problem), T=FLOW["T"], h=FLOW["h"])
         paths.append(flow_dir / f"quadratic-seed{seed}.csv")
-        trajectory_to_csv(problem, trajectory, str(paths[-1]), saddle=problem.saddle,
-                          f_star=bundle.f_star)
+        trajectory_to_csv(problem, trajectory, str(paths[-1]))
     return paths
 
 

@@ -61,7 +61,7 @@ def step_ladmm(problem, state, tx, ty):
 def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1,
               iterate_callback=None):
     """Run the linearized multiplier method with penalty 1 for ``max_iters``
-    steps and collect a standard trace.
+    steps; return ``driver.iterate``'s ``RunResult``, whose ``params`` is None.
 
     A true return of ``iterate_callback(k, state)`` ends the run at that row.
     The ``theta`` and ``alpha`` columns do not apply to this method; theta
@@ -71,10 +71,9 @@ def ladmm_run(problem, max_iters, x0=None, y0=None, lam0=None, record_every=1,
     state = IterateState.cold_start(problem, x0, y0, lam0)
     tx = 1.0 / problem.A.norm_bound() ** 2
     ty = 1.0 / problem.B.norm_bound() ** 2
-    result = iterate(problem, state, max_iters, {"scheme": "ladmm"},
-                     lambda problem, s: step_ladmm(problem, s, tx, ty),
-                     iterate_callback=iterate_callback, record_every=record_every)
-    return result.trace, result.state
+    return iterate(problem, state, max_iters, {"scheme": "ladmm"},
+                   lambda problem, s: step_ladmm(problem, s, tx, ty),
+                   iterate_callback=iterate_callback, record_every=record_every)
 
 
 def step_pdhg(problem, state, tau, sigma):
@@ -105,8 +104,9 @@ def step_pdhg(problem, state, tau, sigma):
 
 def pdhg_run(problem, max_iters, x0=None, lam0=None, iterate_callback=None):
     """Run the primal-dual iteration with steps ``tau = sigma = 1/||A||`` for
-    ``max_iters`` steps, or until ``iterate_callback(k, state)`` returns true.
-    The start is the cold start with ``y0 = 0``, which the step never reads."""
+    ``max_iters`` steps, or until ``iterate_callback(k, state)`` returns true;
+    return ``driver.iterate``'s ``RunResult``, whose ``params`` is None.  The
+    start is the cold start with ``y0 = 0``, which the step never reads."""
     B = problem.B
     if not (isinstance(B, ScaledIdentity) and B.scale == -1.0):
         raise NotApplicableError("this primal-dual iteration applies to composite "
@@ -116,10 +116,9 @@ def pdhg_run(problem, max_iters, x0=None, lam0=None, iterate_callback=None):
     check_f_block(problem, "pdhg", smooth=False)
     state = IterateState.cold_start(problem, x0, None, lam0)
     tau = sigma = 1.0 / problem.A.norm_bound()
-    result = iterate(problem, state, max_iters, {"scheme": "pdhg", "tau": tau, "sigma": sigma},
-                     lambda problem, s: step_pdhg(problem, s, tau, sigma),
-                     iterate_callback=iterate_callback)
-    return result.trace, result.state
+    return iterate(problem, state, max_iters, {"scheme": "pdhg", "tau": tau, "sigma": sigma},
+                   lambda problem, s: step_pdhg(problem, s, tau, sigma),
+                   iterate_callback=iterate_callback)
 
 
 @dataclass
@@ -141,7 +140,8 @@ def approximate_optimum(problem, iters=20000):
     uncertainty.
     """
     check = max((iters + 1) // 2, 1)
-    trace, state = ladmm_run(problem, iters, record_every=check)
+    result = ladmm_run(problem, iters, record_every=check)
+    trace, state = result.trace, result.state
     objs = [r.obj for r in trace.rows if r.obj is not None]
     if iters == 0 or len(objs) < 2:
         val = objs[-1] if objs else np.inf

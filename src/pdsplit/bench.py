@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import baselines, driver
-from .diagnostics import sparsity
 from .linops import DenseOperator, negated_identity
 from .oracles import SaddlePoint, SeparableProblem
 from .params import Scheme
@@ -234,15 +233,15 @@ def _run_method(bundle, tag, iters):
     """Dispatch one method tag; returns (trace, final x)."""
     if tag in BASELINE_TAGS:
         run_baseline = baselines.ladmm_run if tag == "ladmm" else baselines.pdhg_run
-        trace, state = run_baseline(bundle.prox_form, iters)
-        return trace, state.x
-    scheme = Scheme(tag)
-    problem = bundle.prox_form if scheme.family == 1 else bundle.split_form
-    # without strong convexity the decay constant is (||A|| + sqrt(g0))/sqrt(g0);
-    # matching g0 to the operator norm keeps it moderate (same for the B side)
-    gamma0 = None if problem.mu_f > 0 else max(problem.A.norm(), 1.0)
-    beta0 = None if problem.mu_g > 0 else max(problem.B.norm(), 1.0)
-    result = driver.run(problem, scheme, iters, gamma0=gamma0, beta0=beta0)
+        result = run_baseline(bundle.prox_form, iters)
+    else:
+        scheme = Scheme(tag)
+        problem = bundle.prox_form if scheme.family == 1 else bundle.split_form
+        # without strong convexity the decay constant is (||A|| + sqrt(g0))/sqrt(g0);
+        # matching g0 to the operator norm keeps it moderate (same for the B side)
+        gamma0 = None if problem.mu_f > 0 else max(problem.A.norm(), 1.0)
+        beta0 = None if problem.mu_g > 0 else max(problem.B.norm(), 1.0)
+        result = driver.run(problem, scheme, iters, gamma0=gamma0, beta0=beta0)
     return result.trace, result.state.x
 
 
@@ -272,11 +271,6 @@ def run_benchmark(config):
         est = baselines.approximate_optimum(bundle.prox_form, iters=ref_iters)
         f_star, f_star_unc = est.value, est.uncertainty
 
-    p_star = None
-    if bundle.composite:   # no composite instance has an exact optimum
-        p_star = _composite_value(bundle, est.x)
-        p0 = _composite_value(bundle, np.zeros(bundle.prox_form.dim_x))
-
     os.makedirs(config.out, exist_ok=True)
     ks = checkpoint_indices(config.iters)
     summary = {
@@ -285,6 +279,10 @@ def run_benchmark(config):
         "fstar_uncertainty": f_star_unc,
         "methods": {},
     }
+    p_star = None
+    if bundle.composite:   # no composite instance has an exact optimum
+        p_star = summary["composite_star"] = _composite_value(bundle, est.x)
+        p0 = _composite_value(bundle, np.zeros(bundle.prox_form.dim_x))
 
     for tag in config.methods:
         try:
@@ -310,19 +308,14 @@ def run_benchmark(config):
         feas_rel = _relative_series([r.feas for r in rows])
         checkpoints = [{"k": r.k, "obj": r.obj, "feas": r.feas, "obj_rel": o, "feas_rel": fr}
                        for r, o, fr in zip(rows, obj_rel, feas_rel)]
-        blocks = trace.meta["blocks"]
-        worst = [b["worst_cap_residual"] for b in blocks.values() if b["cap_hits"]]
-        entry = {"checkpoints": checkpoints, "final_sparsity": int(sparsity(x_final)),
-                 "fstar_uncertainty": f_star_unc, "trace": os.path.basename(path), "blocks": blocks,
-                 "inner_cap_hits": sum(b["cap_hits"] for b in blocks.values()),
-                 "inner_cap_worst_residual": max(worst, default=None)}
+        entry = {"checkpoints": checkpoints, "final_sparsity": trace.rows[-1].sparsity,
+                 "trace": os.path.basename(path), "blocks": trace.meta["blocks"]}
         if p_star is not None:
             # composite objective needs the x iterate, which the trace does
             # not keep; report it at the final iterate only
             p_final = _composite_value(bundle, x_final)
             entry["composite_rel_final"] = (p_final - p_star) / (abs(p0 - p_star) or 1.0)
             entry["composite_final"] = p_final
-            entry["composite_star"] = p_star
         summary["methods"][tag] = entry
 
     spath = os.path.join(config.out, "summary.json")

@@ -56,7 +56,7 @@ def test_ladmm_saddle_is_fixed_point():
 
 def test_ladmm_converges_to_kkt_solution():
     prob, _ = quadratic_instance(32)
-    _, state = ladmm_run(prob, 5000)
+    state = ladmm_run(prob, 5000).state
     assert np.linalg.norm(state.x - prob.saddle.x) <= 1e-6
     assert np.linalg.norm(state.y - prob.saddle.y) <= 1e-6
     assert feasibility_residual(prob, state) <= 1e-6
@@ -106,7 +106,7 @@ def test_pdhg_matches_scalar_transcription():
 
 def test_pdhg_reduces_objective_and_residual():
     prob = composite_problem(34)
-    trace, state = pdhg_run(prob, 3000)
+    trace = pdhg_run(prob, 3000).trace
     assert trace.rows[-1].feas <= 1e-6
     assert trace.rows[-1].obj <= trace.rows[0].obj
 
@@ -131,9 +131,10 @@ def test_approximate_optimum_zero_budget():
 def test_approximate_optimum_drift_spans_the_last_half(iters):
     # the drift spans the last iters // 2 iterations, for odd counts too
     prob, _ = quadratic_instance(39, mu_f=0.0, mu_g=0.0)
-    trace, state = ladmm_run(prob, iters)
+    res = ladmm_run(prob, iters)
+    trace = res.trace
     drift = abs(trace.rows[iters].obj - trace.rows[iters - iters // 2].obj)
-    feas = trace.rows[-1].feas * (1.0 + float(np.linalg.norm(state.lam)))
+    feas = trace.rows[-1].feas * (1.0 + float(np.linalg.norm(res.state.lam)))
     assert approximate_optimum(prob, iters=iters).uncertainty == drift + feas
 
 
@@ -145,8 +146,10 @@ def test_baselines_reject_split_f_block():
 
 def test_trace_theta_column_is_one():
     prob, _ = quadratic_instance(39)
-    trace, _ = ladmm_run(prob, 5)
+    res = ladmm_run(prob, 5)
+    trace = res.trace
     assert all(r.theta == 1.0 for r in trace.rows)
+    assert res.params is None   # nor a parameter state
     # no parameter schedule: no step size, gap or merit, though a saddle is known
     assert prob.saddle is not None
     assert all(r.alpha is None and r.gap is None and r.lyap is None for r in trace.rows)

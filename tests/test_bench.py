@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdsplit import baselines, linops
+from pdsplit import baselines, bench, linops
 from pdsplit.bench import (METHOD_TAGS, SCHEME_TAGS, RunConfig, _run_method,
                            checkpoint_indices, generate_lad, generate_problem,
                            generate_quadratic, generate_svm, main,
                            run_benchmark)
-from pdsplit.diagnostics import LyapunovInputs, certify_bounds
+from pdsplit.diagnostics import LyapunovInputs, certify_bounds, sparsity
 from pdsplit.linops import ScaledIdentity
 from pdsplit.oracles import SeparableProblem
 from pdsplit.prox import ElasticNet, HingeSum, QuadraticProx, ShiftedL1, SquaredL2
@@ -233,14 +233,15 @@ def test_method_failure_recorded_without_aborting(tmp_path, monkeypatch):
     summary = run_benchmark(cfg)
     assert summary["methods"]["ladmm"] == {"error": "RuntimeError: step failed"}
     assert "error" not in summary["methods"]["f1-semiA"]
-    assert summary["methods"]["f1-semiA"]["inner_cap_hits"] == 0
-    assert summary["methods"]["f1-semiA"]["inner_cap_worst_residual"] is None
+    for block in summary["methods"]["f1-semiA"]["blocks"].values():
+        assert block["cap_hits"] == 0
+        assert block["worst_cap_residual"] is None
     assert (tmp_path / "f" / "trace_f1-semiA.csv").exists()
 
 
 def test_summary_records_inner_loop_cap_hits(tmp_path):
     # svm-elastic's B-sided steps exhaust the inner loop a few times; each
-    # hit is counted in its method's entry and its warning still arrives
+    # hit is counted in its method's blocks and its warning still arrives
     hits, worst = 0, []
     with pytest.warns(InnerLoopCapWarning) as caught:
         for seed in (0, 1):
@@ -248,12 +249,42 @@ def test_summary_records_inner_loop_cap_hits(tmp_path):
             run_benchmark(RunConfig(problem="svm-elastic", m=30, n=80, seed=seed, iters=300,
                                     methods=("f1-semiB", "f2-semiB"), out=str(out)))
             for entry in json.loads((out / "summary.json").read_text())["methods"].values():
-                hits += entry["inner_cap_hits"]
-                if entry["inner_cap_hits"]:
-                    worst.append(entry["inner_cap_worst_residual"])
+                for block in entry["blocks"].values():
+                    hits += block["cap_hits"]
+                    if block["cap_hits"]:
+                        worst.append(block["worst_cap_residual"])
     assert hits == len(caught) == 5
     assert max(worst) == max(w.message.residual for w in caught)
     assert 1e-10 < max(worst) < 1e-8
+
+
+def test_method_entry_holds_what_the_trace_recorded_and_no_copy(tmp_path, monkeypatch):
+    # no field derived from the entry's blocks or repeated from the summary;
+    # final_sparsity is the last row's, which counts the run's last x, also
+    # where the run steps in the quadratic blocks' eigenbasis
+    finals = {}
+
+    def recording(bundle, tag, iters):
+        trace, x_final = _run_method(bundle, tag, iters)
+        finals[tag] = x_final
+        return trace, x_final
+
+    monkeypatch.setattr(bench, "_run_method", recording)
+    for problem, composite in (("quadratic-synthetic", set()),
+                               ("lad-case1", {"composite_final", "composite_rel_final"})):
+        cfg = RunConfig(problem=problem, m=20, n=60, seed=3, iters=40, methods=METHOD_TAGS,
+                        out=str(tmp_path / problem))
+        if not composite:
+            prob = generate_problem(cfg).prox_form
+            assert prob.eigenbasis[0] is not prob
+        summary = run_benchmark(cfg)
+        assert set(summary) == {"config", "fstar", "fstar_uncertainty", "methods"} | (
+            {"composite_star"} if composite else set())
+        ran = {tag: entry for tag, entry in summary["methods"].items() if "skipped" not in entry}
+        assert set(ran) == set(METHOD_TAGS) - ({"pdhg"} if not composite else set())
+        for tag, entry in ran.items():
+            assert set(entry) == {"checkpoints", "final_sparsity", "trace", "blocks"} | composite, tag
+            assert entry["final_sparsity"] == sparsity(finals[tag]), tag
 
 
 def test_cli_records_inapplicable_method_as_skipped(tmp_path, capsys):

@@ -133,7 +133,7 @@ def test_certify_bounds_inapplicable_without_row0_merit_or_r0():
     prob, trace = run_trace()
     inputs = LyapunovInputs(saddle=prob.saddle)
     # the baselines record no merit, so row 0 has no lyap
-    ladmm_trace, _ = ladmm_run(prob, 20)
+    ladmm_trace = ladmm_run(prob, 20).trace
     assert ladmm_trace.rows[0].lyap is None
     assert certify_bounds(ladmm_trace, inputs) == BoundReport(applicable=False)
     del trace.meta["r0"]

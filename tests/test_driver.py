@@ -98,13 +98,8 @@ def test_target_objective_residual_stops_early():
     assert res.trace.rows[-1].k < 5000
 
 
-def _run_f1_semi_b(prob, n, cb):
-    res = run(prob, Scheme.F1_SEMI_B, n, iterate_callback=cb)
-    return res.trace, res.state
-
-
 ENTRY_POINTS = {
-    "f1-semiB": _run_f1_semi_b,
+    "f1-semiB": lambda prob, n, cb: run(prob, Scheme.F1_SEMI_B, n, iterate_callback=cb),
     "ladmm": lambda prob, n, cb: ladmm_run(prob, n, iterate_callback=cb),
     "pdhg": lambda prob, n, cb: pdhg_run(prob, n, iterate_callback=cb),
 }
@@ -119,13 +114,14 @@ def test_true_callback_return_ends_the_run_at_that_row(entry):
         seen.append((k, state))
         return k == 7
 
-    trace, state = ENTRY_POINTS[entry](prob, 50, stop_at_seven)
+    res = ENTRY_POINTS[entry](prob, 50, stop_at_seven)
+    trace, state = res.trace, res.state
     assert [k for k, _ in seen] == [r.k for r in trace.rows] == list(range(8))
     assert state is seen[-1][1]
     assert trace.meta["iterations"] == 7 and trace.meta["max_iters"] == 50
     # a count reached first still ends the run, after the callback saw its last row
     seen.clear()
-    trace, _ = ENTRY_POINTS[entry](prob, 5, stop_at_seven)
+    trace = ENTRY_POINTS[entry](prob, 5, stop_at_seven).trace
     assert [k for k, _ in seen] == [r.k for r in trace.rows] == list(range(6))
 
 
@@ -144,7 +140,7 @@ def test_non_integer_iteration_count_raises(entry):
     for count in (5.0, True, "5"):
         with pytest.raises(TypeError, match="max_iters must be an integer"):
             ENTRY_POINTS[entry](prob, count, None)
-    trace, _ = ENTRY_POINTS[entry](prob, np.int64(3), None)
+    trace = ENTRY_POINTS[entry](prob, np.int64(3), None).trace
     assert len(trace.rows) == 4
 
 
@@ -194,7 +190,7 @@ def test_start_of_wrong_length_is_rejected(entry):
 
 def test_baseline_target_feasibility_stops_early():
     prob, _ = quadratic_instance(83)
-    trace, _ = ladmm_run(prob, 5000, iterate_callback=feasible_within(prob, 1e-3))
+    trace = ladmm_run(prob, 5000, iterate_callback=feasible_within(prob, 1e-3)).trace
     assert trace.rows[-1].feas <= 1e-3
     assert trace.rows[-1].k < 5000
 
@@ -211,7 +207,7 @@ def test_record_every_that_is_not_an_integer_raises(record_every):
     prob, _ = quadratic_instance(85)
     with pytest.raises(TypeError, match="record_every must be an integer, not"):
         ladmm_run(prob, 5, record_every=record_every)
-    trace, _ = ladmm_run(prob, 5, record_every=np.int64(2))   # a numpy integer is one
+    trace = ladmm_run(prob, 5, record_every=np.int64(2)).trace   # a numpy integer is one
     assert [row.k for row in trace.rows] == [0, 2, 4, 5]
 
 
@@ -296,11 +292,11 @@ def test_a_run_in_the_eigenbasis_matches_the_run_in_the_original_one(method):
             seen.append(state)
 
         if method in ("ladmm", "pdhg"):
-            trace, state = ENTRY_POINTS[method](prob, 40, callback)
+            res = ENTRY_POINTS[method](prob, 40, callback)
         else:
             res = run(prob, Scheme.F2_EXPLICIT if method == RIDING else method, 40,
                       iterate_callback=callback)
-            trace, state = res.trace, res.state
+        trace, state = res.trace, res.state
         assert state is seen[-1]
         for s in seen[:-1]:   # each callback state keeps its row's products and residual
             for got, want in ((s.Ax, prob.A.apply(s.x)), (s.By, prob.B.apply(s.y)),
@@ -407,8 +403,8 @@ def test_rows_filled_in_blocks_match_the_per_point_diagnostics(monkeypatch, inst
 @pytest.mark.parametrize("entry", ["f1-semiB", "ladmm"])
 def test_a_callback_stopping_mid_block_leaves_every_row_filled(entry):
     prob = generate_quadratic(20, 60, 3).prox_form
-    full, _ = ENTRY_POINTS[entry](prob, 149, None)
-    stopped, _ = ENTRY_POINTS[entry](prob, 149, lambda k, state: k == 100)
+    full = ENTRY_POINTS[entry](prob, 149, None).trace
+    stopped = ENTRY_POINTS[entry](prob, 149, lambda k, state: k == 100).trace
     columns = ("gap", "lyap", "sparsity") if entry == "f1-semiB" else ("sparsity",)
     assert len(stopped.rows) == 101 and driver.BLOCK_ROWS < 101 < 2 * driver.BLOCK_ROWS
     for col in columns:

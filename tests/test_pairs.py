@@ -216,6 +216,11 @@ def test_summary_reads_the_recorded_aa_band_of_the_workload(trees, capsys):
     _main(trees, "quad-saddle", "1-3")
     lines = capsys.readouterr().out.splitlines()
     head = lines.index("A/A: median ratios of BENCH_aa-1-quad-saddle-a.json and its -b")
+    # the parent's setup_s median 0.012 against the control's 2.0; no bound, so no verdict,
+    # and the control has no iter_per_s to read against
+    assert lines[head - 2:head] == [
+        "machine: the parent's medians against BENCH_aa-1-quad-saddle-a.json's",
+        "setup_s        parent median 0.012 against A/A -a median 2: ratio 0.006"]
     assert lines[head + 1].split()[10:12] == ["IQR", "A/A"]
     rows = {line.split()[0]: line.split()[7:9] for line in lines[head + 2:-1]}
     # medians 2.5 over 2.0; a metric the control did not record reads "-"
@@ -250,3 +255,30 @@ def test_aa_band_reads_the_newest_control_not_the_last_by_name(tmp_path, monkeyp
     _aa_record(tmp_path / "BENCH_aa-mmm-lad-inner-a.json", "lad-inner", [1.0])
     _aa_record(tmp_path / "BENCH_aa-mmm-lad-inner-b.json", "lad-inner", [5.0])
     assert _pairs().aa_band("lad-inner") == ("BENCH_aa-mmm-lad-inner-a.json", {"setup_s": 5.0})
+
+
+def _machine_run(workload, rate, setup, caches):
+    metrics = {"iter_per_s": {"unit": "1/s", "value": rate}, "setup_s": {"unit": "s", "value": setup},
+               "peak_rss_mb": {"unit": "MB", "value": 2.0 * setup}}
+    return {"workload": workload, "env": {"caches": caches}, "result": {"metrics": metrics}}
+
+
+def test_machine_lines_mark_a_slow_session_and_other_caches(tmp_path):
+    # a session in the machine's slow phase reads every ratio near 1, but its
+    # parent runs at less than half the control's rate
+    l2, small = {"L1": "48K", "L2": "2048K"}, {"L1": "48K", "L2": "1024K"}
+    control = tmp_path / "BENCH_aa-x-quad-saddle-a.json"
+    control.write_text(json.dumps({"runs": [
+        *(_machine_run("quad-saddle", rate, 1.0, l2) for rate in (13800.0, 13865.0, 13900.0)),
+        _machine_run("lad-inner", 100.0, 50.0, small)]}))   # another workload's run is not read
+    runs = [(_machine_run("quad-saddle", 6187.0, setup, l2), _machine_run("quad-saddle", 6100.0, setup, l2))
+            for setup in (1.05, 1.1, 1.2)]
+    spec = {"iter_per_s": {"bound": 0.25}, "setup_s": {"bound": 0.25}, "peak_rss_mb": {"bound": 0.1}}
+    lines = _pairs().machine_lines(control, "quad-saddle", runs, spec)
+    assert lines == [
+        "iter_per_s     parent median 6187 against A/A -a median 1.386e+04: ratio 0.446 MACHINE bound 0.25",
+        "setup_s        parent median 1.1 against A/A -a median 1: ratio 1.100 within bound 0.25"]
+    runs[1] = (runs[1][0], _machine_run("quad-saddle", 6100.0, 1.1, small))
+    lines = _pairs().machine_lines(control, "quad-saddle", runs, spec)
+    assert lines[2:] == ['CACHES differ: runs {"L1": "48K", "L2": "1024K"}, '
+                         'A/A control {"L1": "48K", "L2": "2048K"}']

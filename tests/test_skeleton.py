@@ -94,7 +94,7 @@ def test_ladmm_products_per_step():
     base, _ = quadratic_instance(31)
     A, B = CountingOperator(base.A.matrix), CountingOperator(base.B.matrix)
     prob = SeparableProblem(base.f_prox, base.g, A, B, base.b)
-    looped = ladmm_run(prob, 0, x0=np.ones(prob.dim_x))[1]
+    looped = ladmm_run(prob, 0, x0=np.ones(prob.dim_x)).state
 
     def step(state):
         step_ladmm(prob, state, 0.1, 0.1)
@@ -109,7 +109,7 @@ def test_kept_products_change_no_bit(method):
     # hand-built copy of its five blocks gives the same next state, bit for bit
     if method == "ladmm":
         prob, _ = quadratic_instance(32)
-        looped = ladmm_run(prob, 5)[1]
+        looped = ladmm_run(prob, 5).state
 
         def step(state):
             return step_ladmm(prob, state, 0.1, 0.1)
@@ -205,7 +205,7 @@ def test_pdhg_products_per_step():
     A, B = CountingOperator(base.A.matrix), CountingIdentity(-1.0, base.dim_lam)
     prob = pdhg_instance(base.f_prox, A, B)
     for iters, fwd in ((0, 3), (1, 2)):
-        state = pdhg_run(prob, iters, x0=np.ones(prob.dim_x))[1]
+        state = pdhg_run(prob, iters, x0=np.ones(prob.dim_x)).state
         assert counted(A, B, lambda s: step_pdhg(prob, s, 0.1, 0.1), state) == (fwd, 1)
 
 
@@ -231,7 +231,7 @@ def test_pdhg_kept_velocity_product_stays_exact():
 def test_pdhg_kept_products_move_the_next_state_by_rounding_only():
     # a looped state derives A v; its hand-built copy forms it directly
     prob, step = _lad_pdhg()
-    looped = pdhg_run(prob, 50)[1]
+    looped = pdhg_run(prob, 50).state
     fresh = hand_built(looped)
     assert fresh.Av is None and fresh.Ax is None
     new, new_fresh = step(looped), step(fresh)

@@ -88,8 +88,10 @@ def test_compare_counts_summaries_identical_apart_from_out(tmp_path, capsys):
     result = sweep.compare(parent, change)
     sweep.report(result)
 
-    assert "summary.json without config.out and blocks, byte-identical: 1 of 3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "summary.json without config.out, byte-identical: 1 of 3\ndiffers: svm-l1-seed0/summary.json\n" in out
     assert (result["summaries_identical"], result["summaries_total"]) == (1, 3)
+    assert result["summaries_differing"] == ["svm-l1-seed0/summary.json"]
     assert result["mismatched"] == [f"svm-l1-seed1/summary.json: missing in {change}"]
     assert (result["identical"], result["total"], result["differing"]) == (0, 0, [])
 
@@ -118,24 +120,27 @@ def test_compare_reports_largest_fstar_differences(tmp_path, capsys):
     assert result["summaries_identical"] == 1 and result["mismatched"] == []
 
 
+def _blocks(f_hits, f_declines, g_hits=0):
+    return {"f": {"path": "closed", "declines": f_declines, "cap_hits": f_hits},
+            "g": {"path": "merge", "declines": 0, "cap_hits": g_hits}}
+
+
 def test_compare_reports_composite_final_and_cap_hits(tmp_path, capsys):
     # neither figure is in a trace CSV, so the CSVs alone would not show them move;
-    # only the change records blocks, which the byte comparison leaves out
+    # the totals are over the methods' blocks, a failed method's entry having none
     parent, change = tmp_path / "parent", tmp_path / "change"
-    blocks = {"f": {"path": "closed", "declines": 2, "cap_hits": 1},
-              "g": {"path": "merge", "declines": 0, "cap_hits": 0}}
     _write_summary(parent, "lad-case1-seed0", 1.0, methods={
-        "f1-semiA": {"composite_final": 4.0, "inner_cap_hits": 2},
-        "f1-semiB": {"composite_final": 8.0, "inner_cap_hits": 1},
-        "pdhg": {"composite_final": 5.0}})
+        "f1-semiA": {"composite_final": 4.0, "blocks": _blocks(2, 0)},
+        "f1-semiB": {"composite_final": 8.0, "blocks": _blocks(0, 1, g_hits=1)},
+        "pdhg": {"composite_final": 5.0, "blocks": _blocks(0, 0)}})
     _write_summary(change, "lad-case1-seed0", 1.0, methods={
-        "f1-semiA": {"composite_final": 4.0000004, "inner_cap_hits": 0},
-        "f1-semiB": {"composite_final": 8.0000016, "inner_cap_hits": 1, "blocks": blocks},
-        "pdhg": {"composite_final": 5.0}})
+        "f1-semiA": {"composite_final": 4.0000004, "blocks": _blocks(0, 0)},
+        "f1-semiB": {"composite_final": 8.0000016, "blocks": _blocks(1, 2)},
+        "pdhg": {"error": "RuntimeError: step failed"}})
     _write_summary(parent, "quadratic-synthetic-seed0", 1.0, methods={
-        "f2-semiB": {"inner_cap_hits": 3}})
+        "f2-semiB": {"blocks": _blocks(3, 3)}})
     _write_summary(change, "quadratic-synthetic-seed0", 1.0, methods={
-        "f2-semiB": {"inner_cap_hits": 3, "blocks": {**blocks, "f": {**blocks["f"], "declines": 5}}}})
+        "f2-semiB": {"blocks": _blocks(3, 5)}})
 
     sweep = _sweep()
     result = sweep.compare(parent, change)
@@ -147,10 +152,25 @@ def test_compare_reports_composite_final_and_cap_hits(tmp_path, capsys):
     assert result["cap_hits"] == (6, 4)
     out = capsys.readouterr().out
     assert "composite_final     2.00e-07  own value     lad-case1-seed0/summary.json f1-semiB\n" in out
-    assert "inner_cap_hits, parent then change: 6 4\n" in out
-    assert result["declines"] == (None, 7)
-    assert "declines, parent then change: - 7\n" in out
-    assert result["summaries_identical"] == 1 and result["mismatched"] == []
+    assert "cap_hits, parent then change: 6 4\n" in out
+    assert result["declines"] == (4, 7)
+    assert "declines, parent then change: 4 7\n" in out
+    assert result["summaries_identical"] == 0 and result["mismatched"] == []
+
+
+def test_compare_names_each_summary_that_differs_in_its_blocks_alone(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root, declines in ((parent, 1), (change, 2)):
+        _write_summary(root, "svm-elastic-seed0", 1.0, methods={"f1-semiB": {"blocks": _blocks(0, 0)}})
+        _write_summary(root, "svm-elastic-seed1", 1.0, methods={"f1-semiB": {"blocks": _blocks(0, declines)}})
+
+    sweep = _sweep()
+    result = sweep.compare(parent, change)
+    sweep.report(result)
+
+    assert (result["summaries_identical"], result["summaries_total"]) == (1, 2)
+    assert result["summaries_differing"] == ["svm-elastic-seed1/summary.json"]
+    assert "byte-identical: 1 of 2\ndiffers: svm-elastic-seed1/summary.json\n" in capsys.readouterr().out
 
 
 def test_compare_counts_flow_trajectories(tmp_path, capsys):

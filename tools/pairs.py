@@ -42,7 +42,13 @@ prints each metric's A/A median ratio (``-b`` over ``-a``, from the newest
 such pair: the one whose ``-a`` file git last committed, an uncommitted one
 newer still, and the last by name among equals or outside a git checkout)
 beside the parent's interquartile range: the spread that identical trees
-showed, against which a pair's ratio is read.
+showed, against which a pair's ratio is read.  Ratios hide the machine's
+speed, so before that table the script prints, for each time metric (unit
+``s`` or ``1/s``), the parent's median against the same control's ``-a``
+median, marked ``MACHINE`` when their ratio is off 1 by more than the
+metric's bound, and names each ``env.caches`` of the runs that the
+control's runs lack.  A session so marked ran in a slower phase of the
+machine or on another one: re-run it rather than read it.
 
 Given the same tree twice, with two ``--names``, the script is an A/A
 control: both copies run from the slots as above, and the summary reads
@@ -63,6 +69,7 @@ from pathlib import Path
 SOURCE = ("each side ran from a copy of its tree in a slot directory, so env.git_commit "
           "is null and env.source_sha256 names the sources")
 SLOTS = ("slot_a", "slot_b")
+TIME_UNITS = ("s", "1/s")
 
 
 class RejectedRun(Exception):
@@ -177,6 +184,33 @@ def aa_band(workload):
     return None
 
 
+def machine_lines(control, workload, runs, spec):
+    """Lines reading the parent's median of each time metric over ``runs``,
+    (parent run, change run) pairs of recorded runs of ``workload``, against
+    its median in the A/A control file ``control``, marked ``MACHINE`` when
+    the ratio is off 1 by more than the metric's ``bound`` in ``spec``; then
+    a line for each ``env.caches`` of the runs that the control's runs lack."""
+    control_runs = [run for run in json.loads(Path(control).read_text())["runs"]
+                    if run["workload"] == workload]
+    lines = []
+    for name, metric in runs[0][0]["result"]["metrics"].items():
+        if metric.get("unit") not in TIME_UNITS or any(name not in run["result"]["metrics"]
+                                                       for run in control_runs):
+            continue
+        parent, aa = (statistics.median(run["result"]["metrics"][name]["value"] for run in side)
+                      for side in ([p for p, _ in runs], control_runs))
+        ratio, bound = _ratio(parent, aa), spec.get(name, {}).get("bound")
+        verdict = "" if bound is None else (f" {'MACHINE' if abs(ratio - 1.0) > bound else 'within'}"
+                                            f" bound {bound:g}")
+        lines.append(f"{name:14s} parent median {parent:.4g} against A/A -a median {aa:.4g}: "
+                     f"ratio {ratio:.3f}{verdict}")
+    caches = [{json.dumps(run.get("env", {}).get("caches"), sort_keys=True) for run in side}
+              for side in ([run for pair in runs for run in pair], control_runs)]
+    lines += [f"CACHES differ: runs {seen}, A/A control {' '.join(sorted(caches[1]))}"
+              for seen in sorted(caches[0] - caches[1])]
+    return lines
+
+
 def summary(runs, spec, band=None):
     """Lines of per-metric medians, quartiles, the parent's interquartile
     range as a fraction of its median, the change's wins and its median ratio
@@ -260,18 +294,20 @@ def main(argv=None):
                                               "workload": args.workload})
                 paths[side].write_text(json.dumps(records[side], indent=1, sort_keys=True) + "\n")
             print(f"pair {pair} seed {seed}: {order[0]} first, ok", flush=True)
-    recorded = [{run["pair"]: run["result"] for run in records[side]["runs"]
+    recorded = [{run["pair"]: run for run in records[side]["runs"]
                  if run["workload"] == args.workload} for side in trees]
-    results = [(recorded[0][pair], recorded[1][pair]) for pair in sorted(recorded[0])
-               if pair in recorded[1]]
+    runs = [(recorded[0][pair], recorded[1][pair]) for pair in sorted(recorded[0])
+            if pair in recorded[1]]
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec = {m["name"]: m for m in spec["end_to_end"]}
     band = aa_band(args.workload)
-    print(f"{args.workload}: {len(results)} pairs, {last - first + 1} of them in this call, "
+    print(f"{args.workload}: {len(runs)} pairs, {last - first + 1} of them in this call, "
           f"{names['change']} against {names['parent']}")
     if band:
+        print(f"machine: the parent's medians against {band[0]}'s")
+        print("\n".join(machine_lines(band[0], args.workload, runs, spec)))
         print(f"A/A: median ratios of {band[0]} and its -b")
-    print("\n".join(summary(results, {m["name"]: m for m in spec["end_to_end"]},
-                             band and band[1])))
+    print("\n".join(summary([(p["result"], c["result"]) for p, c in runs], spec, band and band[1])))
 
 
 if __name__ == "__main__":

@@ -28,16 +28,16 @@ largest difference: relative for
 ``theta``, ``alpha``, ``gap`` and ``lyap``; relative to the parent's row-0
 value for ``obj`` and ``feas``; absolute for ``sparsity``.  It also prints
 how many ``summary.json`` files are byte-identical once ``config.out``, the
-one field that names the output directory, and the methods' ``blocks``,
-which a parent may not record, are removed, and the largest
+one field that names the output directory, is removed, names each one
+that is not, and gives the largest
 relative difference of their reference optimum ``fstar``, its
 ``fstar_uncertainty`` and the methods' ``composite_final``, the composite
 objective at the last iterate, which no CSV holds.  On the LAD and SVM
 instances that reference is a ladmm run with steps ``1/||A||^2``, so it
-moves with the operator norm.  It also prints each side's total of the
-methods' ``inner_cap_hits``, the inner-loop solves that stopped at their cap,
-and of their blocks' ``declines``, the closed-form solves handed to the inner
-loop (``-`` for a side whose summaries have no ``blocks``).
+moves with the operator norm.  It also prints each side's total, over the
+methods' ``blocks``, of their ``cap_hits``, the inner-loop solves that stopped
+at their cap, and of their ``declines``, the closed-form solves handed to the
+inner loop.
 It exits 1 when a CSV or a summary is missing on one side or two CSVs differ
 in their rows' ``k``.
 """
@@ -128,14 +128,10 @@ def _difference(parent, change, scale):
 
 
 def _summary(path):
-    """``summary.json`` without ``config.out`` and the methods' ``blocks``, its
-    bytes as ``run_benchmark`` writes it, and the total ``declines`` of those
-    blocks (None when no method has ``blocks``)."""
+    """``summary.json`` without ``config.out``, and its bytes as ``run_benchmark`` writes it."""
     summary = json.loads(path.read_text())
     summary["config"].pop("out", None)
-    blocks = [entry.pop("blocks") for entry in summary["methods"].values() if "blocks" in entry]
-    declines = sum(b["declines"] for entry in blocks for b in entry.values()) if blocks else None
-    return summary, json.dumps(summary, indent=2, sort_keys=True) + "\n", declines
+    return summary, json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def _environments(parent_dir, change_dir):
@@ -175,12 +171,12 @@ def compare(parent_dir, change_dir):
     the names of the CSVs on both sides that are not byte-identical, ``columns``
     mapping each compared column to ``(largest difference, where)``,
     ``summaries_identical`` and ``summaries_total`` counts of the
-    ``summary.json`` files, compared without ``config.out`` and ``blocks``,
-    ``summary_fields`` mapping ``fstar``, ``fstar_uncertainty`` and the
-    methods' ``composite_final`` to their ``(largest relative difference,
-    where)`` over those summaries, ``cap_hits``, the parent's and the
-    change's totals of the methods' ``inner_cap_hits`` in them, ``declines``,
-    their totals of the blocks' ``declines`` (None for a side without ``blocks``),
+    ``summary.json`` files, compared without ``config.out``,
+    ``summaries_differing``, the names of those on both sides that are not
+    byte-identical, ``summary_fields`` mapping ``fstar``, ``fstar_uncertainty``
+    and the methods' ``composite_final`` to their ``(largest relative
+    difference, where)`` over those summaries, ``cap_hits`` and ``declines``,
+    the parent's and the change's totals of them over the methods' ``blocks``,
     ``flows_identical`` and ``flows_total`` counts of the flow trajectories
     and ``flows_differing``, the names of those that are not byte-identical,
     and ``mismatched``, the files missing on one side and the CSVs differing in ``k``.
@@ -188,17 +184,14 @@ def compare(parent_dir, change_dir):
     parent_dir, change_dir = Path(parent_dir), Path(change_dir)
     columns = {c: (0.0, "") for c in RELATIVE + ROW0_RELATIVE + EXACT}
     summary_fields = {f: (0.0, "") for f in SUMMARY_FIELDS + ("composite_final",)}
-    cap_hits, declines = [0, 0], [None, None]
+    cap_hits, declines = [0, 0], [0, 0]
     mismatched = []
     summaries_total, summaries = _pairs(parent_dir, change_dir, "*/summary.json", mismatched)
-    summaries_identical = 0
+    summaries_differing = []
     for name, p_path, c_path in summaries:
-        p_summary, p_bytes, p_declines = _summary(p_path)
-        c_summary, c_bytes, c_declines = _summary(c_path)
-        summaries_identical += p_bytes == c_bytes
-        for side, total in enumerate((p_declines, c_declines)):
-            if total is not None:
-                declines[side] = (declines[side] or 0) + total
+        (p_summary, p_bytes), (c_summary, c_bytes) = _summary(p_path), _summary(c_path)
+        if p_bytes != c_bytes:
+            summaries_differing.append(str(name))
         for field in SUMMARY_FIELDS:
             p, c = p_summary[field], c_summary[field]
             diff = _difference(p, c, abs(p))
@@ -206,7 +199,9 @@ def compare(parent_dir, change_dir):
                 summary_fields[field] = (diff, str(name))
         methods = p_summary["methods"], c_summary["methods"]
         for side, entries in enumerate(methods):
-            cap_hits[side] += sum(e.get("inner_cap_hits", 0) for e in entries.values())
+            blocks = [b for e in entries.values() for b in e.get("blocks", {}).values()]
+            cap_hits[side] += sum(b["cap_hits"] for b in blocks)
+            declines[side] += sum(b["declines"] for b in blocks)
         for tag in sorted(methods[0].keys() & methods[1].keys()):
             p, c = (entries[tag].get("composite_final") for entries in methods)
             if p is not None and c is not None:
@@ -237,7 +232,8 @@ def compare(parent_dir, change_dir):
     environments, environment_mismatch = _environments(parent_dir, change_dir)
     return {"environments": environments, "environment_mismatch": environment_mismatch,
             "identical": identical, "total": total, "differing": differing, "columns": columns,
-            "summaries_identical": summaries_identical, "summaries_total": summaries_total,
+            "summaries_identical": len(summaries) - len(summaries_differing),
+            "summaries_total": summaries_total, "summaries_differing": summaries_differing,
             "summary_fields": summary_fields, "cap_hits": tuple(cap_hits),
             "declines": tuple(declines),
             "flows_identical": len(flows) - len(flows_differing),
@@ -258,13 +254,14 @@ def report(result):
     for col, (diff, where) in result["columns"].items():
         scale = "own value" if col in RELATIVE else "row 0" if col in ROW0_RELATIVE else "(absolute)"
         print(f"{col:<10}{diff:<20.2e}{scale:<14}{where}")
-    print(f"summary.json without config.out and blocks, byte-identical: "
+    print(f"summary.json without config.out, byte-identical: "
           f"{result['summaries_identical']} of {result['summaries_total']}")
+    for name in result["summaries_differing"]:
+        print(f"differs: {name}")
     for field, (diff, where) in result["summary_fields"].items():
         print(f"{field:<20}{diff:<10.2e}{'own value':<14}{where}")
-    print("inner_cap_hits, parent then change: {} {}".format(*result["cap_hits"]))
-    print("declines, parent then change: {} {}".format(*("-" if d is None else d
-                                                         for d in result["declines"])))
+    print("cap_hits, parent then change: {} {}".format(*result["cap_hits"]))
+    print("declines, parent then change: {} {}".format(*result["declines"]))
     print(f"flow trajectories byte-identical: {result['flows_identical']} of {result['flows_total']}")
     for name in result["flows_differing"]:
         print(f"differs: {name}")

@@ -18,7 +18,7 @@ from pdsplit.params import Scheme
 
 def main():
     bundle = generate_quadratic(8, 8, seed=0)
-    inputs = LyapunovInputs(saddle=bundle.prox_form.saddle, f_star=bundle.f_star)
+    inputs = LyapunovInputs(saddle=bundle.prox_form.saddle, f_star=bundle.prox_form.f_saddle)
 
     print(f"{'scheme':<12} {'theta_500':>10} {'feas_500':>10} {'bounds':>8}")
     for scheme in Scheme:

@@ -61,9 +61,6 @@ class IterationTrace:
     meta: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
 
-    def append(self, row):
-        self.rows.append(row)
-
     def column(self, name):
         return [getattr(r, name) for r in self.rows]
 

@@ -70,12 +70,12 @@ def run(problem, scheme, max_iters, x0=None, y0=None, lam0=None,
         gamma0=None, beta0=None, iterate_callback=None):
     """Run one scheme on one problem for ``max_iters`` steps and return its trace.
 
-    The Lyapunov and gap columns, and ``E0``/``R0`` in the trace header,
-    are only populated when ``problem.saddle`` is known; ``E0`` is row 0's
-    merit.  The augmented-subproblem inner loop stops by the fixed rule in
-    :data:`pdsplit.subprob.OPTIONS`.  ``iterate_callback(k, state)`` is
-    invoked at every row, with the full iterate, which the trace does not
-    keep; a true return ends the run at that row.
+    The Lyapunov and gap columns, and ``R0`` in the trace header, are only
+    populated when ``problem.saddle`` is known; ``E0`` is row 0's merit.  The
+    augmented-subproblem inner loop stops by the fixed rule in
+    :data:`pdsplit.subprob.OPTIONS`.  ``iterate_callback(k, state)`` is invoked
+    at every row, with the full iterate, which the trace does not keep; a true
+    return ends the run at that row.
     """
     check_f_block(problem, scheme.value, smooth=scheme.family == 2)
     state = family1.IterateState.cold_start(problem, x0, y0, lam0)
@@ -134,7 +134,7 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
             row = TraceRow(k=k, theta=1.0 if ps is None else ps.theta,
                            obj=float(objective) if math.isfinite(objective) else None,
                            feas=feas, seconds=time.perf_counter() - t_start)
-            trace.append(row)
+            trace.rows.append(row)
             kept.append((state.x, state.v, state.w, state.lam, state.res, objective,
                          ps.theta, ps.gamma, ps.beta) if merit else (state.x,))
             seen = None if iterate_callback is None else _rotated(state, Vx, Vy, back=True)
@@ -142,9 +142,6 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
             if stop or len(kept) == BLOCK_ROWS:
                 _fill(trace.rows[-len(kept):], kept, turned, merit, Vx)
                 kept = []
-                if merit and "e0" not in trace.meta:
-                    trace.meta["e0"] = trace.rows[0].lyap
-                    trace.meta["r0"] = r0(turned, start, trace.meta["e0"])
             if stop:
                 break
 
@@ -157,7 +154,8 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
         state = step(turned, state, ps, ps_next, alpha)
         ps = ps_next
 
-    trace.meta["iterations"] = trace.rows[-1].k
+    if merit:
+        trace.meta["r0"] = r0(turned, start, trace.rows[0].lyap)
     trace.meta["blocks"] = {role: {"basis": "original" if V is None else "eigen", **solve.counts()}
                             for (role, solve), V in zip(turned.solves.items(), (Vx, Vy))}
     if turned is not problem:   # products as a run in this basis would leave them

@@ -188,9 +188,9 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_missing_fields_serialize_empty():
     trace = IterationTrace()
-    trace.append(TraceRow(k=0, theta=1.0))
+    trace.rows.append(TraceRow(k=0, theta=1.0))
     # the format follows the column, not the value's type: an int theta is a float field
-    trace.append(TraceRow(k=1, theta=1, sparsity=3))
+    trace.rows.append(TraceRow(k=1, theta=1, sparsity=3))
     text = trace.to_csv_string()
     assert text.splitlines()[1:] == ["0,1.0,,,,,,,", "1,1.0,,,,,,3,"]
 

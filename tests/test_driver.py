@@ -27,14 +27,31 @@ def test_trace_covers_full_budget():
     assert res.params.k == 25
 
 
-def test_meta_records_initial_constants():
-    prob, _ = quadratic_instance(82)
-    res = run(prob, Scheme.F1_SEMI_A, 10)
+SCHEME_HEADER = ["scheme", "dim_x", "dim_y", "dim_lam", "mu_f", "mu_g", "gamma0", "beta0",
+                 "max_iters"]
+HEADERS = {   # a run of 10 steps and its header's keys, in order
+    "f1-semiA": (lambda: run(quadratic_instance(82)[0], Scheme.F1_SEMI_A, 10),
+                 [*SCHEME_HEADER, "r0", "blocks"]),
+    "f1-semiA-lad-case1": (lambda: run(generate_lad(20, 60, 0).prox_form, Scheme.F1_SEMI_A, 10),
+                           [*SCHEME_HEADER, "blocks"]),   # no saddle, so no R0
+    "ladmm": (lambda: ladmm_run(generate_lad(20, 60, 0).prox_form, 10),
+              ["scheme", "max_iters", "blocks"]),
+    "pdhg": (lambda: pdhg_run(generate_lad(20, 60, 0).prox_form, 10),
+             ["scheme", "tau", "sigma", "max_iters", "blocks"]),
+}
+
+
+@pytest.mark.parametrize("case", list(HEADERS))
+def test_meta_records_initial_constants(case):
+    # the header keeps each value once: E0 is row 0's lyap and the last index row -1's k
+    start, keys = HEADERS[case]
+    res = start()
     meta = res.trace.meta
-    assert meta["scheme"] == "f1-semiA"
-    assert meta["e0"] == pytest.approx(res.trace.rows[0].lyap)
-    assert meta["r0"] > 0
-    assert meta["iterations"] == 10
+    assert list(meta) == keys
+    assert meta["scheme"] == case.split("-lad")[0]
+    assert res.trace.rows[-1].k == meta["max_iters"] == 10
+    if "r0" in keys:
+        assert meta["r0"] > 0 and res.trace.rows[0].lyap is not None
 
 
 @pytest.mark.parametrize("iters, rows", [(0, 1), (10, 11), (150, 151)])
@@ -54,7 +71,6 @@ def test_merit_costs_one_gap_per_row(monkeypatch, iters, rows):
     res = run(generate_quadratic(8, 8, seed=0).prox_form, Scheme.F1_SEMI_A, iters)
     assert len(res.trace.rows) == rows
     assert count == -(-rows // driver.BLOCK_ROWS)
-    assert res.trace.meta["e0"] == res.trace.rows[0].lyap
 
 
 def test_objective_once_per_row(monkeypatch):
@@ -118,7 +134,7 @@ def test_true_callback_return_ends_the_run_at_that_row(entry):
     trace, state = res.trace, res.state
     assert [k for k, _ in seen] == [r.k for r in trace.rows] == list(range(8))
     assert state is seen[-1][1]
-    assert trace.meta["iterations"] == 7 and trace.meta["max_iters"] == 50
+    assert trace.rows[-1].k == 7 and trace.meta["max_iters"] == 50
     # a count reached first still ends the run, after the callback saw its last row
     seen.clear()
     trace = ENTRY_POINTS[entry](prob, 5, stop_at_seven).trace
@@ -396,7 +412,6 @@ def test_rows_filled_in_blocks_match_the_per_point_diagnostics(monkeypatch, inst
         assert (type(row.gap), type(row.lyap), type(row.sparsity)) == (float, float, int)
         assert (row.gap.hex(), row.lyap.hex()) == (float(gap).hex(), float(merit).hex()), row.k
         assert row.sparsity == sparsity(shown.x), row.k
-    assert res.trace.meta["e0"] == rows[0].lyap
     assert res.trace.meta["r0"] == r0(turned, stepped[0][0], rows[0].lyap)
 
 

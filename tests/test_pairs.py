@@ -257,6 +257,24 @@ def test_aa_band_reads_the_newest_control_not_the_last_by_name(tmp_path, monkeyp
     assert _pairs().aa_band("lad-inner") == ("BENCH_aa-mmm-lad-inner-a.json", {"setup_s": 5.0})
 
 
+def test_an_aa_call_reads_the_control_before_its_own(trees, capsys):
+    # the call's own files would be the newest control; the one before it is read
+    out = trees[2]
+    _aa_record(out / "BENCH_aa-old-quad-saddle-a.json", "quad-saddle", [1.0])
+    _aa_record(out / "BENCH_aa-old-quad-saddle-b.json", "quad-saddle", [4.0])
+    parent, change, _ = trees
+    _pairs().main([str(parent), str(change), "--workload", "quad-saddle", "--seeds", "1-3",
+                   "--seconds", "2", "--names", "aa-zzz-quad-saddle-a", "aa-zzz-quad-saddle-b"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "machine: the parent's medians against BENCH_aa-old-quad-saddle-a.json's" in lines
+    assert "A/A: median ratios of BENCH_aa-old-quad-saddle-a.json and its -b" in lines
+    written = [Path("BENCH_aa-zzz-quad-saddle-a.json"), Path("BENCH_aa-zzz-quad-saddle-b.json")]
+    assert _pairs().aa_band("quad-saddle", written) == ("BENCH_aa-old-quad-saddle-a.json",
+                                                        {"setup_s": 4.0})
+    # named by no call, the new control is the newest
+    assert _pairs().aa_band("quad-saddle")[0] == "BENCH_aa-zzz-quad-saddle-a.json"
+
+
 def _machine_run(workload, rate, setup, caches):
     metrics = {"iter_per_s": {"unit": "1/s", "value": rate}, "setup_s": {"unit": "s", "value": setup},
                "peak_rss_mb": {"unit": "MB", "value": 2.0 * setup}}

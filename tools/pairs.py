@@ -40,9 +40,10 @@ directory holds a recorded A/A control of the workload,
 ``BENCH_aa-<name>-<workload>-a.json`` and its ``-b.json``, the summary also
 prints each metric's A/A median ratio (``-b`` over ``-a``, from the newest
 such pair: the one whose ``-a`` file git last committed, an uncommitted one
-newer still, and the last by name among equals or outside a git checkout)
-beside the parent's interquartile range: the spread that identical trees
-showed, against which a pair's ratio is read.  Ratios hide the machine's
+newer still, and the last by name among equals or outside a git checkout,
+skipping the two files the call itself writes) beside the parent's
+interquartile range: the spread that identical trees showed, against
+which a pair's ratio is read.  Ratios hide the machine's
 speed, so before that table the script prints, for each time metric (unit
 ``s`` or ``1/s``), the parent's median against the same control's ``-a``
 median, marked ``MACHINE`` when their ratio is off 1 by more than the
@@ -165,15 +166,17 @@ def _commit_time(path):
     return float(log.stdout) if log.stdout.strip() else math.inf
 
 
-def aa_band(workload):
+def aa_band(workload, written=()):
     """The name of the newest recorded A/A control of ``workload`` in the
     current directory (its ``-a`` file) and each metric's median ratio
     there, ``-b`` over ``-a``; None when there is none.  The newest is the
-    last committed, an uncommitted one newer still; name order breaks ties."""
+    last committed, an uncommitted one newer still; name order breaks ties.
+    A control with a file in ``written``, the files the call records, is
+    skipped, so an A/A call reads the control before its own."""
     controls = Path().glob(f"BENCH_aa-*-{workload}-a.json")
     for a in sorted(controls, key=lambda path: (_commit_time(path), path.name), reverse=True):
         b = a.with_name(a.name[:-len("a.json")] + "b.json")
-        if not b.exists():
+        if not b.exists() or {a, b} & set(written):
             continue
         sides = [[run["result"]["metrics"] for run in json.loads(path.read_text())["runs"]
                   if run["workload"] == workload] for path in (a, b)]
@@ -300,7 +303,7 @@ def main(argv=None):
             if pair in recorded[1]]
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     spec = {m["name"]: m for m in spec["end_to_end"]}
-    band = aa_band(args.workload)
+    band = aa_band(args.workload, paths.values())
     print(f"{args.workload}: {len(runs)} pairs, {last - first + 1} of them in this call, "
           f"{names['change']} against {names['parent']}")
     if band:

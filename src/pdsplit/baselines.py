@@ -13,7 +13,6 @@ import numpy as np
 
 from .driver import check_f_block, iterate
 from .family1 import IterateState
-from .linops import ScaledIdentity
 # not used here: perfbench/tracer.py wraps these two names in this module
 from .diagnostics import sparsity  # noqa: F401
 from .oracles import feasibility_residual  # noqa: F401
@@ -107,12 +106,9 @@ def pdhg_run(problem, max_iters, x0=None, lam0=None, iterate_callback=None):
     ``max_iters`` steps, or until ``iterate_callback(k, state)`` returns true;
     return ``driver.iterate``'s ``RunResult``, whose ``params`` is None.  The
     start is the cold start with ``y0 = 0``, which the step never reads."""
-    B = problem.B
-    if not (isinstance(B, ScaledIdentity) and B.scale == -1.0):
+    if not problem.composite:
         raise NotApplicableError("this primal-dual iteration applies to composite "
-                                 "problems with B = -I only")
-    if np.any(problem.b != 0.0):
-        raise NotApplicableError("this primal-dual iteration needs a zero right-hand side")
+                                 "problems only: B = -I and b = 0")
     check_f_block(problem, "pdhg", smooth=False)
     state = IterateState.cold_start(problem, x0, None, lam0)
     tau = sigma = 1.0 / problem.A.norm_bound()

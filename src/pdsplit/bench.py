@@ -116,18 +116,17 @@ class ProblemBundle:
     prox_form: SeparableProblem
     split_form: SeparableProblem
     ground_truth: np.ndarray = None
-    composite: bool = False      # True when P(x) = f(x) + g(Ax) is meaningful
     f_star: float = None         # a copy of prox_form.f_saddle, which perfbench reads
 
 
-def _bundle(f, f_split, g, A, B, rhs, ground_truth, composite=False, saddle=None):
+def _bundle(f, f_split, g, A, B, rhs, ground_truth, saddle=None):
     """Both forms of one instance, ``f`` as one prox oracle and ``f_split`` as its
-    ``(smooth, prox)`` pair, over one ``g``, ``A x + B y = rhs`` and ``saddle``;
-    both norms are computed here, so generation pays for them."""
+    ``(smooth, prox)`` pair, over ``g``, ``A x + B y = rhs`` and ``saddle``; each form
+    says itself if it is composite.  Both norms are computed here, so generation pays for them."""
     prox_form, split_form = (SeparableProblem(fb, g, A, B, rhs, saddle=saddle) for fb in (f, f_split))
     A.norm()
     B.norm()
-    return ProblemBundle(prox_form, split_form, ground_truth, composite, prox_form.f_saddle)
+    return ProblemBundle(prox_form, split_form, ground_truth, prox_form.f_saddle)
 
 
 def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01):
@@ -149,7 +148,7 @@ def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01)
     d = A @ x_sharp + e
     mu = 0.1 if case == 2 else 0.0
     return _bundle(ElasticNet(2.0, mu), (SquaredL2(mu), ElasticNet(2.0, 0.0)), ShiftedL1(d),
-                   DenseOperator(A), negated_identity(m), np.zeros(m), x_sharp, composite=True)
+                   DenseOperator(A), negated_identity(m), np.zeros(m), x_sharp)
 
 
 def generate_svm(m, n, seed, elastic=False, flip_fraction=0.1):
@@ -276,7 +275,7 @@ def run_benchmark(config):
         "methods": {},
     }
     p_star = None
-    if bundle.composite:   # no composite instance has an exact optimum
+    if prox_form.composite:   # no composite instance has an exact optimum
         p_star, p0 = (prox_form.objective(x, prox_form.A.apply(x))
                       for x in (est.x, np.zeros(prox_form.dim_x)))
         summary["composite_star"] = p_star

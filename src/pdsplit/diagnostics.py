@@ -133,8 +133,6 @@ class BoundReport:
     """Per-bound worst relative violations over a trace."""
 
     applicable: bool
-    e0: float = None
-    r0: float = None
     max_violation: dict = field(default_factory=dict)
     flagged_rows: dict = field(default_factory=dict)
 
@@ -143,7 +141,8 @@ class BoundReport:
 
 
 def certify_bounds(trace, inputs, composite_column=None, p_star=None):
-    """Check the certified decay bounds row by row.
+    """Check the certified decay bounds row by row, with E0 row 0's ``lyap``
+    (clamped at 0) and R0 ``trace.meta["r0"]``, neither of which the report keeps.
 
     Bounds checked (when the needed inputs exist):
       feas <= theta * R0
@@ -158,8 +157,7 @@ def certify_bounds(trace, inputs, composite_column=None, p_star=None):
     if inputs.saddle is None or not trace.rows:
         return BoundReport(applicable=False)
 
-    first = trace.rows[0]
-    e0 = first.lyap
+    e0 = trace.rows[0].lyap
     if e0 is None:
         return BoundReport(applicable=False)
     e0 = max(e0, 0.0)
@@ -192,7 +190,7 @@ def certify_bounds(trace, inputs, composite_column=None, p_star=None):
                                      for row, p in rows]
 
     flagged = {name: [(k, v) for k, v in excess if v > 0.0] for name, excess in table.items()}
-    return BoundReport(applicable=True, e0=e0, r0=r0_val,
+    return BoundReport(applicable=True,
                        max_violation={n: max([v for _, v in f], default=0.0)
                                       for n, f in flagged.items()},
                        flagged_rows={n: [k for k, _ in f] for n, f in flagged.items() if f})

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linops import DenseOperator, LinearOperator
+from .linops import DenseOperator, LinearOperator, ScaledIdentity
 from .subprob import BlockSolve
 
 __all__ = [
@@ -125,6 +125,11 @@ class SeparableProblem:
     @property
     def saddle(self):
         return self._saddle
+
+    @property
+    def composite(self):
+        """True when ``B = -I`` and ``b = 0``: the problem is ``min f(x) + g(A x)``."""
+        return isinstance(self.B, ScaledIdentity) and self.B.scale == -1.0 and not np.any(self.b)
 
     @cached_property
     def eigenbasis(self):

@@ -43,11 +43,8 @@ OPTIONS = SolverOptions()   # the one rule every scheme's inner loop reads
 
 
 class InnerLoopCapWarning(RuntimeWarning):
-    """The inner loop stopped at its cap; ``residual`` is its last residual."""
-
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
+    """The inner loop stopped at its cap.  The message names the cap, the last
+    residual and the tolerance; the residual is kept on ``BlockSolve.cap_residuals``."""
 
 
 class BlockSolve:
@@ -125,5 +122,5 @@ def _inner_prox_gradient(solve, r, sigma, weight, center):
     warnings.warn(InnerLoopCapWarning(
         f"augmented-subproblem inner loop hit its cap of {OPTIONS.inner_max_iters} "
         f"iterations at residual {residual:.3e} (tolerance {OPTIONS.inner_tol:.1e}, "
-        f"relative to 1 + ||u||)", float(residual)), stacklevel=2)
+        f"relative to 1 + ||u||)"), stacklevel=2)
     return u_next

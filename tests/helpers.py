@@ -1,11 +1,15 @@
 """Shared builders for the test suite: seeded quadratic instances with
-planted saddle points, in both oracle layouts."""
+planted saddle points, in both oracle layouts; and the residuals that
+inner-loop cap warnings print."""
+
+import re
 
 import numpy as np
 
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SaddlePoint, SeparableProblem
 from pdsplit.prox import QuadraticProx, SquaredL2
+from pdsplit.subprob import InnerLoopCapWarning
 
 
 def spd_matrix(rng, dim, mu):
@@ -89,3 +93,10 @@ def ode_quadratic_instance(seed, mu_f, mu_g, n=4, spread=0.02, coupling=0.02):
         QuadraticProx(P, p), QuadraticProx(Q, q),
         DenseOperator(A), DenseOperator(Bm), rhs,
         mu_f=mu_f, mu_g=mu_g, saddle=SaddlePoint(x_star, y_star, lam_star))
+
+
+def printed_cap_residuals(caught):
+    """The residual that each ``InnerLoopCapWarning`` among the recorded
+    warnings ``caught`` prints in its message (``.3e``), read back as a float."""
+    return [float(re.search(r"at residual (\S+) ", str(w.message)).group(1))
+            for w in caught if w.category is InnerLoopCapWarning]

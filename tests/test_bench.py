@@ -22,6 +22,8 @@ from pdsplit.oracles import SeparableProblem
 from pdsplit.prox import ElasticNet, HingeSum, QuadraticProx, ShiftedL1, SquaredL2
 from pdsplit.subprob import InnerLoopCapWarning
 
+from helpers import printed_cap_residuals
+
 
 def test_lad_shapes_and_sparsity():
     bundle = generate_lad(40, 100, seed=3, sparsity_fraction=0.1)
@@ -254,7 +256,8 @@ def test_summary_records_inner_loop_cap_hits(tmp_path):
                     if block["cap_hits"]:
                         worst.append(block["worst_cap_residual"])
     assert hits == len(caught) == 5
-    assert max(worst) == max(w.message.residual for w in caught)
+    # the recorded worst residual is the one the warnings print (.3e)
+    assert f"{max(worst):.3e}" == f"{max(printed_cap_residuals(caught)):.3e}"
     assert 1e-10 < max(worst) < 1e-8
 
 
@@ -270,20 +273,24 @@ def test_method_entry_holds_what_the_trace_recorded_and_no_copy(tmp_path, monkey
         return trace, x_final
 
     monkeypatch.setattr(bench, "_run_method", recording)
-    for problem, composite in (("quadratic-synthetic", set()),
-                               ("lad-case1", {"composite_final", "composite_rel_final"})):
+    # every problem kind: each form says whether it is composite (B = -I,
+    # b = 0), and pdhg runs exactly on the composite kinds
+    for problem, composite in (("quadratic-synthetic", False), ("lad-case1", True),
+                               ("lad-case2", True), ("svm-l1", False), ("svm-elastic", False)):
         cfg = RunConfig(problem=problem, m=20, n=60, seed=3, iters=40, methods=METHOD_TAGS,
                         out=str(tmp_path / problem))
-        if not composite:
-            prob = generate_problem(cfg).prox_form
-            assert prob.eigenbasis[0] is not prob
+        bundle = generate_problem(cfg)
+        if problem == "quadratic-synthetic":
+            assert bundle.prox_form.eigenbasis[0] is not bundle.prox_form
         summary = run_benchmark(cfg)
         assert set(summary) == {"config", "fstar", "fstar_uncertainty", "methods"} | (
             {"composite_star"} if composite else set())
         ran = {tag: entry for tag, entry in summary["methods"].items() if "skipped" not in entry}
         assert set(ran) == set(METHOD_TAGS) - ({"pdhg"} if not composite else set())
+        assert bundle.prox_form.composite == bundle.split_form.composite == ("pdhg" in ran)
+        extra = {"composite_final", "composite_rel_final"} if composite else set()
         for tag, entry in ran.items():
-            assert set(entry) == {"checkpoints", "final_sparsity", "trace", "blocks"} | composite, tag
+            assert set(entry) == {"checkpoints", "final_sparsity", "trace", "blocks"} | extra, tag
             assert entry["final_sparsity"] == sparsity(finals[tag]), tag
 
 

@@ -1,6 +1,7 @@
 """Merit values, bound certificates, sparsity counts, and trace files."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -95,6 +96,9 @@ def test_certify_bounds_clean_run():
     report = certify_bounds(trace, inputs)
     assert report.applicable
     assert report.clean(slack=1e-8), report.max_violation
+    # E0 and R0 stay with the trace (row 0's lyap, meta["r0"]); the report keeps no copy
+    assert [f.name for f in dataclasses.fields(report)] == ["applicable", "max_violation",
+                                                           "flagged_rows"]
 
 
 def test_certify_bounds_flags_corruption():

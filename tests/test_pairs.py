@@ -191,17 +191,57 @@ def test_summary_reads_each_median_ratio_against_the_parents_interquartile_range
             for s in spread]
     lines = _pairs().summary(runs, spec)
     assert "parent IQR" in lines[0]
+    # then the old reading, the per-pair ratio's median and range (0: each
+    # pair's ratio is the same), the pair rule's reading, wins and the ratio
     rows = {line.split()[0]: line.split()[7:] for line in lines[1:-1]}
-    assert rows["clears"] == ["0.100", "3/3", "0.850"]
-    assert rows["short"] == ["0.100", "no-gain", "3/3", "0.950"]
-    assert rows["worse"] == ["0.100", "no-gain", "0/3", "1.050"]
-    assert rows["higher"] == ["0.100", "3/3", "1.200"]
-    assert rows["higher_short"] == ["0.100", "no-gain", "3/3", "1.050"]
+    assert rows["clears"] == ["0.100", "gain", "0.850", "0.000", "gain", "3/3", "0.850"]
+    assert rows["short"] == ["0.100", "no-gain", "0.950", "0.000", "gain", "3/3", "0.950"]
+    assert rows["worse"] == ["0.100", "no-gain", "1.050", "0.000", "no-gain", "0/3", "1.050"]
+    assert rows["higher"] == ["0.100", "gain", "1.200", "0.000", "gain", "3/3", "1.200"]
+    assert rows["higher_short"] == ["0.100", "no-gain", "1.050", "0.000", "gain", "3/3", "1.050"]
+
+
+def _rule_rows(parents, changes, band):
+    """The old and the pair rule's readings of ``iter_per_s`` (higher is better)
+    and of ``bench_s`` (lower), paired parent and change values, against the A/A
+    per-pair range ``band``."""
+    runs = [tuple({"failed": 0, "metrics": {"iter_per_s": {"value": v}, "bench_s": {"value": 1.0 / v}}}
+                  for v in pair) for pair in zip(parents, changes)]
+    spec = {"iter_per_s": {"better": "higher"}, "bench_s": {"better": "lower"}}
+    lines = _pairs().summary(runs, spec, band and {name: band for name in spec})
+    return {line.split()[0]: (line.split()[8], line.split()[-3]) for line in lines[1:-1]}
+
+
+# ten seeds whose cost per iteration spans 2,900-3,900 iter/s, as lad-inner's
+# do, and per-run timing noise of at most 1.5 %
+COSTS = [2900.0, 3850.0, 3100.0, 3600.0, 3300.0, 3000.0, 3700.0, 3200.0, 3500.0, 3400.0]
+NOISE = [0.0, 0.01, -0.01, 0.005, -0.005, 0.015, -0.015, 0.002, -0.002, 0.008]
+
+
+def test_the_pair_rule_resolves_a_constant_gain_over_seeds_of_different_cost():
+    # the change is x1.05 on every seed, under the same noise in another
+    # order: the parent's range over the seeds (about 16 %) hides it, the
+    # per-pair ratio does not
+    parents = [c * (1 + e) for c, e in zip(COSTS, NOISE)]
+    changes = [1.05 * c * (1 + e) for c, e in zip(COSTS, reversed(NOISE))]
+    rows = _rule_rows(parents, changes, band=0.04)
+    assert rows == {"iter_per_s": ("no-gain", "gain"), "bench_s": ("no-gain", "gain")}
+
+
+def test_neither_rule_resolves_a_gain_between_sides_equal_in_distribution():
+    # both sides draw the same noise over the same seeds, in another order
+    parents = [c * (1 + e) for c, e in zip(COSTS, NOISE)]
+    changes = [c * (1 + e) for c, e in zip(COSTS, reversed(NOISE))]
+    rows = _rule_rows(parents, changes, band=0.04)
+    assert rows == {"iter_per_s": ("no-gain", "no-gain"), "bench_s": ("no-gain", "no-gain")}
+    # nor when the pairs' own per-pair range stands in for a control's
+    assert _rule_rows(parents, changes, band=None) == rows
 
 
 def _aa_record(path, workload, values):
-    """A recorded A/A side whose runs of ``workload`` give ``setup_s`` ``values``."""
-    runs = [{"workload": workload, "result": {"metrics": {"setup_s": {"value": v}}}} for v in values]
+    """A recorded A/A side whose pairs 0, 1, ... of ``workload`` give ``setup_s`` ``values``."""
+    runs = [{"workload": workload, "pair": pair, "result": {"metrics": {"setup_s": {"value": v}}}}
+            for pair, v in enumerate(values)]
     path.write_text(json.dumps({"runs": runs}))
 
 
@@ -215,16 +255,17 @@ def test_summary_reads_the_recorded_aa_band_of_the_workload(trees, capsys):
     _aa_record(out / "BENCH_aa-2-lad-inner-b.json", "lad-inner", [7.0])
     _main(trees, "quad-saddle", "1-3")
     lines = capsys.readouterr().out.splitlines()
-    head = lines.index("A/A: median ratios of BENCH_aa-1-quad-saddle-a.json and its -b")
+    head = lines.index("A/A: per-pair ratio ranges of BENCH_aa-1-quad-saddle-a.json and its -b")
     # the parent's setup_s median 0.012 against the control's 2.0; no bound, so no verdict,
     # and the control has no iter_per_s to read against
     assert lines[head - 2:head] == [
         "machine: the parent's medians against BENCH_aa-1-quad-saddle-a.json's",
         "setup_s        parent median 0.012 against A/A -a median 2: ratio 0.006"]
-    assert lines[head + 1].split()[10:12] == ["IQR", "A/A"]
-    rows = {line.split()[0]: line.split()[7:9] for line in lines[head + 2:-1]}
-    # medians 2.5 over 2.0; a metric the control did not record reads "-"
-    assert rows["setup_s"][1] == "1.250" and rows["iter_per_s"][1] == "-"
+    assert lines[head + 1].split()[14:18] == ["pair", "IQR", "A/A", "IQR"]
+    rows = {line.split()[0]: line.split()[11] for line in lines[head + 2:-1]}
+    # per-pair ratios 1.1, 1.25 and 1.0: quartiles 1.05 and 1.175; a metric
+    # the control did not record reads "-"
+    assert rows["setup_s"] == "0.125" and rows["iter_per_s"] == "-"
 
 
 def test_summary_has_no_aa_column_without_a_recorded_control(trees, capsys):
@@ -243,34 +284,40 @@ def test_aa_band_reads_the_newest_control_not_the_last_by_name(tmp_path, monkeyp
                        check=True, capture_output=True,
                        env=dict(os.environ, GIT_AUTHOR_DATE=when, GIT_COMMITTER_DATE=when))
 
+    def control(name, step):
+        # per-pair ratios 1, 1 + step and 1 + 2 step: a per-pair range of step
+        _aa_record(tmp_path / f"BENCH_aa-{name}-lad-inner-a.json", "lad-inner", [1.0] * 3)
+        _aa_record(tmp_path / f"BENCH_aa-{name}-lad-inner-b.json", "lad-inner",
+                   [1.0, 1.0 + step, 1.0 + 2 * step])
+
     git("init", "-q", ".")
-    for name, when, ratio in (("zzz", "2001-01-01T00:00:00Z", 3.0),
-                              ("aaa", "2002-01-01T00:00:00Z", 2.0)):   # newer, first by name
-        _aa_record(tmp_path / f"BENCH_aa-{name}-lad-inner-a.json", "lad-inner", [1.0])
-        _aa_record(tmp_path / f"BENCH_aa-{name}-lad-inner-b.json", "lad-inner", [ratio])
+    for name, when, step in (("zzz", "2001-01-01T00:00:00Z", 0.3),
+                             ("aaa", "2002-01-01T00:00:00Z", 0.2)):   # newer, first by name
+        control(name, step)
         git("add", ".")
         git("commit", "-q", "-m", name, when=when)
-    assert _pairs().aa_band("lad-inner") == ("BENCH_aa-aaa-lad-inner-a.json", {"setup_s": 2.0})
+    assert _pairs().aa_band("lad-inner") == ("BENCH_aa-aaa-lad-inner-a.json",
+                                             {"setup_s": pytest.approx(0.2)})
     # an uncommitted control is newer than any committed one
-    _aa_record(tmp_path / "BENCH_aa-mmm-lad-inner-a.json", "lad-inner", [1.0])
-    _aa_record(tmp_path / "BENCH_aa-mmm-lad-inner-b.json", "lad-inner", [5.0])
-    assert _pairs().aa_band("lad-inner") == ("BENCH_aa-mmm-lad-inner-a.json", {"setup_s": 5.0})
+    control("mmm", 0.5)
+    assert _pairs().aa_band("lad-inner") == ("BENCH_aa-mmm-lad-inner-a.json",
+                                             {"setup_s": pytest.approx(0.5)})
 
 
 def test_an_aa_call_reads_the_control_before_its_own(trees, capsys):
     # the call's own files would be the newest control; the one before it is read
     out = trees[2]
-    _aa_record(out / "BENCH_aa-old-quad-saddle-a.json", "quad-saddle", [1.0])
-    _aa_record(out / "BENCH_aa-old-quad-saddle-b.json", "quad-saddle", [4.0])
+    _aa_record(out / "BENCH_aa-old-quad-saddle-a.json", "quad-saddle", [1.0, 1.0, 1.0])
+    _aa_record(out / "BENCH_aa-old-quad-saddle-b.json", "quad-saddle", [1.0, 2.0, 3.0])
     parent, change, _ = trees
     _pairs().main([str(parent), str(change), "--workload", "quad-saddle", "--seeds", "1-3",
                    "--seconds", "2", "--names", "aa-zzz-quad-saddle-a", "aa-zzz-quad-saddle-b"])
     lines = capsys.readouterr().out.splitlines()
     assert "machine: the parent's medians against BENCH_aa-old-quad-saddle-a.json's" in lines
-    assert "A/A: median ratios of BENCH_aa-old-quad-saddle-a.json and its -b" in lines
+    assert "A/A: per-pair ratio ranges of BENCH_aa-old-quad-saddle-a.json and its -b" in lines
     written = [Path("BENCH_aa-zzz-quad-saddle-a.json"), Path("BENCH_aa-zzz-quad-saddle-b.json")]
     assert _pairs().aa_band("quad-saddle", written) == ("BENCH_aa-old-quad-saddle-a.json",
-                                                        {"setup_s": 4.0})
+                                                        {"setup_s": 1.0})
     # named by no call, the new control is the newest
     assert _pairs().aa_band("quad-saddle")[0] == "BENCH_aa-zzz-quad-saddle-a.json"
 

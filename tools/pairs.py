@@ -30,22 +30,30 @@ before it recorded; resume with the seeds after them.  At the end, per
 metric, over every pair of the workload that both files record (this
 call's and earlier calls'), the script prints each side's median and
 quartiles, the parent's interquartile range as a fraction of its median,
-in how many pairs the change was better, and the ratio of the change's
-median to the parent's.  A ratio that is not better than 1 by more than
-that range is marked ``no-gain``: a claimed gain must clear it.  A metric
-whose change median is worse than the parent's by more than its ``bound``
-(a fraction of the parent's median) is marked ``OUTSIDE``.  The direction
-and the bound are read from CHANGE's ``BENCHMARK.json``.  When the current
+and the old reading: ``gain`` when the ratio of the change's median to
+the parent's is better than 1 by more than that range, else ``no-gain``.
+Beside it, it prints the median and the interquartile range (q3 - q1) of
+the per-pair ratio, the change's value over the parent's within each pair,
+and the pair rule's reading, then in how many pairs the change was better
+and the ratio of the medians.  Claims are read by the pair rule: a gain is
+resolved (``gain``, else ``no-gain``) when the per-pair median is better
+than 1 by more than the newest A/A control's per-pair interquartile range,
+and the change is better in at least 9 of 10 pairs (a fraction 0.9 of
+them).  Without a recorded control the pairs' own per-pair range stands
+in.  Each pair runs one seed, so the parent's range spans instances as
+well as timing noise; the per-pair ratio's does not.  A metric whose
+change median is worse than the parent's by more than its ``bound`` (a
+fraction of the parent's median) is marked ``OUTSIDE``.  The direction and
+the bound are read from CHANGE's ``BENCHMARK.json``.  When the current
 directory holds a recorded A/A control of the workload,
 ``BENCH_aa-<name>-<workload>-a.json`` and its ``-b.json``, the summary also
-prints each metric's A/A median ratio (``-b`` over ``-a``, from the newest
-such pair: the one whose ``-a`` file git last committed, an uncommitted one
-newer still, and the last by name among equals or outside a git checkout,
-skipping the two files the call itself writes) beside the parent's
-interquartile range: the spread that identical trees showed, against
-which a pair's ratio is read.  Ratios hide the machine's
-speed, so before that table the script prints, for each time metric (unit
-``s`` or ``1/s``), the parent's median against the same control's ``-a``
+prints each metric's A/A per-pair ratio range (``-b`` over ``-a`` in each
+of its pairs, from the newest such control: the one whose ``-a`` file git
+last committed, an uncommitted one newer still, and the last by name among
+equals or outside a git checkout, skipping the two files the call itself
+writes) beside the pairs' own: the spread that identical trees showed.
+Ratios hide the machine's speed, so before that table the script prints,
+for each time metric (unit ``s`` or ``1/s``), the parent's median against the same control's ``-a``
 median, marked ``MACHINE`` when their ratio is off 1 by more than the
 metric's bound, and names each ``env.caches`` of the runs that the
 control's runs lack.  A session so marked ran in a slower phase of the
@@ -166,10 +174,19 @@ def _commit_time(path):
     return float(log.stdout) if log.stdout.strip() else math.inf
 
 
+def pair_spread(runs, name):
+    """The median and the interquartile range (q3 - q1) of the per-pair ratio
+    of metric ``name``, change over parent, over ``runs``, a list of
+    (parent result, change result) pairs."""
+    median, q1, q3 = quartiles([_ratio(c["metrics"][name]["value"], p["metrics"][name]["value"])
+                                for p, c in runs])
+    return median, q3 - q1
+
+
 def aa_band(workload, written=()):
     """The name of the newest recorded A/A control of ``workload`` in the
-    current directory (its ``-a`` file) and each metric's median ratio
-    there, ``-b`` over ``-a``; None when there is none.  The newest is the
+    current directory (its ``-a`` file) and each metric's per-pair ratio
+    range there, ``-b`` over ``-a``; None when there is none.  The newest is the
     last committed, an uncommitted one newer still; name order breaks ties.
     A control with a file in ``written``, the files the call records, is
     skipped, so an A/A call reads the control before its own."""
@@ -178,12 +195,11 @@ def aa_band(workload, written=()):
         b = a.with_name(a.name[:-len("a.json")] + "b.json")
         if not b.exists() or {a, b} & set(written):
             continue
-        sides = [[run["result"]["metrics"] for run in json.loads(path.read_text())["runs"]
-                  if run["workload"] == workload] for path in (a, b)]
-        if all(sides):
-            return a.name, {name: _ratio(*(statistics.median(m[name]["value"] for m in side)
-                                           for side in reversed(sides)))
-                            for name in sides[0][0]}
+        sides = [{run["pair"]: run["result"] for run in json.loads(path.read_text())["runs"]
+                  if run["workload"] == workload} for path in (a, b)]
+        runs = [(sides[0][pair], sides[1][pair]) for pair in sorted(sides[0]) if pair in sides[1]]
+        if runs:
+            return a.name, {name: pair_spread(runs, name)[1] for name in runs[0][0]["metrics"]}
     return None
 
 
@@ -216,15 +232,17 @@ def machine_lines(control, workload, runs, spec):
 
 def summary(runs, spec, band=None):
     """Lines of per-metric medians, quartiles, the parent's interquartile
-    range as a fraction of its median, the change's wins and its median ratio
-    to the parent's over ``runs``, a list of (parent result, change result)
-    pairs.  A ratio better than 1 by no more than that range is marked
-    ``no-gain``.  ``spec`` maps a metric's name to its ``BENCHMARK.json``
-    entry, whose ``bound`` (when given) marks a worse ratio ``OUTSIDE``.
-    ``band``, when given, maps a metric to its A/A median ratio, printed
-    after the range."""
+    range as a fraction of its median, the old reading, the per-pair ratio's
+    median and range, the pair rule's reading, the change's wins and its
+    median ratio to the parent's over ``runs``, a list of (parent result,
+    change result) pairs; the module docstring states both readings.
+    ``spec`` maps a metric's name to its ``BENCHMARK.json`` entry, whose
+    ``bound`` (when given) marks a worse ratio of the medians ``OUTSIDE``.
+    ``band``, when given, maps a metric to its A/A per-pair ratio range,
+    printed after the pairs' own and read by the pair rule."""
     lines = [f"{'metric':14s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s} "
-             f"parent IQR{'     A/A' if band else ''}          wins  change/parent"]
+             f"parent IQR old     {'pair median':>12s} pair IQR{' A/A IQR' if band else ''} pair rule  "
+             f"wins  change/parent"]
     for name in runs[0][0]["metrics"]:
         sides = [[r[i]["metrics"][name]["value"] for r in runs] for i in (0, 1)]
         entry = spec.get(name, {})
@@ -235,13 +253,18 @@ def summary(runs, spec, band=None):
         (parent, q1, q3), change = stats[0], stats[1][0]
         ratio = _ratio(change, parent)
         iqr = (q3 - q1) / parent if parent else 0.0
+        old = "gain" if sign * (1.0 - ratio) > iqr else "no-gain"
+        pair_median, pair_iqr = pair_spread(runs, name)
         aa = "" if not band else f" {band[name]:7.3f}" if name in band else f" {'-':>7s}"
-        gain = "" if sign * (1.0 - ratio) > iqr else "no-gain"
+        threshold = band[name] if band and name in band else pair_iqr
+        resolved = sign * (1.0 - pair_median) > threshold and wins >= 0.9 * len(runs)
+        new = "gain" if resolved else "no-gain"
         verdict = ""
         if "bound" in entry:
             outside = sign * (ratio - 1.0) > entry["bound"]
             verdict = f" {'OUTSIDE' if outside else 'within'} bound {entry['bound']:g}"
-        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {iqr:10.3f}{aa} {gain:7s}  "
+        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {iqr:10.3f} {old:7s} "
+                     f"{pair_median:12.3f} {pair_iqr:8.3f}{aa} {new:9s}  "
                      f"{wins}/{len(runs)}  {ratio:.3f}{verdict}")
     failed = [sum(r[i]["failed"] for r in runs) for i in (0, 1)]
     lines.append(f"failed operations: parent {failed[0]}, change {failed[1]}")
@@ -309,7 +332,7 @@ def main(argv=None):
     if band:
         print(f"machine: the parent's medians against {band[0]}'s")
         print("\n".join(machine_lines(band[0], args.workload, runs, spec)))
-        print(f"A/A: median ratios of {band[0]} and its -b")
+        print(f"A/A: per-pair ratio ranges of {band[0]} and its -b")
     print("\n".join(summary([(p["result"], c["result"]) for p, c in runs], spec, band and band[1])))
 
 

@@ -151,8 +151,8 @@ def certify_bounds(trace, inputs, composite_column=None, p_star=None):
       composite: 0 <= P - P* <= theta * (E0 + (||lam*|| + M_g) R0)
 
     Violations are reported (relative, with additive-plus-relative slack
-    absorbed by the caller), never thrown.  A ``composite_column`` whose
-    length is not the trace's raises ``ValueError``.
+    absorbed by the caller), never thrown.  A ``composite_column`` without
+    ``p_star`` or ``inputs.m_g``, or not one entry a row, raises ``ValueError``.
     """
     if inputs.saddle is None or not trace.rows:
         return BoundReport(applicable=False)
@@ -178,7 +178,10 @@ def certify_bounds(trace, inputs, composite_column=None, p_star=None):
             if value is not None:
                 table.setdefault(name, []).append((row.k, _rel_excess(value, bound)))
 
-    if composite_column is not None and p_star is not None and inputs.m_g is not None:
+    if composite_column is not None:
+        for name, value in (("p_star", p_star), ("inputs.m_g", inputs.m_g)):
+            if value is None:
+                raise ValueError(f"a composite_column needs {name}")
         if len(composite_column) != len(trace.rows):
             raise ValueError(f"composite_column has {len(composite_column)} entries; "
                              f"the trace has {len(trace.rows)} rows")

@@ -49,7 +49,7 @@ class RunResult:
 
 def build_rule(problem, scheme):
     """Assemble the step-size rule from the problem's operator norms."""
-    lip = problem.f_smooth.lipschitz if problem.has_smooth_f() else 0.0
+    lip = 0.0 if problem.f_smooth is None else problem.f_smooth.lipschitz
     return StepSizeRule(
         scheme=scheme,
         norm_A=problem.A.norm_bound(),
@@ -60,7 +60,7 @@ def build_rule(problem, scheme):
 
 def check_f_block(problem, method, smooth):
     """Raise ``ValueError`` unless the f-block is split (``smooth``) or prox-only."""
-    if problem.has_smooth_f() != smooth:
+    if (problem.f_smooth is not None) != smooth:
         raise ValueError(f"{method} needs a smooth f-part; the problem has none" if smooth
                          else f"{method} treats f through its prox only; fold the smooth "
                          "part into the prox oracle or use a gradient-based scheme")

@@ -79,10 +79,10 @@ def _cuts(nx, ny):
 
 def _gradients(problem):
     zero_prox = isinstance(problem.f_prox, SquaredL2) and problem.f_prox.mu == 0.0
-    if problem.has_smooth_f() and not zero_prox:
+    if problem.f_smooth is not None and not zero_prox:
         raise ValueError("the continuous flow takes f through its gradient alone; the f-block's "
                          f"prox part {type(problem.f_prox).__name__} must be SquaredL2(0)")
-    f = problem.f_smooth if problem.has_smooth_f() else problem.f_prox
+    f = problem.f_smooth or problem.f_prox
     gf, gg = (getattr(oracle, "gradient", None) for oracle in (f, problem.g))
     if gf is None or gg is None:
         raise ValueError("the continuous flow needs gradient oracles on both blocks")

@@ -177,18 +177,12 @@ class SeparableProblem:
     def dim_lam(self):
         return self.b.size
 
-    def f_value(self, x):
+    def objective(self, x, y):
+        """``F(x, y) = f(x) + g(y)``, extended real."""
         val = self.f_prox.value(x)
         if self.f_smooth is not None:
             val = val + self.f_smooth.value(x)
-        return val
-
-    def objective(self, x, y):
-        """``F(x, y) = f(x) + g(y)``, extended real."""
-        return self.f_value(x) + self.g.value(y)
-
-    def has_smooth_f(self):
-        return self.f_smooth is not None
+        return val + self.g.value(y)
 
 
 def feasibility_residual(problem, state):

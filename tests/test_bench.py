@@ -17,12 +17,12 @@ from pdsplit.bench import (METHOD_TAGS, SCHEME_TAGS, RunConfig, _run_method,
                            generate_quadratic, generate_svm, main,
                            run_benchmark)
 from pdsplit.diagnostics import LyapunovInputs, certify_bounds, sparsity
-from pdsplit.linops import ScaledIdentity
-from pdsplit.oracles import SeparableProblem
+from pdsplit.linops import DenseOperator, ScaledIdentity, negated_identity
+from pdsplit.oracles import SaddlePoint, SeparableProblem
 from pdsplit.prox import ElasticNet, HingeSum, QuadraticProx, ShiftedL1, SquaredL2
 from pdsplit.subprob import InnerLoopCapWarning
 
-from helpers import printed_cap_residuals
+from helpers import printed_cap_residuals, spd_matrix
 
 
 def test_lad_shapes_and_sparsity():
@@ -43,7 +43,7 @@ def test_lad_case2_adds_ridge():
     assert prob.f_prox.lam == 2.0
     assert prob.mu_f == pytest.approx(0.1)
     split = bundle.split_form
-    assert split.has_smooth_f()
+    assert split.f_smooth is not None
     assert split.f_smooth.strong_convexity == pytest.approx(0.1)
 
 
@@ -214,6 +214,36 @@ def test_two_methods_two_traces(tmp_path):
     assert (out / "trace_ladmm.csv").exists()
     assert (out / "summary.json").exists()
     assert set(summary["methods"]) == {"f1-semiA", "ladmm"}
+
+
+def test_composite_instance_with_a_known_saddle_reads_its_composite_objective_there(tmp_path,
+                                                                                     monkeypatch):
+    # criterion 2's composite instance (B = -I, b = 0, a shifted l1 g-block)
+    # with its planted saddle: run_benchmark used to read the estimate of an
+    # optimum that it never formed, and raise UnboundLocalError
+    n = 8
+    rng = np.random.default_rng(7)
+    P = spd_matrix(rng, n, 1.0)
+    A = rng.standard_normal((n, n))
+    x_star = rng.standard_normal(n)
+    lam_star = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y_star = A @ x_star
+    p = -(P @ x_star + A.T @ lam_star)
+    f = QuadraticProx(P, p)
+    bundle = bench._bundle(f, (f, SquaredL2(0.0)), ShiftedL1(y_star - lam_star, 1.0),
+                           DenseOperator(A), negated_identity(n), np.zeros(n), x_star,
+                           saddle=SaddlePoint(x_star, y_star, lam_star))
+    monkeypatch.setattr(bench, "generate_problem", lambda config: bundle)
+    summary = run_benchmark(RunConfig(problem="lad-case1", m=n, n=n, iters=50,
+                                      methods=("f1-semiA", "pdhg"), out=str(tmp_path)))
+    prox_form = bundle.prox_form
+    assert prox_form.composite
+    # P* is P at the saddle's x, which is F at the saddle
+    assert summary["composite_star"] == prox_form.f_saddle == summary["fstar"]
+    for tag in ("f1-semiA", "pdhg"):
+        entry = summary["methods"][tag]
+        assert entry["composite_final"] >= summary["composite_star"] - 1e-9, tag
+        assert 0.0 <= entry["composite_rel_final"] < 1.0, tag
 
 
 def test_quadratic_fstar_uncertainty_tiny(tmp_path):

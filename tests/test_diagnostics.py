@@ -163,6 +163,21 @@ def test_certify_bounds_rejects_a_composite_column_of_another_length():
         certify_bounds(trace, inputs, composite_column=[trace.rows[0].obj], p_star=0.0)
 
 
+@pytest.mark.parametrize("p_star_given, m_g, missing", [(False, 1.0, "p_star"),
+                                                         (True, None, "inputs.m_g")])
+def test_certify_bounds_rejects_a_composite_column_it_cannot_check(p_star_given, m_g, missing):
+    # a column 1.0 below P* violates the composite bound; without P* or M_g it
+    # used to be skipped, and the report read clean
+    prob, trace = run_trace()
+    f_star = prob.objective(prob.saddle.x, prob.saddle.y)
+    inputs = LyapunovInputs(saddle=prob.saddle, f_star=f_star, m_g=1.0)
+    below = [f_star - 1.0] * len(trace.rows)
+    assert not certify_bounds(trace, inputs, composite_column=below, p_star=f_star).clean(slack=1e-8)
+    inputs = dataclasses.replace(inputs, m_g=m_g)
+    with pytest.raises(ValueError, match=rf"^a composite_column needs {missing}$"):
+        certify_bounds(trace, inputs, composite_column=below, p_star=f_star if p_star_given else None)
+
+
 def test_sparsity_counts():
     assert sparsity(np.array([0.0, 1.0, -2.0, 0.0])) == 2
     assert sparsity(np.zeros(5)) == 0

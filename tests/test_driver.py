@@ -286,7 +286,7 @@ def _rotating_and_plain(method):
                                  negated_identity(m), np.zeros(m)) for op in (DenseOperator, _PlainDense)]
     else:
         base = split_form if method == RIDING or getattr(method, "family", 1) == 2 else prox_form
-        f = (base.f_smooth, base.f_prox) if base.has_smooth_f() else base.f_prox
+        f = base.f_prox if base.f_smooth is None else (base.f_smooth, base.f_prox)
         if method == RIDING:   # p takes up the rider's gradient 0.5 x*, so the saddle stays one
             f = (QuadraticProx(f[0].P, f[0].p - 0.5 * base.saddle.x), SquaredL2(0.5))
         pair = [SeparableProblem(f, base.g, op(base.A.matrix), op(base.B.matrix), base.b,

@@ -37,11 +37,15 @@ def _pairs():
     return module
 
 
+def _benchmark(root, run_seconds=2):
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": run_seconds, "end_to_end": [
+        {"name": "setup_s", "better": "lower"}, {"name": "iter_per_s", "better": "higher"}]}))
+
+
 def _tree(root, setup, rate):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(f"SETUP, RATE = {setup!r}, {rate!r}\n" + STUB)
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "setup_s", "better": "lower"}, {"name": "iter_per_s", "better": "higher"}]}))
+    _benchmark(root)
     return root
 
 
@@ -54,10 +58,10 @@ def trees(tmp_path, monkeypatch):
             out)
 
 
-def _main(trees, workload, seeds, seconds=2):
+def _main(trees, workload, seeds):
     parent, change, _ = trees
     _pairs().main([str(parent), str(change), "--workload", workload, "--seeds", seeds,
-                   "--seconds", str(seconds), "--names", "aaa", "bbb"])
+                   "--names", "aaa", "bbb"])
 
 
 def test_records_alternating_pairs_and_appends_across_workloads(trees, capsys):
@@ -70,9 +74,8 @@ def test_records_alternating_pairs_and_appends_across_workloads(trees, capsys):
     change = json.loads((out / "BENCH_bbb.json").read_text())
     assert (parent["commit"], parent["paired_with"]) == ("aaa", "bbb")
     assert (change["commit"], change["paired_with"]) == ("bbb", "aaa")
-    assert list(parent) == ["command", "commit", "machine", "paired_with", "runs", "source"]
-    assert "--seconds 2" in parent["command"]
-    assert parent["machine"] == "2-vCPU machine, Python 3.x, numpy 2.x, b"
+    assert list(parent) == ["command", "commit", "paired_with", "runs", "source"]
+    assert "--seconds 2" in parent["command"]   # the change tree's run_seconds
     assert [(r["workload"], r["seed"], r["pair"], r["ran_first"]) for r in parent["runs"]] == [
         ("quad-saddle", 1, 0, True), ("quad-saddle", 2, 1, False), ("quad-saddle", 3, 2, True),
         ("lad-large", 4, 0, True), ("lad-large", 5, 1, False)]
@@ -145,9 +148,11 @@ def test_refuses_a_recorded_seed_or_another_seconds_before_running(trees):
     before = (trees[2] / "BENCH_aaa.json").read_text()
     with pytest.raises(SystemExit, match=r"seeds \[2\] of workload quad-saddle are already recorded"):
         _main(trees, "quad-saddle", "2-3")
+    _benchmark(trees[1], run_seconds=3)
     with pytest.raises(SystemExit, match="not --seconds 3"):
-        _main(trees, "lad-large", "4-4", seconds=3)
+        _main(trees, "lad-large", "4-4")
     assert (trees[2] / "BENCH_aaa.json").read_text() == before
+    _benchmark(trees[1])
     _main(trees, "lad-large", "2-2")
     runs = json.loads((trees[2] / "BENCH_bbb.json").read_text())["runs"]
     assert [(r["workload"], r["seed"], r["pair"]) for r in runs] == [
@@ -180,9 +185,9 @@ def test_summary_reads_each_median_ratio_against_its_bound():
     assert rows["zero"].endswith("0/3  1.000 within bound 0.25")   # flow_s of a workload without flows
 
 
-def test_summary_reads_each_median_ratio_against_the_parents_interquartile_range():
-    # the parent's quartiles are 95 and 105 around 100: an IQR of 0.1 of its
-    # median, which a claimed gain must clear
+def test_summary_reads_each_per_pair_ratio_by_the_pair_rule():
+    # every pair's ratio is the same, so the per-pair range is 0 and a ratio
+    # better than 1 in every pair resolves a gain, however small
     spread = (0.9, 1.0, 1.1)
     ratios = {"clears": 0.85, "short": 0.95, "worse": 1.05, "higher": 1.2, "higher_short": 1.05}
     spec = {"higher": {"better": "higher"}, "higher_short": {"better": "higher"}}
@@ -190,26 +195,25 @@ def test_summary_reads_each_median_ratio_against_the_parents_interquartile_range
                                             for name, ratio in ratios.items()}} for i in (0, 1))
             for s in spread]
     lines = _pairs().summary(runs, spec)
-    assert "parent IQR" in lines[0]
-    # then the old reading, the per-pair ratio's median and range (0: each
-    # pair's ratio is the same), the pair rule's reading, wins and the ratio
+    assert "parent IQR" not in lines[0] and " old " not in lines[0]
+    # the per-pair ratio's median and range, the pair rule's reading, wins and the ratio
     rows = {line.split()[0]: line.split()[7:] for line in lines[1:-1]}
-    assert rows["clears"] == ["0.100", "gain", "0.850", "0.000", "gain", "3/3", "0.850"]
-    assert rows["short"] == ["0.100", "no-gain", "0.950", "0.000", "gain", "3/3", "0.950"]
-    assert rows["worse"] == ["0.100", "no-gain", "1.050", "0.000", "no-gain", "0/3", "1.050"]
-    assert rows["higher"] == ["0.100", "gain", "1.200", "0.000", "gain", "3/3", "1.200"]
-    assert rows["higher_short"] == ["0.100", "no-gain", "1.050", "0.000", "gain", "3/3", "1.050"]
+    assert rows["clears"] == ["0.850", "0.000", "gain", "3/3", "0.850"]
+    assert rows["short"] == ["0.950", "0.000", "gain", "3/3", "0.950"]
+    assert rows["worse"] == ["1.050", "0.000", "no-gain", "0/3", "1.050"]
+    assert rows["higher"] == ["1.200", "0.000", "gain", "3/3", "1.200"]
+    assert rows["higher_short"] == ["1.050", "0.000", "gain", "3/3", "1.050"]
 
 
 def _rule_rows(parents, changes, band):
-    """The old and the pair rule's readings of ``iter_per_s`` (higher is better)
-    and of ``bench_s`` (lower), paired parent and change values, against the A/A
+    """The pair rule's readings of ``iter_per_s`` (higher is better) and of
+    ``bench_s`` (lower), paired parent and change values, against the A/A
     per-pair range ``band``."""
     runs = [tuple({"failed": 0, "metrics": {"iter_per_s": {"value": v}, "bench_s": {"value": 1.0 / v}}}
                   for v in pair) for pair in zip(parents, changes)]
     spec = {"iter_per_s": {"better": "higher"}, "bench_s": {"better": "lower"}}
     lines = _pairs().summary(runs, spec, band and {name: band for name in spec})
-    return {line.split()[0]: (line.split()[8], line.split()[-3]) for line in lines[1:-1]}
+    return {line.split()[0]: line.split()[-3] for line in lines[1:-1]}
 
 
 # ten seeds whose cost per iteration spans 2,900-3,900 iter/s, as lad-inner's
@@ -220,12 +224,12 @@ NOISE = [0.0, 0.01, -0.01, 0.005, -0.005, 0.015, -0.015, 0.002, -0.002, 0.008]
 
 def test_the_pair_rule_resolves_a_constant_gain_over_seeds_of_different_cost():
     # the change is x1.05 on every seed, under the same noise in another
-    # order: the parent's range over the seeds (about 16 %) hides it, the
+    # order: the parent's range over the seeds (about 16 %) would hide it, the
     # per-pair ratio does not
     parents = [c * (1 + e) for c, e in zip(COSTS, NOISE)]
     changes = [1.05 * c * (1 + e) for c, e in zip(COSTS, reversed(NOISE))]
     rows = _rule_rows(parents, changes, band=0.04)
-    assert rows == {"iter_per_s": ("no-gain", "gain"), "bench_s": ("no-gain", "gain")}
+    assert rows == {"iter_per_s": "gain", "bench_s": "gain"}
 
 
 def test_neither_rule_resolves_a_gain_between_sides_equal_in_distribution():
@@ -233,16 +237,25 @@ def test_neither_rule_resolves_a_gain_between_sides_equal_in_distribution():
     parents = [c * (1 + e) for c, e in zip(COSTS, NOISE)]
     changes = [c * (1 + e) for c, e in zip(COSTS, reversed(NOISE))]
     rows = _rule_rows(parents, changes, band=0.04)
-    assert rows == {"iter_per_s": ("no-gain", "no-gain"), "bench_s": ("no-gain", "no-gain")}
+    assert rows == {"iter_per_s": "no-gain", "bench_s": "no-gain"}
     # nor when the pairs' own per-pair range stands in for a control's
     assert _rule_rows(parents, changes, band=None) == rows
 
 
 def _aa_record(path, workload, values):
-    """A recorded A/A side whose pairs 0, 1, ... of ``workload`` give ``setup_s`` ``values``."""
-    runs = [{"workload": workload, "pair": pair, "result": {"metrics": {"setup_s": {"value": v}}}}
-            for pair, v in enumerate(values)]
+    """A recorded A/A side whose pairs 0, 1, ... of ``workload`` give ``setup_s`` ``values``,
+    then a pair of another workload, which no reading of ``workload`` may take."""
+    runs = [{"workload": name, "pair": pair, "result": {"metrics": {"setup_s": {"value": v}}}}
+            for name, pair, v in [*((workload, *item) for item in enumerate(values)),
+                                  ("elsewhere", 0, 99.0)]]
     path.write_text(json.dumps({"runs": runs}))
+
+
+def _aa_values(control):
+    """The name of an A/A control and the ``setup_s`` values of its paired runs."""
+    name, runs = control
+    return name, [tuple(run["result"]["metrics"]["setup_s"]["value"] for run in pair)
+                  for pair in runs]
 
 
 def test_summary_reads_the_recorded_aa_band_of_the_workload(trees, capsys):
@@ -261,8 +274,8 @@ def test_summary_reads_the_recorded_aa_band_of_the_workload(trees, capsys):
     assert lines[head - 2:head] == [
         "machine: the parent's medians against BENCH_aa-1-quad-saddle-a.json's",
         "setup_s        parent median 0.012 against A/A -a median 2: ratio 0.006"]
-    assert lines[head + 1].split()[14:18] == ["pair", "IQR", "A/A", "IQR"]
-    rows = {line.split()[0]: line.split()[11] for line in lines[head + 2:-1]}
+    assert lines[head + 1].split()[11:15] == ["pair", "IQR", "A/A", "IQR"]
+    rows = {line.split()[0]: line.split()[9] for line in lines[head + 2:-1]}
     # per-pair ratios 1.1, 1.25 and 1.0: quartiles 1.05 and 1.175; a metric
     # the control did not record reads "-"
     assert rows["setup_s"] == "0.125" and rows["iter_per_s"] == "-"
@@ -296,12 +309,12 @@ def test_aa_band_reads_the_newest_control_not_the_last_by_name(tmp_path, monkeyp
         control(name, step)
         git("add", ".")
         git("commit", "-q", "-m", name, when=when)
-    assert _pairs().aa_band("lad-inner") == ("BENCH_aa-aaa-lad-inner-a.json",
-                                             {"setup_s": pytest.approx(0.2)})
+    assert _aa_values(_pairs().aa_band("lad-inner")) == ("BENCH_aa-aaa-lad-inner-a.json",
+                                                         [(1.0, 1.0), (1.0, 1.2), (1.0, 1.4)])
     # an uncommitted control is newer than any committed one
     control("mmm", 0.5)
-    assert _pairs().aa_band("lad-inner") == ("BENCH_aa-mmm-lad-inner-a.json",
-                                             {"setup_s": pytest.approx(0.5)})
+    assert _aa_values(_pairs().aa_band("lad-inner")) == ("BENCH_aa-mmm-lad-inner-a.json",
+                                                         [(1.0, 1.0), (1.0, 1.5), (1.0, 2.0)])
 
 
 def test_an_aa_call_reads_the_control_before_its_own(trees, capsys):
@@ -311,39 +324,38 @@ def test_an_aa_call_reads_the_control_before_its_own(trees, capsys):
     _aa_record(out / "BENCH_aa-old-quad-saddle-b.json", "quad-saddle", [1.0, 2.0, 3.0])
     parent, change, _ = trees
     _pairs().main([str(parent), str(change), "--workload", "quad-saddle", "--seeds", "1-3",
-                   "--seconds", "2", "--names", "aa-zzz-quad-saddle-a", "aa-zzz-quad-saddle-b"])
+                   "--names", "aa-zzz-quad-saddle-a", "aa-zzz-quad-saddle-b"])
     lines = capsys.readouterr().out.splitlines()
     assert "machine: the parent's medians against BENCH_aa-old-quad-saddle-a.json's" in lines
     assert "A/A: per-pair ratio ranges of BENCH_aa-old-quad-saddle-a.json and its -b" in lines
     written = [Path("BENCH_aa-zzz-quad-saddle-a.json"), Path("BENCH_aa-zzz-quad-saddle-b.json")]
-    assert _pairs().aa_band("quad-saddle", written) == ("BENCH_aa-old-quad-saddle-a.json",
-                                                        {"setup_s": 1.0})
+    assert _aa_values(_pairs().aa_band("quad-saddle", written)) == (
+        "BENCH_aa-old-quad-saddle-a.json", [(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
     # named by no call, the new control is the newest
     assert _pairs().aa_band("quad-saddle")[0] == "BENCH_aa-zzz-quad-saddle-a.json"
 
 
-def _machine_run(workload, rate, setup, caches):
+def _machine_run(rate, setup, caches):
     metrics = {"iter_per_s": {"unit": "1/s", "value": rate}, "setup_s": {"unit": "s", "value": setup},
                "peak_rss_mb": {"unit": "MB", "value": 2.0 * setup}}
-    return {"workload": workload, "env": {"caches": caches}, "result": {"metrics": metrics}}
+    return {"env": {"caches": caches}, "result": {"metrics": metrics}}
 
 
-def test_machine_lines_mark_a_slow_session_and_other_caches(tmp_path):
+def test_machine_lines_mark_a_slow_session_and_other_caches():
     # a session in the machine's slow phase reads every ratio near 1, but its
     # parent runs at less than half the control's rate
     l2, small = {"L1": "48K", "L2": "2048K"}, {"L1": "48K", "L2": "1024K"}
-    control = tmp_path / "BENCH_aa-x-quad-saddle-a.json"
-    control.write_text(json.dumps({"runs": [
-        *(_machine_run("quad-saddle", rate, 1.0, l2) for rate in (13800.0, 13865.0, 13900.0)),
-        _machine_run("lad-inner", 100.0, 50.0, small)]}))   # another workload's run is not read
-    runs = [(_machine_run("quad-saddle", 6187.0, setup, l2), _machine_run("quad-saddle", 6100.0, setup, l2))
+    # the control's paired runs; its medians are its -a side's, not its -b side's
+    control = [(_machine_run(rate, 1.0, l2), _machine_run(100.0, 50.0, l2))
+               for rate in (13800.0, 13865.0, 13900.0)]
+    runs = [(_machine_run(6187.0, setup, l2), _machine_run(6100.0, setup, l2))
             for setup in (1.05, 1.1, 1.2)]
     spec = {"iter_per_s": {"bound": 0.25}, "setup_s": {"bound": 0.25}, "peak_rss_mb": {"bound": 0.1}}
-    lines = _pairs().machine_lines(control, "quad-saddle", runs, spec)
+    lines = _pairs().machine_lines(control, runs, spec)
     assert lines == [
         "iter_per_s     parent median 6187 against A/A -a median 1.386e+04: ratio 0.446 MACHINE bound 0.25",
         "setup_s        parent median 1.1 against A/A -a median 1: ratio 1.100 within bound 0.25"]
-    runs[1] = (runs[1][0], _machine_run("quad-saddle", 6100.0, 1.1, small))
-    lines = _pairs().machine_lines(control, "quad-saddle", runs, spec)
+    runs[1] = (runs[1][0], _machine_run(6100.0, 1.1, small))
+    lines = _pairs().machine_lines(control, runs, spec)
     assert lines[2:] == ['CACHES differ: runs {"L1": "48K", "L2": "1024K"}, '
                          'A/A control {"L1": "48K", "L2": "2048K"}']

@@ -74,8 +74,8 @@ def test_split_f_block_sums_values():
     P = np.array([[2.0]])
     prob = SeparableProblem((QuadraticProx(P), ElasticNet(3.0, 0.0)), SquaredL2(0.0),
                             DenseOperator(np.eye(1)), negated_identity(1), np.zeros(1))
-    assert prob.f_value(np.array([2.0])) == pytest.approx(0.5 * 2 * 4 + 6.0)
-    assert prob.has_smooth_f()
+    assert isinstance(prob.f_smooth, QuadraticProx)
+    assert prob.objective(np.array([2.0]), np.zeros(1)) == pytest.approx(0.5 * 2 * 4 + 6.0)
 
 
 def test_squared_l2_serves_as_smooth_part():
@@ -85,7 +85,7 @@ def test_squared_l2_serves_as_smooth_part():
     assert np.array_equal(prob.f_smooth.gradient(z), 0.5 * z)
     assert prob.f_smooth.lipschitz == prob.f_smooth.strong_convexity == 0.5
     assert prob.mu_f == 0.5
-    assert prob.f_value(z) == pytest.approx(0.25 * 21.0 + 7.0)
+    assert prob.objective(z, np.zeros(3)) == pytest.approx(0.25 * 21.0 + 7.0)
 
 
 def test_quadratic_prox_serves_as_smooth_part():

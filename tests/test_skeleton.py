@@ -74,7 +74,7 @@ PRODUCTS = {
 def test_products_per_step(scheme):
     prox_form, split_form = quadratic_instance(31)
     base = split_form if scheme.family == 2 else prox_form
-    f = (base.f_smooth, base.f_prox) if base.has_smooth_f() else base.f_prox
+    f = base.f_prox if base.f_smooth is None else (base.f_smooth, base.f_prox)
     A, B = CountingOperator(base.A.matrix), CountingOperator(base.B.matrix)
     prob = SeparableProblem(f, base.g, A, B, base.b, mu_f=base.mu_f, mu_g=base.mu_g)
     looped = run(prob, scheme, 0, x0=np.ones(prob.dim_x)).state
@@ -158,7 +158,7 @@ def test_forward_products_per_iteration_rows_included(method):
         prob = pdhg_instance(base.f_prox, A, B)
     else:
         B = CountingOperator(base.B.matrix)
-        f = (base.f_smooth, base.f_prox) if base.has_smooth_f() else base.f_prox
+        f = base.f_prox if base.f_smooth is None else (base.f_smooth, base.f_prox)
         prob = SeparableProblem(f, base.g, A, B, base.b, saddle=base.saddle)
     A.norm_bound(), B.norm_bound()
     A.fwd = B.fwd = 0

@@ -1,63 +1,62 @@
 """Run perfbench in alternating pairs on two source trees and record both sides.
 
     python3 tools/pairs.py PARENT CHANGE --workload quad-saddle --seeds 600-611 \
-        --names 7452456 1a2b3c4 [--seconds 36]
+        --names 7452456 1a2b3c4
 
 PARENT and CHANGE are two checkouts of pdsplit (for example two git
 archives).  Pair i runs ``python3 perfbench/run.py --workload W --seconds S
 --seed N`` in both trees on the same seed N, the parent first in even pairs
-and the change first in odd ones.  Where a tree sits can move its timings,
-so neither runs from its own path: each is copied (without ``.git`` and
-``__pycache__``) into one of two sibling slot directories of a fresh
-temporary directory, ``slot_a`` and ``slot_b``, whose paths have equal
-length.  The trees swap slots every second pair, so over every four pairs
-each side runs once in each slot with each run order.  Each run's ``env``
-line, its result (the last line of its output) and its slot are kept.  A
-run is rejected, naming the side, pair, seed and workload, when it exits
-non-zero, has no ``env`` line or no result, prints anything after its
-result, or has a result that is not strict JSON (``NaN`` or ``Infinity``, which perfbench writes for a failed
-operation's time).
+and the change first in odd ones; S is ``run_seconds`` from CHANGE's
+``BENCHMARK.json``, the run length the benchmark itself uses.  Where a tree
+sits can move its timings, so neither runs from its own path: each is
+copied (without ``.git`` and ``__pycache__``) into one of two sibling slot
+directories of a fresh temporary directory, ``slot_a`` and ``slot_b``,
+whose paths have equal length.  The trees swap slots every second pair, so
+over every four pairs each side runs once in each slot with each run order.
+Each run's ``env`` line, its result (the last line of its output) and its
+slot are kept.  A run is rejected, naming the side, pair, seed and
+workload, when it exits non-zero, has no ``env`` line or no result, prints
+anything after its result, or has a result that is not strict JSON
+(``NaN`` or ``Infinity``, which perfbench writes for a failed operation's
+time).
 
 Each side's runs go to ``BENCH_<name>.json`` in the current directory,
 with the names given by ``--names`` because an archive carries no commit.
 A later call for another workload appends to the same two files, and its
 pairs are numbered after the workload's runs already there.  A call whose
-``--seconds`` differs from the files' command, whose seeds include one
+run length differs from the files' command, whose seeds include one
 already recorded for the workload, or whose ``--seeds`` is not a range
-``A-B`` with ``A <= B``, is refused before anything runs.  The
-files are rewritten after every pair, so a rejected run leaves the pairs
-before it recorded; resume with the seeds after them.  At the end, per
-metric, over every pair of the workload that both files record (this
-call's and earlier calls'), the script prints each side's median and
-quartiles, the parent's interquartile range as a fraction of its median,
-and the old reading: ``gain`` when the ratio of the change's median to
-the parent's is better than 1 by more than that range, else ``no-gain``.
-Beside it, it prints the median and the interquartile range (q3 - q1) of
+``A-B`` with ``A <= B``, is refused before anything runs.  The files are
+rewritten after every pair, so a rejected run leaves the pairs before it
+recorded; resume with the seeds after them.
+
+At the end, per metric, over every pair of the workload that both files
+record (this call's and earlier calls'), the script prints each side's
+median and quartiles, the median and the interquartile range (q3 - q1) of
 the per-pair ratio, the change's value over the parent's within each pair,
-and the pair rule's reading, then in how many pairs the change was better
-and the ratio of the medians.  Claims are read by the pair rule: a gain is
-resolved (``gain``, else ``no-gain``) when the per-pair median is better
-than 1 by more than the newest A/A control's per-pair interquartile range,
-and the change is better in at least 9 of 10 pairs (a fraction 0.9 of
-them).  Without a recorded control the pairs' own per-pair range stands
-in.  Each pair runs one seed, so the parent's range spans instances as
-well as timing noise; the per-pair ratio's does not.  A metric whose
+the pair rule's reading, in how many pairs the change was better, and the
+ratio of the medians.  The pair rule: a gain is resolved (``gain``, else
+``no-gain``) when the per-pair median is better than 1 by more than the
+newest A/A control's per-pair interquartile range, and the change is
+better in at least 9 of 10 pairs (a fraction 0.9 of them).  Without a
+recorded control the pairs' own per-pair range stands in.  A metric whose
 change median is worse than the parent's by more than its ``bound`` (a
 fraction of the parent's median) is marked ``OUTSIDE``.  The direction and
-the bound are read from CHANGE's ``BENCHMARK.json``.  When the current
-directory holds a recorded A/A control of the workload,
-``BENCH_aa-<name>-<workload>-a.json`` and its ``-b.json``, the summary also
-prints each metric's A/A per-pair ratio range (``-b`` over ``-a`` in each
-of its pairs, from the newest such control: the one whose ``-a`` file git
-last committed, an uncommitted one newer still, and the last by name among
-equals or outside a git checkout, skipping the two files the call itself
-writes) beside the pairs' own: the spread that identical trees showed.
-Ratios hide the machine's speed, so before that table the script prints,
-for each time metric (unit ``s`` or ``1/s``), the parent's median against the same control's ``-a``
-median, marked ``MACHINE`` when their ratio is off 1 by more than the
-metric's bound, and names each ``env.caches`` of the runs that the
-control's runs lack.  A session so marked ran in a slower phase of the
-machine or on another one: re-run it rather than read it.
+the bound are read from CHANGE's ``BENCHMARK.json``.
+
+When the current directory holds a recorded A/A control of the workload,
+``BENCH_aa-<name>-<workload>-a.json`` and its ``-b.json``, the newest one
+is read: the one whose ``-a`` file git last committed, an uncommitted one
+newer still, and the last by name among equals or outside a git checkout,
+skipping the two files the call itself writes.  Its per-pair ratio range
+(``-b`` over ``-a`` in each of its pairs) is printed beside the pairs' own:
+the spread that identical trees showed.  Ratios hide the machine's speed,
+so before that table the script prints, for each time metric (unit ``s``
+or ``1/s``), the parent's median against the control's ``-a`` median,
+marked ``MACHINE`` when their ratio is off 1 by more than the metric's
+bound, and names each ``env.caches`` of the runs that the control's runs
+lack.  A session so marked ran in a slower phase of the machine or on
+another one: re-run it rather than read it.
 
 Given the same tree twice, with two ``--names``, the script is an A/A
 control: both copies run from the slots as above, and the summary reads
@@ -131,16 +130,11 @@ def swap_slots(base):
     (base / "swap").rename(base / SLOTS[1])
 
 
-def machine(env):
-    return (f"{env.get('nproc')}-vCPU machine, Python {env.get('python')}, "
-            f"numpy {env.get('numpy')}, {env.get('blas')}")
-
-
 def load_record(path, name, other, seconds):
     command = f"python3 perfbench/run.py --workload WORKLOAD --seconds {seconds} --seed SEED"
     if not path.exists():
-        return {"command": command, "commit": name, "machine": None, "paired_with": other,
-                "source": SOURCE, "runs": []}
+        return {"command": command, "commit": name, "paired_with": other, "source": SOURCE,
+                "runs": []}
     record = json.loads(path.read_text())
     if (record["commit"], record["paired_with"]) != (name, other):
         raise SystemExit(f"{path} records {record['commit']} paired with "
@@ -174,6 +168,11 @@ def _commit_time(path):
     return float(log.stdout) if log.stdout.strip() else math.inf
 
 
+def _results(runs):
+    """The (parent result, change result) pairs of recorded (parent run, change run) pairs."""
+    return [(p["result"], c["result"]) for p, c in runs]
+
+
 def pair_spread(runs, name):
     """The median and the interquartile range (q3 - q1) of the per-pair ratio
     of metric ``name``, change over parent, over ``runs``, a list of
@@ -185,63 +184,61 @@ def pair_spread(runs, name):
 
 def aa_band(workload, written=()):
     """The name of the newest recorded A/A control of ``workload`` in the
-    current directory (its ``-a`` file) and each metric's per-pair ratio
-    range there, ``-b`` over ``-a``; None when there is none.  The newest is the
-    last committed, an uncommitted one newer still; name order breaks ties.
-    A control with a file in ``written``, the files the call records, is
-    skipped, so an A/A call reads the control before its own."""
+    current directory (its ``-a`` file) and its paired runs, a list of
+    (``-a`` run, ``-b`` run) records; None when there is none.  The newest is
+    the last committed, an uncommitted one newer still; name order breaks
+    ties.  A control with a file in ``written``, the files the call records,
+    is skipped, so an A/A call reads the control before its own."""
     controls = Path().glob(f"BENCH_aa-*-{workload}-a.json")
     for a in sorted(controls, key=lambda path: (_commit_time(path), path.name), reverse=True):
         b = a.with_name(a.name[:-len("a.json")] + "b.json")
         if not b.exists() or {a, b} & set(written):
             continue
-        sides = [{run["pair"]: run["result"] for run in json.loads(path.read_text())["runs"]
+        sides = [{run["pair"]: run for run in json.loads(path.read_text())["runs"]
                   if run["workload"] == workload} for path in (a, b)]
         runs = [(sides[0][pair], sides[1][pair]) for pair in sorted(sides[0]) if pair in sides[1]]
         if runs:
-            return a.name, {name: pair_spread(runs, name)[1] for name in runs[0][0]["metrics"]}
+            return a.name, runs
     return None
 
 
-def machine_lines(control, workload, runs, spec):
+def machine_lines(control, runs, spec):
     """Lines reading the parent's median of each time metric over ``runs``,
-    (parent run, change run) pairs of recorded runs of ``workload``, against
-    its median in the A/A control file ``control``, marked ``MACHINE`` when
-    the ratio is off 1 by more than the metric's ``bound`` in ``spec``; then
-    a line for each ``env.caches`` of the runs that the control's runs lack."""
-    control_runs = [run for run in json.loads(Path(control).read_text())["runs"]
-                    if run["workload"] == workload]
+    (parent run, change run) pairs of recorded runs, against its median over
+    the ``-a`` runs of ``control``, an A/A control's (``-a`` run, ``-b`` run)
+    pairs, marked ``MACHINE`` when the ratio is off 1 by more than the
+    metric's ``bound`` in ``spec``; then a line for each ``env.caches`` of the
+    runs that the control's runs lack."""
     lines = []
     for name, metric in runs[0][0]["result"]["metrics"].items():
-        if metric.get("unit") not in TIME_UNITS or any(name not in run["result"]["metrics"]
-                                                       for run in control_runs):
+        if metric.get("unit") not in TIME_UNITS or any(name not in a["result"]["metrics"]
+                                                       for a, _ in control):
             continue
-        parent, aa = (statistics.median(run["result"]["metrics"][name]["value"] for run in side)
-                      for side in ([p for p, _ in runs], control_runs))
+        parent, aa = (statistics.median(side[0]["result"]["metrics"][name]["value"] for side in pairs)
+                      for pairs in (runs, control))
         ratio, bound = _ratio(parent, aa), spec.get(name, {}).get("bound")
         verdict = "" if bound is None else (f" {'MACHINE' if abs(ratio - 1.0) > bound else 'within'}"
                                             f" bound {bound:g}")
         lines.append(f"{name:14s} parent median {parent:.4g} against A/A -a median {aa:.4g}: "
                      f"ratio {ratio:.3f}{verdict}")
-    caches = [{json.dumps(run.get("env", {}).get("caches"), sort_keys=True) for run in side}
-              for side in ([run for pair in runs for run in pair], control_runs)]
+    caches = [{json.dumps(run.get("env", {}).get("caches"), sort_keys=True)
+               for pair in pairs for run in pair} for pairs in (runs, control)]
     lines += [f"CACHES differ: runs {seen}, A/A control {' '.join(sorted(caches[1]))}"
               for seen in sorted(caches[0] - caches[1])]
     return lines
 
 
 def summary(runs, spec, band=None):
-    """Lines of per-metric medians, quartiles, the parent's interquartile
-    range as a fraction of its median, the old reading, the per-pair ratio's
-    median and range, the pair rule's reading, the change's wins and its
-    median ratio to the parent's over ``runs``, a list of (parent result,
-    change result) pairs; the module docstring states both readings.
-    ``spec`` maps a metric's name to its ``BENCHMARK.json`` entry, whose
-    ``bound`` (when given) marks a worse ratio of the medians ``OUTSIDE``.
-    ``band``, when given, maps a metric to its A/A per-pair ratio range,
-    printed after the pairs' own and read by the pair rule."""
+    """Lines of per-metric medians and quartiles, the per-pair ratio's median
+    and range, the pair rule's reading, the change's wins and its median
+    ratio to the parent's over ``runs``, a list of (parent result, change
+    result) pairs; the module docstring states the rule.  ``spec`` maps a
+    metric's name to its ``BENCHMARK.json`` entry, whose ``bound`` (when
+    given) marks a worse ratio of the medians ``OUTSIDE``.  ``band``, when
+    given, maps a metric to its A/A per-pair ratio range, printed after the
+    pairs' own and read by the pair rule."""
     lines = [f"{'metric':14s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s} "
-             f"parent IQR old     {'pair median':>12s} pair IQR{' A/A IQR' if band else ''} pair rule  "
+             f"{'pair median':>12s} pair IQR{' A/A IQR' if band else ''} pair rule  "
              f"wins  change/parent"]
     for name in runs[0][0]["metrics"]:
         sides = [[r[i]["metrics"][name]["value"] for r in runs] for i in (0, 1)]
@@ -250,21 +247,17 @@ def summary(runs, spec, band=None):
         wins = sum(sign * c < sign * p for p, c in zip(*sides))
         stats = [quartiles(vals) for vals in sides]
         cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*q) for q in stats]
-        (parent, q1, q3), change = stats[0], stats[1][0]
-        ratio = _ratio(change, parent)
-        iqr = (q3 - q1) / parent if parent else 0.0
-        old = "gain" if sign * (1.0 - ratio) > iqr else "no-gain"
+        ratio = _ratio(stats[1][0], stats[0][0])
         pair_median, pair_iqr = pair_spread(runs, name)
         aa = "" if not band else f" {band[name]:7.3f}" if name in band else f" {'-':>7s}"
         threshold = band[name] if band and name in band else pair_iqr
         resolved = sign * (1.0 - pair_median) > threshold and wins >= 0.9 * len(runs)
-        new = "gain" if resolved else "no-gain"
         verdict = ""
         if "bound" in entry:
             outside = sign * (ratio - 1.0) > entry["bound"]
             verdict = f" {'OUTSIDE' if outside else 'within'} bound {entry['bound']:g}"
-        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {iqr:10.3f} {old:7s} "
-                     f"{pair_median:12.3f} {pair_iqr:8.3f}{aa} {new:9s}  "
+        lines.append(f"{name:14s} {cells[0]:>36s} {cells[1]:>36s} {pair_median:12.3f} "
+                     f"{pair_iqr:8.3f}{aa} {'gain' if resolved else 'no-gain':9s}  "
                      f"{wins}/{len(runs)}  {ratio:.3f}{verdict}")
     failed = [sum(r[i]["failed"] for r in runs) for i in (0, 1)]
     lines.append(f"failed operations: parent {failed[0]}, change {failed[1]}")
@@ -277,17 +270,18 @@ def main(argv=None):
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="inclusive range A-B")
-    ap.add_argument("--seconds", type=int, default=36)
     ap.add_argument("--names", nargs=2, required=True, metavar=("PARENT_NAME", "CHANGE_NAME"))
     args = ap.parse_args(argv)
     seeds = re.fullmatch(r"(\d+)-(\d+)", args.seeds)
     first, last = (int(s) for s in seeds.groups()) if seeds else (1, 0)
     if first > last:
         raise SystemExit(f"--seeds must be a range A-B of seeds with A <= B, not {args.seeds!r}")
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds, spec = bench["run_seconds"], {m["name"]: m for m in bench["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
     names = dict(zip(trees, args.names))
     paths = {side: Path(f"BENCH_{names[side]}.json") for side in trees}
-    records = {side: load_record(paths[side], names[side], names[other], args.seconds)
+    records = {side: load_record(paths[side], names[side], names[other], seconds)
                for side, other in (("parent", "change"), ("change", "parent"))}
     done = sorted({run["seed"] for record in records.values() for run in record["runs"]
                    if run["workload"] == args.workload and first <= run["seed"] <= last})
@@ -307,13 +301,12 @@ def main(argv=None):
             got = {}
             for side in order:
                 try:
-                    got[side] = run_one(base / held[side], args.workload, args.seconds, seed)
+                    got[side] = run_one(base / held[side], args.workload, seconds, seed)
                 except RejectedRun as exc:
                     raise SystemExit(f"rejected: {side} run of pair {pair}, seed {seed}, "
                                      f"workload {args.workload}: {exc}") from None
             for side in trees:
                 env, result = got[side]
-                records[side]["machine"] = records[side]["machine"] or machine(env)
                 records[side]["runs"].append({"env": env, "pair": pair,
                                               "ran_first": side == order[0], "result": result,
                                               "seed": seed, "slot": held[side],
@@ -324,16 +317,18 @@ def main(argv=None):
                  if run["workload"] == args.workload} for side in trees]
     runs = [(recorded[0][pair], recorded[1][pair]) for pair in sorted(recorded[0])
             if pair in recorded[1]]
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    spec = {m["name"]: m for m in spec["end_to_end"]}
-    band = aa_band(args.workload, paths.values())
+    control = aa_band(args.workload, paths.values())
     print(f"{args.workload}: {len(runs)} pairs, {last - first + 1} of them in this call, "
           f"{names['change']} against {names['parent']}")
-    if band:
-        print(f"machine: the parent's medians against {band[0]}'s")
-        print("\n".join(machine_lines(band[0], args.workload, runs, spec)))
-        print(f"A/A: per-pair ratio ranges of {band[0]} and its -b")
-    print("\n".join(summary([(p["result"], c["result"]) for p, c in runs], spec, band and band[1])))
+    band = None
+    if control:
+        name, aa_runs = control
+        print(f"machine: the parent's medians against {name}'s")
+        print("\n".join(machine_lines(aa_runs, runs, spec)))
+        print(f"A/A: per-pair ratio ranges of {name} and its -b")
+        aa = _results(aa_runs)
+        band = {metric: pair_spread(aa, metric)[1] for metric in aa[0][0]["metrics"]}
+    print("\n".join(summary(_results(runs), spec, band)))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from pdsplit import prox
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SeparableProblem
 from pdsplit.prox import (BoxIndicator, ElasticNet, HingeSum, QuadraticProx,
@@ -300,23 +301,52 @@ def _augmented_args(case, sigma):
 
 @pytest.mark.parametrize("m", [5, 12, 30])
 @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
-def test_solve_augmented_matches_normal_equations(m, sigma):
-    # m < n takes the capacitance system, m >= n the eigenbasis system
+def test_solve_augmented_matches_normal_equations(m, sigma, monkeypatch):
+    # m < n takes the capacitance system, m >= n the eigenbasis system; the
+    # weights are the case's own 0.1 + U(0, 1), then 1e2 and 1e4
     n = 12
     rng = np.random.default_rng(m)
     P, p = _psd(rng, n, n - 1), rng.standard_normal(n)
     for oracle, P_ref, p_ref in ((QuadraticProx(P, p), P, p),
                                  (SquaredL2(0.0), np.zeros((n, n)), np.zeros(n)),
                                  (SquaredL2(0.7), 0.7 * np.eye(n), np.zeros(n))):
-        args = _augmented_args(_augmented_case(rng, m, n), sigma)
-        got = oracle.solve_augmented(**args)
-        want = _augmented_reference(P_ref, p_ref, **args)
-        assert _rel_err(got, want) <= 1e-10, type(oracle).__name__
+        case = _augmented_case(rng, m, n)
+        for weight in (case["weight"], 1e2, 1e4):
+            args = _augmented_args(dict(case, weight=weight), sigma)
+            got = oracle.solve_augmented(**args)
+            want = _augmented_reference(P_ref, p_ref, **args)
+            assert _rel_err(got, want) <= 1e-10, (type(oracle).__name__, weight)
     # the kernel itself, for a diagonal (the quadratic's) and a scalar (Newton's) d
     G, rhs = rng.standard_normal((m, n)), rng.standard_normal(n)
     for d in (0.1 + rng.random(n), 0.1 + rng.random()):
         want = _exact_normal_solve(d, G, sigma, rhs)
         assert _rel_err(_solve_augmented_normal(d, G, sigma, rhs), want) <= 1e-12, np.ndim(d)
+    # the diagonal form's solve: at m < n a weight whose series needs at most
+    # 9 terms takes the kept moments (1e2, 1e4 and the cap's edge), and a
+    # small one, one just past the cap and every one at m >= n the kernel above
+    e, q = rng.random(n), rng.standard_normal(n)
+    diag, mid, half = _DiagonalQuadratic(e, q), 0.5 * (e.max() + e.min()), 0.5 * (e.max() - e.min())
+    edge = _series_edge(9)
+    inside, past = half / (edge * (1.0 - 1e-6)) - mid, half / (edge * (1.0 + 1e-6)) - mid
+    assert 30.0 > inside > past > 1.0
+    direct = []   # the weights whose solve ran the kernel
+    monkeypatch.setattr(prox, "_solve_augmented_normal",
+                        lambda *args: direct.append(weight) or _solve_augmented_normal(*args))
+    weights = (0.1 + rng.random(), 1e2, 1e4, inside, past)
+    for weight in weights:
+        want = _exact_normal_solve(e + weight, G, sigma, rhs - q)
+        got = diag.solve_augmented(rhs, DenseOperator(G), sigma, weight, np.zeros(n))
+        assert _rel_err(got, want) <= 1e-12, weight
+    assert direct == ([weights[0], past] if m < n else list(weights))
+
+
+def _series_edge(terms):
+    """The ratio ``rho`` at which ``rho^terms (1 + rho) / (1 - rho) = 2^-53``:
+    a Neumann series of ratio rho needs more than ``terms`` terms just above it."""
+    rho = 0.0
+    for _ in range(10):   # a fixed point whose map has slope about -2 rho / terms
+        rho = (2.0 ** -53 * (1.0 - rho) / (1.0 + rho)) ** (1.0 / terms)
+    return rho
 
 
 def _exact_normal_solve(d, G, sigma, rhs):
@@ -340,11 +370,28 @@ def test_solve_augmented_never_reuses_another_operators_factor():
     P, p = _psd(rng, n), rng.standard_normal(n)
     q = QuadraticProx(P, p)
     cases = [_augmented_case(rng, 4, n), _augmented_case(rng, 4, n), _augmented_case(rng, 15, n)]
-    for i in range(9):
-        args = _augmented_args(cases[i % 3], 2.0)
+    # the second round's weight takes the kept moments of each 4-row operator
+    for i in range(18):
+        args = _augmented_args(dict(cases[i % 3], weight=1e4) if i >= 9 else cases[i % 3], 2.0)
         got = q.solve_augmented(**args)
         want = _augmented_reference(P, p, **args)
         assert _rel_err(got, want) <= 1e-10
+
+
+def test_large_weight_takes_the_kept_moments_not_the_direct_solve(monkeypatch):
+    # a diagonal quadratic's m < n solve at a weight far above its spread
+    # sums the kept moments' series: the direct kernel is never called
+    def direct(*args):
+        raise AssertionError("the direct augmented solve ran")
+
+    rng = np.random.default_rng(12)
+    n = 40
+    P, p = _psd(rng, n), rng.standard_normal(n)
+    q = QuadraticProx(P, p)
+    monkeypatch.setattr(prox, "_solve_augmented_normal", direct)
+    for sigma, weight in ((1e-3, 5e3), (1.0, 1e3), (1e3, 1e5)):
+        args = _augmented_args(dict(_augmented_case(rng, 10, n), weight=weight), sigma)
+        assert _rel_err(q.solve_augmented(**args), _augmented_reference(P, p, **args)) <= 1e-10
 
 
 @pytest.mark.parametrize("P, p", [

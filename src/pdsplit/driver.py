@@ -126,8 +126,8 @@ def iterate(problem, state, max_iters, meta, step, ps=None, rule=None,
     start, kept = state, []   # kept: the pending rows' arrays that _fill reads
     t_start = time.perf_counter()
     for k in range(max_iters + 1):
+        _check_finite(trace.meta["scheme"], k, state)
         if k % record_every == 0 or k == max_iters:
-            _check_finite(trace.meta["scheme"], k, state)
             # A x + B y - b and F(x, y) once per row; the gap, r0 and the step reuse them
             feas = feasibility_residual(turned, state)
             objective = turned.objective(state.x, state.y)

@@ -124,16 +124,21 @@ def estimate_operator_norm(op):
     the norm is the square root of the top eigenvalue of the dense Gram
     matrix on the smaller side, ``A A^T`` or ``A^T A``, which has no more
     entries than the dense matrix itself and costs no operator product.  A
-    zero operator returns 0 exactly.  :meth:`LinearOperator.norm` calls
-    this once per operator and caches the result.
+    zero operator returns 0 exactly; a NaN or infinite norm raises
+    ``ValueError``.  :meth:`LinearOperator.norm` calls this once per
+    operator and caches the result.
     """
     rows, cols = op.shape
     if rows <= 0 or cols <= 0:
         raise ValueError("operator must have positive dimensions")
     if isinstance(op, ScaledIdentity):
-        return abs(op.scale)
-    if isinstance(op, DiagonalOperator):
-        return float(np.max(np.abs(op.diag)))
-    M = op.to_dense()
-    gram = M @ M.T if rows <= cols else M.T @ M
-    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1])))
+        norm = abs(op.scale)
+    elif isinstance(op, DiagonalOperator):
+        norm = float(np.max(np.abs(op.diag)))
+    else:
+        M = op.to_dense()
+        gram = M @ M.T if rows <= cols else M.T @ M
+        norm = float(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[-1], 0.0)))   # a NaN stays NaN
+    if not np.isfinite(norm):
+        raise ValueError(f"the {type(op).__name__}'s norm is {norm}, not finite")
+    return norm

@@ -93,29 +93,23 @@ def _derivative(problem):
     """The time derivative as a function of the packed phase point, with the
     oracles, operators and block slices resolved once per run.
 
-    Both primal blocks share each array operation.  The velocity rows are
-    ``(mu (v - x) + G) / -gamma``, which rounds exactly as
-    ``(mu (x - v) - G) / gamma`` does: negation commutes with rounding.
+    The velocity rows ``(mu (v - x) + G) / -gamma`` round exactly as
+    ``(mu (x - v) - G) / gamma``: negation commutes with rounding.
     """
     grad_f, grad_g = _gradients(problem)
-    A, B, b = problem.A, problem.B, problem.b
-    nx, ny = problem.dim_x, problem.dim_y
-    i, j, k, n = _cuts(nx, ny)
-    targets = np.array([0.0, problem.mu_f, problem.mu_g])
-    moduli = np.concatenate((np.full(nx, problem.mu_f), np.full(ny, problem.mu_g)))
-    scale = np.empty(nx + ny)
+    A, B, b, mu_f, mu_g = problem.A, problem.B, problem.b, problem.mu_f, problem.mu_g
+    i, j, k, n = _cuts(problem.dim_x, problem.dim_y)
 
     def derivative(z):
         theta, gamma, beta = z[:3].tolist()
         if theta <= 0 or gamma <= 0 or beta <= 0:
             raise ValueError("theta, gamma, beta must stay positive")
-        lam = z[n:]
-        drift = z[j:n] - z[3:j]
-        pull = np.concatenate((grad_f(z[3:i]) + A.adjoint(lam), grad_g(z[i:j]) + B.adjoint(lam)))
-        scale[:nx] = -gamma
-        scale[nx:] = -beta
-        dlam = (A.apply(z[j:k]) + B.apply(z[k:n]) - b) / theta
-        return np.concatenate((targets - z[:3], drift, (moduli * drift + pull) / scale, dlam))
+        x, y, v, w, lam = z[3:i], z[i:j], z[j:k], z[k:n], z[n:]
+        dx, dy = v - x, w - y
+        return np.concatenate(([-theta, mu_f - gamma, mu_g - beta], dx, dy,
+                               (mu_f * dx + (grad_f(x) + A.adjoint(lam))) / -gamma,
+                               (mu_g * dy + (grad_g(y) + B.adjoint(lam))) / -beta,
+                               (A.apply(v) + B.apply(w) - b) / theta))
 
     return derivative
 
@@ -186,8 +180,10 @@ def _norm(t, z, dims):
 def lyapunov_continuous(problem, state, saddle):
     """Continuous merit ``E(t)``: the discrete merit at the phase point,
     whose own ``theta``, ``gamma`` and ``beta`` weigh the distances.  The
-    merit is the problem's: a ``saddle`` that is not ``problem.saddle``
-    raises ``ValueError``."""
+    merit is the problem's: a problem without a saddle point, or a
+    ``saddle`` that is not ``problem.saddle``, raises ``ValueError``."""
+    if problem.saddle is None:
+        raise ValueError("the continuous merit needs the problem's saddle point; it has none")
     if saddle is not problem.saddle:
         raise ValueError("the continuous merit reads the problem's own saddle point")
     return lyapunov(problem, state, state,

@@ -88,8 +88,9 @@ class SeparableProblem:
     to the oracles' declared moduli, read on first use, so building a
     problem decomposes nothing; ``solves`` maps ``"f"`` and ``"g"`` to their solves.
     ``saddle``, the reference point of every diagnostic, is fixed when the
-    problem is built; ``f_saddle`` and ``saddle_residual`` hold ``F(x*, y*)``
-    and ``A x* + B y* - b`` there, or None without one.
+    problem is built, and it and ``b`` must be finite; ``f_saddle`` and
+    ``saddle_residual`` hold ``F(x*, y*)`` and ``A x* + B y* - b`` there, or
+    None without one.
     """
 
     def __init__(self, f, g, A, B, b, mu_f=None, mu_g=None, saddle=None):
@@ -99,6 +100,8 @@ class SeparableProblem:
         if A.shape[0] != B.shape[0] or b.shape != (A.shape[0],):
             raise ValueError(f"A, B and b must map into the same space; A has {A.shape[0]} rows, "
                              f"B {B.shape[0]}, and b has shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("b must be finite")
 
         self.f_smooth, self.f_prox = f if isinstance(f, tuple) else (None, f)
         if self.f_smooth is not None and not isinstance(self.f_smooth, SmoothOracle):
@@ -116,6 +119,9 @@ class SeparableProblem:
             if shapes != ((A.shape[1],), (B.shape[1],), b.shape):
                 raise ValueError(f"the saddle point's x, y and lam must have shapes {(A.shape[1],)}, "
                                  f"{(B.shape[1],)} and {b.shape}, not {shapes}")
+            for name, part in (("x*", saddle.x), ("y*", saddle.y), ("lam*", saddle.lam)):
+                if not np.isfinite(part).all():
+                    raise ValueError(f"the saddle point's {name} must be finite")
             self.saddle_residual = A.apply(saddle.x) + B.apply(saddle.y) - b
             self.f_saddle = self.objective(saddle.x, saddle.y)
             feas = float(np.linalg.norm(self.saddle_residual))

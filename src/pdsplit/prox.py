@@ -10,8 +10,8 @@ matrix of ``C``; so does ``ElasticNet``, by active-set Newton, which
 declines when its answer fails the inner loop's stopping test.  The
 diagonal form sums its Woodbury capacitance matrix from moments of ``C``
 kept per operator, a Neumann series of at most ``_TERMS`` terms whose
-dropped tail is below 2^-53 of the matrix, and solves directly when the
-series would need more terms or ``C`` has no fewer rows than columns.
+dropped tail is below 2^-53 of the matrix, or directly past that cap;
+a ``C`` with no fewer rows than columns takes the dense system.
 """
 
 from functools import cached_property
@@ -234,8 +234,8 @@ class _DiagonalQuadratic(ProxOracle, SmoothOracle):
     terms leaves a diagonal tail of at most ``rho^T (1 + rho) / (1 - rho)``
     times ``D^-1`` entrywise, so the dropped part of ``G D^-1 G^T`` is at
     most that factor times it in the PSD order; ``T`` is the fewest terms
-    that make the factor at most 2^-53.  A call with m >= n, ``rho >= 1``
-    or more than ``_TERMS`` terms to take solves by ``_solve_augmented_normal``."""
+    that make the factor at most 2^-53.  Past the cap, or at ``rho >= 1``, it
+    forms ``Gs Gs^T``, ``Gs = G D^(-1/2)``; m >= n takes ``_solve_augmented_normal``."""
 
     _moments = None   # (C, the M_t stacked, each flattened) for the last operator C
 
@@ -257,13 +257,17 @@ class _DiagonalQuadratic(ProxOracle, SmoothOracle):
     def solve_augmented(self, r, C, sigma, weight, center):
         G, d, rhs, a = C.to_dense(), self.e + weight, r - self.p, weight + self._mid
         m, n = G.shape
-        terms = _series_terms(self._half / a) if m < n and self._half < a else None
-        if terms is None:
+        if m >= n:
             return _solve_augmented_normal(d, G, sigma, rhs)
-        if self._moments is None or self._moments[0] is not C:
-            f = self.e - self._mid
-            self._moments = (C, np.stack([(G * f ** t) @ G.T for t in range(_TERMS)]).reshape(_TERMS, -1))
-        K = (-(-1.0 / a) ** np.arange(1, terms + 1) @ self._moments[1][:terms]).reshape(m, m)
+        terms = _series_terms(self._half / a) if self._half < a else None
+        if terms is None:
+            Gs = G / np.sqrt(d)
+            K = Gs @ Gs.T
+        else:
+            if self._moments is None or self._moments[0] is not C:
+                f = self.e - self._mid
+                self._moments = (C, np.stack([(G * f ** t) @ G.T for t in range(_TERMS)]).reshape(_TERMS, -1))
+            K = (-(-1.0 / a) ** np.arange(1, terms + 1) @ self._moments[1][:terms]).reshape(m, m)
         K.flat[::m + 1] += 1.0 / sigma
         return (rhs - G.T @ np.linalg.solve(K, G @ (rhs / d))) / d
 
@@ -311,18 +315,11 @@ def _l1_newton(block, r, C, sigma, weight, center):
 
 
 def _solve_augmented_normal(d, G, sigma, rhs):
-    """Solve ``(diag(d) + sigma G^T G) u = rhs``, ``d > 0`` a vector or a
-    scalar.  When ``G`` has fewer rows m than columns, this goes through an
-    m-by-m Woodbury capacitance system formed by one symmetric product:
-    ``Gs Gs^T + I / sigma``, ``Gs = G diag(d)^(-1/2)``, or for a scalar
-    ``G G^T + (d / sigma) I``, which needs no scaled copy of ``G``."""
+    """Solve ``(diag(d) + sigma G^T G) u = rhs``, ``d > 0`` Newton's scalar or,
+    when ``G`` has no fewer rows than columns, the diagonal form's vector.
+    With fewer rows m than columns, the m-by-m Woodbury capacitance system
+    is ``G G^T + (d / sigma) I``, formed by one symmetric product."""
     if G.shape[0] < G.shape[1]:
-        if isinstance(d, np.ndarray):
-            s = 1.0 / np.sqrt(d)
-            Gs, t = G * s, s * rhs
-            K = Gs @ Gs.T
-            K.flat[::K.shape[0] + 1] += 1.0 / sigma
-            return s * (t - Gs.T @ np.linalg.solve(K, Gs @ t))
         K = G @ G.T
         K.flat[::K.shape[0] + 1] += d / sigma
         return (rhs - G.T @ np.linalg.solve(K, G @ rhs)) / d

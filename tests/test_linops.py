@@ -156,6 +156,19 @@ def test_zero_operator_norm_is_exact_zero():
         assert op.norm() == 0.0
 
 
+@pytest.mark.parametrize("op", [
+    DenseOperator(np.array([[1.0, np.nan], [0.0, 2.0]])),
+    DenseOperator(np.array([[1.0, 0.0, np.inf], [0.0, 2.0, 0.0]])),
+    DiagonalOperator(np.array([3.0, np.nan])),
+    ScaledIdentity(-np.inf, 3),
+], ids=["dense-nan", "dense-inf", "diagonal-nan", "identity-inf"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")   # inf * 0
+def test_non_finite_norm_raises(op):
+    # a dense NaN once read as 0.0 through max(0.0, nan), an under-estimate
+    with pytest.raises(ValueError, match=f"the {type(op).__name__}'s norm is (nan|inf), not finite"):
+        estimate_operator_norm(op)
+
+
 def test_norm_bound_inflates():
     op = DenseOperator(np.array([[2.0]]))
     assert op.norm_bound() == pytest.approx(2.0 * NORM_SAFETY)

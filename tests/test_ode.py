@@ -172,6 +172,13 @@ def test_continuous_merit_refuses_a_saddle_point_other_than_the_problems():
     assert lyapunov_continuous(prob, st, sd) > 0.0
 
 
+def test_continuous_merit_of_a_problem_without_a_saddle_point_raises():
+    # it raised AttributeError on the saddle's lam
+    prob = without_saddle(quadratic_instance(64)[0])
+    with pytest.raises(ValueError, match="needs the problem's saddle point"):
+        lyapunov_continuous(prob, initial_state(prob), prob.saddle)
+
+
 def test_integrator_fourth_order():
     prob, _ = quadratic_instance(66, mu_f=0.5, mu_g=0.0)
     init = initial_state(prob, gamma0=2.0)

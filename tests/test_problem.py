@@ -156,6 +156,19 @@ def test_saddle_point_blocks_must_be_vectors():
     SeparableProblem(prob.f_prox, prob.g, prob.A, prob.B, prob.b, saddle=sd)
 
 
+@pytest.mark.parametrize("name", ["b", "x*", "y*", "lam*"])
+def test_non_finite_data_or_saddle_point_rejected(name):
+    # a NaN in x* or y* once passed the feasibility test, whose comparison is false
+    prob, _ = quadratic_instance(93)
+    sd = prob.saddle
+    parts = {"b": prob.b, "x*": sd.x, "y*": sd.y, "lam*": sd.lam}
+    parts[name] = parts[name].copy()
+    parts[name][0] = np.nan
+    saddle = SaddlePoint(parts["x*"], parts["y*"], parts["lam*"])
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+        SeparableProblem(prob.f_prox, prob.g, prob.A, prob.B, parts["b"], saddle=saddle)
+
+
 def test_the_saddle_point_is_fixed_when_the_problem_is_built():
     # every diagnostic and the kept eigenbasis problem read the saddle given at build
     prob, _ = quadratic_instance(92)

@@ -16,7 +16,8 @@ from pdsplit import prox
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SeparableProblem
 from pdsplit.prox import (BoxIndicator, ElasticNet, HingeSum, QuadraticProx,
-                          ShiftedL1, SquaredL2, _DiagonalQuadratic, _solve_augmented_normal)
+                          ShiftedL1, SquaredL2, _DiagonalQuadratic, _series_terms,
+                          _solve_augmented_normal)
 
 
 def golden_prox_1d(h, z, tau, bracket=20.0):
@@ -316,28 +317,43 @@ def test_solve_augmented_matches_normal_equations(m, sigma, monkeypatch):
             got = oracle.solve_augmented(**args)
             want = _augmented_reference(P_ref, p_ref, **args)
             assert _rel_err(got, want) <= 1e-10, (type(oracle).__name__, weight)
-    # the kernel itself, for a diagonal (the quadratic's) and a scalar (Newton's) d
+    # the kernel itself, for Newton's scalar d, and at m >= n for a diagonal
+    # d (the quadratic's, whose m < n solve is its own, checked below)
     G, rhs = rng.standard_normal((m, n)), rng.standard_normal(n)
     for d in (0.1 + rng.random(n), 0.1 + rng.random()):
+        if np.ndim(d) and m < n:
+            continue
         want = _exact_normal_solve(d, G, sigma, rhs)
         assert _rel_err(_solve_augmented_normal(d, G, sigma, rhs), want) <= 1e-12, np.ndim(d)
     # the diagonal form's solve: at m < n a weight whose series needs at most
     # 9 terms takes the kept moments (1e2, 1e4 and the cap's edge), and a
-    # small one, one just past the cap and every one at m >= n the kernel above
+    # small one and one just past the cap form the capacitance matrix
+    # directly; every one at m >= n takes the kernel above
     e, q = rng.random(n), rng.standard_normal(n)
     diag, mid, half = _DiagonalQuadratic(e, q), 0.5 * (e.max() + e.min()), 0.5 * (e.max() - e.min())
     edge = _series_edge(9)
     inside, past = half / (edge * (1.0 - 1e-6)) - mid, half / (edge * (1.0 + 1e-6)) - mid
     assert 30.0 > inside > past > 1.0
-    direct = []   # the weights whose solve ran the kernel
-    monkeypatch.setattr(prox, "_solve_augmented_normal",
-                        lambda *args: direct.append(weight) or _solve_augmented_normal(*args))
+    routes = []   # per call: the kernel, the kept moments or the direct capacitance matrix
+
+    def kernel(*args):
+        routes.append("kernel")
+        return _solve_augmented_normal(*args)
+
+    def series_terms(rho):
+        terms = _series_terms(rho)
+        routes.append("direct" if terms is None else "moments")
+        return terms
+
+    monkeypatch.setattr(prox, "_solve_augmented_normal", kernel)
+    monkeypatch.setattr(prox, "_series_terms", series_terms)
     weights = (0.1 + rng.random(), 1e2, 1e4, inside, past)
     for weight in weights:
         want = _exact_normal_solve(e + weight, G, sigma, rhs - q)
         got = diag.solve_augmented(rhs, DenseOperator(G), sigma, weight, np.zeros(n))
         assert _rel_err(got, want) <= 1e-12, weight
-    assert direct == ([weights[0], past] if m < n else list(weights))
+    assert routes == (["direct", "moments", "moments", "moments", "direct"] if m < n
+                      else ["kernel"] * len(weights))
 
 
 def _series_edge(terms):

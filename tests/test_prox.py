@@ -16,8 +16,7 @@ from pdsplit import prox
 from pdsplit.linops import DenseOperator
 from pdsplit.oracles import SeparableProblem
 from pdsplit.prox import (BoxIndicator, ElasticNet, HingeSum, QuadraticProx,
-                          ShiftedL1, SquaredL2, _DiagonalQuadratic, _series_terms,
-                          _solve_augmented_normal)
+                          ShiftedL1, SquaredL2, _DiagonalQuadratic, _solve_augmented_normal)
 
 
 def golden_prox_1d(h, z, tau, bracket=20.0):
@@ -335,23 +334,17 @@ def test_solve_augmented_matches_normal_equations(m, sigma, monkeypatch):
     inside, past = half / (edge * (1.0 - 1e-6)) - mid, half / (edge * (1.0 + 1e-6)) - mid
     assert 30.0 > inside > past > 1.0
     routes = []   # per call: the kernel, the kept moments or the direct capacitance matrix
-
-    def kernel(*args):
-        routes.append("kernel")
-        return _solve_augmented_normal(*args)
-
-    def series_terms(rho):
-        terms = _series_terms(rho)
-        routes.append("direct" if terms is None else "moments")
-        return terms
-
-    monkeypatch.setattr(prox, "_solve_augmented_normal", kernel)
-    monkeypatch.setattr(prox, "_series_terms", series_terms)
+    monkeypatch.setattr(prox, "_solve_augmented_normal",
+                        lambda *args: routes.append("kernel") or _solve_augmented_normal(*args))
     weights = (0.1 + rng.random(), 1e2, 1e4, inside, past)
     for weight in weights:
         want = _exact_normal_solve(e + weight, G, sigma, rhs - q)
-        got = diag.solve_augmented(rhs, DenseOperator(G), sigma, weight, np.zeros(n))
+        C, kept, calls = DenseOperator(G), diag._moments, len(routes)
+        got = diag.solve_augmented(rhs, C, sigma, weight, np.zeros(n))
         assert _rel_err(got, want) <= 1e-12, weight
+        if len(routes) == calls:   # a fresh operator: the series keeps its moments, the direct matrix none
+            routes.append("direct" if diag._moments is kept else
+                          "moments" if diag._moments[0] is C else "other")
     assert routes == (["direct", "moments", "moments", "moments", "direct"] if m < n
                       else ["kernel"] * len(weights))
 
@@ -396,7 +389,8 @@ def test_solve_augmented_never_reuses_another_operators_factor():
 
 def test_large_weight_takes_the_kept_moments_not_the_direct_solve(monkeypatch):
     # a diagonal quadratic's m < n solve at a weight far above its spread
-    # sums the kept moments' series: the direct kernel is never called
+    # sums the kept moments' series, kept for its C V: neither the dense
+    # kernel nor the direct capacitance matrix runs
     def direct(*args):
         raise AssertionError("the direct augmented solve ran")
 
@@ -408,6 +402,8 @@ def test_large_weight_takes_the_kept_moments_not_the_direct_solve(monkeypatch):
     for sigma, weight in ((1e-3, 5e3), (1.0, 1e3), (1e3, 1e5)):
         args = _augmented_args(dict(_augmented_case(rng, 10, n), weight=weight), sigma)
         assert _rel_err(q.solve_augmented(**args), _augmented_reference(P, p, **args)) <= 1e-10
+        h, CV, _ = q.in_eigenbasis(args["C"])
+        assert h._moments is not None and h._moments[0] is CV
 
 
 @pytest.mark.parametrize("P, p", [

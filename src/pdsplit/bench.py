@@ -83,6 +83,8 @@ class RunConfig:
                              f"choose from {tuple(PROBLEM_KINDS)}")
         if isinstance(self.methods, str):
             raise ValueError(f"methods must be a sequence of tags, not the string {self.methods!r}")
+        if len(self.methods) == 0:
+            raise ValueError("methods must name at least one method")
         for i, tag in enumerate(self.methods):
             if tag not in METHOD_TAGS:
                 raise ValueError(f"unknown method {tag!r}; choose from {METHOD_TAGS}")

@@ -54,6 +54,8 @@ class ShiftedL1(ProxOracle):
     def __init__(self, shift, lam=1.0):
         self.lam = _nonnegative("lam", lam)
         self.shift = np.asarray(shift, dtype=float)
+        if not np.isfinite(self.shift).all():
+            raise ValueError("shift must be finite")
 
     def value(self, z):
         return self.lam * float(np.sum(np.abs(z - self.shift)))
@@ -138,8 +140,15 @@ class HingeSum(ProxOracle):
         self.labels = labels
         self.weight = _nonnegative("weight", weight)
 
+    def _margins(self, z):
+        """``c_j z_j``, refusing a point not shaped like the labels."""
+        z = np.asarray(z, dtype=float)
+        if z.shape != self.labels.shape:
+            raise ValueError(f"the point's shape {z.shape} differs from the labels' {self.labels.shape}")
+        return self.labels * z
+
     def value(self, z):
-        return self.weight * float(np.sum(np.maximum(0.0, 1.0 - self.labels * z)))
+        return self.weight * float(np.sum(np.maximum(0.0, 1.0 - self._margins(z))))
 
     def prox(self, z, tau):
         """Per coordinate, with ``t = tau * weight`` and ``s = c_j z_j``: the
@@ -147,16 +156,19 @@ class HingeSum(ProxOracle):
         ``s < 1 - t``, and clamped onto the kink ``c_j z_j = 1`` in between."""
         _check_step(tau)
         t = tau * self.weight
-        s = self.labels * np.asarray(z, dtype=float)
+        s = self._margins(z)
         return self.labels * np.where(s >= 1.0, s, np.where(s < 1.0 - t, s + t, 1.0))
 
 
 class BoxIndicator(ProxOracle):
-    """Indicator of the box ``[lo, hi]``; prox is the projection."""
+    """Indicator of the box ``[lo, hi]``; prox is the projection.  A bound
+    may be infinite (``lo = -inf, hi = 0`` is the nonpositive orthant), not NaN."""
 
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("the box's bounds must not be NaN")
         if np.any(self.lo > self.hi):
             raise ValueError("the box is empty: lo must not exceed hi")
 

@@ -175,6 +175,18 @@ def test_config_validation_names_a_bare_string_of_methods():
         RunConfig(methods="ladmm").validate()
 
 
+def test_config_validation_refuses_empty_methods(tmp_path):
+    # an empty list used to compute the reference optimum, write a summary
+    # of no methods and exit 0
+    with pytest.raises(ValueError, match=r"^methods must name at least one method$"):
+        RunConfig(methods=()).validate()
+    cfg_file = tmp_path / "none.json"
+    cfg_file.write_text(json.dumps({"methods": []}))
+    with pytest.raises(ValueError, match=r"^methods must name at least one method$"):
+        main(["--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_validation_names_a_repeated_method(tmp_path):
     # a repeated tag used to run twice, the second run overwriting the
     # first's trace file and summary entry

@@ -242,6 +242,19 @@ def test_neither_rule_resolves_a_gain_between_sides_equal_in_distribution():
     assert _rule_rows(parents, changes, band=None) == rows
 
 
+def test_the_pair_rule_reads_no_band_narrower_than_the_pairs_own():
+    # per-pair ratios 0.99-1.20: median 1.050, IQR 0.120, the change better in
+    # 9 of 10; a control's band of 0.04 used to resolve this noisy session as a gain
+    ratios = [0.99, 1.01, 1.02, 1.02, 1.04, 1.06, 1.11, 1.15, 1.18, 1.20]
+    changes = [c * r for c, r in zip(COSTS, ratios)]
+    assert _rule_rows(COSTS, changes, band=0.04) == {"iter_per_s": "no-gain", "bench_s": "no-gain"}
+    # a control's band wider than the pairs' own still holds: x1.05 in every
+    # pair, whose own range is 0, does not clear a band of 0.06
+    steady = [1.05 * c for c in COSTS]
+    assert _rule_rows(COSTS, steady, band=0.04) == {"iter_per_s": "gain", "bench_s": "gain"}
+    assert _rule_rows(COSTS, steady, band=0.06) == {"iter_per_s": "no-gain", "bench_s": "no-gain"}
+
+
 def _aa_record(path, workload, values):
     """A recorded A/A side whose pairs 0, 1, ... of ``workload`` give ``setup_s`` ``values``,
     then a pair of another workload, which no reading of ``workload`` may take."""
@@ -269,11 +282,6 @@ def test_summary_reads_the_recorded_aa_band_of_the_workload(trees, capsys):
     _main(trees, "quad-saddle", "1-3")
     lines = capsys.readouterr().out.splitlines()
     head = lines.index("A/A: per-pair ratio ranges of BENCH_aa-1-quad-saddle-a.json and its -b")
-    # the parent's setup_s median 0.012 against the control's 2.0; no bound, so no verdict,
-    # and the control has no iter_per_s to read against
-    assert lines[head - 2:head] == [
-        "machine: the parent's medians against BENCH_aa-1-quad-saddle-a.json's",
-        "setup_s        parent median 0.012 against A/A -a median 2: ratio 0.006"]
     assert lines[head + 1].split()[11:15] == ["pair", "IQR", "A/A", "IQR"]
     rows = {line.split()[0]: line.split()[9] for line in lines[head + 2:-1]}
     # per-pair ratios 1.1, 1.25 and 1.0: quartiles 1.05 and 1.175; a metric
@@ -326,36 +334,9 @@ def test_an_aa_call_reads_the_control_before_its_own(trees, capsys):
     _pairs().main([str(parent), str(change), "--workload", "quad-saddle", "--seeds", "1-3",
                    "--names", "aa-zzz-quad-saddle-a", "aa-zzz-quad-saddle-b"])
     lines = capsys.readouterr().out.splitlines()
-    assert "machine: the parent's medians against BENCH_aa-old-quad-saddle-a.json's" in lines
     assert "A/A: per-pair ratio ranges of BENCH_aa-old-quad-saddle-a.json and its -b" in lines
     written = [Path("BENCH_aa-zzz-quad-saddle-a.json"), Path("BENCH_aa-zzz-quad-saddle-b.json")]
     assert _aa_values(_pairs().aa_band("quad-saddle", written)) == (
         "BENCH_aa-old-quad-saddle-a.json", [(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
     # named by no call, the new control is the newest
     assert _pairs().aa_band("quad-saddle")[0] == "BENCH_aa-zzz-quad-saddle-a.json"
-
-
-def _machine_run(rate, setup, caches):
-    metrics = {"iter_per_s": {"unit": "1/s", "value": rate}, "setup_s": {"unit": "s", "value": setup},
-               "peak_rss_mb": {"unit": "MB", "value": 2.0 * setup}}
-    return {"env": {"caches": caches}, "result": {"metrics": metrics}}
-
-
-def test_machine_lines_mark_a_slow_session_and_other_caches():
-    # a session in the machine's slow phase reads every ratio near 1, but its
-    # parent runs at less than half the control's rate
-    l2, small = {"L1": "48K", "L2": "2048K"}, {"L1": "48K", "L2": "1024K"}
-    # the control's paired runs; its medians are its -a side's, not its -b side's
-    control = [(_machine_run(rate, 1.0, l2), _machine_run(100.0, 50.0, l2))
-               for rate in (13800.0, 13865.0, 13900.0)]
-    runs = [(_machine_run(6187.0, setup, l2), _machine_run(6100.0, setup, l2))
-            for setup in (1.05, 1.1, 1.2)]
-    spec = {"iter_per_s": {"bound": 0.25}, "setup_s": {"bound": 0.25}, "peak_rss_mb": {"bound": 0.1}}
-    lines = _pairs().machine_lines(control, runs, spec)
-    assert lines == [
-        "iter_per_s     parent median 6187 against A/A -a median 1.386e+04: ratio 0.446 MACHINE bound 0.25",
-        "setup_s        parent median 1.1 against A/A -a median 1: ratio 1.100 within bound 0.25"]
-    runs[1] = (runs[1][0], _machine_run(6100.0, 1.1, small))
-    lines = _pairs().machine_lines(control, runs, spec)
-    assert lines[2:] == ['CACHES differ: runs {"L1": "48K", "L2": "1024K"}, '
-                         'A/A control {"L1": "48K", "L2": "2048K"}']

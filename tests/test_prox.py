@@ -179,6 +179,32 @@ def test_box_rejects_empty_box():
         BoxIndicator(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
     # a degenerate box is a point, and not empty
     assert np.array_equal(BoxIndicator(1.0, 1.0).prox(np.array([3.0]), 1.0), [1.0])
+    # an infinite bound is legal: lo = -inf, hi = 0 is the nonpositive orthant
+    assert np.array_equal(BoxIndicator(-np.inf, 0.0).prox(np.array([-2.0, 3.0]), 1.0), [-2.0, 0.0])
+
+
+@pytest.mark.parametrize("labels, point", [(1, 3), (3, 1), (2, 3)], ids=["1-of-3", "3-of-1", "2-of-3"])
+@pytest.mark.parametrize("call", ["prox", "value"])
+def test_hinge_refuses_a_point_not_shaped_like_its_labels(labels, point, call):
+    # one label used to be read against every coordinate of the point
+    hinge = HingeSum(np.ones(labels), 1.0)
+    args = (np.zeros(point), 1.0) if call == "prox" else (np.zeros(point),)
+    with pytest.raises(ValueError, match=rf"^the point's shape \({point},\) differs from the labels' "
+                                         rf"\({labels},\)$"):
+        getattr(hinge, call)(*args)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ShiftedL1(np.array([0.0, np.nan])), "shift must be finite"),
+    (lambda: ShiftedL1(np.array([np.inf, 0.0])), "shift must be finite"),
+    (lambda: BoxIndicator(np.array([np.nan, 0.0]), np.ones(2)), "the box's bounds must not be NaN"),
+    (lambda: BoxIndicator(np.zeros(2), np.nan), "the box's bounds must not be NaN"),
+], ids=["shift-nan", "shift-inf", "box-lo-nan", "box-hi-nan"])
+def test_oracle_data_must_not_be_nan(build, message):
+    # a NaN shift used to run until an iterate went non-finite; a NaN bound
+    # passed the empty-box check and clipped nothing
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_shifted_l1_rejects_negative_lam():

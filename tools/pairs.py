@@ -37,9 +37,10 @@ the per-pair ratio, the change's value over the parent's within each pair,
 the pair rule's reading, in how many pairs the change was better, and the
 ratio of the medians.  The pair rule: a gain is resolved (``gain``, else
 ``no-gain``) when the per-pair median is better than 1 by more than the
-newest A/A control's per-pair interquartile range, and the change is
-better in at least 9 of 10 pairs (a fraction 0.9 of them).  Without a
-recorded control the pairs' own per-pair range stands in.  A metric whose
+larger of two per-pair interquartile ranges, the pairs' own and the
+newest A/A control's, and the change is better in at least 9 of 10 pairs
+(a fraction 0.9 of them).  Without a recorded control the pairs' own
+range alone is the band.  A metric whose
 change median is worse than the parent's by more than its ``bound`` (a
 fraction of the parent's median) is marked ``OUTSIDE``.  The direction and
 the bound are read from CHANGE's ``BENCHMARK.json``.
@@ -50,13 +51,9 @@ is read: the one whose ``-a`` file git last committed, an uncommitted one
 newer still, and the last by name among equals or outside a git checkout,
 skipping the two files the call itself writes.  Its per-pair ratio range
 (``-b`` over ``-a`` in each of its pairs) is printed beside the pairs' own:
-the spread that identical trees showed.  Ratios hide the machine's speed,
-so before that table the script prints, for each time metric (unit ``s``
-or ``1/s``), the parent's median against the control's ``-a`` median,
-marked ``MACHINE`` when their ratio is off 1 by more than the metric's
-bound, and names each ``env.caches`` of the runs that the control's runs
-lack.  A session so marked ran in a slower phase of the machine or on
-another one: re-run it rather than read it.
+the spread that identical trees showed.  It can widen the rule's band but
+never narrow it below the pairs' own, so a control recorded on another
+host or in a quieter phase cannot make a noisy session read as a gain.
 
 Given the same tree twice, with two ``--names``, the script is an A/A
 control: both copies run from the slots as above, and the summary reads
@@ -77,7 +74,6 @@ from pathlib import Path
 SOURCE = ("each side ran from a copy of its tree in a slot directory, so env.git_commit "
           "is null and env.source_sha256 names the sources")
 SLOTS = ("slot_a", "slot_b")
-TIME_UNITS = ("s", "1/s")
 
 
 class RejectedRun(Exception):
@@ -202,32 +198,6 @@ def aa_band(workload, written=()):
     return None
 
 
-def machine_lines(control, runs, spec):
-    """Lines reading the parent's median of each time metric over ``runs``,
-    (parent run, change run) pairs of recorded runs, against its median over
-    the ``-a`` runs of ``control``, an A/A control's (``-a`` run, ``-b`` run)
-    pairs, marked ``MACHINE`` when the ratio is off 1 by more than the
-    metric's ``bound`` in ``spec``; then a line for each ``env.caches`` of the
-    runs that the control's runs lack."""
-    lines = []
-    for name, metric in runs[0][0]["result"]["metrics"].items():
-        if metric.get("unit") not in TIME_UNITS or any(name not in a["result"]["metrics"]
-                                                       for a, _ in control):
-            continue
-        parent, aa = (statistics.median(side[0]["result"]["metrics"][name]["value"] for side in pairs)
-                      for pairs in (runs, control))
-        ratio, bound = _ratio(parent, aa), spec.get(name, {}).get("bound")
-        verdict = "" if bound is None else (f" {'MACHINE' if abs(ratio - 1.0) > bound else 'within'}"
-                                            f" bound {bound:g}")
-        lines.append(f"{name:14s} parent median {parent:.4g} against A/A -a median {aa:.4g}: "
-                     f"ratio {ratio:.3f}{verdict}")
-    caches = [{json.dumps(run.get("env", {}).get("caches"), sort_keys=True)
-               for pair in pairs for run in pair} for pairs in (runs, control)]
-    lines += [f"CACHES differ: runs {seen}, A/A control {' '.join(sorted(caches[1]))}"
-              for seen in sorted(caches[0] - caches[1])]
-    return lines
-
-
 def summary(runs, spec, band=None):
     """Lines of per-metric medians and quartiles, the per-pair ratio's median
     and range, the pair rule's reading, the change's wins and its median
@@ -236,7 +206,7 @@ def summary(runs, spec, band=None):
     metric's name to its ``BENCHMARK.json`` entry, whose ``bound`` (when
     given) marks a worse ratio of the medians ``OUTSIDE``.  ``band``, when
     given, maps a metric to its A/A per-pair ratio range, printed after the
-    pairs' own and read by the pair rule."""
+    pairs' own; the rule reads the larger of the two."""
     lines = [f"{'metric':14s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s} "
              f"{'pair median':>12s} pair IQR{' A/A IQR' if band else ''} pair rule  "
              f"wins  change/parent"]
@@ -250,7 +220,7 @@ def summary(runs, spec, band=None):
         ratio = _ratio(stats[1][0], stats[0][0])
         pair_median, pair_iqr = pair_spread(runs, name)
         aa = "" if not band else f" {band[name]:7.3f}" if name in band else f" {'-':>7s}"
-        threshold = band[name] if band and name in band else pair_iqr
+        threshold = max(pair_iqr, (band or {}).get(name, 0.0))
         resolved = sign * (1.0 - pair_median) > threshold and wins >= 0.9 * len(runs)
         verdict = ""
         if "bound" in entry:
@@ -323,8 +293,6 @@ def main(argv=None):
     band = None
     if control:
         name, aa_runs = control
-        print(f"machine: the parent's medians against {name}'s")
-        print("\n".join(machine_lines(aa_runs, runs, spec)))
         print(f"A/A: per-pair ratio ranges of {name} and its -b")
         aa = _results(aa_runs)
         band = {metric: pair_spread(aa, metric)[1] for metric in aa[0][0]["metrics"]}

@@ -200,7 +200,7 @@ def test_hinge_refuses_a_point_not_shaped_like_its_labels(labels, point, call):
     (lambda: BoxIndicator(np.array([np.nan, 0.0]), np.ones(2)), "the box's bounds must not be NaN"),
     (lambda: BoxIndicator(np.zeros(2), np.nan), "the box's bounds must not be NaN"),
 ], ids=["shift-nan", "shift-inf", "box-lo-nan", "box-hi-nan"])
-def test_oracle_data_must_not_be_nan(build, message):
+def test_shift_and_box_bounds_refuse_undefined_data(build, message):
     # a NaN shift used to run until an iterate went non-finite; a NaN bound
     # passed the empty-box check and clipped nothing
     with pytest.raises(ValueError, match=f"^{message}$"):

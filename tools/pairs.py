@@ -40,10 +40,10 @@ ratio of the medians.  The pair rule: a gain is resolved (``gain``, else
 larger of two per-pair interquartile ranges, the pairs' own and the
 newest A/A control's, and the change is better in at least 9 of 10 pairs
 (a fraction 0.9 of them).  Without a recorded control the pairs' own
-range alone is the band.  A metric whose
-change median is worse than the parent's by more than its ``bound`` (a
-fraction of the parent's median) is marked ``OUTSIDE``.  The direction and
-the bound are read from CHANGE's ``BENCHMARK.json``.
+range alone is the band.  A metric whose change median is worse than the
+parent's by more than its ``bound`` (a fraction of the parent's median)
+is marked ``OUTSIDE``.  The direction and the bound are read from
+CHANGE's ``BENCHMARK.json``.
 
 When the current directory holds a recorded A/A control of the workload,
 ``BENCH_aa-<name>-<workload>-a.json`` and its ``-b.json``, the newest one

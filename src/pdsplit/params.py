@@ -75,8 +75,8 @@ class ParamState:
         ``beta0``), else 1; user-overridable."""
         g0 = gamma0 if gamma0 is not None else (mu_f if mu_f > 0 else 1.0)
         b0 = beta0 if beta0 is not None else (mu_g if mu_g > 0 else 1.0)
-        if not (g0 > 0 and b0 > 0):
-            raise ValueError(f"gamma0 and beta0 must be positive, got {g0!r} and {b0!r}")
+        if not (0 < g0 < math.inf and 0 < b0 < math.inf):
+            raise ValueError(f"gamma0 and beta0 must be positive and finite, got {g0!r} and {b0!r}")
         return ParamState(theta=1.0, gamma=g0, beta=b0, k=0,
                           mu_f=float(mu_f), mu_g=float(mu_g),
                           gamma0=float(g0), beta0=float(b0))

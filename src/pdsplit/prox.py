@@ -1,8 +1,8 @@
 """Builtin proximal oracles: l1, elastic net, hinge sums, boxes, quadratics.
 
 Every prox here is closed form, written in the ``prox`` method of its class,
-and refuses a step ``tau`` that is not positive.  ``QuadraticProx`` and
-``SquaredL2`` are smooth oracles too, so either can be the smooth part of a
+and refuses a step ``tau`` that is not positive and finite.  ``QuadraticProx``
+and ``SquaredL2`` are smooth oracles too, so either can be the smooth part of a
 split f-block.  Both have a ``solve_augmented`` (a block's ``closed`` path),
 in closed form from one kept eigendecomposition: of ``P``, through
 ``QuadraticProx``'s diagonal form in that basis, or of the smaller Gram
@@ -36,15 +36,13 @@ _TERMS = 9           # Neumann-series terms, and moments kept, of a diagonal qua
 
 
 def _check_step(tau):
-    """Raise ``ValueError`` unless the prox step ``tau`` is positive (a NaN is not)."""
-    if not tau > 0.0:
-        raise ValueError(f"the prox step tau must be positive, not {tau!r}")
+    """Raise ``ValueError`` unless the prox step ``tau`` is positive and finite (a NaN is neither)."""
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"the prox step tau must be positive and finite, not {tau!r}")
 
 
 def _soft_threshold(z, tau, lam):
     """Prox of ``tau * lam * ||.||_1``: ``sign(z) * max(|z| - tau lam, 0)``."""
-    if lam == 0.0:
-        return np.asarray(z, dtype=float)
     return np.sign(z) * np.maximum(np.abs(z) - tau * lam, 0.0)
 
 
@@ -57,27 +55,30 @@ class ShiftedL1(ProxOracle):
         if not np.isfinite(self.shift).all():
             raise ValueError("shift must be finite")
 
+    def _offsets(self, z):
+        """``z - shift``, refusing a point not shaped like the shift."""
+        z = np.asarray(z, dtype=float)
+        if z.shape != self.shift.shape:
+            raise ValueError(f"the point's shape {z.shape} differs from the shift's {self.shift.shape}")
+        return z - self.shift
+
     def value(self, z):
-        return self.lam * float(np.sum(np.abs(z - self.shift)))
+        return self.lam * float(np.sum(np.abs(self._offsets(z))))
 
     def prox(self, z, tau):
         _check_step(tau)
-        z = np.asarray(z, dtype=float)
-        if z.shape != self.shift.shape:
-            raise ValueError("shift and point must have matching shapes")
-        return self.shift + _soft_threshold(z - self.shift, tau, self.lam)
+        return self.shift + _soft_threshold(self._offsets(z), tau, self.lam)
 
 
 class SquaredL2(ProxOracle, SmoothOracle):
     """``mu/2 * ||x||^2``: the quadratic of ``P = mu I`` without the n-by-n
-    matrix, with the values and gradients of ``QuadraticProx(mu * I)``; at
-    ``mu = 0`` value and prox skip the arithmetic (same on finite points)."""
+    matrix, with the values and gradients of ``QuadraticProx(mu * I)``."""
 
     def __init__(self, mu):
         self.mu = self.lipschitz = self.strong_convexity = _nonnegative("mu", mu)
 
     def value(self, z):
-        return 0.5 * z @ (self.mu * z) if self.mu else 0.0
+        return 0.5 * z @ (self.mu * z)
 
     def gradient(self, z):
         return self.mu * z
@@ -85,7 +86,7 @@ class SquaredL2(ProxOracle, SmoothOracle):
     def prox(self, z, tau):
         _check_step(tau)
         z = np.asarray(z, dtype=float)
-        return z / (1.0 + tau * self.mu) if self.mu else z
+        return z / (1.0 + tau * self.mu)
 
     _gram = None    # (C, dense C, lam, Q) of the last operator C
 
@@ -115,11 +116,9 @@ class ElasticNet(ProxOracle):
         return l1 + 0.5 * self.mu * float(z @ z) if self.mu else l1   # 0 * inf is nan
 
     def prox(self, z, tau):
-        """Soft-threshold by ``tau * lam``, then shrink by ``1 / (1 + tau * mu)``
-        (skipped at ``mu = 0``: same bits on finite points)."""
+        """Soft-threshold by ``tau * lam``, then shrink by ``1 / (1 + tau * mu)``."""
         _check_step(tau)
-        x = _soft_threshold(z, tau, self.lam)
-        return x / (1.0 + tau * self.mu) if self.mu else x
+        return _soft_threshold(z, tau, self.lam) / (1.0 + tau * self.mu)
 
     def solve_augmented(self, r, C, sigma, weight, center):
         return _l1_newton(self, r, C, sigma, weight, center)
@@ -162,7 +161,8 @@ class HingeSum(ProxOracle):
 
 class BoxIndicator(ProxOracle):
     """Indicator of the box ``[lo, hi]``; prox is the projection.  A bound
-    may be infinite (``lo = -inf, hi = 0`` is the nonpositive orthant), not NaN."""
+    may be infinite (``lo = -inf, hi = 0`` is the nonpositive orthant), not NaN,
+    and must broadcast to the point's shape without changing it."""
 
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
@@ -172,14 +172,23 @@ class BoxIndicator(ProxOracle):
         if np.any(self.lo > self.hi):
             raise ValueError("the box is empty: lo must not exceed hi")
 
+    def _point(self, z):
+        """``z`` as floats, refusing a point whose shape the bounds would change."""
+        z = np.asarray(z, dtype=float)
+        if np.broadcast(z, self.lo, self.hi).shape != z.shape:
+            raise ValueError(f"the bounds' shapes {self.lo.shape} and {self.hi.shape} "
+                             f"do not broadcast to the point's {z.shape}")
+        return z
+
     def value(self, z):
+        z = self._point(z)
         if np.all(z >= self.lo - 1e-12) and np.all(z <= self.hi + 1e-12):
             return 0.0
         return np.inf
 
     def prox(self, z, tau):
         _check_step(tau)
-        return np.clip(z, self.lo, self.hi)
+        return np.clip(self._point(z), self.lo, self.hi)
 
 
 class QuadraticProx(ProxOracle, SmoothOracle):

@@ -159,6 +159,15 @@ def test_refuses_a_recorded_seed_or_another_seconds_before_running(trees):
         ("quad-saddle", 1, 0), ("quad-saddle", 2, 1), ("lad-large", 2, 0)]
 
 
+def test_refuses_equal_names_before_running(trees):
+    # both sides used to write one file, each pair's change record overwriting the parent's
+    parent, change, out = trees
+    with pytest.raises(SystemExit, match=r"^--names must differ: both sides would write BENCH_same\.json$"):
+        _pairs().main([str(parent), str(change), "--workload", "quad-saddle", "--seeds", "1-2",
+                       "--names", "same", "same"])
+    assert not (out / "BENCH_same.json").exists()
+
+
 @pytest.mark.parametrize("seeds", ["5-4", "5", "a-b", "1-2-3"])
 def test_refuses_a_reversed_or_malformed_seed_range_before_running(trees, seeds):
     # a reversed range used to run no pair and then fail in the summary

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from pdsplit import driver
+from pdsplit.bench import generate_quadratic
+from pdsplit.odeflow import initial_state
 from pdsplit.params import (ParamState, Scheme, StepSizeError, StepSizeRule,
                             advance, appendix_c_bound, solve_step_size,
                             theoretical_theta_bound)
@@ -37,6 +39,21 @@ def test_initial_rejects_nonpositive():
         ParamState.initial(gamma0=0.0)
     with pytest.raises(ValueError):
         ParamState.initial(beta0=math.nan)
+
+
+@pytest.mark.parametrize("start", [{"gamma0": math.inf}, {"beta0": math.inf}, {"gamma0": -math.inf}],
+                         ids=["gamma0-inf", "beta0-inf", "gamma0-minus-inf"])
+def test_initial_rejects_nonfinite(start):
+    # gamma0 = inf used to pass, and a run then failed at step 0 with a
+    # StepSizeError blaming the condition's bracket (a nan at a finite ||A||)
+    message = "gamma0 and beta0 must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        ParamState.initial(**start)
+    prob = generate_quadratic(6, 10, 0).prox_form
+    with pytest.raises(ValueError, match=message):
+        driver.run(prob, Scheme.F1_SEMI_A, 5, **start)
+    with pytest.raises(ValueError, match=message):
+        initial_state(prob, **start)
 
 
 def test_recursion_residuals():

@@ -6,6 +6,7 @@ implementation), plus the standard operator identities: firm
 nonexpansiveness and the Moreau decomposition.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -143,9 +144,10 @@ def test_hinge_prox_three_regions():
 
 
 def test_prox_calls_check_step_and_shape():
-    # every prox refuses a step that is not positive with one message; the
-    # unweighted l1 used to return its point, the quadratics to divide by
-    # zero, the hinge to move its point and the box to ignore the step
+    # every prox refuses a step that is not positive and finite with one
+    # message; the unweighted l1 used to return its point, the quadratics to
+    # divide by zero, the hinge to move its point and the box to ignore the
+    # step; an infinite step would make 0 * inf = nan at lam = 0 or mu = 0
     z = np.array([1.5, -0.2])
     oracles = (ElasticNet(1.0, 0.0), ElasticNet(1.0, 0.5), ElasticNet(0.0, 1.0),
                ShiftedL1(np.zeros(2)), ShiftedL1(np.zeros(2), lam=0.0), SquaredL2(1.0),
@@ -153,8 +155,8 @@ def test_prox_calls_check_step_and_shape():
                BoxIndicator(-np.ones(2), np.ones(2)), QuadraticProx(np.eye(2)),
                QuadraticProx(np.eye(2)).in_eigenbasis(DenseOperator(np.eye(2)))[0])
     for oracle in oracles:
-        for tau in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match="^the prox step tau must be positive, not "):
+        for tau in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^the prox step tau must be positive and finite, not "):
                 oracle.prox(z, tau)
     with pytest.raises(ValueError):
         ShiftedL1(np.zeros(3)).prox(z, 1.0)
@@ -192,6 +194,42 @@ def test_hinge_refuses_a_point_not_shaped_like_its_labels(labels, point, call):
     with pytest.raises(ValueError, match=rf"^the point's shape \({point},\) differs from the labels' "
                                          rf"\({labels},\)$"):
         getattr(hinge, call)(*args)
+
+
+@pytest.mark.parametrize("shift, point", [(1, 3), (3, 1), (2, 3)], ids=["1-of-3", "3-of-1", "2-of-3"])
+@pytest.mark.parametrize("call", ["prox", "value"])
+def test_shifted_l1_refuses_a_point_not_shaped_like_its_shift(shift, point, call):
+    # value used to broadcast: a one-coordinate shift read every coordinate against it
+    l1 = ShiftedL1(np.zeros(shift))
+    args = (np.ones(point), 1.0) if call == "prox" else (np.ones(point),)
+    with pytest.raises(ValueError, match=rf"^the point's shape \({point},\) differs from the shift's "
+                                         rf"\({shift},\)$"):
+        getattr(l1, call)(*args)
+
+
+_BOX3 = (np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize("lo, hi, point", [(*_BOX3, (1,)), (*_BOX3, ()), (*_BOX3, (3, 1)),
+                                           (0.0, np.ones(3), (1,))],
+                         ids=["3-on-1", "3-on-scalar", "3-on-3x1", "scalar-and-3-on-1"])
+@pytest.mark.parametrize("call", ["prox", "value"])
+def test_box_refuses_a_point_whose_shape_the_bounds_would_change(lo, hi, point, call):
+    # a 3-vector box used to project a 1-vector onto a 3-vector and read it as inside
+    box = BoxIndicator(lo, hi)
+    args = (np.full(point, 0.5), 1.0) if call == "prox" else (np.full(point, 0.5),)
+    message = f"the bounds' shapes {np.shape(lo)} and {np.shape(hi)} do not broadcast to the point's {point}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(box, call)(*args)
+
+
+@pytest.mark.parametrize("lo, hi, point", [(-np.inf, 0.0, (4,)), (0.0, 1.0, ()), (np.zeros(1), np.ones(4), (4,)),
+                                           (np.zeros(4), 1.0, (2, 4))])
+def test_box_bounds_that_broadcast_to_the_points_shape_stay_legal(lo, hi, point):
+    z = np.linspace(-2.0, 3.0, int(np.prod(point))).reshape(point)
+    box = BoxIndicator(lo, hi)
+    assert box.prox(z, 1.0).tobytes() == np.clip(z, lo, hi).tobytes()
+    assert box.value(np.clip(z, lo, hi)) == 0.0
 
 
 @pytest.mark.parametrize("build, message", [
@@ -498,9 +536,20 @@ def test_zero_fun_factors_each_operator_once_per_switch(count_decompositions):
     assert count_decompositions == {"eigh": switches, "eigvalsh": 0}
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_l1_prox_at_lam_zero_returns_a_signed_zero_as_lam_above_zero_does(mu):
+    # lam = 0 used to return the point itself, keeping a -0.0 that lam > 0 maps to +0.0
+    z = np.array([-0.0, 0.0, -1.5, 2.0])
+    for lam in (0.0, 1e-300):
+        assert not np.signbit(ElasticNet(lam, mu).prox(z, 0.7)[:2]).any()
+    want = np.sign(z) * np.maximum(np.abs(z), 0.0) / (1.0 + 0.7 * mu)
+    assert ElasticNet(0.0, mu).prox(z, 0.7).tobytes() == want.tobytes()
+
+
 def test_zero_function_equals_its_arithmetic_bit_for_bit():
-    # SquaredL2(0) skips 0.5 z.(0 z) and z / (1 + tau 0); on finite points,
-    # integer ones and signed zeros included, the results are those expressions'
+    # SquaredL2(0) takes its family's arithmetic, 0.5 z.(0 z) and z / (1 + tau 0),
+    # with no path of its own; on finite points, integer ones and signed zeros
+    # included, the results are those expressions' bit for bit
     rng = np.random.default_rng(9)
     zero = SquaredL2(0.0)
     points = [rng.standard_normal(7) * 1e3, np.array([-0.0, 0.0, -1.0]), np.arange(4), np.zeros(0)]

@@ -25,8 +25,9 @@ with the names given by ``--names`` because an archive carries no commit.
 A later call for another workload appends to the same two files, and its
 pairs are numbered after the workload's runs already there.  A call whose
 run length differs from the files' command, whose seeds include one
-already recorded for the workload, or whose ``--seeds`` is not a range
-``A-B`` with ``A <= B``, is refused before anything runs.  The files are
+already recorded for the workload, whose ``--seeds`` is not a range
+``A-B`` with ``A <= B``, or whose two ``--names`` are equal (both sides
+would write one file), is refused before anything runs.  The files are
 rewritten after every pair, so a rejected run leaves the pairs before it
 recorded; resume with the seeds after them.
 
@@ -55,9 +56,9 @@ the spread that identical trees showed.  It can widen the rule's band but
 never narrow it below the pairs' own, so a control recorded on another
 host or in a quieter phase cannot make a noisy session read as a gain.
 
-Given the same tree twice, with two ``--names``, the script is an A/A
-control: both copies run from the slots as above, and the summary reads
-the spread that placement and run order alone give each metric.
+Given the same tree twice, with two different ``--names``, the script is
+an A/A control: both copies run from the slots as above, and the summary
+reads the spread that placement and run order alone give each metric.
 """
 
 import argparse
@@ -242,6 +243,8 @@ def main(argv=None):
     ap.add_argument("--seeds", required=True, help="inclusive range A-B")
     ap.add_argument("--names", nargs=2, required=True, metavar=("PARENT_NAME", "CHANGE_NAME"))
     args = ap.parse_args(argv)
+    if args.names[0] == args.names[1]:
+        raise SystemExit(f"--names must differ: both sides would write BENCH_{args.names[0]}.json")
     seeds = re.fullmatch(r"(\d+)-(\d+)", args.seeds)
     first, last = (int(s) for s in seeds.groups()) if seeds else (1, 0)
     if first > last:

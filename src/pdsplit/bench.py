@@ -137,9 +137,12 @@ def generate_lad(m, n, seed, case=1, sparsity_fraction=0.1, noise_variance=0.01)
     The design has i.i.d. standard normal entries, the planted signal has
     ``round(sparsity_fraction * n)`` seeded nonzeros, and the response is
     ``d = A x^# + e`` with centered Gaussian noise of the given variance.
+    ``case`` 1 has no strongly convex term, ``case`` 2 adds ``0.1/2 ||x||^2``.
     """
     if m >= n:
         raise ValueError("this instance family is underdetermined: need m < n")
+    if case not in (1, 2):
+        raise ValueError(f"case must be 1 or 2, not {case!r}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     nnz = int(round(sparsity_fraction * n))

@@ -18,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .oracles import _nonnegative
+
 __all__ = [
     "Scheme",
     "ParamState",
@@ -72,13 +74,15 @@ class ParamState:
     @staticmethod
     def initial(mu_f=0.0, mu_g=0.0, gamma0=None, beta0=None):
         """Initial parameters: ``gamma0 = mu_f`` when ``mu_f > 0`` (same for
-        ``beta0``), else 1; user-overridable."""
+        ``beta0``), else 1; user-overridable.  The moduli must be nonnegative
+        and finite, the starts positive and finite."""
+        mu_f, mu_g = _nonnegative("mu_f", mu_f), _nonnegative("mu_g", mu_g)
         g0 = gamma0 if gamma0 is not None else (mu_f if mu_f > 0 else 1.0)
         b0 = beta0 if beta0 is not None else (mu_g if mu_g > 0 else 1.0)
         if not (0 < g0 < math.inf and 0 < b0 < math.inf):
             raise ValueError(f"gamma0 and beta0 must be positive and finite, got {g0!r} and {b0!r}")
         return ParamState(theta=1.0, gamma=g0, beta=b0, k=0,
-                          mu_f=float(mu_f), mu_g=float(mu_g),
+                          mu_f=mu_f, mu_g=mu_g,
                           gamma0=float(g0), beta0=float(b0))
 
 
@@ -115,9 +119,9 @@ def solve_step_size(ps, rule):
 
 
 def advance(ps, alpha):
-    """One implicit step of the parameter recursion."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    """One implicit step of the parameter recursion, at a positive and finite ``alpha``."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     d = 1.0 + alpha
     return ParamState(theta=ps.theta / d, gamma=(ps.gamma + ps.mu_f * alpha) / d,
                       beta=(ps.beta + ps.mu_g * alpha) / d, k=ps.k + 1, mu_f=ps.mu_f,

@@ -41,6 +41,14 @@ def _check_step(tau):
         raise ValueError(f"the prox step tau must be positive and finite, not {tau!r}")
 
 
+def _shaped_like(z, kept, name):
+    """``z`` as floats, refusing a point not shaped like ``kept`` (``name``: "shift's", "labels'")."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != kept.shape:
+        raise ValueError(f"the point's shape {z.shape} differs from the {name} {kept.shape}")
+    return z
+
+
 def _soft_threshold(z, tau, lam):
     """Prox of ``tau * lam * ||.||_1``: ``sign(z) * max(|z| - tau lam, 0)``."""
     return np.sign(z) * np.maximum(np.abs(z) - tau * lam, 0.0)
@@ -55,19 +63,12 @@ class ShiftedL1(ProxOracle):
         if not np.isfinite(self.shift).all():
             raise ValueError("shift must be finite")
 
-    def _offsets(self, z):
-        """``z - shift``, refusing a point not shaped like the shift."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != self.shift.shape:
-            raise ValueError(f"the point's shape {z.shape} differs from the shift's {self.shift.shape}")
-        return z - self.shift
-
     def value(self, z):
-        return self.lam * float(np.sum(np.abs(self._offsets(z))))
+        return self.lam * float(np.sum(np.abs(_shaped_like(z, self.shift, "shift's") - self.shift)))
 
     def prox(self, z, tau):
         _check_step(tau)
-        return self.shift + _soft_threshold(self._offsets(z), tau, self.lam)
+        return self.shift + _soft_threshold(_shaped_like(z, self.shift, "shift's") - self.shift, tau, self.lam)
 
 
 class SquaredL2(ProxOracle, SmoothOracle):
@@ -139,15 +140,9 @@ class HingeSum(ProxOracle):
         self.labels = labels
         self.weight = _nonnegative("weight", weight)
 
-    def _margins(self, z):
-        """``c_j z_j``, refusing a point not shaped like the labels."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != self.labels.shape:
-            raise ValueError(f"the point's shape {z.shape} differs from the labels' {self.labels.shape}")
-        return self.labels * z
-
     def value(self, z):
-        return self.weight * float(np.sum(np.maximum(0.0, 1.0 - self._margins(z))))
+        margins = self.labels * _shaped_like(z, self.labels, "labels'")
+        return self.weight * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
     def prox(self, z, tau):
         """Per coordinate, with ``t = tau * weight`` and ``s = c_j z_j``: the
@@ -155,7 +150,7 @@ class HingeSum(ProxOracle):
         ``s < 1 - t``, and clamped onto the kink ``c_j z_j = 1`` in between."""
         _check_step(tau)
         t = tau * self.weight
-        s = self._margins(z)
+        s = self.labels * _shaped_like(z, self.labels, "labels'")
         return self.labels * np.where(s >= 1.0, s, np.where(s < 1.0 - t, s + t, 1.0))
 
 

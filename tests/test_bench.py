@@ -66,6 +66,13 @@ def test_lad_rejects_overdetermined():
         generate_lad(60, 20, seed=0)
 
 
+@pytest.mark.parametrize("case", [0, 3, "2"])
+def test_lad_rejects_a_case_other_than_1_or_2(case):
+    # each of these used to build case 1 without a word (mu_f 0.0)
+    with pytest.raises(ValueError, match=rf"^case must be 1 or 2, not {re.escape(repr(case))}$"):
+        generate_lad(20, 60, seed=0, case=case)
+
+
 def test_svm_shapes_and_labels():
     bundle = generate_svm(25, 70, seed=7)
     prob = bundle.prox_form

@@ -168,6 +168,19 @@ def test_refuses_equal_names_before_running(trees):
     assert not (out / "BENCH_same.json").exists()
 
 
+@pytest.mark.parametrize("names", [("a/b", "c"), ("c", "a/b"), ("", "c"), ("c", "")],
+                         ids=["parent-a/b", "change-a/b", "parent-empty", "change-empty"])
+def test_refuses_a_name_that_is_not_a_plain_file_name_before_running(trees, names):
+    # a/b used to copy both trees and run pair 0, then lose both runs when
+    # BENCH_a/b.json could not be written
+    parent, change, out = trees
+    bad = next(name for name in names if name != "c")
+    with pytest.raises(SystemExit, match=f"^--names must be nonempty plain file names, not {bad!r}$"):
+        _pairs().main([str(parent), str(change), "--workload", "quad-saddle", "--seeds", "1-2",
+                       "--names", *names])
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("seeds", ["5-4", "5", "a-b", "1-2-3"])
 def test_refuses_a_reversed_or_malformed_seed_range_before_running(trees, seeds):
     # a reversed range used to run no pair and then fail in the summary

@@ -56,6 +56,17 @@ def test_initial_rejects_nonfinite(start):
         initial_state(prob, **start)
 
 
+@pytest.mark.parametrize("moduli, message", [({"mu_f": math.nan}, "mu_f must be nonnegative and finite, not nan"),
+                                             ({"mu_f": -1.0}, "mu_f must be nonnegative and finite, not -1.0"),
+                                             ({"mu_g": math.inf}, "mu_g must be nonnegative and finite, not inf")],
+                         ids=["mu_f-nan", "mu_f-negative", "mu_g-inf"])
+def test_initial_rejects_a_modulus_that_is_negative_or_not_finite(moduli, message):
+    # a NaN mu_f used to pass, and the first step then blamed the condition's
+    # bracket; a negative one failed at the second step on alpha = 0.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ParamState.initial(**moduli)
+
+
 def test_recursion_residuals():
     ps = ParamState.initial(mu_f=0.4, mu_g=0.0, gamma0=1.3, beta0=0.8)
     rule = StepSizeRule(Scheme.F1_EXPLICIT, norm_A=2.0, norm_B=1.0)
@@ -158,6 +169,13 @@ def test_advance_rejects_nonpositive_alpha():
         advance(ParamState.initial(), 0.0)
     with pytest.raises(ValueError):
         advance(ParamState.initial(), math.nan)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, 0.0, -1.0, math.nan])
+def test_advance_rejects_an_alpha_that_is_not_positive_and_finite(alpha):
+    # alpha = inf used to return theta = 0.0 and gamma = nan at mu_f > 0
+    with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha!r}$"):
+        advance(ParamState.initial(mu_f=0.5), alpha)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)

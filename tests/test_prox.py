@@ -185,26 +185,23 @@ def test_box_rejects_empty_box():
     assert np.array_equal(BoxIndicator(-np.inf, 0.0).prox(np.array([-2.0, 3.0]), 1.0), [-2.0, 0.0])
 
 
-@pytest.mark.parametrize("labels, point", [(1, 3), (3, 1), (2, 3)], ids=["1-of-3", "3-of-1", "2-of-3"])
-@pytest.mark.parametrize("call", ["prox", "value"])
-def test_hinge_refuses_a_point_not_shaped_like_its_labels(labels, point, call):
-    # one label used to be read against every coordinate of the point
-    hinge = HingeSum(np.ones(labels), 1.0)
-    args = (np.zeros(point), 1.0) if call == "prox" else (np.zeros(point),)
-    with pytest.raises(ValueError, match=rf"^the point's shape \({point},\) differs from the labels' "
-                                         rf"\({labels},\)$"):
-        getattr(hinge, call)(*args)
+# per oracle: its build from the kept array's length, the point it is given, and
+# the kept array's owner as the message names it
+_KEEPERS = {"hinge": (lambda k: HingeSum(np.ones(k), 1.0), np.zeros, "labels'"),
+            "shifted-l1": (lambda k: ShiftedL1(np.zeros(k)), np.ones, "shift's")}
 
 
-@pytest.mark.parametrize("shift, point", [(1, 3), (3, 1), (2, 3)], ids=["1-of-3", "3-of-1", "2-of-3"])
+@pytest.mark.parametrize("kept, point", [(1, 3), (3, 1), (2, 3)], ids=["1-of-3", "3-of-1", "2-of-3"])
 @pytest.mark.parametrize("call", ["prox", "value"])
-def test_shifted_l1_refuses_a_point_not_shaped_like_its_shift(shift, point, call):
-    # value used to broadcast: a one-coordinate shift read every coordinate against it
-    l1 = ShiftedL1(np.zeros(shift))
-    args = (np.ones(point), 1.0) if call == "prox" else (np.ones(point),)
-    with pytest.raises(ValueError, match=rf"^the point's shape \({point},\) differs from the shift's "
-                                         rf"\({shift},\)$"):
-        getattr(l1, call)(*args)
+@pytest.mark.parametrize("oracle", list(_KEEPERS))
+def test_hinge_and_shifted_l1_refuse_a_misshapen_point(oracle, kept, point, call):
+    # a hinge used to read one label against every coordinate of the point, and the
+    # shifted l1's value to read a one-coordinate shift the same way, by broadcasting
+    build, fill, owner = _KEEPERS[oracle]
+    args = (fill(point), 1.0) if call == "prox" else (fill(point),)
+    with pytest.raises(ValueError, match=rf"^the point's shape \({point},\) differs from the {owner} "
+                                         rf"\({kept},\)$"):
+        getattr(build(kept), call)(*args)
 
 
 _BOX3 = (np.zeros(3), np.ones(3))

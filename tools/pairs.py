@@ -26,10 +26,12 @@ A later call for another workload appends to the same two files, and its
 pairs are numbered after the workload's runs already there.  A call whose
 run length differs from the files' command, whose seeds include one
 already recorded for the workload, whose ``--seeds`` is not a range
-``A-B`` with ``A <= B``, or whose two ``--names`` are equal (both sides
-would write one file), is refused before anything runs.  The files are
-rewritten after every pair, so a rejected run leaves the pairs before it
-recorded; resume with the seeds after them.
+``A-B`` with ``A <= B``, whose two ``--names`` are equal (both sides
+would write one file), or one of whose ``--names`` is empty or not a
+plain file name (``a/b`` would have the file written into a directory
+``BENCH_a``), is refused before anything runs.  The files are rewritten
+after every pair, so a rejected run leaves the pairs before it recorded;
+resume with the seeds after them.
 
 At the end, per metric, over every pair of the workload that both files
 record (this call's and earlier calls'), the script prints each side's
@@ -243,6 +245,9 @@ def main(argv=None):
     ap.add_argument("--seeds", required=True, help="inclusive range A-B")
     ap.add_argument("--names", nargs=2, required=True, metavar=("PARENT_NAME", "CHANGE_NAME"))
     args = ap.parse_args(argv)
+    for name in args.names:
+        if not name or Path(name).name != name:
+            raise SystemExit(f"--names must be nonempty plain file names, not {name!r}")
     if args.names[0] == args.names[1]:
         raise SystemExit(f"--names must differ: both sides would write BENCH_{args.names[0]}.json")
     seeds = re.fullmatch(r"(\d+)-(\d+)", args.seeds)
